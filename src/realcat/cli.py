@@ -6,8 +6,8 @@ Four commands: ``validate`` (structural checks on input files),
 closedness of K-Cat and emit a failure witness when there is one).
 
 Exit codes: 0 success or negative witness, 1 positive witness or failed
-validation, >= 2 operational errors (parse 2, size cap 3, round cap 4,
-other domain errors 5).
+validation, >= 2 operational errors (parse 2, size cap 3, other domain
+errors 5; 4 is retired).
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from pathlib import Path
 from . import qcat as qc
 from . import serialize as ser
 from . import subconstructs as sub
-from .errors import (
-    NonterminationError,
-    ParseError,
-    RealcatError,
-    SizeLimitExceeded,
-)
+from .errors import ParseError, RealcatError, SizeLimitExceeded
 from .suites import SUITES, Report, WorkspaceConfig, run_suite
 from .tnorm import subquantale_check
 from .values import ONE, ZERO
@@ -34,7 +29,6 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
-EXIT_ROUNDS = 4
 EXIT_DOMAIN = 5
 
 CONSTRUCT_KINDS = (
@@ -127,7 +121,7 @@ def cmd_construct(args) -> int:
         if kind == "coreflect":
             out = sub.coreflect_c(s, c)
         else:
-            out = sub.reflect_r(s, c, args.max_rounds)
+            out = sub.reflect_r(s, c)
     elif kind in ("por_rho", "por_sigma"):
         c = ser.qcat_from_obj(_load_json(args.inputs[0]))
         pre = (
@@ -151,7 +145,8 @@ def cmd_construct(args) -> int:
             (ser.qcat_from_obj(snk["category"]), snk["map"])
             for snk in spec["sinks"]
         ]
-        out = qc.final_lift(t, sinks, spec["carrier"], args.max_rounds)
+        _check_sink_maps(sinks, spec["carrier"])
+        out = qc.final_lift(t, sinks, spec["carrier"])
     else:  # pragma: no cover
         raise ParseError(f"unknown construction {kind!r}")
     text = ser.dumps(ser.qcat_to_obj(out.relabel([ser.point_label(p) for p in out.points])))
@@ -162,13 +157,25 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _check_sink_maps(sinks, carrier):
+    """Every sink map must send each of its points into the carrier."""
+    for cat, f in sinks:
+        if not isinstance(f, dict):
+            raise ParseError("sink map must be an object")
+        for p in cat.points:
+            if p not in f:
+                raise ParseError(f"sink map omits point {p!r}")
+            if f[p] not in carrier:
+                raise ParseError(
+                    f"sink map sends {p!r} to {f[p]!r}, outside the carrier"
+                )
+
+
 def cmd_verify(args) -> int:
     config = WorkspaceConfig(
         tnorm=ser.tnorm_from_obj(args.tnorm or "lukasiewicz"),
         grid_denominator=args.grid_denominator,
         max_maps=args.max_maps,
-        max_rounds=args.max_rounds,
-        output_format=args.format,
     )
     report = run_suite(args.suite, config)
     _emit(report, args.format)
@@ -208,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--grid-denominator", type=int, default=16)
     common.add_argument("--max-maps", type=int, default=10**6)
-    common.add_argument("--max-rounds", type=int, default=64)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p = subparsers.add_parser(
@@ -262,9 +268,6 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except NonterminationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROUNDS
     except RealcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -23,12 +23,6 @@ class SizeLimitExceeded(RealcatError):
     """A functor enumeration would exceed the configured candidate cap."""
 
 
-class NonterminationError(RealcatError):
-    """A fixpoint iteration hit its round cap without stabilizing.
-    Only reachable with product blocks, whose descending value chains
-    need not terminate."""
-
-
 class NotForwardCauchy(RealcatError):
     """The sequence handed to a limit operation is not forward Cauchy."""
 

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NonterminationError, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .tnorm import CheckResult, TNorm, meet_residual, tnorm_eval
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
 
 DEFAULT_MAP_CAP = 10**6
-DEFAULT_ROUND_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -245,11 +244,6 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     return QCat(a.tnorm, points, matrix)
 
 
-def hom_point_functor(a: QCat, b: QCat, point) -> QFunctor:
-    """Rebuild the functor a hom-object point stands for."""
-    return QFunctor(a, b, tuple(point))
-
-
 @dataclass(frozen=True)
 class Preord:
     """Crisp preorder: points plus a reflexive transitive relation."""
@@ -291,15 +285,15 @@ def por_coreflection(c: QCat) -> Preord:
 
 def por_reflection(c: QCat) -> Preord:
     """Least preorder above r: reflexive-transitive closure of
-    {(x,y) : r(x,y) != 0}."""
+    {(x,y) : r(x,y) != 0}, computed as the path closure of the 0/1
+    matrix (1 is the unit of every t-norm, so 1 & 1 = 1)."""
     n = len(c.points)
-    leq = [[c.matrix[i][j] != ZERO or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if leq[i][k] and leq[k][j]:
-                    leq[i][j] = True
-    return Preord(c.points, tuple(tuple(row) for row in leq))
+    m = [
+        [ONE if c.matrix[i][j] != ZERO or i == j else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    path_closure(c.tnorm, m)
+    return Preord(c.points, tuple(tuple(v == ONE for v in row) for row in m))
 
 
 def initial_lift(
@@ -320,21 +314,40 @@ def initial_lift(
     return QCat(t, carrier, tuple(matrix))
 
 
+def path_closure(t: TNorm, m: list[list[Fraction]]) -> None:
+    """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j.
+
+    One Floyd-Warshall pass (k outer) is the exact closure over the
+    quantale ([0,1], join, &): x & y <= min(x, y), so a cycle never
+    raises a path and the best path between two points is simple
+    (Lehmann 1977).  The diagonal is never written, so a matrix whose
+    diagonal lies below 1 keeps it."""
+    n = len(m)
+    for k in range(n):
+        row_k = m[k]
+        for i in range(n):
+            row_i = m[i]
+            via_k = row_i[k]
+            if i == k or via_k == ZERO:
+                continue
+            for j in range(n):
+                if j == i or j == k:
+                    continue
+                via = tnorm_eval(t, row_k[j], via_k)
+                if via > row_i[j]:
+                    row_i[j] = via
+
+
 def final_lift(
     t: TNorm,
     sinks: Sequence[tuple[QCat, Mapping]],
     carrier: Sequence,
-    max_rounds: int = DEFAULT_ROUND_CAP,
 ) -> QCat:
     """Final structure on the carrier for maps f_i from (X_i, r_i).
 
-    Computed as the least transitive structure above the pushed-forward
-    values: seed with joins of r_i over preimage pairs (1 on the
-    diagonal, 0 elsewhere) and close under the composition rule
-    m(x,z) >= m(y,z) & m(x,y) until fixpoint -- an algebraic path
-    closure over the quantale (join, &).  Lukasiewicz-only and crisp
-    inputs reach the fixpoint in finitely many rounds; product blocks
-    may not, hence the round cap.
+    The least transitive structure above the pushed-forward values:
+    seed with joins of r_i over preimage pairs (1 on the diagonal, 0
+    elsewhere), then take the exact path closure of the seed.
     """
     carrier = tuple(carrier)
     idx = {p: i for i, p in enumerate(carrier)}
@@ -345,23 +358,8 @@ def final_lift(
             for q in cat.points:
                 i, j = idx[f[p]], idx[f[q]]
                 m[i][j] = max(m[i][j], cat.r(p, q))
-    for _ in range(max_rounds):
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                best = m[i][j]
-                for k in range(n):
-                    via = tnorm_eval(t, m[k][j], m[i][k])
-                    if via > best:
-                        best = via
-                if best != m[i][j]:
-                    m[i][j] = best
-                    changed = True
-        if not changed:
-            return QCat(t, carrier, tuple(tuple(row) for row in m))
-    raise NonterminationError(
-        f"path closure did not stabilize within {max_rounds} rounds"
-    )
+    path_closure(t, m)
+    return QCat(t, carrier, tuple(tuple(row) for row in m))
 
 
 def tensor_transpose(a: QCat, b: QCat, c: QCat, f: QFunctor) -> QFunctor:

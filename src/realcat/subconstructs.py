@@ -16,15 +16,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidWitness, NonterminationError, ProductIrrational
+from .errors import DomainError, InvalidWitness, ProductIrrational
 from .intervals import IntervalSet
-from .qcat import (
-    DEFAULT_ROUND_CAP,
-    QCat,
-    final_lift,
-    product,
-    two_point,
-)
+from .qcat import QCat, final_lift, path_closure, product, two_point
 from .tnorm import (
     CheckResult,
     TNorm,
@@ -189,40 +183,42 @@ def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
 
 
 def _largest_below(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
-    """The componentwise-largest S-pair below (a, b); exists by S1/S2."""
+    """The componentwise-largest S-pair below (a, b); S1/S2 make it
+    unique, and DomainError reports that S has none."""
     if s.variant is SuitableVariant.K_SQUARE:
         p, q = s.k.max_below(a), s.k.max_below(b)
         if p is None or q is None:
-            raise ValueError("K has no member below a structure value")
+            raise DomainError(f"K has no member below {a if p is None else b}")
         return (p, q)
     if s.variant is SuitableVariant.K_DIAGONAL:
         p = s.k.max_below(min(a, b))
         if p is None:
-            raise ValueError("K has no member below a structure value")
+            raise DomainError(f"K has no member below {min(a, b)}")
         return (p, p)
     if s.variant is SuitableVariant.SQRT_BAND:
         t = s.tnorm
         return (min(a, sqrt_with(t, b)), min(b, sqrt_with(t, a)))
     candidates = [m for m in s.pairs if m[0] <= a and m[1] <= b]
     if not candidates:
-        raise ValueError(f"no explicit member below ({a}, {b})")
+        raise DomainError(f"no explicit member below ({a}, {b})")
     best = (max(m[0] for m in candidates), max(m[1] for m in candidates))
     if best not in s.pairs:
-        raise ValueError("explicit set is not join-closed below the target")
+        raise DomainError("explicit set is not join-closed below the target")
     return best
 
 
 def _least_above(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
-    """The componentwise-least S-pair above (a, b); exists by S1/S2."""
+    """The componentwise-least S-pair above (a, b); S1/S2 make it
+    unique, and DomainError reports that S has none."""
     if s.variant is SuitableVariant.K_SQUARE:
         p, q = s.k.min_above(a), s.k.min_above(b)
         if p is None or q is None:
-            raise ValueError("K has no member above a structure value")
+            raise DomainError(f"K has no member above {a if p is None else b}")
         return (p, q)
     if s.variant is SuitableVariant.K_DIAGONAL:
         p = s.k.min_above(max(a, b))
         if p is None:
-            raise ValueError("K has no member above a structure value")
+            raise DomainError(f"K has no member above {max(a, b)}")
         return (p, p)
     if s.variant is SuitableVariant.SQRT_BAND:
         t = s.tnorm
@@ -232,10 +228,10 @@ def _least_above(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
         )
     candidates = [m for m in s.pairs if m[0] >= a and m[1] >= b]
     if not candidates:
-        raise ValueError(f"no explicit member above ({a}, {b})")
+        raise DomainError(f"no explicit member above ({a}, {b})")
     best = (min(m[0] for m in candidates), min(m[1] for m in candidates))
     if best not in s.pairs:
-        raise ValueError("explicit set is not meet-closed above the target")
+        raise DomainError("explicit set is not meet-closed above the target")
     return best
 
 
@@ -252,44 +248,43 @@ def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
     return QCat(c.tnorm, c.points, tuple(tuple(row) for row in m))
 
 
-def reflect_r(
-    s: SuitableSet, c: QCat, max_rounds: int = DEFAULT_ROUND_CAP
-) -> QCat:
+def _raise_pairs(s: SuitableSet, m: list[list[Fraction]]) -> bool:
+    """Raise each off-diagonal pair of m to the least S-pair above it;
+    report whether anything changed."""
+    changed = False
+    n = len(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = _least_above(s, m[i][j], m[j][i])
+            if (p, q) != (m[i][j], m[j][i]):
+                m[i][j], m[j][i] = p, q
+                changed = True
+    return changed
+
+
+def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     """R(r): least Cat_S structure above r.
 
-    Alternates raising each pair to the least S-pair above it with one
-    path-closure sweep until fixpoint.  Terminates exactly whenever all
-    blocks are Lukasiewicz (the generated value set is finite); product
-    blocks fall under the round cap.
+    Raises each pair to the least S-pair above it, then takes the exact
+    path closure, and repeats until a raise changes nothing; the
+    diagonal is left as given.  Both steps are monotone and inflationary
+    and fix every Cat_S structure above r, so the result is the least.
+
+    Termination.  Every value the loop produces is an &-word over a
+    finite base: the entries of r, the endpoints of K, the coordinates
+    of the explicit pairs, and b & b for the square-root band.  For a
+    finite ordinal sum of Lukasiewicz and product blocks only finitely
+    many such words lie above any e > 0.  Entries only increase, so each
+    entry changes finitely often once it is positive, and some raise
+    changes nothing.  When S is suitable this happens at the second
+    raise: by S3 and S1 the closure of a matrix of S-pairs has S-pairs.
     """
-    t = c.tnorm
-    n = len(c.points)
-    m = [[c.matrix[i][j] for j in range(n)] for i in range(n)]
-    for _ in range(max_rounds):
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                p, q = _least_above(s, m[i][j], m[j][i])
-                if (p, q) != (m[i][j], m[j][i]):
-                    m[i][j], m[j][i] = p, q
-                    changed = True
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                best = m[i][j]
-                for k in range(n):
-                    via = tnorm_eval(t, m[k][j], m[i][k])
-                    if via > best:
-                        best = via
-                if best != m[i][j]:
-                    m[i][j] = best
-                    changed = True
-        if not changed:
-            return QCat(t, c.points, tuple(tuple(row) for row in m))
-    raise NonterminationError(
-        f"reflector did not stabilize within {max_rounds} rounds"
-    )
+    m = [list(row) for row in c.matrix]
+    _raise_pairs(s, m)
+    path_closure(c.tnorm, m)
+    while _raise_pairs(s, m):
+        path_closure(c.tnorm, m)
+    return QCat(c.tnorm, c.points, tuple(tuple(row) for row in m))
 
 
 def ccc_criterion(t: TNorm, k: IntervalSet) -> bool:

@@ -46,14 +46,3 @@ def uniform_grid(denominator: int) -> list[Fraction]:
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
     return [Fraction(k, denominator) for k in range(denominator + 1)]
-
-
-def farey_grid(max_denominator: int) -> list[Fraction]:
-    """All reduced fractions in [0, 1] with denominator <= max_denominator."""
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    out = {ZERO, ONE}
-    for q in range(2, max_denominator + 1):
-        for p in range(1, q):
-            out.add(Fraction(p, q))
-    return sorted(out)

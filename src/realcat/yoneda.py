@@ -153,16 +153,10 @@ def approx_property(t: TNorm) -> ApproxReport:
         # 1 is isolated in M, hence way below itself; every smaller
         # idempotent is way below 1 outright.
         assert way_below_in_m(t, ONE, ONE)
-        members = idm
-        includes_top = True
-        case = 1
     else:
         assert not way_below_in_m(t, ONE, ONE) or idm.components == ((ONE, ONE),)
-        members = idm
-        includes_top = False
-        case = 2
-    sup = members.supremum
-    return ApproxReport(case, members, includes_top, sup, sup == ONE)
+    sup = idm.supremum
+    return ApproxReport(1 if top_block else 2, idm, top_block, sup, sup == ONE)
 
 
 def _require_m_valued(c: QCat):

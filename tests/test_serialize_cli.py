@@ -189,6 +189,44 @@ class TestCLI:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "table, named",
+        [({"a": "x", "b": "w"}, "'w'"), ({"a": "x"}, "'b'"), (["x", "y"], "object")],
+        ids=["outside-carrier", "omitted", "not-an-object"],
+    )
+    def test_construct_final_lift_bad_map_exits_two(
+        self, workdir, capsys, table, named
+    ):
+        spec = workdir["dir"] / "lift.json"
+        edge = two_point(LUK, F(1, 2), 0, points=("a", "b"))
+        spec.write_text(
+            ser.dumps(
+                {
+                    "tnorm": "lukasiewicz",
+                    "carrier": ["x", "y"],
+                    "sinks": [{"category": ser.qcat_to_obj(edge), "map": table}],
+                }
+            )
+        )
+        assert cli.main(["construct", "final_lift", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize(
+        "kind, k, value",
+        [("reflect", [(0, F(1, 2))], F(3, 4)), ("coreflect", [(F(1, 2), 1)], F(1, 4))],
+    )
+    def test_construct_without_bounding_member_exits_five(
+        self, workdir, capsys, kind, k, value
+    ):
+        s = workdir["dir"] / "s.json"
+        s.write_text(ser.dumps(ser.suitable_to_obj(k_square(LUK, IntervalSet.of(k)))))
+        c = workdir["dir"] / "c.json"
+        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(LUK, value, value))))
+        assert cli.main(["construct", kind, str(s), str(c)]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(value) in err
+
     def test_witness_negative(self, workdir, capsys):
         assert cli.main(["witness", "--k", workdir["k_l3"]]) == 0
         out = json.loads(capsys.readouterr().out)

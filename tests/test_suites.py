@@ -28,4 +28,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WorkspaceConfig(grid_denominator=0)
     with pytest.raises(ValueError):
-        WorkspaceConfig(max_rounds=0)
+        WorkspaceConfig(max_maps=0)
