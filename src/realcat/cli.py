@@ -1,13 +1,28 @@
 """Command-line front end.
 
-Four commands: ``validate`` (structural checks on input files),
-``construct`` (apply a named construction and write the result),
-``verify`` (run a named invariant suite), ``witness`` (decide cartesian
-closedness of K-Cat and emit a failure witness when there is one).
+Four commands, each with only the flags it reads:
+
+- ``validate PATH... [--format json|text] [--tnorm T]``: structural
+  checks on category, suitable-set and interval-set files (``--tnorm``
+  supplies the norm for suitable sets without one and is required for
+  interval sets).
+- ``construct KIND INPUT... [--max-maps N] [--out FILE]``: apply a named
+  construction and write the resulting category.
+- ``verify SUITE [--format json|text] [--tnorm T] [--max-maps N]``: run a
+  named invariant suite.
+- ``witness --k FILE [--tnorm T] [--out FILE]``: decide cartesian
+  closedness of K-Cat exactly, by K inside M, and emit a failure witness
+  when there is one.  The search over the k/16 grid of K only picks
+  the witness triple.
+
+``--tnorm`` is a builtin norm name or a t-norm JSON file (default
+lukasiewicz for ``verify`` and ``witness``); ``--max-maps`` caps functor
+enumeration (a positive integer, default 10**6).
 
 Exit codes: 0 success or negative witness, 1 positive witness or failed
-validation, >= 2 operational errors (parse 2, size cap 3, other domain
-errors 5; 4 is retired).
+validation, >= 2 operational errors (parse, usage or file errors 2, size
+cap 3, other domain errors 5; 4 is retired).  Every error is one line
+on stderr.
 """
 
 from __future__ import annotations
@@ -20,10 +35,10 @@ from pathlib import Path
 from . import qcat as qc
 from . import serialize as ser
 from . import subconstructs as sub
-from .errors import ParseError, RealcatError, SizeLimitExceeded
+from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded
 from .suites import SUITES, Report, WorkspaceConfig, run_suite
-from .tnorm import subquantale_check
-from .values import ONE, ZERO
+from .tnorm import BUILTIN_NORMS, TNorm, subquantale_check
+from .values import ONE, SAMPLE_DENOMINATOR, ZERO, uniform_grid
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -31,25 +46,46 @@ EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_DOMAIN = 5
 
-CONSTRUCT_KINDS = (
-    "product",
-    "tensor",
-    "hom_tensor",
-    "hom_power",
-    "coreflect",
-    "reflect",
-    "initial_lift",
-    "final_lift",
-    "por_rho",
-    "por_sigma",
-)
+# each construction and the number of input files it takes
+CONSTRUCT_KINDS = {
+    "product": 2,
+    "tensor": 2,
+    "hom_tensor": 2,
+    "hom_power": 2,
+    "coreflect": 2,
+    "reflect": 2,
+    "initial_lift": 1,
+    "final_lift": 1,
+    "por_rho": 1,
+    "por_sigma": 1,
+}
 
 
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _tnorm(arg: str) -> TNorm:
+    """Resolve ``--tnorm``: a builtin norm name, else a t-norm JSON file."""
+    if arg in BUILTIN_NORMS:
+        return ser.tnorm_from_obj(arg)
+    try:
+        obj = _load_json(arg)
+    except ParseError as exc:
+        raise ParseError(
+            f"--tnorm takes one of {sorted(BUILTIN_NORMS)} or a t-norm file; {exc}"
+        ) from exc
+    return ser.tnorm_from_obj(obj)
 
 
 def _emit(report: Report, fmt: str):
@@ -70,10 +106,11 @@ def _preord_as_qcat(t, pre) -> qc.QCat:
 
 def cmd_validate(args) -> int:
     report = Report("validate")
-    config_tnorm = ser.tnorm_from_obj(args.tnorm) if args.tnorm else None
+    config_tnorm = _tnorm(args.tnorm) if args.tnorm else None
     for path in args.paths:
         obj = _load_json(path)
-        if isinstance(obj, dict) and "matrix" in obj:
+        kind = ser.kind_of(obj)
+        if kind == "category":
             try:
                 cat = ser.qcat_from_obj(obj)
             except ParseError as exc:
@@ -81,11 +118,11 @@ def cmd_validate(args) -> int:
                 continue
             res = qc.validate_qcat(cat)
             report.record(path, res.passed, res.message)
-        elif isinstance(obj, dict) and "variant" in obj:
+        elif kind == "suitable set":
             s = ser.suitable_from_obj(obj, tnorm=config_tnorm)
-            res = sub.check_suitable(s, _grid(args))
+            res = sub.check_suitable(s, uniform_grid(SAMPLE_DENOMINATOR))
             report.record(path, res.passed, res.message)
-        elif isinstance(obj, dict) and "components" in obj:
+        elif kind == "interval set":
             if config_tnorm is None:
                 raise ParseError("subquantale check needs --tnorm")
             k = ser.intervalset_from_obj(obj)
@@ -97,17 +134,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_WITNESS
 
 
-def _grid(args):
-    from .values import uniform_grid
-
-    return uniform_grid(args.grid_denominator)
-
-
 def cmd_construct(args) -> int:
     kind = args.kind
+    if len(args.inputs) != CONSTRUCT_KINDS[kind]:
+        raise ParseError(
+            f"construct {kind} takes {CONSTRUCT_KINDS[kind]} input file(s), "
+            f"got {len(args.inputs)}"
+        )
     if kind in ("product", "tensor", "hom_tensor", "hom_power"):
         a = ser.qcat_from_obj(_load_json(args.inputs[0]))
         b = ser.qcat_from_obj(_load_json(args.inputs[1]))
+        if a.tnorm != b.tnorm:
+            raise DomainError("the two categories live over different t-norms")
         fn = {
             "product": qc.product,
             "tensor": qc.tensor,
@@ -131,117 +169,101 @@ def cmd_construct(args) -> int:
         )
         out = _preord_as_qcat(c.tnorm, pre)
     elif kind == "initial_lift":
-        spec = _load_json(args.inputs[0])
-        t = ser.tnorm_from_obj(spec["tnorm"])
-        sources = [
-            (src["map"], ser.qcat_from_obj(src["category"]))
-            for src in spec["sources"]
-        ]
-        out = qc.initial_lift(t, spec["carrier"], sources)
+        out = qc.initial_lift(*ser.initial_lift_from_obj(_load_json(args.inputs[0])))
     elif kind == "final_lift":
-        spec = _load_json(args.inputs[0])
-        t = ser.tnorm_from_obj(spec["tnorm"])
-        sinks = [
-            (ser.qcat_from_obj(snk["category"]), snk["map"])
-            for snk in spec["sinks"]
-        ]
-        _check_sink_maps(sinks, spec["carrier"])
-        out = qc.final_lift(t, sinks, spec["carrier"])
+        out = qc.final_lift(*ser.final_lift_from_obj(_load_json(args.inputs[0])))
     else:  # pragma: no cover
         raise ParseError(f"unknown construction {kind!r}")
     text = ser.dumps(ser.qcat_to_obj(out.relabel([ser.point_label(p) for p in out.points])))
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _check_sink_maps(sinks, carrier):
-    """Every sink map must send each of its points into the carrier."""
-    for cat, f in sinks:
-        if not isinstance(f, dict):
-            raise ParseError("sink map must be an object")
-        for p in cat.points:
-            if p not in f:
-                raise ParseError(f"sink map omits point {p!r}")
-            if f[p] not in carrier:
-                raise ParseError(
-                    f"sink map sends {p!r} to {f[p]!r}, outside the carrier"
-                )
-
-
 def cmd_verify(args) -> int:
-    config = WorkspaceConfig(
-        tnorm=ser.tnorm_from_obj(args.tnorm or "lukasiewicz"),
-        grid_denominator=args.grid_denominator,
-        max_maps=args.max_maps,
-    )
+    config = WorkspaceConfig(tnorm=_tnorm(args.tnorm), max_maps=args.max_maps)
     report = run_suite(args.suite, config)
     _emit(report, args.format)
     return EXIT_OK if report.passed else EXIT_WITNESS
 
 
 def cmd_witness(args) -> int:
-    t = ser.tnorm_from_obj(args.tnorm or "lukasiewicz")
+    t = _tnorm(args.tnorm)
     k = ser.intervalset_from_obj(_load_json(args.k))
     sq = subquantale_check(t, k)
     if not sq.passed:
         raise ParseError(f"K is not a subquantale: {sq.message}")
-    grid = k.sample(args.grid_denominator)
-    res = sub.ccc_identity_check(t, k, grid)
-    if res.passed:
-        sys.stdout.write(
-            ser.dumps({"cartesian_closed": True, "criterion": sub.ccc_criterion(t, k)})
-        )
+    if sub.ccc_criterion(t, k):
+        sys.stdout.write(ser.dumps({"cartesian_closed": True, "criterion": True}))
         return EXIT_OK
-    w = sub.ccc_witness(t, *res.witness)
+    # K is not inside M, so a failing triple exists.  The grid search
+    # picks it when it can (its greatest failing triple is the textbook
+    # instance); a grid that misses every failure falls back to the
+    # exact (a, a, a & a).
+    res = sub.ccc_identity_check(t, k, k.sample(SAMPLE_DENOMINATOR))
+    triple = sub.ccc_failure_triple(t, k) if res.passed else res.witness
+    w = sub.ccc_witness(t, *triple)
     text = ser.dumps(ser.witness_to_obj(w))
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     sys.stdout.write(text)
     return EXIT_WITNESS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _map_cap(text: str) -> int:
+    """``--max-maps``: a positive integer."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realcat",
         description="exact computations with real-enriched categories",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument(
-        "--tnorm", help="builtin norm name or inline JSON file"
-    )
-    common.add_argument("--grid-denominator", type=int, default=16)
-    common.add_argument("--max-maps", type=int, default=10**6)
     subparsers = parser.add_subparsers(dest="command", required=True)
+    formats = ("json", "text")
+    tnorm_help = "builtin norm name or t-norm JSON file"
+    cap_help = "cap on the maps a functor enumeration may try"
 
-    p = subparsers.add_parser(
-        "validate", parents=[common], help="check input files"
-    )
+    p = subparsers.add_parser("validate", help="check input files")
     p.add_argument("paths", nargs="+")
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--tnorm", help=tnorm_help)
     p.set_defaults(func=cmd_validate)
 
-    p = subparsers.add_parser(
-        "construct", parents=[common], help="apply a construction"
-    )
+    p = subparsers.add_parser("construct", help="apply a construction")
     p.add_argument("kind", choices=CONSTRUCT_KINDS)
     p.add_argument("inputs", nargs="+")
+    p.add_argument("--max-maps", type=_map_cap, default=qc.DEFAULT_MAP_CAP, help=cap_help)
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
-    p = subparsers.add_parser(
-        "verify", parents=[common], help="run an invariant suite"
-    )
+    p = subparsers.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--tnorm", default="lukasiewicz", help=tnorm_help)
+    p.add_argument("--max-maps", type=_map_cap, default=qc.DEFAULT_MAP_CAP, help=cap_help)
     p.set_defaults(func=cmd_verify)
 
     p = subparsers.add_parser(
-        "witness",
-        parents=[common],
-        help="decide cartesian closedness of K-Cat",
+        "witness", help="decide cartesian closedness of K-Cat"
     )
+    p.add_argument("--tnorm", default="lukasiewicz", help=tnorm_help)
     p.add_argument("--k", required=True, help="interval set JSON file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_witness)
@@ -250,16 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tnorm and args.tnorm not in (
-        "godel",
-        "lukasiewicz",
-        "product",
-        "remark4",
-    ):
-        # treat as a path to an inline t-norm file
-        args.tnorm = _load_json(args.tnorm)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -14,10 +14,6 @@ class ProductIrrational(RealcatError):
     product block).  Callers wanting a number anyway should request a
     certified enclosure instead."""
 
-    def __init__(self, message, enclosure=None):
-        super().__init__(message)
-        self.enclosure = enclosure
-
 
 class SizeLimitExceeded(RealcatError):
     """A functor enumeration would exceed the configured candidate cap."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded
 from .tnorm import CheckResult, TNorm, meet_residual, tnorm_eval
 from .values import ONE, ZERO, unit
 
@@ -49,9 +49,6 @@ class QCat:
 
     def r(self, p, q) -> Fraction:
         return self.matrix[self.index(p)][self.index(q)]
-
-    def value_set(self) -> set[Fraction]:
-        return {v for row in self.matrix for v in row}
 
     def relabel(self, labels: Sequence) -> "QCat":
         return QCat(self.tnorm, tuple(labels), self.matrix)
@@ -275,12 +272,17 @@ class Preord:
 
 
 def por_coreflection(c: QCat) -> Preord:
-    """Greatest preorder below r: x <= y iff r(x,y) = 1."""
+    """Greatest preorder below r: x <= y iff r(x,y) = 1.  DomainError
+    reports a matrix that is no category, whose 1-entries are then not
+    reflexive or not transitive."""
     n = len(c.points)
     leq = tuple(
         tuple(c.matrix[i][j] == ONE for j in range(n)) for i in range(n)
     )
-    return Preord(c.points, leq)
+    try:
+        return Preord(c.points, leq)
+    except ValueError as exc:
+        raise DomainError(f"the pairs at distance 1: {exc}") from exc
 
 
 def por_reflection(c: QCat) -> Preord:

@@ -65,9 +65,9 @@ def tnorm_from_obj(obj: Any) -> TNorm:
             )
             for b in obj["blocks"]
         )
-    except (KeyError, ValueError) as exc:
+        return TNorm(blocks)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad block spec: {exc}") from exc
-    return TNorm(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +85,12 @@ def intervalset_to_obj(s: IntervalSet) -> Any:
 
 
 def intervalset_from_obj(obj: Any) -> IntervalSet:
-    if not isinstance(obj, dict) or "components" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ParseError("interval set must be {'components': [...]}")
     parts = []
     for c in obj["components"]:
+        if not isinstance(c, dict):
+            raise ParseError(f"bad component {c!r}")
         if "at" in c:
             parts.append(parse_rat(c["at"]))
         else:
@@ -96,7 +98,10 @@ def intervalset_from_obj(obj: Any) -> IntervalSet:
                 parts.append((parse_rat(c["lo"]), parse_rat(c["hi"])))
             except KeyError as exc:
                 raise ParseError(f"bad component {c!r}") from exc
-    return IntervalSet.of(parts)
+    try:
+        return IntervalSet.of(parts)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +127,12 @@ def qcat_from_obj(obj: Any) -> QCat:
         )
     except KeyError as exc:
         raise ParseError(f"category is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ParseError(f"category points and matrix must be lists: {exc}") from exc
     try:
         return QCat(t, points, matrix)
+    except TypeError as exc:
+        raise ParseError(f"category points must be labels: {exc}") from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -178,15 +187,93 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
             raise ParseError("suitable set needs a t-norm (field or context)")
         tnorm = tnorm_from_obj(obj["tnorm"])
     k = intervalset_from_obj(obj["k"]) if obj.get("k") is not None else None
-    pairs = (
-        frozenset((parse_rat(a), parse_rat(b)) for a, b in obj["pairs"])
-        if obj.get("pairs") is not None
-        else None
-    )
     try:
+        pairs = (
+            frozenset((parse_rat(a), parse_rat(b)) for a, b in obj["pairs"])
+            if obj.get("pairs") is not None
+            else None
+        )
         return SuitableSet(tnorm, variant, k=k, pairs=pairs)
+    except TypeError as exc:
+        raise ParseError(f"suitable pairs must be a list of pairs: {exc}") from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# input files and lift specs
+
+
+def kind_of(obj: Any) -> str | None:
+    """Which input a decoded file holds, told by its distinguishing key:
+    "category", "suitable set" or "interval set" (None if none fits)."""
+    if isinstance(obj, dict):
+        for key, kind in (
+            ("matrix", "category"),
+            ("variant", "suitable set"),
+            ("components", "interval set"),
+        ):
+            if key in obj:
+                return kind
+    return None
+
+
+def _lift_spec(obj: Any, family: str):
+    """The t-norm, the carrier and the (category, map) entries under
+    ``family`` of a lift spec; the carrier is a list of distinct labels."""
+    if not isinstance(obj, dict):
+        raise ParseError("lift spec must be an object")
+    try:
+        t = tnorm_from_obj(obj["tnorm"])
+        entries = obj[family]
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) for e in entries
+        ):
+            raise ParseError(f"lift {family} must be a list of objects")
+        pairs = [(qcat_from_obj(e["category"]), e["map"]) for e in entries]
+        carrier = obj["carrier"]
+    except KeyError as exc:
+        raise ParseError(f"lift spec is missing field {exc}") from exc
+    if not isinstance(carrier, list):
+        raise ParseError("lift carrier must be a list")
+    try:
+        distinct = len(set(carrier)) == len(carrier)
+    except TypeError as exc:
+        raise ParseError(f"lift carrier points must be labels: {exc}") from exc
+    if not distinct:
+        raise ParseError("lift carrier repeats a point")
+    return t, carrier, pairs
+
+
+def _check_map(what: str, f: Any, dom, cod, outside: str):
+    """f must be an object sending each point of dom into cod."""
+    if not isinstance(f, dict):
+        raise ParseError(f"{what} map must be an object")
+    for p in dom:
+        if p not in f:
+            raise ParseError(f"{what} map omits point {p!r}")
+        if f[p] not in cod:
+            raise ParseError(f"{what} map sends {p!r} to {f[p]!r}, outside {outside}")
+
+
+def initial_lift_from_obj(obj: Any):
+    """Decode {"tnorm", "carrier", "sources": [{"category", "map"}]}
+    into the arguments (t, carrier, sources) of qcat.initial_lift; each
+    map sends every carrier point into its category."""
+    t, carrier, pairs = _lift_spec(obj, "sources")
+    for cat, f in pairs:
+        _check_map("source", f, carrier, cat.points, "its category")
+    return t, carrier, [(f, cat) for cat, f in pairs]
+
+
+def final_lift_from_obj(obj: Any):
+    """Decode {"tnorm", "carrier", "sinks": [{"category", "map"}]} into
+    the arguments (t, sinks, carrier) of qcat.final_lift; each map sends
+    every point of its category into the carrier."""
+    t, carrier, sinks = _lift_spec(obj, "sinks")
+    for cat, f in sinks:
+        _check_map("sink", f, cat.points, carrier, "the carrier")
+    return t, sinks, carrier
 
 
 # ---------------------------------------------------------------------------

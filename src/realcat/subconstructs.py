@@ -23,6 +23,7 @@ from .tnorm import (
     CheckResult,
     TNorm,
     k_subset_of_m,
+    m_set,
     sqrt_with,
     subquantale_check,
     tnorm_eval,
@@ -291,6 +292,23 @@ def ccc_criterion(t: TNorm, k: IntervalSet) -> bool:
     """Decidable cartesian-closedness criterion for K-Cat: every a in K
     has a & a idempotent, i.e. K is contained in M."""
     return k_subset_of_m(t, k)
+
+
+def ccc_failure_triple(t: TNorm, k: IntervalSet) -> tuple[Fraction, Fraction, Fraction]:
+    """An exact triple (a, a, a & a) of K at which the distributivity
+    identity fails, for K not inside M; a is a member of the first
+    component of K that M does not cover.
+
+    a & a is not idempotent, so it lies in the open interior of a block,
+    and so does a >= a & a; there (a & a) & a < a & a, which makes
+    lhs = a & a and rhs = (a & a) & a differ.  a & a is in K when K is a
+    subquantale."""
+    m = m_set(t)
+    for lo, hi in k.components:
+        a = m.gap_value_in(lo, hi)
+        if a is not None:
+            return (a, a, tnorm_eval(t, a, a))
+    raise DomainError("K is inside M: the identity holds on all of K")
 
 
 def ccc_identity_check(

@@ -18,6 +18,7 @@ from . import subconstructs as sub
 from . import yoneda
 from .intervals import IntervalSet
 from .qcat import (
+    DEFAULT_MAP_CAP,
     QCat,
     enumerate_functors,
     hom_power,
@@ -42,20 +43,17 @@ from .tnorm import (
     tnorm_residual,
 )
 from .tnorm import product as product_norm
-from .values import ONE, ZERO, format_rat, uniform_grid
+from .values import ONE, SAMPLE_DENOMINATOR, ZERO, format_rat, uniform_grid
 
 
 @dataclass
 class WorkspaceConfig:
-    """Knobs shared by the CLI commands."""
+    """The t-norm and functor cap that ``realcat verify`` hands a suite."""
 
     tnorm: TNorm = field(default_factory=lukasiewicz)
-    grid_denominator: int = 16
-    max_maps: int = 10**6
+    max_maps: int = DEFAULT_MAP_CAP
 
     def __post_init__(self):
-        if self.grid_denominator < 1:
-            raise ValueError("grid denominator must be >= 1")
         if self.max_maps <= 0:
             raise ValueError("the map cap must be positive")
 
@@ -198,7 +196,7 @@ def suite_tnorm_laws(config: WorkspaceConfig, triples: int = 2000) -> Report:
 
 def suite_resd_prop(config: WorkspaceConfig) -> Report:
     rep = Report("resd_prop")
-    grid = uniform_grid(config.grid_denominator)
+    grid = uniform_grid(SAMPLE_DENOMINATOR)
     ok, detail = True, ""
     for x in grid:
         for y in grid:
@@ -226,7 +224,6 @@ def suite_resd_prop(config: WorkspaceConfig) -> Report:
     rep.record("residual distributes over finite meets and joins", ok, detail)
 
     t = config.tnorm
-    grid = uniform_grid(min(config.grid_denominator, 32))
     ok, detail = True, ""
     for x in grid:
         for y in grid:
@@ -441,7 +438,7 @@ def suite_exponential_law(config: WorkspaceConfig) -> Report:
             break
         for f in direct:
             g = yoneda.curry(a, c, b, f, config.max_maps)
-            back = yoneda.uncurry(a, c, b, g, config.max_maps)
+            back = yoneda.uncurry(a, c, b, g)
             if back.mapping != f.mapping:
                 ok, detail = False, f"instance {i}: curry/uncurry not inverse"
                 break

@@ -25,8 +25,16 @@ def unit(value) -> Fraction:
     return v
 
 
+SAMPLE_DENOMINATOR = 16
+"""Denominator of the k/16 sampling grid behind ``validate``'s
+square-root band members, ``witness``'s triple search and the
+``resd_prop`` suite's cubes."""
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse the "p/q" wire format (a bare integer is accepted too)."""
+    if not isinstance(text, str):
+        raise ParseError(f'bad rational {text!r}: rationals travel as "p/q" strings')
     try:
         v = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

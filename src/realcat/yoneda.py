@@ -91,8 +91,9 @@ def yoneda_limits(s: FCSequence) -> LimitSet:
 def canonical_limit(s: FCSequence):
     """The limit of least ambient point index; all choices are
     isomorphic."""
+    limits = yoneda_limits(s).points
     for p in s.ambient.points:
-        if p in yoneda_limits(s).points:
+        if p in limits:
             return p
     raise NotForwardCauchy("no limit point")  # pragma: no cover
 
@@ -245,9 +246,7 @@ def curry(
     return g
 
 
-def uncurry(
-    a: QCat, c: QCat, b: QCat, g: QFunctor, max_maps: int = DEFAULT_MAP_CAP
-) -> QFunctor:
+def uncurry(a: QCat, c: QCat, b: QCat, g: QFunctor) -> QFunctor:
     """Inverse transposition: (x, z) |-> g(z)(x)."""
     dom = product(a, c)
     images = tuple(g(z)[a.index(x)] for (x, z) in dom.points)

@@ -1,9 +1,15 @@
 """Round-trip tests for the wire formats and end-to-end CLI checks."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcat import cli
 from realcat import serialize as ser
@@ -12,6 +18,7 @@ from realcat.intervals import IntervalSet
 from realcat.qcat import QFunctor, two_point
 from realcat.subconstructs import ccc_witness, explicit, k_square, sqrt_band
 from realcat.tnorm import Block, BlockKind, TNorm, lukasiewicz, remark4
+from realcat.values import parse_rat
 from realcat.yoneda import FCSequence
 
 LUK = lukasiewicz()
@@ -40,6 +47,16 @@ class TestTNormFormat:
     def test_bad_block_rejected(self):
         with pytest.raises(ParseError):
             ser.tnorm_from_obj({"blocks": [{"lo": "0/1", "kind": "product"}]})
+
+    def test_overlapping_blocks_rejected(self):
+        block = {"lo": "0/1", "hi": "1/2", "kind": "product"}
+        with pytest.raises(ParseError):
+            ser.tnorm_from_obj({"blocks": [block, block]})
+
+    @pytest.mark.parametrize("value", [1, 0.5, None, ["1/2"]])
+    def test_rationals_must_be_strings(self, value):
+        with pytest.raises(ParseError, match='"p/q" strings'):
+            parse_rat(value)
 
 
 class TestOtherFormats:
@@ -272,3 +289,375 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         values = {v for row in out["matrix"] for v in row}
         assert values <= {"0/1", "1/1"}
+
+    @pytest.mark.parametrize(
+        "kind, drop, extra",
+        [
+            ("final_lift", "tnorm", {}),
+            ("final_lift", "carrier", {}),
+            ("final_lift", "sinks", {}),
+            ("final_lift", "category", {}),
+            ("final_lift", "map", {}),
+            ("final_lift", None, {"carrier": ["x", "x"]}),
+            ("final_lift", None, {"carrier": [["x"], "y"]}),
+            ("initial_lift", "tnorm", {}),
+            ("initial_lift", "carrier", {}),
+            ("initial_lift", "sources", {}),
+            ("initial_lift", "category", {}),
+            ("initial_lift", "map", {}),
+            ("initial_lift", None, {"carrier": ["x", "x"]}),
+            ("initial_lift", None, {"map": {"x": "a"}}),
+            ("initial_lift", None, {"map": {"x": "a", "y": "w"}}),
+        ],
+    )
+    def test_construct_bad_lift_spec_exits_two(
+        self, workdir, capsys, kind, drop, extra
+    ):
+        family = "sinks" if kind == "final_lift" else "sources"
+        edge = two_point(LUK, F(1, 2), 0, points=("a", "b"))
+        table = (
+            {"a": "x", "b": "y"} if kind == "final_lift" else {"x": "a", "y": "b"}
+        )
+        entry = {"category": ser.qcat_to_obj(edge), "map": extra.get("map", table)}
+        spec = {
+            "tnorm": "lukasiewicz",
+            "carrier": extra.get("carrier", ["x", "y"]),
+            family: [entry],
+        }
+        for obj in (spec, entry):
+            obj.pop(drop, None)
+        path = workdir["dir"] / "lift.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["construct", kind, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_construct_initial_lift(self, workdir, capsys):
+        edge = two_point(LUK, F(1, 2), 0, points=("a", "b"))
+        spec = workdir["dir"] / "lift.json"
+        spec.write_text(
+            ser.dumps(
+                {
+                    "tnorm": "lukasiewicz",
+                    "carrier": ["x", "y"],
+                    "sources": [
+                        {"category": ser.qcat_to_obj(edge), "map": {"x": "a", "y": "b"}}
+                    ],
+                }
+            )
+        )
+        assert cli.main(["construct", "initial_lift", str(spec)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["matrix"] == [["1/1", "1/2"], ["0/1", "1/1"]]
+
+    def test_json_numbers_in_a_matrix(self, workdir, capsys):
+        path = workdir["dir"] / "numbers.json"
+        path.write_text(
+            json.dumps({"tnorm": "lukasiewicz", "points": ["a"], "matrix": [[1]]})
+        )
+        assert cli.main(["validate", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["cases"][0]["status"] == "fail"
+        assert '"p/q" strings' in out["cases"][0]["detail"]
+        assert cli.main(["construct", "por_sigma", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and '"p/q" strings' in err
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [["1/2", "0/1"], ["0/1", "1/1"]],
+            [["1/1", "1/1", "0/1"], ["0/1", "1/1", "1/1"], ["0/1", "0/1", "1/1"]],
+        ],
+        ids=["diagonal-below-one", "edges-do-not-compose"],
+    )
+    def test_construct_por_rho_on_a_non_category_exits_five(
+        self, workdir, capsys, matrix
+    ):
+        path = workdir["dir"] / "c.json"
+        points = ["a", "b", "c"][: len(matrix)]
+        path.write_text(
+            json.dumps({"tnorm": "lukasiewicz", "points": points, "matrix": matrix})
+        )
+        assert cli.main(["construct", "por_rho", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_construct_mixed_norms_exits_five(self, workdir, capsys):
+        godel = workdir["dir"] / "g.json"
+        godel.write_text(
+            ser.dumps(ser.qcat_to_obj(two_point(ser.tnorm_from_obj("godel"), 0, 0)))
+        )
+        assert cli.main(["construct", "product", workdir["good"], str(godel)]) == 5
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "approx", "--max-maps", "0"],
+            ["construct", "hom_power", "A.json", "B.json", "--max-maps", "-5"],
+            ["construct", "hom_power", "A.json", "B.json", "--max-maps", "many"],
+        ],
+    )
+    def test_map_cap_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--max-maps" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "x.json", "--max-maps", "5"],
+            ["validate", "x.json", "--out", "o.json"],
+            ["construct", "tensor", "a.json", "b.json", "--tnorm", "godel"],
+            ["construct", "tensor", "a.json", "b.json", "--format", "text"],
+            ["verify", "approx", "--out", "o.json"],
+            ["verify", "approx", "--k", "k.json"],
+            ["witness", "--k", "k.json", "--format", "text"],
+            ["witness", "--k", "k.json", "--max-maps", "5"],
+        ],
+    )
+    def test_undeclared_flags_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("inputs", [["A.json"], ["A.json", "B.json", "C.json"]])
+    def test_construct_input_count(self, capsys, inputs):
+        assert cli.main(["construct", "tensor", *inputs]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: construct tensor takes 2 input file(s), got %d\n" % len(inputs)
+
+    def test_mistyped_tnorm_exits_two(self, capsys):
+        assert cli.main(["verify", "approx", "--tnorm", "lukasiewiz"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lukasiewicz" in err
+
+    def test_tnorm_file(self, workdir, capsys):
+        norm = workdir["dir"] / "norm.json"
+        norm.write_text(json.dumps({"blocks": [{"lo": "1/2", "hi": "1/1", "kind": "lukasiewicz"}]}))
+        assert cli.main(["witness", "--k", workdir["k_l3"], "--tnorm", str(norm)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "cartesian_closed": True,
+            "criterion": True,
+        }
+
+    def test_witness_exact_when_the_grid_misses(self, workdir, capsys):
+        """One product block [1/3, 17/50]: K = [1/3, 17/50] + {1} is not
+        inside M, yet the k/16 grid of K holds only idempotents."""
+        norm = workdir["dir"] / "norm.json"
+        norm.write_text(
+            json.dumps(
+                {"blocks": [{"lo": "1/3", "hi": "17/50", "kind": "product"}]}
+            )
+        )
+        k = workdir["dir"] / "k.json"
+        k.write_text(
+            ser.dumps(
+                ser.intervalset_to_obj(IntervalSet.of([(F(1, 3), F(17, 50)), 1]))
+            )
+        )
+        code = cli.main(["witness", "--k", str(k), "--tnorm", str(norm)])
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        assert (out["u"], out["v"], out["r"]) == ("101/300", "101/300", "67/200")
+        assert (out["lhs"], out["rhs"]) == ("67/200", "401/1200")
+
+
+RATS = st.sampled_from(
+    ["0/1", "1/4", "1/3", "1/2", "2/3", "3/4", "1/1"] * 3
+    + ["1", "2/1", "-1/2", "x", "1/0"]
+)
+LABELS = st.sampled_from(["a", "b", "c"])
+KEYS = st.sampled_from(
+    ["tnorm", "points", "matrix", "blocks", "lo", "hi", "kind", "at",
+     "components", "variant", "k", "pairs", "carrier", "sinks", "sources",
+     "category", "map"]
+)
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), LABELS, RATS)
+JUNK = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3),
+    max_leaves=8,
+)
+NORM_NAMES = ["godel", "lukasiewicz", "product", "remark4"]
+
+
+def _mostly(strategy):
+    """strategy, or now and then arbitrary JSON in its place."""
+    return st.integers(0, 7).flatmap(lambda i: JUNK if i == 7 else strategy)
+
+
+@st.composite
+def _mutated(draw, obj):
+    """obj, now and then with one field dropped or replaced by junk."""
+    obj = dict(obj)
+    if obj and draw(st.integers(0, 5)) == 5:
+        key = draw(st.sampled_from(sorted(obj)))
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(JUNK)
+    return obj
+
+
+_BLOCKS = st.builds(
+    lambda blocks: {"blocks": blocks},
+    st.lists(
+        st.fixed_dictionaries(
+            {
+                "lo": RATS,
+                "hi": RATS,
+                "kind": st.sampled_from(["lukasiewicz", "product", "min"]),
+            }
+        ),
+        max_size=2,
+    ),
+)
+TNORM_OBJS = st.integers(0, 3).flatmap(
+    lambda i: st.sampled_from(NORM_NAMES) if i < 3 else _BLOCKS
+)
+
+
+@st.composite
+def _category(draw, norm):
+    """At most 3 points, mostly distinct, with a diagonal of mostly 1s."""
+    points = draw(_mostly(st.lists(LABELS, max_size=3, unique=True)))
+    n = len(points) if isinstance(points, list) else 0
+    diagonal = st.sampled_from(["1/1"] * 5 + ["1/2"])
+    matrix = [[draw(diagonal if i == j else RATS) for j in range(n)] for i in range(n)]
+    return draw(_mutated({"tnorm": norm, "points": points, "matrix": matrix}))
+
+
+@st.composite
+def _interval_set(draw):
+    if draw(st.booleans()):  # subquantales, most of them outside M
+        return {
+            "components": draw(
+                st.sampled_from(
+                    [
+                        [{"lo": "0/1", "hi": "1/1"}],
+                        [{"at": r} for r in ("0/1", "1/4", "1/2", "3/4", "1/1")],
+                        [{"lo": "0/1", "hi": "1/2"}, {"at": "1/1"}],
+                    ]
+                )
+            )
+        }
+    parts = [{"at": "1/1"}] if draw(st.integers(0, 5)) < 5 else []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            parts.append({"at": draw(RATS)})
+        else:
+            parts.append({"lo": draw(RATS), "hi": draw(RATS)})
+    return draw(_mutated({"components": parts}))
+
+
+@st.composite
+def _suitable(draw, norm):
+    obj = {
+        "variant": draw(st.sampled_from(["k_square", "k_diagonal", "sqrt_band", "explicit", "no"])),
+        "tnorm": norm,
+        "k": draw(_interval_set()),
+        "pairs": draw(st.lists(st.lists(RATS, min_size=2, max_size=2), max_size=3)),
+    }
+    return draw(_mutated(obj))
+
+
+@st.composite
+def _lift_spec(draw, norm, family):
+    carrier = draw(_mostly(st.lists(LABELS, max_size=3, unique=True)))
+    entries = []
+    for _ in range(draw(st.integers(0, 2))):
+        cat = draw(_category(norm))
+        dom, cod = carrier, cat.get("points")
+        if family == "sinks":
+            dom, cod = cod, carrier
+        table = {}
+        if isinstance(dom, list) and isinstance(cod, list) and cod:
+            table = {str(p): draw(st.sampled_from(cod)) for p in dom}
+        entries.append(draw(_mutated({"category": cat, "map": table})))
+    return draw(_mutated({"tnorm": norm, "carrier": carrier, family: entries}))
+
+
+@st.composite
+def _case(draw):
+    """(argv, documents): one of the four commands over small JSON files,
+    mostly of the kind it expects, with the odd bad flag value or
+    undeclared flag.  Documents are named by their placeholder in argv."""
+    norm = draw(st.sampled_from(NORM_NAMES))
+    docs = {"NORM": draw(TNORM_OBJS)}
+    tnorm = st.sampled_from(NORM_NAMES * 2 + ["lukasiewiz", "NORM"])
+    command = draw(st.sampled_from(["validate", "construct", "verify", "witness"]))
+    if command == "validate":
+        kinds = st.one_of(_category(norm), _suitable(norm), _interval_set(), JUNK)
+        docs["A"], docs["B"] = draw(kinds), draw(kinds)
+        argv = ["validate", "A"] + draw(st.sampled_from([[], ["B"]]))
+        flags = {"--format": st.sampled_from(["json", "text"]), "--tnorm": tnorm}
+    elif command == "construct":
+        kind = draw(st.sampled_from(sorted(cli.CONSTRUCT_KINDS)))
+        other = draw(st.sampled_from([norm] * 5 + NORM_NAMES))
+        if kind in ("initial_lift", "final_lift"):
+            family = "sinks" if kind == "final_lift" else "sources"
+            docs["A"] = draw(_mostly(_lift_spec(norm, family)))
+        elif kind in ("coreflect", "reflect"):
+            docs["A"] = draw(_mostly(_suitable(norm)))
+        else:
+            docs["A"] = draw(_mostly(_category(norm)))
+        docs["B"] = draw(_mostly(_category(other)))
+        inputs = ["A", "B"][: cli.CONSTRUCT_KINDS[kind]]
+        if draw(st.integers(0, 9)) == 9:
+            inputs = draw(st.sampled_from([["A"], ["A", "B"], ["A", "B", "B"]]))
+        argv = ["construct", kind, *inputs]
+        flags = {
+            "--max-maps": st.sampled_from(["1", "30", "0", "-5", "x"]),
+            "--out": st.just("OUT"),
+        }
+    elif command == "verify":
+        suite = draw(st.sampled_from(["approx", "monoidal", "exponential_law", "nope"]))
+        argv = ["verify", suite]
+        flags = {
+            "--format": st.sampled_from(["json", "text"]),
+            "--tnorm": tnorm,
+            "--max-maps": st.sampled_from(["1", "30", "0"]),
+        }
+    else:
+        docs["A"] = draw(_mostly(_interval_set()))
+        argv = ["witness", "--k", "A"]
+        flags = {"--tnorm": tnorm, "--out": st.just("OUT")}
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.integers(0, 9)) == 9:
+        argv += [draw(st.sampled_from(["--k", "--out", "--format", "--max-maps"])), "OUT"]
+    return argv, docs
+
+
+def _run_case(argv, docs, tmp):
+    """Write the documents under tmp, run the CLI; (exit code, stderr)."""
+    names = {"OUT": str(Path(tmp) / "out.json")}
+    for name, obj in docs.items():
+        names[name] = str(Path(tmp) / f"{name}.json")
+        Path(names[name]).write_text(json.dumps(obj))
+    argv = [names.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_cli_boundary_exit_codes(case):
+    """Any argv over small arbitrary JSON files ends in a documented exit
+    code with at most one line on stderr, never a traceback."""
+    argv, docs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_case(argv, docs, tmp)
+    assert code in {0, 1, 2, 3, 5}, argv
+    assert err.count("\n") <= 1, (argv, err)

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from realcat.errors import InvalidWitness
+from realcat.errors import DomainError, InvalidWitness
 from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, two_point, validate_qcat
 from realcat.subconstructs import (
     ccc_criterion,
+    ccc_failure_triple,
     ccc_identity_check,
     ccc_witness,
     check_suitable,
@@ -24,7 +25,17 @@ from realcat.subconstructs import (
     reflect_r,
     sqrt_band,
 )
-from realcat.tnorm import godel, lukasiewicz, m_set, remark4
+from realcat.tnorm import (
+    Block,
+    BlockKind,
+    TNorm,
+    godel,
+    lukasiewicz,
+    m_set,
+    product,
+    remark4,
+    tnorm_eval,
+)
 from realcat.values import ONE, uniform_grid
 
 LUK = lukasiewicz()
@@ -232,6 +243,30 @@ class TestCCCCriterion:
     def test_grid_outside_k_rejected(self):
         with pytest.raises(ValueError):
             ccc_identity_check(LUK, L3, [F(1, 4)])
+
+    @pytest.mark.parametrize(
+        "t, k",
+        [
+            (LUK, K5),
+            (LUK, IntervalSet.full()),
+            (product(), IntervalSet.full()),
+            (RM4, IntervalSet.of([0, F(1, 2), F(5, 8), F(3, 4), F(7, 8), 1])),
+            (
+                TNorm((Block(F(1, 3), F(17, 50), BlockKind.PRODUCT),)),
+                IntervalSet.of([(F(1, 3), F(17, 50)), 1]),
+            ),
+        ],
+    )
+    def test_failure_triple_is_an_exact_witness_in_k(self, t, k):
+        a, v, r = ccc_failure_triple(t, k)
+        assert a == v and r == tnorm_eval(t, a, a)
+        assert a in k and r in k and a not in m_set(t)
+        w = ccc_witness(t, a, v, r)
+        assert w.lhs == r and w.rhs == tnorm_eval(t, r, a) < r
+
+    def test_failure_triple_needs_k_outside_m(self):
+        with pytest.raises(DomainError):
+            ccc_failure_triple(LUK, L3)
 
 
 class TestCCCWitness:

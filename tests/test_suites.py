@@ -26,6 +26,4 @@ def test_unknown_suite_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        WorkspaceConfig(grid_denominator=0)
-    with pytest.raises(ValueError):
         WorkspaceConfig(max_maps=0)
