@@ -7,17 +7,19 @@ Four commands, each with only the flags it reads:
   supplies the norm for suitable sets without one and is required for
   interval sets).
 - ``construct KIND INPUT... [--max-maps N] [--out FILE]``: apply a named
-  construction and write the resulting category.
-- ``verify SUITE [--format json|text] [--tnorm T] [--max-maps N]``: run a
-  named invariant suite.
+  construction and write the resulting category.  Every input category
+  is validated first; a matrix that is no category exits 5.
+- ``verify SUITE [--format json|text] [--tnorm T]``: run a named
+  invariant suite.
 - ``witness --k FILE [--tnorm T] [--out FILE]``: decide cartesian
   closedness of K-Cat exactly, by K inside M, and emit a failure witness
   when there is one.  The search over the k/16 grid of K only picks
   the witness triple.
 
 ``--tnorm`` is a builtin norm name or a t-norm JSON file (default
-lukasiewicz for ``verify`` and ``witness``); ``--max-maps`` caps functor
-enumeration (a positive integer, default 10**6).
+lukasiewicz for ``verify`` and ``witness``); ``--max-maps`` caps the
+functor enumeration of ``construct hom_tensor``/``hom_power`` (a positive
+integer, default 10**6).
 
 Exit codes: 0 success or negative witness, 1 positive witness or failed
 validation, >= 2 operational errors (parse, usage or file errors 2, size
@@ -38,7 +40,7 @@ from . import subconstructs as sub
 from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded
 from .suites import SUITES, Report, WorkspaceConfig, run_suite
 from .tnorm import BUILTIN_NORMS, TNorm, subquantale_check
-from .values import ONE, SAMPLE_DENOMINATOR, ZERO, uniform_grid
+from .values import SAMPLE_DENOMINATOR, uniform_grid
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -95,13 +97,16 @@ def _emit(report: Report, fmt: str):
         sys.stdout.write(ser.dumps(report.to_obj()))
 
 
-def _preord_as_qcat(t, pre) -> qc.QCat:
-    n = len(pre.points)
-    matrix = tuple(
-        tuple(ONE if pre.leq[i][j] else ZERO for j in range(n))
-        for i in range(n)
-    )
-    return qc.QCat(t, pre.points, matrix)
+def _require_category(path: str, c: qc.QCat) -> qc.QCat:
+    """Constructions read categories only: reject any other matrix."""
+    res = qc.validate_qcat(c)
+    if not res.passed:
+        raise DomainError(f"{path}: not a category: {res.message}")
+    return c
+
+
+def _category(path: str) -> qc.QCat:
+    return _require_category(path, ser.qcat_from_obj(_load_json(path)))
 
 
 def cmd_validate(args) -> int:
@@ -142,8 +147,7 @@ def cmd_construct(args) -> int:
             f"got {len(args.inputs)}"
         )
     if kind in ("product", "tensor", "hom_tensor", "hom_power"):
-        a = ser.qcat_from_obj(_load_json(args.inputs[0]))
-        b = ser.qcat_from_obj(_load_json(args.inputs[1]))
+        a, b = _category(args.inputs[0]), _category(args.inputs[1])
         if a.tnorm != b.tnorm:
             raise DomainError("the two categories live over different t-norms")
         fn = {
@@ -155,23 +159,25 @@ def cmd_construct(args) -> int:
         out = fn(a, b)
     elif kind in ("coreflect", "reflect"):
         s = ser.suitable_from_obj(_load_json(args.inputs[0]))
-        c = ser.qcat_from_obj(_load_json(args.inputs[1]))
-        if kind == "coreflect":
-            out = sub.coreflect_c(s, c)
-        else:
-            out = sub.reflect_r(s, c)
+        c = _category(args.inputs[1])
+        if s.tnorm != c.tnorm:
+            raise DomainError(
+                "the suitable set and the category live over different t-norms"
+            )
+        out = (sub.coreflect_c if kind == "coreflect" else sub.reflect_r)(s, c)
     elif kind in ("por_rho", "por_sigma"):
-        c = ser.qcat_from_obj(_load_json(args.inputs[0]))
-        pre = (
-            qc.por_coreflection(c)
-            if kind == "por_rho"
-            else qc.por_reflection(c)
-        )
-        out = _preord_as_qcat(c.tnorm, pre)
+        c = _category(args.inputs[0])
+        out = (sub.por_coreflection if kind == "por_rho" else sub.por_reflection)(c)
     elif kind == "initial_lift":
-        out = qc.initial_lift(*ser.initial_lift_from_obj(_load_json(args.inputs[0])))
+        t, carrier, sources = ser.initial_lift_from_obj(_load_json(args.inputs[0]))
+        for _, cat in sources:
+            _require_category(args.inputs[0], cat)
+        out = qc.initial_lift(t, carrier, sources)
     elif kind == "final_lift":
-        out = qc.final_lift(*ser.final_lift_from_obj(_load_json(args.inputs[0])))
+        t, sinks, carrier = ser.final_lift_from_obj(_load_json(args.inputs[0]))
+        for cat, _ in sinks:
+            _require_category(args.inputs[0], cat)
+        out = qc.final_lift(t, sinks, carrier)
     else:  # pragma: no cover
         raise ParseError(f"unknown construction {kind!r}")
     text = ser.dumps(ser.qcat_to_obj(out.relabel([ser.point_label(p) for p in out.points])))
@@ -183,8 +189,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = WorkspaceConfig(tnorm=_tnorm(args.tnorm), max_maps=args.max_maps)
-    report = run_suite(args.suite, config)
+    report = run_suite(args.suite, WorkspaceConfig(tnorm=_tnorm(args.tnorm)))
     _emit(report, args.format)
     return EXIT_OK if report.passed else EXIT_WITNESS
 
@@ -238,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     formats = ("json", "text")
     tnorm_help = "builtin norm name or t-norm JSON file"
-    cap_help = "cap on the maps a functor enumeration may try"
 
     p = subparsers.add_parser("validate", help="check input files")
     p.add_argument("paths", nargs="+")
@@ -249,7 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("construct", help="apply a construction")
     p.add_argument("kind", choices=CONSTRUCT_KINDS)
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--max-maps", type=_map_cap, default=qc.DEFAULT_MAP_CAP, help=cap_help)
+    p.add_argument(
+        "--max-maps",
+        type=_map_cap,
+        default=qc.DEFAULT_MAP_CAP,
+        help="cap on the maps a functor enumeration may try",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
@@ -257,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--tnorm", default="lukasiewicz", help=tnorm_help)
-    p.add_argument("--max-maps", type=_map_cap, default=qc.DEFAULT_MAP_CAP, help=cap_help)
     p.set_defaults(func=cmd_verify)
 
     p = subparsers.add_parser(

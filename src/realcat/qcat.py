@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DomainError, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .tnorm import CheckResult, TNorm, meet_residual, tnorm_eval
 from .values import ONE, ZERO, unit
 
@@ -166,17 +166,15 @@ def _pair_points(a: QCat, b: QCat) -> tuple:
 
 
 def product(a: QCat, b: QCat) -> QCat:
-    """Cartesian product: structure is the pointwise meet."""
+    """Cartesian product: the initial lift of the two projections, so
+    the structure is the pointwise meet."""
     _require_same_norm(a, b)
     points = _pair_points(a, b)
-    matrix = tuple(
-        tuple(
-            min(a.r(p1, p2), b.r(q1, q2))
-            for (p2, q2) in points
-        )
-        for (p1, q1) in points
-    )
-    return QCat(a.tnorm, points, matrix)
+    projections = [
+        ({pq: pq[0] for pq in points}, a),
+        ({pq: pq[1] for pq in points}, b),
+    ]
+    return initial_lift(a.tnorm, points, projections)
 
 
 def tensor(a: QCat, b: QCat) -> QCat:
@@ -199,20 +197,12 @@ def _require_same_norm(a: QCat, b: QCat):
 
 
 def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
-    """Function space for the tensor: points are the functors A -> B
-    (as image tuples), structure d(f,g) = meet_x s(f x, g x)."""
-    functors = enumerate_functors(a, b, max_maps)
-    points = tuple(f.mapping for f in functors)
-    matrix = tuple(
-        tuple(
-            min(b.r(f.mapping[i], g.mapping[i]) for i in range(len(a.points)))
-            if a.points
-            else ONE
-            for g in functors
-        )
-        for f in functors
-    )
-    return QCat(a.tnorm, points, matrix)
+    """Function space for the tensor: the initial lift of the evaluations
+    at the points of A on the functors A -> B (as image tuples), so
+    d(f,g) = meet_x s(f x, g x)."""
+    points = tuple(f.mapping for f in enumerate_functors(a, b, max_maps))
+    evaluations = [({f: f[i] for f in points}, b) for i in range(len(a.points))]
+    return initial_lift(a.tnorm, points, evaluations)
 
 
 def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
@@ -241,63 +231,6 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     return QCat(a.tnorm, points, matrix)
 
 
-@dataclass(frozen=True)
-class Preord:
-    """Crisp preorder: points plus a reflexive transitive relation."""
-
-    points: tuple
-    leq: tuple[tuple[bool, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.points)
-        for i in range(n):
-            if not self.leq[i][i]:
-                raise ValueError("relation is not reflexive")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.leq[i][j] and self.leq[j][k] and not self.leq[i][k]:
-                        raise ValueError("relation is not transitive")
-
-    def holds(self, p, q) -> bool:
-        return self.leq[self.points.index(p)][self.points.index(q)]
-
-    def pairs(self) -> set:
-        return {
-            (p, q)
-            for i, p in enumerate(self.points)
-            for j, q in enumerate(self.points)
-            if self.leq[i][j]
-        }
-
-
-def por_coreflection(c: QCat) -> Preord:
-    """Greatest preorder below r: x <= y iff r(x,y) = 1.  DomainError
-    reports a matrix that is no category, whose 1-entries are then not
-    reflexive or not transitive."""
-    n = len(c.points)
-    leq = tuple(
-        tuple(c.matrix[i][j] == ONE for j in range(n)) for i in range(n)
-    )
-    try:
-        return Preord(c.points, leq)
-    except ValueError as exc:
-        raise DomainError(f"the pairs at distance 1: {exc}") from exc
-
-
-def por_reflection(c: QCat) -> Preord:
-    """Least preorder above r: reflexive-transitive closure of
-    {(x,y) : r(x,y) != 0}, computed as the path closure of the 0/1
-    matrix (1 is the unit of every t-norm, so 1 & 1 = 1)."""
-    n = len(c.points)
-    m = [
-        [ONE if c.matrix[i][j] != ZERO or i == j else ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    path_closure(c.tnorm, m)
-    return Preord(c.points, tuple(tuple(v == ONE for v in row) for row in m))
-
-
 def initial_lift(
     t: TNorm,
     carrier: Sequence,
@@ -306,14 +239,16 @@ def initial_lift(
     """Initial structure on the carrier for maps f_i into (X_i, r_i):
     d(x,y) = meet_i r_i(f_i x, f_i y)."""
     carrier = tuple(carrier)
-    matrix = []
-    for x in carrier:
-        row = []
-        for y in carrier:
-            vals = [cod.r(f[x], f[y]) for f, cod in sources]
-            row.append(min(vals) if vals else ONE)
-        matrix.append(tuple(row))
-    return QCat(t, carrier, tuple(matrix))
+    pulled = [(cod.matrix, [cod.index(f[x]) for x in carrier]) for f, cod in sources]
+    n = len(carrier)
+    matrix = tuple(
+        tuple(
+            min((m[ix[i]][ix[j]] for m, ix in pulled), default=ONE)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return QCat(t, carrier, matrix)
 
 
 def path_closure(t: TNorm, m: list[list[Fraction]]) -> None:

@@ -32,6 +32,9 @@ from .values import ONE, ZERO, unit
 
 Pair = tuple[Fraction, Fraction]
 
+# {0,1}: its square cuts out the preorders
+CRISP = IntervalSet.of([0, 1])
+
 
 class SuitableVariant(str, Enum):
     K_SQUARE = "k_square"
@@ -286,6 +289,18 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     while _raise_pairs(s, m):
         path_closure(c.tnorm, m)
     return QCat(c.tnorm, c.points, tuple(tuple(row) for row in m))
+
+
+def por_coreflection(c: QCat) -> QCat:
+    """rho: the greatest preorder below r, x <= y iff r(x,y) = 1.  The
+    preorders are Cat_S for S = {0,1}^2, so this is C for that S."""
+    return coreflect_c(k_square(c.tnorm, CRISP), c)
+
+
+def por_reflection(c: QCat) -> QCat:
+    """sigma: the least preorder above r, the reflexive-transitive
+    closure of {(x,y) : r(x,y) != 0}; R for S = {0,1}^2."""
+    return reflect_r(k_square(c.tnorm, CRISP), c)
 
 
 def ccc_criterion(t: TNorm, k: IntervalSet) -> bool:

@@ -18,7 +18,6 @@ from . import subconstructs as sub
 from . import yoneda
 from .intervals import IntervalSet
 from .qcat import (
-    DEFAULT_MAP_CAP,
     QCat,
     enumerate_functors,
     hom_power,
@@ -29,6 +28,7 @@ from .qcat import (
     tensor_untranspose,
     validate_qcat,
 )
+from .subconstructs import CRISP
 from .tnorm import (
     BUILTIN_NORMS,
     TNorm,
@@ -48,14 +48,9 @@ from .values import ONE, SAMPLE_DENOMINATOR, ZERO, format_rat, uniform_grid
 
 @dataclass
 class WorkspaceConfig:
-    """The t-norm and functor cap that ``realcat verify`` hands a suite."""
+    """The t-norm that ``realcat verify`` hands a suite."""
 
     tnorm: TNorm = field(default_factory=lukasiewicz)
-    max_maps: int = DEFAULT_MAP_CAP
-
-    def __post_init__(self):
-        if self.max_maps <= 0:
-            raise ValueError("the map cap must be positive")
 
 
 @dataclass
@@ -240,7 +235,6 @@ def suite_resd_prop(config: WorkspaceConfig) -> Report:
 
 
 L3 = IntervalSet.of([0, Fraction(1, 2), 1])
-CRISP = IntervalSet.of([0, 1])
 
 
 def suite_suitable(config: WorkspaceConfig) -> Report:
@@ -392,9 +386,9 @@ def suite_monoidal(config: WorkspaceConfig) -> Report:
         b = random_category(rng, t, values, 2)
         c = random_category(rng, t, values, rng.randint(1, 2))
         ab = tensor(a, b)
-        direct = enumerate_functors(ab, c, config.max_maps)
-        hom = hom_tensor(b, c, config.max_maps)
-        curried = enumerate_functors(a, hom, config.max_maps)
+        direct = enumerate_functors(ab, c)
+        hom = hom_tensor(b, c)
+        curried = enumerate_functors(a, hom)
         if len(direct) != len(curried):
             ok, detail = False, f"instance {i}: {len(direct)} != {len(curried)}"
             break
@@ -430,21 +424,21 @@ def suite_exponential_law(config: WorkspaceConfig) -> Report:
         b = random_category(rng, t, values, 2)
         c = random_category(rng, t, values, 2)
         ac = product(a, c)
-        direct = enumerate_functors(ac, b, config.max_maps)
-        hom = hom_power(a, b, config.max_maps)
-        curried = enumerate_functors(c, hom, config.max_maps)
+        direct = enumerate_functors(ac, b)
+        hom = hom_power(a, b)
+        curried = enumerate_functors(c, hom)
         if len(direct) != len(curried):
             ok, detail = False, f"instance {i}: {len(direct)} != {len(curried)}"
             break
         for f in direct:
-            g = yoneda.curry(a, c, b, f, config.max_maps)
+            g = yoneda.curry(a, c, b, f)
             back = yoneda.uncurry(a, c, b, g)
             if back.mapping != f.mapping:
                 ok, detail = False, f"instance {i}: curry/uncurry not inverse"
                 break
         if not ok:
             break
-        ev = yoneda.check_ev(a, b, config.max_maps)
+        ev = yoneda.check_ev(a, b)
         if not ev.passed:
             ok, detail = False, f"instance {i}: {ev.message}"
             break

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import DomainError, ProductIrrational
 from .intervals import IntervalSet
@@ -307,25 +307,3 @@ def way_below_in_m(t: TNorm, x, y) -> bool:
     if x > y:
         return False
     return m.is_isolated_from_below(x)
-
-
-def value_closure(
-    t: TNorm, seeds: Iterable, rounds: int = 3, include_bounds: bool = True
-) -> list[Fraction]:
-    """Close a finite seed set under & for a bounded number of rounds.
-
-    Terminates exactly for Lukasiewicz-only norms once saturated; the
-    round cap guards the product-block case, where descending chains
-    need not stabilize.  Only used by brute-force oracles.
-    """
-    current = {unit(s) for s in seeds}
-    if include_bounds:
-        current |= {ZERO, ONE}
-    for _ in range(rounds):
-        extra = {
-            tnorm_eval(t, a, b) for a in current for b in current
-        } - current
-        if not extra:
-            break
-        current |= extra
-    return sorted(current)

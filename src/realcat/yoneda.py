@@ -89,13 +89,9 @@ def yoneda_limits(s: FCSequence) -> LimitSet:
 
 
 def canonical_limit(s: FCSequence):
-    """The limit of least ambient point index; all choices are
-    isomorphic."""
-    limits = yoneda_limits(s).points
-    for p in s.ambient.points:
-        if p in limits:
-            return p
-    raise NotForwardCauchy("no limit point")  # pragma: no cover
+    """The limit of least ambient point index (limits come in ambient
+    order); all choices are isomorphic."""
+    return yoneda_limits(s).points[0]
 
 
 def is_alpha_monotone(s: FCSequence, alpha) -> bool:
@@ -213,23 +209,20 @@ def function_space_limit(
 
 def check_ev(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> CheckResult:
     """Verify the evaluation map (x, f) |-> f(x) is a functor from
-    A x [A -> B] to B."""
+    A x [A -> B] to B; a failure names the first violating pair."""
     hom = hom_power(a, b, max_maps)
     dom = product(a, hom)
-    images = tuple(f[a.index(x)] for (x, f) in dom.points)
-    ev = QFunctor(dom, b, images)
-    if is_functor(ev):
-        return CheckResult(True, "evaluation is a functor")
+    image_idx = [b.index(f[a.index(x)]) for (x, f) in dom.points]
     n = len(dom.points)
     for i in range(n):
         for j in range(n):
-            if dom.matrix[i][j] > b.r(images[i], images[j]):
+            if dom.matrix[i][j] > b.matrix[image_idx[i]][image_idx[j]]:
                 return CheckResult(
                     False,
                     f"evaluation fails at {dom.points[i]}, {dom.points[j]}",
                     witness=(dom.points[i], dom.points[j]),
                 )
-    raise AssertionError("unreachable")  # pragma: no cover
+    return CheckResult(True, "evaluation is a functor")
 
 
 def curry(

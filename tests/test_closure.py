@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcat.intervals import IntervalSet
-from realcat.qcat import QCat, final_lift, por_reflection, two_point, validate_qcat
+from realcat.qcat import QCat, final_lift, two_point, validate_qcat
 from realcat.subconstructs import (
     explicit,
     is_in_cat_s,
     k_diagonal,
     k_square,
+    por_reflection,
     reflect_r,
     sqrt_band,
 )
@@ -146,15 +147,16 @@ def test_reflect_r_matches_naive_reflection(case, which):
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_por_reflection_matches_naive_closure(case):
+    """sigma is R for S = {0,1}^2: the closure of the 0/1 matrix of the
+    nonzero entries, with the diagonal left as given."""
     t, rows = case
     n = len(rows)
     crisp = [
-        [F(int(i == j or v > 0)) for j, v in enumerate(row)]
+        [v if i == j else F(int(v > 0)) for j, v in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-    expected = [[v == 1 for v in row] for row in naive_closure(t, crisp)]
     c = QCat(t, tuple(f"p{i}" for i in range(n)), rows)
-    assert [list(row) for row in por_reflection(c).leq] == expected
+    assert [list(row) for row in por_reflection(c).matrix] == naive_closure(t, crisp)
 
 
 def test_reflect_r_needs_two_rounds():

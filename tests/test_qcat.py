@@ -4,10 +4,11 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcat.errors import SizeLimitExceeded
 from realcat.qcat import (
-    Preord,
     QCat,
     QFunctor,
     enumerate_functors,
@@ -17,8 +18,6 @@ from realcat.qcat import (
     initial_lift,
     is_functor,
     is_symmetric,
-    por_coreflection,
-    por_reflection,
     product,
     singleton,
     tensor,
@@ -27,7 +26,8 @@ from realcat.qcat import (
     two_point,
     validate_qcat,
 )
-from realcat.tnorm import godel, lukasiewicz
+from realcat.subconstructs import por_coreflection, por_reflection
+from realcat.tnorm import BUILTIN_NORMS, godel, lukasiewicz, tnorm_eval
 from realcat.values import ONE
 
 LUK = lukasiewicz()
@@ -215,7 +215,10 @@ class TestTensorTransposition:
 class TestPreorderReflections:
     def test_coreflection_keeps_only_ones(self, chain3):
         pre = por_coreflection(chain3)
-        assert pre.pairs() == {("a", "a"), ("b", "b"), ("c", "c")}
+        assert pre.points == chain3.points
+        assert pre.matrix == tuple(
+            tuple(F(int(i == j)) for j in range(3)) for i in range(3)
+        )
 
     def test_reflection_closes_transitively(self):
         c = QCat(
@@ -228,12 +231,57 @@ class TestPreorderReflections:
             ),
         )
         pre = por_reflection(c)
-        assert pre.holds("a", "c"), "nonzero hops compose"
-        assert not pre.holds("c", "a")
+        assert pre.r("a", "c") == 1, "nonzero hops compose"
+        assert pre.r("c", "a") == 0
+        assert {v for row in pre.matrix for v in row} == {F(0), F(1)}
+        assert validate_qcat(pre).passed
 
-    def test_invalid_preorder_rejected(self):
-        with pytest.raises(ValueError):
-            Preord(("a", "b"), ((False, True), (False, True)))
+
+def closed_category(t, prefix, rows):
+    """The category on rows with unit diagonal, closed naively under
+    m(i,j) >= m(k,j) & m(i,k) until nothing moves."""
+    n = len(rows)
+    m = [[ONE if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in itertools.product(range(n), repeat=3):
+            via = tnorm_eval(t, m[k][j], m[i][k])
+            if via > m[i][j]:
+                m[i][j], changed = via, True
+    return QCat(t, tuple(f"{prefix}{i}" for i in range(n)), tuple(map(tuple, m)))
+
+
+@st.composite
+def category_pairs(draw):
+    t = BUILTIN_NORMS[draw(st.sampled_from(sorted(BUILTIN_NORMS)))]()
+    cats = []
+    for prefix in ("a", "b"):
+        n = draw(st.integers(0, 3))
+        row = st.lists(st.sampled_from(QUARTERS), min_size=n, max_size=n)
+        cats.append(closed_category(t, prefix, draw(st.lists(row, min_size=n, max_size=n))))
+    return cats
+
+
+@settings(max_examples=150, deadline=None)
+@given(category_pairs())
+def test_constructions_match_pointwise_formulas(pair):
+    """product is the meet of the factors, hom_tensor the meet over the
+    points of A, and rho keeps exactly the entries equal to 1."""
+    a, b = pair
+    prod = product(a, b)
+    assert prod.points == tuple((p, q) for p in a.points for q in b.points)
+    for (p1, q1), (p2, q2) in itertools.product(prod.points, repeat=2):
+        assert prod.r((p1, q1), (p2, q2)) == min(a.r(p1, p2), b.r(q1, q2))
+    hom = hom_tensor(a, b)
+    functors = tuple(f.mapping for f in enumerate_functors(a, b))
+    assert hom.points == functors
+    for f, g in itertools.product(functors, repeat=2):
+        pointwise = [b.r(f[i], g[i]) for i in range(len(a))]
+        assert hom.r(f, g) == min(pointwise, default=ONE)
+    rho = por_coreflection(a)
+    for p, q in itertools.product(a.points, repeat=2):
+        assert rho.r(p, q) == (ONE if a.r(p, q) == ONE else 0)
 
 
 class TestLifts:

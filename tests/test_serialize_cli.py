@@ -392,9 +392,58 @@ class TestCLI:
         assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "kind, inputs",
+        [
+            ("product", ["bad", "bad"]),
+            ("product", ["good", "bad"]),
+            ("hom_tensor", ["bad", "good"]),
+            ("hom_power", ["good", "bad"]),
+            ("por_sigma", ["bad"]),
+            ("reflect", ["band", "bad"]),
+        ],
+    )
+    def test_construct_rejects_a_non_category(self, workdir, capsys, kind, inputs):
+        """bad.json has r(1,1) = 1/2: constructions read categories only."""
+        workdir["band"] = str(workdir["dir"] / "band.json")
+        Path(workdir["band"]).write_text(ser.dumps(ser.suitable_to_obj(sqrt_band(LUK))))
+        assert cli.main(["construct", kind, *(workdir[i] for i in inputs)]) == 5
+        err = capsys.readouterr().err
+        assert err == f"error: {workdir['bad']}: not a category: r(1,1) = 1/2 != 1\n"
+
+    @pytest.mark.parametrize("kind", ["final_lift", "initial_lift"])
+    def test_construct_lift_of_a_non_category_exits_five(self, workdir, capsys, kind):
+        family, table = {
+            "final_lift": ("sinks", {"0": "x", "1": "y"}),
+            "initial_lift": ("sources", {"x": "0", "y": "1"}),
+        }[kind]
+        bad = json.loads(Path(workdir["bad"]).read_text())
+        spec = workdir["dir"] / "lift.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "tnorm": "lukasiewicz",
+                    "carrier": ["x", "y"],
+                    family: [{"category": bad, "map": table}],
+                }
+            )
+        )
+        assert cli.main(["construct", kind, str(spec)]) == 5
+        err = capsys.readouterr().err
+        assert err == f"error: {spec}: not a category: r(1,1) = 1/2 != 1\n"
+
+    @pytest.mark.parametrize("kind", ["reflect", "coreflect"])
+    def test_construct_reflect_mixed_norms_exits_five(self, workdir, capsys, kind):
+        band = workdir["dir"] / "band.json"
+        band.write_text(
+            ser.dumps(ser.suitable_to_obj(sqrt_band(ser.tnorm_from_obj("godel"))))
+        )
+        assert cli.main(["construct", kind, str(band), workdir["good"]]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "different t-norms" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "approx", "--max-maps", "0"],
             ["construct", "hom_power", "A.json", "B.json", "--max-maps", "-5"],
             ["construct", "hom_power", "A.json", "B.json", "--max-maps", "many"],
         ],
@@ -417,6 +466,7 @@ class TestCLI:
             ["verify", "approx", "--k", "k.json"],
             ["witness", "--k", "k.json", "--format", "text"],
             ["witness", "--k", "k.json", "--max-maps", "5"],
+            ["verify", "approx", "--max-maps", "5"],
         ],
     )
     def test_undeclared_flags_exit_two(self, capsys, argv):
@@ -618,11 +668,7 @@ def _case(draw):
     elif command == "verify":
         suite = draw(st.sampled_from(["approx", "monoidal", "exponential_law", "nope"]))
         argv = ["verify", suite]
-        flags = {
-            "--format": st.sampled_from(["json", "text"]),
-            "--tnorm": tnorm,
-            "--max-maps": st.sampled_from(["1", "30", "0"]),
-        }
+        flags = {"--format": st.sampled_from(["json", "text"]), "--tnorm": tnorm}
     else:
         docs["A"] = draw(_mostly(_interval_set()))
         argv = ["witness", "--k", "A"]

@@ -4,6 +4,7 @@ are deterministic."""
 import pytest
 
 from realcat.suites import SUITES, WorkspaceConfig, run_suite
+from realcat.tnorm import lukasiewicz
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -25,5 +26,7 @@ def test_unknown_suite_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        WorkspaceConfig(max_maps=0)
+    """A suite is configured by its t-norm alone (lukasiewicz by default)."""
+    assert WorkspaceConfig().tnorm == lukasiewicz()
+    with pytest.raises(TypeError):
+        WorkspaceConfig(max_maps=16)

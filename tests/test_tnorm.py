@@ -25,7 +25,6 @@ from realcat.tnorm import (
     subquantale_check,
     tnorm_eval,
     tnorm_residual,
-    value_closure,
     way_below_in_m,
 )
 from realcat.tnorm import product as product_norm
@@ -306,14 +305,3 @@ class TestWayBelow:
     def test_outside_m_raises(self):
         with pytest.raises(DomainError):
             way_below_in_m(LUK, F(3, 4), 1)
-
-
-class TestValueClosure:
-    def test_lukasiewicz_closure_saturates(self):
-        vals = value_closure(LUK, [F(3, 4)], rounds=10)
-        assert set(vals) == {F(0), F(1, 2), F(1, 4), F(3, 4), F(1)}
-        again = value_closure(LUK, vals, rounds=10)
-        assert again == vals
-
-    def test_closure_contains_bounds(self):
-        assert value_closure(GOD, []) == [F(0), F(1)]
