@@ -19,7 +19,9 @@ Four commands, each with only the flags it reads:
 ``--tnorm`` is a builtin norm name or a t-norm JSON file (default
 lukasiewicz for ``verify`` and ``witness``); ``--max-maps`` caps the
 functor enumeration of ``construct hom_tensor``/``hom_power`` (a positive
-integer, default 10**6).
+integer, default 10**6).  It bounds |B|^|A|, the number of maps A -> B,
+not the work done: the enumeration is a backtracking search that visits
+far fewer, but an input with |B|^|A| above the cap exits 3 unsearched.
 
 Exit codes: 0 success or negative witness, 1 positive witness or failed
 validation, >= 2 operational errors (parse, usage or file errors 2, size
@@ -105,6 +107,17 @@ def _require_category(path: str, c: qc.QCat) -> qc.QCat:
     return c
 
 
+def _require_lift_categories(path: str, t: TNorm, cats) -> None:
+    """A lift spec's categories are categories over the spec's norm."""
+    for cat in cats:
+        _require_category(path, cat)
+        if cat.tnorm != t:
+            raise DomainError(
+                f"{path}: the lift spec and one of its categories live over "
+                "different t-norms"
+            )
+
+
 def _category(path: str) -> qc.QCat:
     return _require_category(path, ser.qcat_from_obj(_load_json(path)))
 
@@ -170,13 +183,11 @@ def cmd_construct(args) -> int:
         out = (sub.por_coreflection if kind == "por_rho" else sub.por_reflection)(c)
     elif kind == "initial_lift":
         t, carrier, sources = ser.initial_lift_from_obj(_load_json(args.inputs[0]))
-        for _, cat in sources:
-            _require_category(args.inputs[0], cat)
+        _require_lift_categories(args.inputs[0], t, [cat for _, cat in sources])
         out = qc.initial_lift(t, carrier, sources)
     elif kind == "final_lift":
         t, sinks, carrier = ser.final_lift_from_obj(_load_json(args.inputs[0]))
-        for cat, _ in sinks:
-            _require_category(args.inputs[0], cat)
+        _require_lift_categories(args.inputs[0], t, [cat for cat, _ in sinks])
         out = qc.final_lift(t, sinks, carrier)
     else:  # pragma: no cover
         raise ParseError(f"unknown construction {kind!r}")
@@ -257,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-maps",
         type=_map_cap,
         default=qc.DEFAULT_MAP_CAP,
-        help="cap on the maps a functor enumeration may try",
+        help="cap on |B|^|A|, the number of maps A -> B (not on the work "
+        "of the functor search)",
     )
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)

@@ -16,7 +16,15 @@ class ProductIrrational(RealcatError):
 
 
 class SizeLimitExceeded(RealcatError):
-    """A functor enumeration would exceed the configured candidate cap."""
+    """A functor enumeration would exceed the configured candidate cap:
+    |B|^|A| maps A -> B against ``cap``.  The sizes that triggered it are
+    kept as ``dom_size`` (|A|), ``cod_size`` (|B|) and ``cap``."""
+
+    def __init__(self, dom_size: int, cod_size: int, cap: int):
+        super().__init__(f"{cod_size**dom_size} candidate maps exceed the cap {cap}")
+        self.dom_size = dom_size
+        self.cod_size = cod_size
+        self.cap = cap
 
 
 class NotForwardCauchy(RealcatError):

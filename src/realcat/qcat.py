@@ -10,13 +10,13 @@ or row-major so reports are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import SizeLimitExceeded
-from .tnorm import CheckResult, TNorm, meet_residual, tnorm_eval
+from .tnorm import CheckResult, TNorm, tnorm_eval
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
@@ -44,8 +44,18 @@ class QCat:
             tuple(tuple(unit(v) for v in row) for row in self.matrix),
         )
 
+    @cached_property
+    def _positions(self) -> dict:
+        # Built on first lookup and kept out of the fields, so equality,
+        # hashing and categories that are never queried pay nothing.
+        return {p: i for i, p in enumerate(self.points)}
+
     def index(self, p) -> int:
-        return self.points.index(p)
+        """Position of p in the point list; ValueError if p is no point."""
+        try:
+            return self._positions[p]
+        except (KeyError, TypeError):
+            raise ValueError(f"{p!r} is not a point") from None
 
     def r(self, p, q) -> Fraction:
         return self.matrix[self.index(p)][self.index(q)]
@@ -113,8 +123,13 @@ class QFunctor:
     def __post_init__(self):
         if len(self.mapping) != len(self.dom.points):
             raise ValueError("mapping length does not match domain")
+        positions = self.cod._positions
         for img in self.mapping:
-            if img not in self.cod.points:
+            try:
+                known = img in positions
+            except TypeError:  # unhashable, so no point
+                known = False
+            if not known:
                 raise ValueError(f"image {img!r} not a codomain point")
 
     @staticmethod
@@ -143,22 +158,77 @@ def is_functor(f: QFunctor) -> bool:
     return True
 
 
+def _functor_tables(a: QCat, b: QCat, max_maps: int) -> list[tuple[int, ...]]:
+    """Image-index tables of all functors A -> B, in lexicographic order.
+
+    Depth-first search: domain points are assigned in order, each to the
+    codomain points in index order, and a new image is kept only if
+    r(x,x) <= s(fx,fx) and, for every point y assigned before it,
+    r(x,y) <= s(fx,fy) and r(y,x) <= s(fy,fx).  Entries are compared by
+    exact integer rank in the sorted set of values of both matrices."""
+    na, nb = len(a.points), len(b.points)
+    if nb**na > max_maps:
+        raise SizeLimitExceeded(na, nb, max_maps)
+    if na == 0:
+        return [()]
+    # Values are keyed by their (numerator, denominator) pair, which is
+    # unique in lowest terms and hashes ~10x faster than a Fraction.
+    values = {
+        v.as_integer_ratio(): v for m in (a.matrix, b.matrix) for row in m for v in row
+    }
+    rank = {key: k for k, key in enumerate(sorted(values, key=values.__getitem__))}
+    dom = [[rank[v.as_integer_ratio()] for v in row] for row in a.matrix]
+    cod = [[rank[v.as_integer_ratio()] for v in row] for row in b.matrix]
+    dom_t = [list(col) for col in zip(*dom)]
+    cod_t = [list(col) for col in zip(*cod)]
+    # fits[x]: the images allowed for point x by the diagonal alone
+    fits = [[fx for fx in range(nb) if dom[x][x] <= cod[fx][fx]] for x in range(na)]
+    # A stack instead of recursion, so |A| is not bounded by the
+    # interpreter's recursion limit (|B| = 1 admits any |A| under the cap).
+    image: list[int] = []
+    tries = [iter(fits[0])]
+    tables = []
+    while tries:
+        x = len(image)
+        out_x, in_x = dom[x], dom_t[x]
+        for fx in tries[-1]:
+            out_fx, in_fx = cod[fx], cod_t[fx]
+            for y, fy in enumerate(image):
+                if out_x[y] > out_fx[fy] or in_x[y] > in_fx[fy]:
+                    break
+            else:
+                break  # fx fits every assigned point: keep it
+        else:  # no image left for x: backtrack
+            tries.pop()
+            if image:
+                image.pop()
+            continue
+        if x + 1 == na:
+            tables.append((*image, fx))
+        else:
+            image.append(fx)
+            tries.append(iter(fits[x + 1]))
+    return tables
+
+
+def _images(b: QCat, tables: list[tuple[int, ...]]) -> list[tuple]:
+    return [tuple(b.points[k] for k in table) for table in tables]
+
+
 def enumerate_functors(
     a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP
 ) -> list[QFunctor]:
     """All functors A -> B in lexicographic order of the image table
-    (codomain point index order)."""
-    total = len(b.points) ** len(a.points)
-    if total > max_maps:
-        raise SizeLimitExceeded(
-            f"{total} candidate maps exceed the cap {max_maps}"
-        )
-    out = []
-    for images in itertools.product(b.points, repeat=len(a.points)):
-        f = QFunctor(a, b, images)
-        if is_functor(f):
-            out.append(f)
-    return out
+    (codomain point index order).
+
+    A backtracking search assigns the points of A in order and tries the
+    points of B in index order, checking each new image against itself
+    and against every point already assigned; a partial map that breaks
+    r(x,y) <= s(fx,fy) is never extended.  Raises SizeLimitExceeded when
+    |B|^|A| exceeds max_maps: the cap bounds the map space, not the work
+    the search does, so it refuses the same inputs as a full scan would."""
+    tables = _functor_tables(a, b, max_maps)
+    return [QFunctor(a, b, images) for images in _images(b, tables)]
 
 
 def _pair_points(a: QCat, b: QCat) -> tuple:
@@ -200,7 +270,8 @@ def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     """Function space for the tensor: the initial lift of the evaluations
     at the points of A on the functors A -> B (as image tuples), so
     d(f,g) = meet_x s(f x, g x)."""
-    points = tuple(f.mapping for f in enumerate_functors(a, b, max_maps))
+    _require_same_norm(a, b)
+    points = tuple(_images(b, _functor_tables(a, b, max_maps)))
     evaluations = [({f: f[i] for f in points}, b) for i in range(len(a.points))]
     return initial_lift(a.tnorm, points, evaluations)
 
@@ -208,27 +279,25 @@ def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
 def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     """Power-object candidate for the cartesian product: points are the
     functors A -> B, structure d(f,g) = meet over x,y of
-    r(x,y) -> s(f x, g y) with -> the residual of the meet."""
-    functors = enumerate_functors(a, b, max_maps)
-    points = tuple(f.mapping for f in functors)
+    r(x,y) -> s(f x, g y) with -> the residual of the meet.  As
+    u -> v is 1 for u <= v and v otherwise, d(f,g) is the least
+    s(f x, g y) over the pairs where r(x,y) is larger, and 1 if none."""
+    _require_same_norm(a, b)
+    tables = _functor_tables(a, b, max_maps)
     n = len(a.points)
-    matrix = tuple(
-        tuple(
-            min(
-                (
-                    meet_residual(
-                        a.matrix[i][j], b.r(f.mapping[i], g.mapping[j])
-                    )
-                    for i in range(n)
-                    for j in range(n)
-                ),
-                default=ONE,
-            )
-            for g in functors
-        )
-        for f in functors
-    )
-    return QCat(a.tnorm, points, matrix)
+    pairs = [(i, j, a.matrix[i][j]) for i in range(n) for j in range(n)]
+    s = b.matrix
+
+    def distance(f, g):
+        d = ONE
+        for i, j, r in pairs:
+            v = s[f[i]][g[j]]
+            if r > v and v < d:
+                d = v
+        return d
+
+    matrix = tuple(tuple(distance(f, g) for g in tables) for f in tables)
+    return QCat(a.tnorm, tuple(_images(b, tables)), matrix)
 
 
 def initial_lift(

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcat.errors import SizeLimitExceeded
@@ -28,7 +28,7 @@ from realcat.qcat import (
 )
 from realcat.subconstructs import por_coreflection, por_reflection
 from realcat.tnorm import BUILTIN_NORMS, godel, lukasiewicz, tnorm_eval
-from realcat.values import ONE
+from realcat.values import ONE, ZERO
 
 LUK = lukasiewicz()
 GOD = godel()
@@ -130,8 +130,11 @@ class TestFunctors:
         ), "3/4 cannot shrink to 1/4"
 
     def test_size_cap(self, chain3):
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(SizeLimitExceeded) as exc:
             enumerate_functors(chain3, chain3, max_maps=3)
+        err = exc.value
+        assert (err.dom_size, err.cod_size, err.cap) == (3, 3, 3)
+        assert str(err) == "27 candidate maps exceed the cap 3"
 
     def test_from_dict_roundtrip(self, chain3):
         f = QFunctor.from_dict(chain3, chain3, {"a": "b", "b": "b", "c": "c"})
@@ -187,6 +190,11 @@ class TestHomObjects:
         for f in ht.points:
             for g in ht.points:
                 assert hp.r(f, g) <= ht.r(f, g)
+
+    @pytest.mark.parametrize("hom", [hom_power, hom_tensor])
+    def test_hom_objects_reject_mixed_norms(self, hom):
+        with pytest.raises(ValueError, match="different t-norms"):
+            hom(two_point(LUK, 0, 0), two_point(GOD, 0, 0))
 
     def test_hom_objects_are_valid(self):
         a = two_point(LUK, F(1, 2), F(1, 2))
@@ -282,6 +290,70 @@ def test_constructions_match_pointwise_formulas(pair):
     rho = por_coreflection(a)
     for p, q in itertools.product(a.points, repeat=2):
         assert rho.r(p, q) == (ONE if a.r(p, q) == ONE else 0)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A norm, the rows of A and B (categories or arbitrary matrices,
+    diagonals below 1 included) and B's labels in a drawn order."""
+    norm = draw(st.sampled_from(sorted(BUILTIN_NORMS)))
+    rows = []
+    for n in (draw(st.integers(0, 3)), draw(st.integers(0, 4))):
+        row = st.lists(st.sampled_from(QUARTERS), min_size=n, max_size=n)
+        m = draw(st.lists(row, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            m = closed_category(BUILTIN_NORMS[norm](), "p", m).matrix
+        rows.append(m)
+    labels = draw(st.permutations([f"b{i}" for i in range(len(rows[1]))]))
+    return norm, rows[0], rows[1], labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+@example(("godel", [], [[ONE]], ["b0"]))  # |A| = 0: one empty functor
+@example(("lukasiewicz", [[ONE]], [], []))  # |B| = 0: none
+@example(("product", [[F(1, 2)]], [[F(1, 4)]], ["b0"]))  # diagonals below 1
+@example(("remark4", [[F(1, 2)]], [[ONE, ZERO], [ZERO, F(1, 4)]], ["b1", "b0"]))
+def test_functor_search_matches_exhaustive_scan(case):
+    """enumerate_functors and hom_power against a scan of every image
+    table in codomain index order; B's labels are not sorted, so the
+    order is index order, not label order."""
+    norm, a_rows, b_rows, labels = case
+    t = BUILTIN_NORMS[norm]()
+    a = QCat(t, tuple(f"a{i}" for i in range(len(a_rows))), tuple(map(tuple, a_rows)))
+    b = QCat(t, tuple(labels), tuple(map(tuple, b_rows)))
+    n = len(a_rows)
+    tables = [
+        table
+        for table in itertools.product(range(len(b_rows)), repeat=n)
+        if all(
+            a_rows[i][j] <= b_rows[table[i]][table[j]]
+            for i in range(n)
+            for j in range(n)
+        )
+    ]
+    images = [tuple(labels[k] for k in table) for table in tables]
+    assert [f.mapping for f in enumerate_functors(a, b)] == images
+
+    def residual(x, y):  # right adjoint of the meet
+        return ONE if x <= y else y
+
+    hom = hom_power(a, b)
+    assert hom.points == tuple(images)
+    assert hom.matrix == tuple(
+        tuple(
+            min(
+                (
+                    residual(a_rows[i][j], b_rows[f[i]][g[j]])
+                    for i in range(n)
+                    for j in range(n)
+                ),
+                default=ONE,
+            )
+            for g in tables
+        )
+        for f in tables
+    )
 
 
 class TestLifts:

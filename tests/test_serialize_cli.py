@@ -431,6 +431,34 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == f"error: {spec}: not a category: r(1,1) = 1/2 != 1\n"
 
+    @pytest.mark.parametrize("kind", ["final_lift", "initial_lift"])
+    def test_construct_lift_mixed_norms_exits_five(self, workdir, capsys, kind):
+        """A godel spec over the Lukasiewicz chain a -> b -> c is refused:
+        its initial lift would be no category over godel
+        (1/2 & 1/2 = 1/2 > r(a,c) = 0)."""
+        chain = {
+            "tnorm": "lukasiewicz",
+            "points": ["a", "b", "c"],
+            "matrix": [["1/1", "1/2", "0/1"], ["0/1", "1/1", "1/2"], ["0/1", "0/1", "1/1"]],
+        }
+        family = "sinks" if kind == "final_lift" else "sources"
+        spec = workdir["dir"] / "lift.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "tnorm": "godel",
+                    "carrier": ["a", "b", "c"],
+                    family: [{"category": chain, "map": {"a": "a", "b": "b", "c": "c"}}],
+                }
+            )
+        )
+        assert cli.main(["construct", kind, str(spec)]) == 5
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {spec}: the lift spec and one of its categories "
+            "live over different t-norms\n"
+        )
+
     @pytest.mark.parametrize("kind", ["reflect", "coreflect"])
     def test_construct_reflect_mixed_norms_exits_five(self, workdir, capsys, kind):
         band = workdir["dir"] / "band.json"
