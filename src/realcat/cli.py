@@ -5,7 +5,7 @@ Four commands, each with only the flags it reads:
 - ``validate PATH... [--format json|text] [--tnorm T]``: structural
   checks on category, suitable-set and interval-set files (``--tnorm``
   supplies the norm for suitable sets without one and is required for
-  interval sets).
+  interval sets; a suitable set that names a different norm exits 5).
 - ``construct KIND INPUT... [--max-maps N] [--out FILE]``: apply a named
   construction and write the resulting category.  Every input category
   is validated first; a matrix that is no category exits 5.
@@ -42,7 +42,7 @@ from . import subconstructs as sub
 from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded
 from .suites import SUITES, Report, WorkspaceConfig, run_suite
 from .tnorm import BUILTIN_NORMS, TNorm, subquantale_check
-from .values import SAMPLE_DENOMINATOR, uniform_grid
+from .values import SAMPLE_DENOMINATOR
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -137,8 +137,11 @@ def cmd_validate(args) -> int:
             res = qc.validate_qcat(cat)
             report.record(path, res.passed, res.message)
         elif kind == "suitable set":
-            s = ser.suitable_from_obj(obj, tnorm=config_tnorm)
-            res = sub.check_suitable(s, uniform_grid(SAMPLE_DENOMINATOR))
+            try:
+                s = ser.suitable_from_obj(obj, tnorm=config_tnorm)
+            except DomainError as exc:
+                raise DomainError(f"{path}: {exc}") from exc
+            res = sub.check_suitable(s)
             report.record(path, res.passed, res.message)
         elif kind == "interval set":
             if config_tnorm is None:

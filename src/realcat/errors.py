@@ -11,8 +11,7 @@ class ParseError(RealcatError):
 
 class ProductIrrational(RealcatError):
     """An exact result would be irrational (only possible inside a
-    product block).  Callers wanting a number anyway should request a
-    certified enclosure instead."""
+    product block)."""
 
 
 class SizeLimitExceeded(RealcatError):

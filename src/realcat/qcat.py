@@ -105,13 +105,6 @@ def validate_qcat(c: QCat) -> CheckResult:
     return CheckResult(True, "valid")
 
 
-def is_symmetric(c: QCat) -> bool:
-    n = len(c.points)
-    return all(
-        c.matrix[i][j] == c.matrix[j][i] for i in range(n) for j in range(i)
-    )
-
-
 @dataclass(frozen=True)
 class QFunctor:
     """A structure-preserving map between categories."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .intervals import IntervalSet
 from .qcat import QCat, QFunctor
 from .subconstructs import CCCWitness, SuitableSet, SuitableVariant
@@ -176,16 +176,25 @@ def suitable_to_obj(s: SuitableSet) -> Any:
 
 
 def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
+    """Decode a suitable set under its own ``tnorm`` field.  The context
+    norm ``tnorm`` stands in for a missing field; a field whose blocks
+    differ from the context norm's is a DomainError (a name and a block
+    file of one norm agree)."""
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ParseError("suitable set must carry a 'variant'")
     try:
         variant = SuitableVariant(obj["variant"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if tnorm is None:
-        if "tnorm" not in obj:
-            raise ParseError("suitable set needs a t-norm (field or context)")
-        tnorm = tnorm_from_obj(obj["tnorm"])
+    if "tnorm" in obj:
+        own = tnorm_from_obj(obj["tnorm"])
+        if tnorm is not None and own.blocks != tnorm.blocks:
+            raise DomainError(
+                f"the suitable set lives over {own}, not the given t-norm {tnorm}"
+            )
+        tnorm = own
+    elif tnorm is None:
+        raise ParseError("suitable set needs a t-norm (field or context)")
     k = intervalset_from_obj(obj["k"]) if obj.get("k") is not None else None
     try:
         pairs = (

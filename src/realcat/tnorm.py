@@ -157,7 +157,7 @@ def sqrt_with(t: TNorm, x) -> Fraction:
     """max{z : z & z <= x}.
 
     Raises ProductIrrational when the maximum falls inside a product
-    block and is not rational; use :func:`sqrt_enclosure` there.
+    block and is not rational.
     """
     x = unit(x)
     for b in t.blocks:
@@ -174,28 +174,6 @@ def sqrt_with(t: TNorm, x) -> Fraction:
                 )
             return b.lo + root
     return x
-
-
-def sqrt_enclosure(t: TNorm, x, width) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure [lo, hi] of the square root with
-    hi - lo <= width, lo & lo <= x and hi & hi >= x."""
-    x = unit(x)
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("enclosure width must be positive")
-    try:
-        v = sqrt_with(t, x)
-        return (v, v)
-    except ProductIrrational:
-        pass
-    lo, hi = ZERO, ONE
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if tnorm_eval(t, mid, mid) <= x:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
 
 
 def _rational_sqrt(v: Fraction) -> Optional[Fraction]:

@@ -26,9 +26,8 @@ def unit(value) -> Fraction:
 
 
 SAMPLE_DENOMINATOR = 16
-"""Denominator of the k/16 sampling grid behind ``validate``'s
-square-root band members, ``witness``'s triple search and the
-``resd_prop`` suite's cubes."""
+"""Denominator of the k/16 sampling grid behind ``witness``'s triple
+search and the ``resd_prop`` suite's cubes."""
 
 
 def parse_rat(text: str) -> Fraction:

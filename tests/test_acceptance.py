@@ -318,9 +318,9 @@ def test_criterion_07_suitability_closure(announce):
     )
     announce(
         7,
-        f"suitability closure: {len(named)} canonical sets pass on the "
-        f"/100 grid, {len(broken)} adversarial sets fail with the "
-        "correct axiom",
+        f"suitability closure: {len(named)} canonical sets pass S1-S3 "
+        "(K variants by the subquantale check, the sqrt band by proof), "
+        f"{len(broken)} adversarial sets fail with the correct axiom",
         ok,
     )
 

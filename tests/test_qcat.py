@@ -17,7 +17,6 @@ from realcat.qcat import (
     hom_tensor,
     initial_lift,
     is_functor,
-    is_symmetric,
     product,
     singleton,
     tensor,
@@ -104,10 +103,6 @@ class TestValidation:
         for a in QUARTERS:
             for b in QUARTERS:
                 assert validate_qcat(two_point(LUK, a, b)).passed
-
-    def test_symmetry_predicate(self):
-        assert is_symmetric(two_point(LUK, F(1, 2), F(1, 2)))
-        assert not is_symmetric(two_point(LUK, F(1, 2), F(1, 4)))
 
 
 class TestFunctors:

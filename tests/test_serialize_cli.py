@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from realcat import cli
 from realcat import serialize as ser
-from realcat.errors import ParseError
+from realcat.errors import DomainError, ParseError
 from realcat.intervals import IntervalSet
 from realcat.qcat import QFunctor, two_point
 from realcat.subconstructs import ccc_witness, explicit, k_square, sqrt_band
-from realcat.tnorm import Block, BlockKind, TNorm, lukasiewicz, remark4
+from realcat.tnorm import Block, BlockKind, TNorm, godel, lukasiewicz, remark4
 from realcat.values import parse_rat
 from realcat.yoneda import FCSequence
 
@@ -102,6 +102,10 @@ class TestOtherFormats:
         assert s.tnorm == LUK
         with pytest.raises(ParseError):
             ser.suitable_from_obj(obj)
+        own = {"variant": "sqrt_band", "tnorm": "godel"}
+        assert ser.suitable_from_obj(own, tnorm=godel()).tnorm == godel()
+        with pytest.raises(DomainError):
+            ser.suitable_from_obj(own, tnorm=LUK)
 
     def test_fcsequence_roundtrip(self):
         c = two_point(LUK, 1, 1)
@@ -174,6 +178,35 @@ class TestCLI:
             )
             == 0
         )
+
+    @pytest.mark.parametrize("norm", ["lukasiewicz", "blocks", "godel"])
+    def test_validate_suitable_set_keeps_its_own_norm(self, workdir, capsys, norm):
+        """A suitable set is checked under the norm it names; --tnorm may
+        agree with it (by name or as a block file) but not differ."""
+        s = workdir["dir"] / "s.json"
+        s.write_text(
+            json.dumps(
+                {
+                    "variant": "k_square",
+                    "tnorm": "lukasiewicz",
+                    "k": {"components": [{"at": "0/1"}, {"at": "3/4"}, {"at": "1/1"}]},
+                }
+            )
+        )
+        if norm == "blocks":
+            norm = str(workdir["dir"] / "luk.json")
+            Path(norm).write_text(
+                json.dumps({"blocks": [{"lo": "0/1", "hi": "1/1", "kind": "lukasiewicz"}]})
+            )
+        code = cli.main(["validate", str(s), "--tnorm", norm])
+        captured = capsys.readouterr()
+        if norm == "godel":
+            assert code == 5 and captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {s}: ")
+        else:
+            assert code == 1 and captured.err == ""
+            [case] = json.loads(captured.out)["cases"]
+            assert case["detail"] == "3/4 & 3/4 = 1/2 escapes K"
 
     def test_construct_roundtrips(self, workdir, capsys):
         out_path = str(workdir["dir"] / "tensor.json")

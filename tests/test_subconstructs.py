@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcat.errors import DomainError, InvalidWitness
 from realcat.intervals import IntervalSet
@@ -26,6 +28,7 @@ from realcat.subconstructs import (
     sqrt_band,
 )
 from realcat.tnorm import (
+    BUILTIN_NORMS,
     Block,
     BlockKind,
     TNorm,
@@ -36,7 +39,7 @@ from realcat.tnorm import (
     remark4,
     tnorm_eval,
 )
-from realcat.values import ONE, uniform_grid
+from realcat.values import ONE
 
 LUK = lukasiewicz()
 GOD = godel()
@@ -80,6 +83,57 @@ class TestMembership:
         assert not contains(s, (0, 1))
 
 
+# The band oracle below writes the norm and the band out itself: a norm
+# is a list of blocks (lo, hi, kind) on the /12 grid, and x & y is the
+# rescaled Lukasiewicz or product operation inside a block square and
+# min(x, y) elsewhere.
+TWELFTHS = [F(i, 12) for i in range(13)]
+BUILTIN_BLOCKS = {
+    "godel": [],
+    "lukasiewicz": [(F(0), F(1), "lukasiewicz")],
+    "product": [(F(0), F(1), "product")],
+    "remark4": [(F(0), F(1, 2), "product"), (F(1, 2), F(1), "lukasiewicz")],
+}
+
+
+def oracle_and(blocks, x, y):
+    for lo, hi, kind in blocks:
+        if lo <= x <= hi and lo <= y <= hi:
+            if kind == "lukasiewicz":
+                return max(lo, x + y - hi)
+            return lo + (x - lo) * (y - lo) / (hi - lo)
+    return min(x, y)
+
+
+def in_band(blocks, a, b):
+    return oracle_and(blocks, a, a) <= b and oracle_and(blocks, b, b) <= a
+
+
+@st.composite
+def band_cases(draw):
+    """(library norm, its blocks, band members on the /12 grid): a
+    builtin norm or a random ordinal sum, whose cuts split [0,1] into
+    pieces that are Lukasiewicz blocks, product blocks or left to the
+    minimum.  (a, a) is always a member, so every a has a partner."""
+    name = draw(st.sampled_from([None, *sorted(BUILTIN_BLOCKS)]))
+    if name is not None:
+        t, blocks = BUILTIN_NORMS[name](), BUILTIN_BLOCKS[name]
+    else:
+        cuts = sorted(draw(st.sets(st.sampled_from(TWELFTHS), min_size=2, max_size=5)))
+        kinds = st.sampled_from([None, "lukasiewicz", "product"])
+        blocks = [
+            (lo, hi, kind)
+            for lo, hi in zip(cuts, cuts[1:])
+            if (kind := draw(kinds)) is not None
+        ]
+        t = TNorm(tuple(Block(lo, hi, BlockKind(kind)) for lo, hi, kind in blocks))
+    members = []
+    for a in draw(st.lists(st.sampled_from(TWELFTHS), min_size=1, max_size=8)):
+        partners = [b for b in TWELFTHS if in_band(blocks, a, b)]
+        members.append((a, draw(st.sampled_from(partners))))
+    return t, blocks, members
+
+
 class TestCheckSuitable:
     @pytest.mark.parametrize(
         "s",
@@ -88,14 +142,29 @@ class TestCheckSuitable:
             k_diagonal(LUK, L3),
             k_square(LUK, CRISP),
             k_diagonal(LUK, CRISP),
-            sqrt_band(LUK),
-            sqrt_band(RM4),
         ],
-        ids=["ksq-l3", "kdiag-l3", "ksq-crisp", "kdiag-crisp",
-             "band-luk", "band-rm4"],
+        ids=["ksq-l3", "kdiag-l3", "ksq-crisp", "kdiag-crisp"],
     )
     def test_known_suitable_sets_pass(self, s):
-        assert check_suitable(s, uniform_grid(100)).passed
+        assert check_suitable(s).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(band_cases())
+    def test_sqrt_band_is_suitable(self, case):
+        """The library passes the band by proof; here S1-S3 are sampled
+        on band members of the /12 grid, independently of it."""
+        t, blocks, members = case
+        s = sqrt_band(t)
+        assert check_suitable(s).passed
+        for a, b in members:
+            assert contains(s, (a, b))
+            assert in_band(blocks, b, a)
+            for c, d in members:
+                assert in_band(blocks, max(a, c), max(b, d))
+                assert in_band(blocks, min(a, c), min(b, d))
+                assert in_band(
+                    blocks, oracle_and(blocks, a, c), oracle_and(blocks, b, d)
+                )
 
     def test_missing_swap_fails_s2(self):
         s = explicit(LUK, [(0, 0), (1, 1), (F(1, 2), 1)])

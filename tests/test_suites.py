@@ -1,10 +1,18 @@
-"""The named verification suites behind `realcat verify` all pass and
-are deterministic."""
+"""The named verification suites behind `realcat verify` all pass, are
+deterministic and print the reports the benchmark's digests pin."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from realcat import serialize as ser
 from realcat.suites import SUITES, WorkspaceConfig, run_suite
 from realcat.tnorm import lukasiewicz
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+SUITE_DIGESTS = json.loads(DIGESTS.read_text())["suites"]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -12,6 +20,8 @@ def test_suite_passes(name):
     report = run_suite(name, WorkspaceConfig())
     failing = [c for c in report.cases if c["status"] != "pass"]
     assert report.passed, failing
+    text = ser.dumps(report.to_obj())
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == SUITE_DIGESTS[name]
 
 
 def test_reports_are_deterministic():

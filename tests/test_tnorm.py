@@ -20,7 +20,6 @@ from realcat.tnorm import (
     m_set,
     meet_residual,
     remark4,
-    sqrt_enclosure,
     sqrt_with,
     subquantale_check,
     tnorm_eval,
@@ -183,14 +182,6 @@ class TestSquareRoots:
     def test_product_irrational_root(self):
         with pytest.raises(ProductIrrational):
             sqrt_with(PROD, F(1, 2))
-
-    def test_enclosure_brackets_the_root(self):
-        lo, hi = sqrt_enclosure(PROD, F(1, 2), F(1, 1000))
-        assert hi - lo <= F(1, 1000)
-        assert tnorm_eval(PROD, lo, lo) <= F(1, 2) <= tnorm_eval(PROD, hi, hi)
-
-    def test_enclosure_of_rational_root_is_exact(self):
-        assert sqrt_enclosure(LUK, F(1, 2), F(1, 10)) == (F(3, 4), F(3, 4))
 
     def test_remark4_roots(self):
         # in the upper Lukasiewicz block: (x + 1) / 2
