@@ -142,8 +142,11 @@ class TestCheckSuitable:
             k_diagonal(LUK, L3),
             k_square(LUK, CRISP),
             k_diagonal(LUK, CRISP),
+            sqrt_band(LUK),
+            sqrt_band(RM4),
         ],
-        ids=["ksq-l3", "kdiag-l3", "ksq-crisp", "kdiag-crisp"],
+        ids=["ksq-l3", "kdiag-l3", "ksq-crisp", "kdiag-crisp",
+             "band-luk", "band-rm4"],
     )
     def test_known_suitable_sets_pass(self, s):
         assert check_suitable(s).passed
