@@ -6,6 +6,7 @@ Four commands, each with only the flags it reads:
   checks on category, suitable-set and interval-set files (``--tnorm``
   supplies the norm for suitable sets without one and is required for
   interval sets; a suitable set that names a different norm exits 5).
+  A category or suitable-set file that does not decode is a failing case.
 - ``construct KIND INPUT... [--max-maps N] [--out FILE]``: apply a named
   construction and write the resulting category.  Every input category
   is validated first; a matrix that is no category exits 5.
@@ -139,6 +140,9 @@ def cmd_validate(args) -> int:
         elif kind == "suitable set":
             try:
                 s = ser.suitable_from_obj(obj, tnorm=config_tnorm)
+            except ParseError as exc:
+                report.record(path, False, f"suitable set invalid: {exc}")
+                continue
             except DomainError as exc:
                 raise DomainError(f"{path}: {exc}") from exc
             res = sub.check_suitable(s)

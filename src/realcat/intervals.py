@@ -54,14 +54,14 @@ class IntervalSet:
         return IntervalSet(((ZERO, ONE),))
 
     def __contains__(self, value) -> bool:
-        v = Fraction(value)
+        v = value if isinstance(value, Fraction) else Fraction(value)
         return any(lo <= v <= hi for lo, hi in self.components)
 
     def __bool__(self) -> bool:
         return bool(self.components)
 
     def component_of(self, value) -> tuple[Fraction, Fraction] | None:
-        v = Fraction(value)
+        v = value if isinstance(value, Fraction) else Fraction(value)
         for lo, hi in self.components:
             if lo <= v <= hi:
                 return (lo, hi)

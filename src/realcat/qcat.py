@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import SizeLimitExceeded
-from .tnorm import CheckResult, TNorm, tnorm_eval
+from .tnorm import CheckResult, TNorm
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
@@ -90,16 +90,21 @@ def validate_qcat(c: QCat) -> CheckResult:
                 f"r({c.points[i]},{c.points[i]}) = {c.matrix[i][i]} != 1",
                 witness=(c.points[i],),
             )
+    op, m = c.tnorm._and, c.matrix
     for i in range(n):
+        row_i = m[i]
         for j in range(n):
+            r_ij, row_j = row_i[j], m[j]
+            if r_ij == ZERO:  # 0 & anything = 0: nothing to violate
+                continue
             for k in range(n):
-                lhs = tnorm_eval(c.tnorm, c.matrix[j][k], c.matrix[i][j])
-                if lhs > c.matrix[i][k]:
+                lhs = op(row_j[k], r_ij)
+                if lhs > row_i[k]:
                     return CheckResult(
                         False,
                         f"r({c.points[j]},{c.points[k]}) & "
                         f"r({c.points[i]},{c.points[j]}) = {lhs} > "
-                        f"r({c.points[i]},{c.points[k]}) = {c.matrix[i][k]}",
+                        f"r({c.points[i]},{c.points[k]}) = {row_i[k]}",
                         witness=(c.points[i], c.points[j], c.points[k]),
                     )
     return CheckResult(True, "valid")
@@ -243,15 +248,13 @@ def product(a: QCat, b: QCat) -> QCat:
 def tensor(a: QCat, b: QCat) -> QCat:
     """Tensor product: structure is the pointwise &."""
     _require_same_norm(a, b)
-    points = _pair_points(a, b)
+    op, ra, rb = a.tnorm._and, a.matrix, b.matrix
+    cells = [(i, j) for i in range(len(a.points)) for j in range(len(b.points))]
     matrix = tuple(
-        tuple(
-            tnorm_eval(a.tnorm, a.r(p1, p2), b.r(q1, q2))
-            for (p2, q2) in points
-        )
-        for (p1, q1) in points
+        tuple(op(ra[i1][i2], rb[j1][j2]) for (i2, j2) in cells)
+        for (i1, j1) in cells
     )
-    return QCat(a.tnorm, points, matrix)
+    return QCat(a.tnorm, _pair_points(a, b), matrix)
 
 
 def _require_same_norm(a: QCat, b: QCat):
@@ -315,13 +318,14 @@ def initial_lift(
 
 def path_closure(t: TNorm, m: list[list[Fraction]]) -> None:
     """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j.
+    The entries must be Fractions in [0, 1]: & runs unchecked.
 
     One Floyd-Warshall pass (k outer) is the exact closure over the
     quantale ([0,1], join, &): x & y <= min(x, y), so a cycle never
     raises a path and the best path between two points is simple
     (Lehmann 1977).  The diagonal is never written, so a matrix whose
     diagonal lies below 1 keeps it."""
-    n = len(m)
+    n, op = len(m), t._and
     for k in range(n):
         row_k = m[k]
         for i in range(n):
@@ -332,7 +336,7 @@ def path_closure(t: TNorm, m: list[list[Fraction]]) -> None:
             for j in range(n):
                 if j == i or j == k:
                     continue
-                via = tnorm_eval(t, row_k[j], via_k)
+                via = op(row_k[j], via_k)
                 if via > row_i[j]:
                     row_i[j] = via
 

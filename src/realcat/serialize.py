@@ -177,9 +177,9 @@ def suitable_to_obj(s: SuitableSet) -> Any:
 
 def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
     """Decode a suitable set under its own ``tnorm`` field.  The context
-    norm ``tnorm`` stands in for a missing field; a field whose blocks
-    differ from the context norm's is a DomainError (a name and a block
-    file of one norm agree)."""
+    norm ``tnorm`` stands in for a missing field; a field naming another
+    norm is a DomainError (a name and a block file of one norm are the
+    same norm)."""
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ParseError("suitable set must carry a 'variant'")
     try:
@@ -188,7 +188,7 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
         raise ParseError(str(exc)) from exc
     if "tnorm" in obj:
         own = tnorm_from_obj(obj["tnorm"])
-        if tnorm is not None and own.blocks != tnorm.blocks:
+        if tnorm is not None and own != tnorm:
             raise DomainError(
                 f"the suitable set lives over {own}, not the given t-norm {tnorm}"
             )

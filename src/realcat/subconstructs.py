@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, InvalidWitness
 from .intervals import IntervalSet
@@ -90,15 +90,22 @@ def contains(s: SuitableSet, pair: Pair) -> bool:
     """Exact membership.  The square-root band is decided without
     computing roots, via the Galois characterization
     (x, y) in S  iff  x & x <= y and y & y <= x."""
-    a, b = unit(pair[0]), unit(pair[1])
+    return _member(s)(unit(pair[0]), unit(pair[1]))
+
+
+def _member(s: SuitableSet) -> Callable[[Fraction, Fraction], bool]:
+    """The membership test of :func:`contains` on Fractions already
+    known to lie in [0, 1]."""
+    k = s.k
     if s.variant is SuitableVariant.K_SQUARE:
-        return a in s.k and b in s.k
+        return lambda a, b: a in k and b in k
     if s.variant is SuitableVariant.K_DIAGONAL:
-        return a == b and a in s.k
+        return lambda a, b: a == b and a in k
     if s.variant is SuitableVariant.SQRT_BAND:
-        t = s.tnorm
-        return tnorm_eval(t, a, a) <= b and tnorm_eval(t, b, b) <= a
-    return (a, b) in s.pairs
+        op = s.tnorm._and
+        return lambda a, b: op(a, a) <= b and op(b, b) <= a
+    pairs = s.pairs
+    return lambda a, b: (a, b) in pairs
 
 
 def _pair_join(p: Pair, q: Pair) -> Pair:
@@ -109,28 +116,25 @@ def _pair_meet(p: Pair, q: Pair) -> Pair:
     return (min(p[0], q[0]), min(p[1], q[1]))
 
 
-def _pair_tensor(t: TNorm, p: Pair, q: Pair) -> Pair:
-    return (tnorm_eval(t, p[0], q[0]), tnorm_eval(t, p[1], q[1]))
-
-
 def _closure_check(s: SuitableSet, members: Sequence[Pair]) -> CheckResult:
-    """S1-S3 on a finite set of members; first violation wins."""
-    t = s.tnorm
+    """S1-S3 on a finite set of validated members; first violation wins."""
+    op, member = s.tnorm._and, _member(s)
     for p in members:
-        if not contains(s, (p[1], p[0])):
+        if not member(p[1], p[0]):
             return CheckResult(False, f"S2 fails: swap of {p} missing", witness=p)
     for p in members:
         for q in members:
-            j, m, w = _pair_join(p, q), _pair_meet(p, q), _pair_tensor(t, p, q)
-            if not contains(s, j):
+            j, m = _pair_join(p, q), _pair_meet(p, q)
+            w = (op(p[0], q[0]), op(p[1], q[1]))
+            if not member(*j):
                 return CheckResult(
                     False, f"S1 fails: join of {p}, {q} = {j} missing", witness=(p, q)
                 )
-            if not contains(s, m):
+            if not member(*m):
                 return CheckResult(
                     False, f"S1 fails: meet of {p}, {q} = {m} missing", witness=(p, q)
                 )
-            if not contains(s, w):
+            if not member(*w):
                 return CheckResult(
                     False, f"S3 fails: {p} & {q} = {w} missing", witness=(p, q)
                 )
@@ -163,12 +167,8 @@ def check_suitable(s: SuitableSet) -> CheckResult:
 
 
 def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
-    n = len(c.points)
-    return all(
-        contains(s, (c.matrix[i][j], c.matrix[j][i]))
-        for i in range(n)
-        for j in range(n)
-    )
+    member, m, n = _member(s), c.matrix, len(c.points)
+    return all(member(m[i][j], m[j][i]) for i in range(n) for j in range(n))
 
 
 def _largest_below(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
@@ -210,11 +210,8 @@ def _least_above(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
             raise DomainError(f"K has no member above {max(a, b)}")
         return (p, p)
     if s.variant is SuitableVariant.SQRT_BAND:
-        t = s.tnorm
-        return (
-            max(a, tnorm_eval(t, b, b)),
-            max(b, tnorm_eval(t, a, a)),
-        )
+        op = s.tnorm._and
+        return (max(a, op(b, b)), max(b, op(a, a)))
     candidates = [m for m in s.pairs if m[0] >= a and m[1] >= b]
     if not candidates:
         raise DomainError(f"no explicit member above ({a}, {b})")

@@ -8,15 +8,23 @@ square roots, the idempotent set, the M quantale) is answered exactly
 over the rationals; the only operations that can leave the rationals
 are square roots inside product blocks, which raise
 :class:`~realcat.errors.ProductIrrational` rather than approximate.
+
+Every public function here validates its arguments with
+:func:`~realcat.values.unit`.  The kernels that run & in their inner
+loops (path closure, category validation, the tensor product, Cat_S
+membership and the reflections) call ``TNorm._and`` instead: the same value,
+computed from block bounds compiled once per norm, on ``Fraction``
+arguments that their callers have already checked to lie in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .errors import DomainError, ProductIrrational
 from .intervals import IntervalSet
@@ -48,10 +56,11 @@ class Block:
 class TNorm:
     """Finite ordinal sum of Lukasiewicz and product blocks.
 
-    An empty block list is the Godel norm (minimum)."""
+    An empty block list is the Godel norm (minimum).  The name is a
+    label only: two norms with the same blocks are equal."""
 
     blocks: tuple[Block, ...] = ()
-    name: Optional[str] = None
+    name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         blocks = tuple(sorted(self.blocks, key=lambda b: b.lo))
@@ -62,11 +71,36 @@ class TNorm:
                 )
         object.__setattr__(self, "blocks", blocks)
 
-    def block_of_pair(self, x: Fraction, y: Fraction) -> Optional[Block]:
-        for b in self.blocks:
-            if b.lo <= x <= b.hi and b.lo <= y <= b.hi:
-                return b
-        return None
+    @cached_property
+    def _and(self) -> Callable[[Fraction, Fraction], Fraction]:
+        """x & y on Fractions already known to lie in [0, 1], unchecked.
+
+        Compiled on first use and kept out of the fields, like
+        ``QCat._positions``.  Inside a block square [a,b]^2 the linear
+        rescalings give max(x+y-b, a) for a Lukasiewicz block and
+        a + (x-a)(y-a)/(b-a) for a product block; elsewhere the value is
+        min(x, y).  On a block boundary both formulas agree with the
+        minimum, so the closed-square test is unambiguous.  The Godel
+        norm and a single block spanning [0, 1] need no bounds test."""
+        blocks = self.blocks
+        if not blocks:
+            return _meet
+        if len(blocks) == 1 and blocks[0].lo == ZERO and blocks[0].hi == ONE:
+            return _luk if blocks[0].kind is BlockKind.LUKASIEWICZ else _prod
+        table = tuple(
+            (b.lo, b.hi, b.kind is BlockKind.LUKASIEWICZ, b.hi - b.lo) for b in blocks
+        )
+
+        def ordinal_sum(x: Fraction, y: Fraction) -> Fraction:
+            for lo, hi, luk, width in table:
+                if lo <= x <= hi and lo <= y <= hi:
+                    if luk:
+                        v = x + y - hi
+                        return v if v > lo else lo
+                    return lo + (x - lo) * (y - lo) / width
+            return x if x <= y else y
+
+        return ordinal_sum
 
     def __call__(self, x, y) -> Fraction:
         return tnorm_eval(self, x, y)
@@ -110,22 +144,26 @@ BUILTIN_NORMS = {
 }
 
 
-def tnorm_eval(t: TNorm, x, y) -> Fraction:
-    """Exact value of x & y.
+def _meet(x: Fraction, y: Fraction) -> Fraction:
+    return x if x <= y else y
 
-    Inside a block square [a,b]^2 the linear rescalings give
-    max(x+y-b, a) for a Lukasiewicz block and a + (x-a)(y-a)/(b-a) for
-    a product block; elsewhere the value is min(x, y).  On a block
-    boundary both formulas agree with the minimum, so the closed-square
-    test is unambiguous.
-    """
-    x, y = unit(x), unit(y)
-    b = t.block_of_pair(x, y)
-    if b is None:
-        return min(x, y)
-    if b.kind is BlockKind.LUKASIEWICZ:
-        return max(x + y - b.hi, b.lo)
-    return b.lo + (x - b.lo) * (y - b.lo) / (b.hi - b.lo)
+
+def _luk(x: Fraction, y: Fraction) -> Fraction:
+    # max(x + y - 1, 0) over the common denominator: one Fraction built
+    # instead of three, and none when the value is 0
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    n = a * d + c * b - b * d
+    return Fraction(n, b * d) if n > 0 else ZERO
+
+
+def _prod(x: Fraction, y: Fraction) -> Fraction:
+    return x * y
+
+
+def tnorm_eval(t: TNorm, x, y) -> Fraction:
+    """Exact value of x & y, for any x, y in [0, 1] that ``Fraction``
+    accepts (see ``TNorm._and`` for the formulas)."""
+    return t._and(unit(x), unit(y))
 
 
 def meet_residual(x, y) -> Fraction:

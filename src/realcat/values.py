@@ -18,9 +18,11 @@ ONE = Fraction(1)
 
 
 def unit(value) -> Fraction:
-    """Coerce to a Fraction and check it lies in [0, 1]."""
-    v = Fraction(value)
-    if not ZERO <= v <= ONE:
+    """Coerce to a Fraction and check it lies in [0, 1].  A Fraction
+    comes back as it is: it is immutable and already in lowest terms."""
+    v = value if isinstance(value, Fraction) else Fraction(value)
+    # the denominator is positive, so 0 <= v <= 1 compares integers
+    if not 0 <= v.numerator <= v.denominator:
         raise ValueError(f"value {v} outside [0, 1]")
     return v
 

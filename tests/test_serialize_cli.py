@@ -424,6 +424,34 @@ class TestCLI:
         assert cli.main(["construct", "product", workdir["good"], str(godel)]) == 5
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_construct_one_norm_spelled_two_ways(self, workdir, capsys):
+        """A builtin name and its block file are one norm: the pair is
+        built, and the product keeps the first input's spelling."""
+        a, b = workdir["dir"] / "a.json", workdir["dir"] / "b.json"
+        luk = {"blocks": [{"lo": "0/1", "hi": "1/1", "kind": "lukasiewicz"}]}
+        a.write_text(json.dumps({"tnorm": "lukasiewicz", "points": ["p"], "matrix": [["1/1"]]}))
+        b.write_text(json.dumps({"tnorm": luk, "points": ["p"], "matrix": [["1/1"]]}))
+        assert cli.main(["construct", "product", str(a), str(b)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "tnorm": "lukasiewicz",
+            "points": ["(p,p)"],
+            "matrix": [["1/1"]],
+        }
+
+    def test_validate_reports_a_bad_suitable_set_per_file(self, workdir, capsys):
+        s = workdir["dir"] / "s.json"
+        s.write_text(json.dumps({"variant": "nope", "tnorm": "godel"}))
+        assert cli.main(["validate", workdir["good"], str(s)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["summary"] == {"pass": 1, "fail": 1, "error": 0}
+        assert out["cases"][1]["detail"] == (
+            "suitable set invalid: 'nope' is not a valid SuitableVariant"
+        )
+
     @pytest.mark.parametrize(
         "kind, inputs",
         [

@@ -27,6 +27,7 @@ from realcat.tnorm import (
     way_below_in_m,
 )
 from realcat.tnorm import product as product_norm
+from realcat.values import unit
 
 LUK = lukasiewicz()
 GOD = godel()
@@ -122,6 +123,90 @@ class TestOrdinalSumValidation:
         for x in [F(k, 8) for k in range(9)]:
             for y in [F(k, 8) for k in range(9)]:
                 assert tnorm_eval(t, x, y) == tnorm_eval(RM4, x, y)
+
+
+def _written_out(t, x, y):
+    """x & y from the ordinal-sum formulas, written out here so the
+    compiled kernel is checked against an independent copy."""
+    for b in t.blocks:
+        lo, hi = b.lo, b.hi
+        if lo <= x <= hi and lo <= y <= hi:
+            if b.kind is BlockKind.LUKASIEWICZ:
+                return max(x + y - hi, lo)
+            return lo + (x - lo) * (y - lo) / (hi - lo)
+    return min(x, y)
+
+
+@st.composite
+def _ordinal_sums(draw):
+    """A random ordinal sum of Lukasiewicz and product blocks on cut
+    points of a /12 grid, some gaps left to the minimum."""
+    cuts = draw(
+        st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True).map(sorted)
+    )
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        kind = draw(st.sampled_from([None, BlockKind.LUKASIEWICZ, BlockKind.PRODUCT]))
+        if kind is not None:
+            blocks.append(Block(F(lo, 12), F(hi, 12), kind))
+    return TNorm(tuple(blocks))
+
+
+@st.composite
+def _norm_and_pair(draw):
+    t = draw(st.one_of(st.sampled_from(ALL_NORMS), _ordinal_sums()))
+    ends = sorted({F(0), F(1)} | {v for b in t.blocks for v in (b.lo, b.hi)})
+    value = st.one_of(st.sampled_from(ends), unit_rationals)
+    return t, draw(value), draw(value)
+
+
+class TestTrustedKernel:
+    """``TNorm._and``, the unchecked & under the closure, validation and
+    Cat_S loops, against the public function and the written-out
+    formulas."""
+
+    @settings(max_examples=500)
+    @given(_norm_and_pair())
+    def test_kernel_matches_the_formulas(self, case):
+        t, x, y = case
+        expected = _written_out(t, x, y)
+        assert t._and(x, y) == tnorm_eval(t, x, y) == expected
+
+    def test_ordinal_sum_checks_the_block_square(self):
+        # (1/4, 3/4) straddles the remark4 split: the min, not 2xy = 3/8
+        assert RM4._and(F(1, 4), F(3, 4)) == F(1, 4)
+        assert RM4._and(F(3, 4), F(1, 4)) == F(1, 4)
+        assert RM4._and(F(1, 2), F(3, 4)) == F(1, 2)
+
+    def test_single_block_norms_compile_to_their_formula(self):
+        # a block spelled out compiles to the builtin's bounds-free kernel
+        spelled = TNorm((Block(F(0), F(1), BlockKind.LUKASIEWICZ),))
+        assert spelled._and is LUK._and
+        assert TNorm(())._and is GOD._and
+        assert RM4._and is not LUK._and
+        # the name is a label: equal norms hash alike and print apart
+        assert spelled == LUK and hash(spelled) == hash(LUK)
+        assert str(spelled) != str(LUK)
+
+    def test_unit_keeps_a_fraction(self):
+        f = F(2, 3)
+        assert unit(f) is f
+        assert unit(1) == 1 and isinstance(unit(1), F)
+
+    @pytest.mark.parametrize("bad", [F(3, 2), F(-1, 5), 2, -1])
+    def test_values_outside_the_unit_interval_raise(self, bad):
+        with pytest.raises(ValueError):
+            unit(bad)
+        for t in ALL_NORMS:
+            with pytest.raises(ValueError):
+                tnorm_eval(t, bad, F(1, 2))
+            with pytest.raises(ValueError):
+                tnorm_eval(t, F(1, 2), bad)
+
+    def test_membership_outside_the_unit_interval(self):
+        assert 2 not in IntervalSet.full()
+        assert F(3, 2) not in IntervalSet.full()
+        assert IntervalSet.full().component_of(2) is None
 
 
 class TestLemmaIdempotentSeparation:
