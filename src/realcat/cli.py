@@ -150,7 +150,11 @@ def cmd_validate(args) -> int:
         elif kind == "interval set":
             if config_tnorm is None:
                 raise ParseError("subquantale check needs --tnorm")
-            k = ser.intervalset_from_obj(obj)
+            try:
+                k = ser.intervalset_from_obj(obj)
+            except ParseError as exc:
+                report.record(path, False, f"interval set invalid: {exc}")
+                continue
             res = subquantale_check(config_tnorm, k)
             report.record(path, res.passed, res.message)
         else:

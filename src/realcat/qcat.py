@@ -146,14 +146,20 @@ class QFunctor:
         )
 
 
-def is_functor(f: QFunctor) -> bool:
+def functor_violation(f: QFunctor) -> tuple | None:
+    """The first pair (x, y) of domain points in row-major order with
+    r(x, y) > s(fx, fy), or None when f is a functor."""
     n = len(f.dom.points)
     cod_idx = [f.cod.index(img) for img in f.mapping]
     for i in range(n):
         for j in range(n):
             if f.dom.matrix[i][j] > f.cod.matrix[cod_idx[i]][cod_idx[j]]:
-                return False
-    return True
+                return f.dom.points[i], f.dom.points[j]
+    return None
+
+
+def is_functor(f: QFunctor) -> bool:
+    return functor_violation(f) is None
 
 
 def _functor_tables(a: QCat, b: QCat, max_maps: int) -> list[tuple[int, ...]]:

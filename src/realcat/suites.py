@@ -1,9 +1,11 @@
 """Named verification suites behind the ``realcat verify`` command.
 
 Each suite runs a batch of exact checks drawn from the library's
-invariants and returns a :class:`Report`.  Suites are deterministic:
-random sampling uses fixed seeds and witnesses are minima under the
-documented orders, so reports are byte-stable for identical inputs.
+invariants and returns a :class:`Report`; each case records the first
+failure in its scan order (:meth:`Report.check`).  Suites are
+deterministic: random sampling uses fixed seeds and witnesses are minima
+under the documented orders, so reports are byte-stable for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import subconstructs as sub
 from . import yoneda
@@ -70,6 +72,12 @@ class Report:
             }
         )
 
+    def check(self, name: str, failures: Iterable[str]):
+        """Record `name` as failing with the first message `failures`
+        yields (nothing after it is scanned), or as passing if none."""
+        first = next(iter(failures), None)
+        self.record(name, first is None, first or "")
+
     def error(self, name: str, detail: str):
         self.cases.append(
             {"name": name, "status": "error", "detail": detail, "witness": None}
@@ -113,12 +121,11 @@ def random_category(
     t: TNorm,
     values: Sequence[Fraction],
     size: int,
-    max_tries: int = 10000,
 ) -> QCat:
     """Rejection-sample a valid category with entries from the value
     list.  Small sizes and coarse values keep acceptance high."""
     points = tuple(f"p{i}" for i in range(size))
-    for _ in range(max_tries):
+    for _ in range(10_000):
         matrix = tuple(
             tuple(
                 ONE if i == j else rng.choice(values) for j in range(size)
@@ -149,88 +156,83 @@ def all_categories(t: TNorm, values: Sequence[Fraction], size: int):
 # suites
 
 
-def suite_tnorm_laws(config: WorkspaceConfig, triples: int = 2000) -> Report:
+def _monoid_failures(t: TNorm, rng: random.Random):
+    for _ in range(2000):
+        x, y, z = (_rand_unit(rng, 60) for _ in range(3))
+        if tnorm_eval(t, x, y) != tnorm_eval(t, y, x):
+            yield f"commutativity at ({x},{y})"
+        if tnorm_eval(t, x, tnorm_eval(t, y, z)) != tnorm_eval(
+            t, tnorm_eval(t, x, y), z
+        ):
+            yield f"associativity at ({x},{y},{z})"
+        if y <= z and tnorm_eval(t, x, y) > tnorm_eval(t, x, z):
+            yield f"monotonicity at ({x},{y},{z})"
+        if tnorm_eval(t, x, ONE) != x:
+            yield f"unit at {x}"
+
+
+def _separation_failures(t: TNorm, rng: random.Random):
+    idempotents = idempotent_set(t).sample(24)
+    for _ in range(1000):
+        p = rng.choice(idempotents)
+        x = _rand_unit(rng, 60) * p  # x <= p
+        y = p + _rand_unit(rng, 60) * (ONE - p)  # y >= p
+        if tnorm_eval(t, x, y) != min(x, y):
+            yield f"x={x}, p={p}, y={y}"
+
+
+def suite_tnorm_laws(config: WorkspaceConfig) -> Report:
     rep = Report("tnorm_laws")
     rng = random.Random(20240901)
     for name, maker in sorted(BUILTIN_NORMS.items()):
         t = maker()
-        ok = True
-        detail = ""
-        for _ in range(triples):
-            x = _rand_unit(rng, 60)
-            y = _rand_unit(rng, 60)
-            z = _rand_unit(rng, 60)
-            if tnorm_eval(t, x, y) != tnorm_eval(t, y, x):
-                ok, detail = False, f"commutativity at ({x},{y})"
-                break
-            if tnorm_eval(t, x, tnorm_eval(t, y, z)) != tnorm_eval(
-                t, tnorm_eval(t, x, y), z
-            ):
-                ok, detail = False, f"associativity at ({x},{y},{z})"
-                break
-            if y <= z and tnorm_eval(t, x, y) > tnorm_eval(t, x, z):
-                ok, detail = False, f"monotonicity at ({x},{y},{z})"
-                break
-            if tnorm_eval(t, x, ONE) != x:
-                ok, detail = False, f"unit at {x}"
-                break
-        rep.record(f"{name}: monoid laws on random triples", ok, detail)
-
-        idm = idempotent_set(t)
-        ok, detail = True, ""
-        for _ in range(triples // 2):
-            p = rng.choice(idm.sample(24))
-            x = _rand_unit(rng, 60) * p  # x <= p
-            y = p + _rand_unit(rng, 60) * (ONE - p)  # y >= p
-            if tnorm_eval(t, x, y) != min(x, y):
-                ok, detail = False, f"x={x}, p={p}, y={y}"
-                break
-        rep.record(f"{name}: idempotent separation gives the meet", ok, detail)
+        rep.check(f"{name}: monoid laws on random triples", _monoid_failures(t, rng))
+        rep.check(
+            f"{name}: idempotent separation gives the meet",
+            _separation_failures(t, rng),
+        )
     return rep
+
+
+def _distribution_failures(rng: random.Random):
+    for _ in range(500):
+        x = _rand_unit(rng, 40)
+        family = [_rand_unit(rng, 40) for _ in range(rng.randint(1, 5))]
+        if meet_residual(x, min(family)) != min(meet_residual(x, v) for v in family):
+            yield f"meet law at x={x}, family={family}"
+        if meet_residual(max(family), x) != min(meet_residual(v, x) for v in family):
+            yield f"join law at x={x}, family={family}"
+
+
+def _residual_failures(t: TNorm, grid: Sequence[Fraction]):
+    for x, y in itertools.product(grid, repeat=2):
+        res = tnorm_residual(t, x, y)
+        if tnorm_eval(t, x, res) > y:
+            yield f"residual unsound at ({x},{y})"
+        for z in grid:
+            if (tnorm_eval(t, x, z) <= y) != (z <= res):
+                yield f"residual adjunction at ({x},{y},{z})"
 
 
 def suite_resd_prop(config: WorkspaceConfig) -> Report:
     rep = Report("resd_prop")
     grid = uniform_grid(SAMPLE_DENOMINATOR)
-    ok, detail = True, ""
-    for x in grid:
-        for y in grid:
-            for z in grid:
-                if (min(x, y) <= z) != (y <= meet_residual(x, z)):
-                    ok, detail = False, f"adjunction at ({x},{y},{z})"
-                    break
-    rep.record("meet residual adjunction on the grid cube", ok, detail)
-
-    rng = random.Random(7)
-    ok, detail = True, ""
-    for _ in range(500):
-        x = _rand_unit(rng, 40)
-        family = [_rand_unit(rng, 40) for _ in range(rng.randint(1, 5))]
-        lhs = meet_residual(x, min(family))
-        rhs = min(meet_residual(x, xi) for xi in family)
-        if lhs != rhs:
-            ok, detail = False, f"meet law at x={x}, family={family}"
-            break
-        lhs = meet_residual(max(family), x)
-        rhs = min(meet_residual(xi, x) for xi in family)
-        if lhs != rhs:
-            ok, detail = False, f"join law at x={x}, family={family}"
-            break
-    rep.record("residual distributes over finite meets and joins", ok, detail)
-
+    rep.check(
+        "meet residual adjunction on the grid cube",
+        (
+            f"adjunction at ({x},{y},{z})"
+            for x, y, z in itertools.product(grid, repeat=3)
+            if (min(x, y) <= z) != (y <= meet_residual(x, z))
+        ),
+    )
+    rep.check(
+        "residual distributes over finite meets and joins",
+        _distribution_failures(random.Random(7)),
+    )
     t = config.tnorm
-    ok, detail = True, ""
-    for x in grid:
-        for y in grid:
-            res = tnorm_residual(t, x, y)
-            if tnorm_eval(t, x, res) > y:
-                ok, detail = False, f"residual unsound at ({x},{y})"
-                break
-            for z in grid:
-                if (tnorm_eval(t, x, z) <= y) != (z <= res):
-                    ok, detail = False, f"residual adjunction at ({x},{y},{z})"
-                    break
-    rep.record(f"{t}: t-norm residual adjunction on the grid", ok, detail)
+    rep.check(
+        f"{t}: t-norm residual adjunction on the grid", _residual_failures(t, grid)
+    )
     return rep
 
 
@@ -343,20 +345,22 @@ def suite_ccc_equivalence(config: WorkspaceConfig) -> Report:
     return rep
 
 
+def _power_failures(luk: TNorm, rng: random.Random):
+    values = [ZERO, Fraction(1, 4), Fraction(1, 2), ONE]  # inside M, also the grid
+    for i in range(10):
+        c = random_category(rng, luk, values, rng.randint(2, 3))
+        res = sub.power_existence_check(c, m_set(luk), values)
+        if not res.passed:
+            yield f"instance {i}: {res.message}"
+
+
 def suite_power_existence(config: WorkspaceConfig) -> Report:
     rep = Report("power_existence")
     luk = lukasiewicz()
-    rng = random.Random(11)
-    m_values = [ZERO, Fraction(1, 4), Fraction(1, 2), ONE]  # inside M
-    grid = [ZERO, Fraction(1, 4), Fraction(1, 2), ONE]
-    ok, detail = True, ""
-    for i in range(10):
-        c = random_category(rng, luk, m_values, rng.randint(2, 3))
-        res = sub.power_existence_check(c, m_set(luk), grid)
-        if not res.passed:
-            ok, detail = False, f"instance {i}: {res.message}"
-            break
-    rep.record("M-valued categories satisfy the inequality", ok, detail)
+    rep.check(
+        "M-valued categories satisfy the inequality",
+        _power_failures(luk, random.Random(11)),
+    )
 
     k5 = IntervalSet.of([0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
     c = QCat(
@@ -374,12 +378,8 @@ def suite_power_existence(config: WorkspaceConfig) -> Report:
     return rep
 
 
-def suite_monoidal(config: WorkspaceConfig) -> Report:
-    rep = Report("monoidal")
-    t = config.tnorm
-    rng = random.Random(23)
+def _tensor_hom_failures(t: TNorm, rng: random.Random):
     values = [ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE]
-    ok, detail = True, ""
     for i in range(8):
         a = random_category(rng, t, values, 2)
         b = random_category(rng, t, values, 2)
@@ -389,117 +389,98 @@ def suite_monoidal(config: WorkspaceConfig) -> Report:
         hom = hom_tensor(b, c)
         curried = enumerate_functors(a, hom)
         if len(direct) != len(curried):
-            ok, detail = False, f"instance {i}: {len(direct)} != {len(curried)}"
-            break
-        transposed = {
-            tensor_transpose(a, b, c, f).mapping for f in direct
-        }
-        if transposed != {g.mapping for g in curried}:
-            ok, detail = False, f"instance {i}: transposition not a bijection"
-            break
-        for f in direct:
-            g = tensor_transpose(a, b, c, f)
-            if tensor_untranspose(a, b, c, g).mapping != f.mapping:
-                ok, detail = False, f"instance {i}: transpose not involutive"
-                break
-        if not ok:
-            break
+            yield f"instance {i}: {len(direct)} != {len(curried)}"
+        transposed = [tensor_transpose(a, b, c, f) for f in direct]
+        if {g.mapping for g in transposed} != {g.mapping for g in curried}:
+            yield f"instance {i}: transposition not a bijection"
+        back = [tensor_untranspose(a, b, c, g).mapping for g in transposed]
+        if back != [f.mapping for f in direct]:
+            yield f"instance {i}: transpose not involutive"
         if not validate_qcat(ab) or not validate_qcat(hom):
-            ok, detail = False, f"instance {i}: construction invalid"
-            break
-    rep.record("tensor-hom adjunction via canonical transposition", ok, detail)
+            yield f"instance {i}: construction invalid"
+
+
+def suite_monoidal(config: WorkspaceConfig) -> Report:
+    rep = Report("monoidal")
+    rep.check(
+        "tensor-hom adjunction via canonical transposition",
+        _tensor_hom_failures(config.tnorm, random.Random(23)),
+    )
     return rep
 
 
-def suite_exponential_law(config: WorkspaceConfig) -> Report:
-    rep = Report("exponential_law")
-    t = config.tnorm
-    m = m_set(t)
-    values = sorted(set(m.sample(4)))
-    rng = random.Random(37)
-    ok, detail = True, ""
+def _exponential_failures(t: TNorm, rng: random.Random):
+    values = sorted(set(m_set(t).sample(4)))
     for i in range(10):
         a = random_category(rng, t, values, 2)
         b = random_category(rng, t, values, 2)
         c = random_category(rng, t, values, 2)
-        ac = product(a, c)
-        direct = enumerate_functors(ac, b)
-        hom = hom_power(a, b)
-        curried = enumerate_functors(c, hom)
+        direct = enumerate_functors(product(a, c), b)
+        curried = enumerate_functors(c, hom_power(a, b))
         if len(direct) != len(curried):
-            ok, detail = False, f"instance {i}: {len(direct)} != {len(curried)}"
-            break
-        for f in direct:
-            g = yoneda.curry(a, c, b, f)
-            back = yoneda.uncurry(a, c, b, g)
-            if back.mapping != f.mapping:
-                ok, detail = False, f"instance {i}: curry/uncurry not inverse"
-                break
-        if not ok:
-            break
+            yield f"instance {i}: {len(direct)} != {len(curried)}"
+        back = [yoneda.uncurry(a, c, b, yoneda.curry(a, c, b, f)) for f in direct]
+        if [g.mapping for g in back] != [f.mapping for f in direct]:
+            yield f"instance {i}: curry/uncurry not inverse"
         ev = yoneda.check_ev(a, b)
         if not ev.passed:
-            ok, detail = False, f"instance {i}: {ev.message}"
-            break
-    rep.record("exponential law and evaluation functor", ok, detail)
+            yield f"instance {i}: {ev.message}"
+
+
+def suite_exponential_law(config: WorkspaceConfig) -> Report:
+    rep = Report("exponential_law")
+    rep.check(
+        "exponential law and evaluation functor",
+        _exponential_failures(config.tnorm, random.Random(37)),
+    )
     return rep
+
+
+def _limit_failures(sequences):
+    for s in sequences:
+        c = s.ambient
+        lim = yoneda.yoneda_limits(s).points
+        if not lim:
+            yield f"empty limit set on {c.matrix}"
+        if any(c.r(p, q) != ONE for p in lim for q in lim):
+            yield "limits not mutually at 1"
+        for f in enumerate_functors(c, c):
+            img = yoneda.FCSequence(c, (), tuple(map(f, s.cycle)))
+            if not yoneda.is_forward_cauchy(img):
+                yield "functor image not Cauchy"
+            elif not set(map(f, lim)) <= set(yoneda.yoneda_limits(img).points):
+                yield "functor does not preserve limits"
 
 
 def suite_yoneda(config: WorkspaceConfig) -> Report:
     rep = Report("yoneda")
     luk = lukasiewicz()
-    values = [ZERO, Fraction(1, 2), ONE]
-    ok, detail, checked = True, "", 0
-    for c in all_categories(luk, values, 2):
-        for cyc_len in (1, 2):
-            for cyc in itertools.product(c.points, repeat=cyc_len):
-                s = yoneda.FCSequence(c, (), cyc)
-                if not yoneda.is_forward_cauchy(s):
-                    continue
-                checked += 1
-                lim = yoneda.yoneda_limits(s)
-                if not lim.points:
-                    ok, detail = False, f"empty limit set on {c.matrix}"
-                    break
-                for p in lim.points:
-                    for q in lim.points:
-                        if c.r(p, q) != ONE:
-                            ok, detail = False, "limits not mutually at 1"
-                            break
-                for f in enumerate_functors(c, c):
-                    img = yoneda.FCSequence(c, (), tuple(f(p) for p in cyc))
-                    if not yoneda.is_forward_cauchy(img):
-                        ok, detail = False, "functor image not Cauchy"
-                        break
-                    img_lims = yoneda.yoneda_limits(img).points
-                    if any(f(p) not in img_lims for p in lim.points):
-                        ok, detail = False, "functor does not preserve limits"
-                        break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.record(
-        f"limits on all two-point L3 categories ({checked} sequences)",
-        ok,
-        detail,
+    sequences = [
+        s
+        for c in all_categories(luk, [ZERO, Fraction(1, 2), ONE], 2)
+        for n in (1, 2)
+        for cyc in itertools.product(c.points, repeat=n)
+        if yoneda.is_forward_cauchy(s := yoneda.FCSequence(c, (), cyc))
+    ]
+    rep.check(
+        f"limits on all two-point L3 categories ({len(sequences)} sequences)",
+        _limit_failures(sequences),
     )
 
-    ok, detail = True, ""
     a = QCat(luk, ("0", "1"), ((ONE, Fraction(1, 2)), (Fraction(1, 2), ONE)))
     hom = hom_power(a, a)
-    pairs = 0
-    for f in hom.points:
-        for g in hom.points:
-            if hom.r(f, g) == ONE and hom.r(g, f) == ONE:
-                lim = yoneda.function_space_limit(a, a, (), (f, g))
-                pairs += 1
-                if lim.mapping not in (f, g):
-                    ok, detail = False, "limit escaped the cycle class"
-    rep.record(
-        f"function space limit law on {pairs} mutual-1 functor cycles",
-        ok,
-        detail,
+    cycles = [
+        (f, g)
+        for f, g in itertools.product(hom.points, repeat=2)
+        if hom.r(f, g) == hom.r(g, f) == ONE
+    ]
+    rep.check(
+        f"function space limit law on {len(cycles)} mutual-1 functor cycles",
+        (
+            "limit escaped the cycle class"
+            for cycle in cycles
+            if yoneda.function_space_limit(a, a, (), cycle).mapping not in cycle
+        ),
     )
     return rep
 

@@ -20,9 +20,9 @@ from .errors import (
 )
 from .intervals import IntervalSet
 from .qcat import (
-    DEFAULT_MAP_CAP,
     QCat,
     QFunctor,
+    functor_violation,
     hom_power,
     is_functor,
     product,
@@ -169,7 +169,6 @@ def function_space_limit(
     b: QCat,
     prefix: Sequence[tuple],
     cycle: Sequence[tuple],
-    max_maps: int = DEFAULT_MAP_CAP,
 ) -> QFunctor:
     """Yoneda limit of an eventually cyclic functor sequence in the
     power-object structure on [A -> B].
@@ -180,7 +179,7 @@ def function_space_limit(
     every functor g before returning."""
     _require_m_valued(a)
     _require_m_valued(b)
-    hom = hom_power(a, b, max_maps)
+    hom = hom_power(a, b)
     seq = FCSequence(hom, tuple(prefix), tuple(cycle))
     if not is_forward_cauchy(seq):
         raise NotForwardCauchy("functor sequence is not forward Cauchy in d_pi")
@@ -207,30 +206,23 @@ def function_space_limit(
     return limit
 
 
-def check_ev(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> CheckResult:
+def check_ev(a: QCat, b: QCat) -> CheckResult:
     """Verify the evaluation map (x, f) |-> f(x) is a functor from
     A x [A -> B] to B; a failure names the first violating pair."""
-    hom = hom_power(a, b, max_maps)
-    dom = product(a, hom)
-    image_idx = [b.index(f[a.index(x)]) for (x, f) in dom.points]
-    n = len(dom.points)
-    for i in range(n):
-        for j in range(n):
-            if dom.matrix[i][j] > b.matrix[image_idx[i]][image_idx[j]]:
-                return CheckResult(
-                    False,
-                    f"evaluation fails at {dom.points[i]}, {dom.points[j]}",
-                    witness=(dom.points[i], dom.points[j]),
-                )
+    dom = product(a, hom_power(a, b))
+    ev = QFunctor(dom, b, tuple(f[a.index(x)] for (x, f) in dom.points))
+    pair = functor_violation(ev)
+    if pair is not None:
+        return CheckResult(
+            False, f"evaluation fails at {pair[0]}, {pair[1]}", witness=pair
+        )
     return CheckResult(True, "evaluation is a functor")
 
 
-def curry(
-    a: QCat, c: QCat, b: QCat, f: QFunctor, max_maps: int = DEFAULT_MAP_CAP
-) -> QFunctor:
+def curry(a: QCat, c: QCat, b: QCat, f: QFunctor) -> QFunctor:
     """Transpose f : A x C -> B to C -> [A -> B] with the power-object
     structure: z |-> f(-, z)."""
-    hom = hom_power(a, b, max_maps)
+    hom = hom_power(a, b)
     images = tuple(
         tuple(f((x, z)) for x in a.points) for z in c.points
     )

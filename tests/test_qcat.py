@@ -13,6 +13,7 @@ from realcat.qcat import (
     QFunctor,
     enumerate_functors,
     final_lift,
+    functor_violation,
     hom_power,
     hom_tensor,
     initial_lift,
@@ -114,6 +115,16 @@ class TestFunctors:
         ident = QFunctor(chain3, chain3, chain3.points)
         assert is_functor(ident)
         assert ident.compose_after(ident).mapping == ident.mapping
+
+    def test_functor_violation_is_the_first_pair_in_row_major_order(self):
+        a = two_point(LUK, F(1, 2), F(1, 4))
+        ident = QFunctor(a, a, a.points)
+        assert functor_violation(ident) is None and is_functor(ident)
+        # r(0,1) = 1/2 and r(1,0) = 1/4 both exceed the discrete 0
+        f = QFunctor(a, two_point(LUK, 0, 0), a.points)
+        assert functor_violation(f) == ("0", "1") and not is_functor(f)
+        g = QFunctor(a, two_point(LUK, F(1, 2), 0), a.points)
+        assert functor_violation(g) == ("1", "0")
 
     def test_nonexpansive_requirement(self):
         a = two_point(LUK, F(3, 4), F(0))

@@ -452,6 +452,20 @@ class TestCLI:
             "suitable set invalid: 'nope' is not a valid SuitableVariant"
         )
 
+    def test_validate_reports_a_bad_interval_set_per_file(self, workdir, capsys):
+        k = workdir["dir"] / "k.json"
+        k.write_text(json.dumps({"components": [{"lo": "1/2"}]}))
+        argv = ["validate", workdir["good"], str(k), "--tnorm", "godel"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["summary"] == {"pass": 1, "fail": 1, "error": 0}
+        assert out["cases"][1]["detail"] == (
+            "interval set invalid: bad component {'lo': '1/2'}"
+        )
+        assert cli.main(["validate", workdir["good"], str(k)]) == 2
+
     @pytest.mark.parametrize(
         "kind, inputs",
         [

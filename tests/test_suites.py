@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from realcat import serialize as ser
-from realcat.suites import SUITES, WorkspaceConfig, run_suite
+from realcat import suites
+from realcat.suites import SUITES, Report, WorkspaceConfig, run_suite
 from realcat.tnorm import lukasiewicz
+from realcat.values import ONE, ZERO
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 SUITE_DIGESTS = json.loads(DIGESTS.read_text())["suites"]
@@ -40,3 +42,54 @@ def test_config_validation():
     assert WorkspaceConfig().tnorm == lukasiewicz()
     with pytest.raises(TypeError):
         WorkspaceConfig(max_maps=16)
+
+
+def test_check_records_the_first_failure_and_stops():
+    def failures():
+        yield "first"
+        raise AssertionError("scanned past the first failure")
+
+    rep = Report("demo")
+    rep.check("passes", iter(()))
+    rep.check("fails", failures())
+    assert [(c["name"], c["status"], c["detail"]) for c in rep.cases] == [
+        ("passes", "pass", ""),
+        ("fails", "fail", "first"),
+    ]
+
+
+def _details(report):
+    return [c["detail"] for c in report.cases]
+
+
+def test_resd_prop_reports_the_first_meet_residual_failure(monkeypatch):
+    """A meet residual that is 1 wherever x > y > 0 first breaks the
+    adjunction at x = y = 1/8, z = 1/16 in x, y, z order."""
+    real = suites.meet_residual
+    monkeypatch.setattr(
+        suites, "meet_residual", lambda x, y: ONE if x > y > 0 else real(x, y)
+    )
+    report = run_suite("resd_prop", WorkspaceConfig())
+    assert _details(report) == ["adjunction at (1/8,1/8,1/16)", "", ""]
+
+
+@pytest.mark.parametrize(
+    "wrong, detail",
+    [
+        (ONE, "residual unsound at (1/8,1/16)"),
+        (ZERO, "residual adjunction at (1/8,1/16,1/16)"),
+    ],
+    ids=["too_large", "too_small"],
+)
+def test_resd_prop_reports_the_first_tnorm_residual_failure(monkeypatch, wrong, detail):
+    """A t-norm residual set to `wrong` wherever x > y > 0 fails first at
+    x = 1/8, y = 1/16: too large is unsound, too small breaks the
+    adjunction at z = 1/16."""
+    real = suites.tnorm_residual
+    monkeypatch.setattr(
+        suites,
+        "tnorm_residual",
+        lambda t, x, y: wrong if x > y > 0 else real(t, x, y),
+    )
+    report = run_suite("resd_prop", WorkspaceConfig())
+    assert _details(report) == ["", "", detail]
