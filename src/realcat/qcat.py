@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Mapping, Sequence
 
 from .errors import SizeLimitExceeded
-from .tnorm import CheckResult, TNorm
+from .tnorm import CheckResult, TNorm, kernel_domain
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
@@ -49,6 +49,13 @@ class QCat:
         # Built on first lookup and kept out of the fields, so equality,
         # hashing and categories that are never queried pay nothing.
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _built(self) -> dict:
+        # product, hom_power and hom_tensor with this category as first
+        # argument (see _kept_on_first); kept out of the fields like
+        # _positions, so equality and hashing do not change.
+        return {}
 
     def index(self, p) -> int:
         """Position of p in the point list; ValueError if p is no point."""
@@ -90,12 +97,13 @@ def validate_qcat(c: QCat) -> CheckResult:
                 f"r({c.points[i]},{c.points[i]}) = {c.matrix[i][i]} != 1",
                 witness=(c.points[i],),
             )
-    op, m = c.tnorm._and, c.matrix
+    dom = kernel_domain(c.tnorm, c.matrix)
+    op, m = dom.op, dom.enter(c.matrix)
     for i in range(n):
         row_i = m[i]
         for j in range(n):
             r_ij, row_j = row_i[j], m[j]
-            if r_ij == ZERO:  # 0 & anything = 0: nothing to violate
+            if not r_ij:  # 0 & anything = 0: nothing to violate
                 continue
             for k in range(n):
                 lhs = op(row_j[k], r_ij)
@@ -103,8 +111,8 @@ def validate_qcat(c: QCat) -> CheckResult:
                     return CheckResult(
                         False,
                         f"r({c.points[j]},{c.points[k]}) & "
-                        f"r({c.points[i]},{c.points[j]}) = {lhs} > "
-                        f"r({c.points[i]},{c.points[k]}) = {row_i[k]}",
+                        f"r({c.points[i]},{c.points[j]}) = {dom.value(lhs)} > "
+                        f"r({c.points[i]},{c.points[k]}) = {c.matrix[i][k]}",
                         witness=(c.points[i], c.points[j], c.points[k]),
                     )
     return CheckResult(True, "valid")
@@ -235,10 +243,28 @@ def enumerate_functors(
     return [QFunctor(a, b, images) for images in _images(b, tables)]
 
 
+def _kept_on_first(build: Callable) -> Callable:
+    """Memoize build(a, b, ...) on a, keyed by the identity of b and the
+    remaining arguments, so a hit is O(1) and hashes no matrix.  The
+    entry holds b, which keeps b's identity from passing to another
+    category while the entry lives."""
+
+    @wraps(build)
+    def kept(a: QCat, b: QCat, *args, **kwargs) -> QCat:
+        key = (build, id(b), args, tuple(kwargs.items()))
+        hit = a._built.get(key)
+        if hit is None or hit[0] is not b:
+            hit = a._built[key] = (b, build(a, b, *args, **kwargs))
+        return hit[1]
+
+    return kept
+
+
 def _pair_points(a: QCat, b: QCat) -> tuple:
     return tuple((p, q) for p in a.points for q in b.points)
 
 
+@_kept_on_first
 def product(a: QCat, b: QCat) -> QCat:
     """Cartesian product: the initial lift of the two projections, so
     the structure is the pointwise meet."""
@@ -268,6 +294,7 @@ def _require_same_norm(a: QCat, b: QCat):
         raise ValueError("categories live over different t-norms")
 
 
+@_kept_on_first
 def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     """Function space for the tensor: the initial lift of the evaluations
     at the points of A on the functors A -> B (as image tuples), so
@@ -278,6 +305,7 @@ def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     return initial_lift(a.tnorm, points, evaluations)
 
 
+@_kept_on_first
 def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     """Power-object candidate for the cartesian product: points are the
     functors A -> B, structure d(f,g) = meet over x,y of
@@ -322,22 +350,23 @@ def initial_lift(
     return QCat(t, carrier, matrix)
 
 
-def path_closure(t: TNorm, m: list[list[Fraction]]) -> None:
-    """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j.
-    The entries must be Fractions in [0, 1]: & runs unchecked.
+def path_closure(op: Callable, m: list[list]) -> None:
+    """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j,
+    with op as &: the entries are values of the domain op belongs to
+    (see ``tnorm.kernel_domain``), and op runs unchecked.
 
     One Floyd-Warshall pass (k outer) is the exact closure over the
     quantale ([0,1], join, &): x & y <= min(x, y), so a cycle never
     raises a path and the best path between two points is simple
     (Lehmann 1977).  The diagonal is never written, so a matrix whose
     diagonal lies below 1 keeps it."""
-    n, op = len(m), t._and
+    n = len(m)
     for k in range(n):
         row_k = m[k]
         for i in range(n):
             row_i = m[i]
             via_k = row_i[k]
-            if i == k or via_k == ZERO:
+            if i == k or not via_k:
                 continue
             for j in range(n):
                 if j == i or j == k:
@@ -363,12 +392,15 @@ def final_lift(
     n = len(carrier)
     m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for cat, f in sinks:
-        for p in cat.points:
-            for q in cat.points:
-                i, j = idx[f[p]], idx[f[q]]
-                m[i][j] = max(m[i][j], cat.r(p, q))
-    path_closure(t, m)
-    return QCat(t, carrier, tuple(tuple(row) for row in m))
+        images = [idx[f[p]] for p in cat.points]
+        for i, row in zip(images, cat.matrix):
+            for j, v in zip(images, row):
+                if v > m[i][j]:
+                    m[i][j] = v
+    dom = kernel_domain(t, m)
+    closed = dom.enter(m)
+    path_closure(dom.op, closed)
+    return QCat(t, carrier, dom.leave(closed))
 
 
 def tensor_transpose(a: QCat, b: QCat, c: QCat, f: QFunctor) -> QFunctor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, InvalidWitness
@@ -24,7 +25,7 @@ from .tnorm import (
     TNorm,
     k_subset_of_m,
     m_set,
-    sqrt_with,
+    kernel_domain,
     subquantale_check,
     tnorm_eval,
 )
@@ -171,52 +172,76 @@ def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
     return all(member(m[i][j], m[j][i]) for i in range(n) for j in range(n))
 
 
-def _largest_below(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
-    """The componentwise-largest S-pair below (a, b); S1/S2 make it
-    unique, and DomainError reports that S has none."""
+def _constants(s: SuitableSet) -> list[Fraction]:
+    """The values besides the matrix that S's bounds compare against."""
+    if s.k is not None:
+        return [v for component in s.k.components for v in component]
+    if s.pairs is not None:
+        return [v for pair in s.pairs for v in pair]
+    return []
+
+
+def _bounds_in(s: SuitableSet, dom) -> tuple:
+    """S's K and explicit pairs (None where S has none) in the values
+    of dom, for the two bound functions below: they only compare them."""
+    k = pairs = None
+    if s.k is not None:
+        k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in s.k.components))
+    if s.pairs is not None:
+        pairs = frozenset((dom.of(a), dom.of(b)) for a, b in s.pairs)
+    return k, pairs
+
+
+def _largest_below(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
+    """The componentwise-largest S-pair below (a, b), all in the values
+    of dom, with k and pairs from ``_bounds_in``; S1/S2 make it unique,
+    and DomainError reports that S has none.  The band's square root
+    needs a domain built with halves."""
     if s.variant is SuitableVariant.K_SQUARE:
-        p, q = s.k.max_below(a), s.k.max_below(b)
+        p, q = k.max_below(a), k.max_below(b)
         if p is None or q is None:
-            raise DomainError(f"K has no member below {a if p is None else b}")
+            missing = a if p is None else b
+            raise DomainError(f"K has no member below {dom.value(missing)}")
         return (p, q)
     if s.variant is SuitableVariant.K_DIAGONAL:
-        p = s.k.max_below(min(a, b))
+        p = k.max_below(min(a, b))
         if p is None:
-            raise DomainError(f"K has no member below {min(a, b)}")
+            raise DomainError(f"K has no member below {dom.value(min(a, b))}")
         return (p, p)
     if s.variant is SuitableVariant.SQRT_BAND:
-        t = s.tnorm
-        return (min(a, sqrt_with(t, b)), min(b, sqrt_with(t, a)))
-    candidates = [m for m in s.pairs if m[0] <= a and m[1] <= b]
+        return (min(a, dom.sqrt(b)), min(b, dom.sqrt(a)))
+    candidates = [m for m in pairs if m[0] <= a and m[1] <= b]
     if not candidates:
-        raise DomainError(f"no explicit member below ({a}, {b})")
+        raise DomainError(f"no explicit member below ({dom.value(a)}, {dom.value(b)})")
     best = (max(m[0] for m in candidates), max(m[1] for m in candidates))
-    if best not in s.pairs:
+    if best not in pairs:
         raise DomainError("explicit set is not join-closed below the target")
     return best
 
 
-def _least_above(s: SuitableSet, a: Fraction, b: Fraction) -> Pair:
-    """The componentwise-least S-pair above (a, b); S1/S2 make it
-    unique, and DomainError reports that S has none."""
+def _least_above(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
+    """The componentwise-least S-pair above (a, b), all in the values of
+    dom, with k and pairs from ``_bounds_in``; S1/S2 make it unique, and
+    DomainError reports that S has none."""
     if s.variant is SuitableVariant.K_SQUARE:
-        p, q = s.k.min_above(a), s.k.min_above(b)
+        p, q = k.min_above(a), k.min_above(b)
         if p is None or q is None:
-            raise DomainError(f"K has no member above {a if p is None else b}")
+            missing = a if p is None else b
+            raise DomainError(f"K has no member above {dom.value(missing)}")
         return (p, q)
     if s.variant is SuitableVariant.K_DIAGONAL:
-        p = s.k.min_above(max(a, b))
+        p = k.min_above(max(a, b))
         if p is None:
-            raise DomainError(f"K has no member above {max(a, b)}")
+            raise DomainError(f"K has no member above {dom.value(max(a, b))}")
         return (p, p)
     if s.variant is SuitableVariant.SQRT_BAND:
-        op = s.tnorm._and
+        op = dom.op
         return (max(a, op(b, b)), max(b, op(a, a)))
-    candidates = [m for m in s.pairs if m[0] >= a and m[1] >= b]
+    candidates = [m for m in pairs if m[0] >= a and m[1] >= b]
     if not candidates:
-        raise DomainError(f"no explicit member above ({a}, {b})")
+        raise DomainError(f"no explicit member above ({dom.value(a)}, {dom.value(b)})")
     best = (min(m[0] for m in candidates), min(m[1] for m in candidates))
-    if best not in s.pairs:
+    if best not in pairs:
         raise DomainError("explicit set is not meet-closed above the target")
     return best
 
@@ -225,25 +250,33 @@ def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
     """C(r): per point pair, the largest S-pair componentwise below
     (r(x,y), r(y,x)).  The output lies in Cat_S, is <= r entrywise and
     is a valid category."""
-    n = len(c.points)
-    m = [[c.matrix[i][j] for j in range(n)] for i in range(n)]
+    dom = kernel_domain(
+        c.tnorm,
+        c.matrix,
+        _constants(s),
+        halves=s.variant is SuitableVariant.SQRT_BAND,
+    )
+    below = partial(_largest_below, s, dom, *_bounds_in(s, dom))
+    m = dom.enter(c.matrix)
+    n = len(m)
     for i in range(n):
         for j in range(i + 1, n):
-            p, q = _largest_below(s, c.matrix[i][j], c.matrix[j][i])
-            m[i][j], m[j][i] = p, q
-    return QCat(c.tnorm, c.points, tuple(tuple(row) for row in m))
+            m[i][j], m[j][i] = below(m[i][j], m[j][i])
+    return QCat(c.tnorm, c.points, dom.leave(m))
 
 
-def _raise_pairs(s: SuitableSet, m: list[list[Fraction]]) -> bool:
+def _raise_pairs(above: Callable, m: list[list]) -> bool:
     """Raise each off-diagonal pair of m to the least S-pair above it;
     report whether anything changed."""
     changed = False
     n = len(m)
     for i in range(n):
+        row_i = m[i]
         for j in range(i + 1, n):
-            p, q = _least_above(s, m[i][j], m[j][i])
-            if (p, q) != (m[i][j], m[j][i]):
-                m[i][j], m[j][i] = p, q
+            a, b = row_i[j], m[j][i]
+            p, q = above(a, b)
+            if p != a or q != b:
+                row_i[j], m[j][i] = p, q
                 changed = True
     return changed
 
@@ -255,22 +288,29 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     path closure, and repeats until a raise changes nothing; the
     diagonal is left as given.  Both steps are monotone and inflationary
     and fix every Cat_S structure above r, so the result is the least.
+    When every block of the norm is Lukasiewicz the loop runs on
+    integer numerators over one denominator (``tnorm.kernel_domain``),
+    else on Fractions; the values, and so the result, are the same.
 
     Termination.  Every value the loop produces is an &-word over a
     finite base: the entries of r, the endpoints of K, the coordinates
     of the explicit pairs, and b & b for the square-root band.  For a
     finite ordinal sum of Lukasiewicz and product blocks only finitely
-    many such words lie above any e > 0.  Entries only increase, so each
-    entry changes finitely often once it is positive, and some raise
-    changes nothing.  When S is suitable this happens at the second
-    raise: by S3 and S1 the closure of a matrix of S-pairs has S-pairs.
+    many such words lie above any e > 0.  On the grid domain this is
+    plain: the entries are integers in [0, d], finitely many.  Entries
+    only increase, so each entry changes finitely often once it is
+    positive, and some raise changes nothing.  When S is suitable this
+    happens at the second raise: by S3 and S1 the closure of a matrix
+    of S-pairs has S-pairs.
     """
-    m = [list(row) for row in c.matrix]
-    _raise_pairs(s, m)
-    path_closure(c.tnorm, m)
-    while _raise_pairs(s, m):
-        path_closure(c.tnorm, m)
-    return QCat(c.tnorm, c.points, tuple(tuple(row) for row in m))
+    dom = kernel_domain(c.tnorm, c.matrix, _constants(s))
+    above, op = partial(_least_above, s, dom, *_bounds_in(s, dom)), dom.op
+    m = dom.enter(c.matrix)
+    _raise_pairs(above, m)
+    path_closure(op, m)
+    while _raise_pairs(above, m):
+        path_closure(op, m)
+    return QCat(c.tnorm, c.points, dom.leave(m))
 
 
 def por_coreflection(c: QCat) -> QCat:

@@ -11,10 +11,20 @@ are square roots inside product blocks, which raise
 
 Every public function here validates its arguments with
 :func:`~realcat.values.unit`.  The kernels that run & in their inner
-loops (path closure, category validation, the tensor product, Cat_S
-membership and the reflections) call ``TNorm._and`` instead: the same value,
-computed from block bounds compiled once per norm, on ``Fraction``
-arguments that their callers have already checked to lie in [0, 1].
+loops skip that check.  The tensor product and Cat_S membership run on
+Fractions; the path closure, category validation and the reflections
+compute in one of two exact domains (:func:`kernel_domain` picks one
+per call):
+
+* Fractions, with & as ``TNorm._and``, compiled once per norm from the
+  block bounds.  Every norm has this domain.
+* Integer numerators k standing for k/d, with & as ``TNorm._grid_and(d)``.
+  When every block is Lukasiewicz (the Godel norm has none), the grid
+  {k/d : 0 <= k <= d} is closed under & and the meet as soon as the
+  block endpoints lie on it: it is a finite MV-chain, or an ordinal sum
+  of such chains (Cignoli, D'Ottaviano & Mundici 2000).  There & is
+  integer addition and comparison is integer comparison.  A norm with
+  a product block has only the Fraction domain.
 """
 
 from __future__ import annotations
@@ -73,7 +83,8 @@ class TNorm:
 
     @cached_property
     def _and(self) -> Callable[[Fraction, Fraction], Fraction]:
-        """x & y on Fractions already known to lie in [0, 1], unchecked.
+        """x & y on Fractions already known to lie in [0, 1], unchecked:
+        the & of the Fraction domain (``_grid_and`` is the other one).
 
         Compiled on first use and kept out of the fields, like
         ``QCat._positions``.  Inside a block square [a,b]^2 the linear
@@ -98,6 +109,41 @@ class TNorm:
                         v = x + y - hi
                         return v if v > lo else lo
                     return lo + (x - lo) * (y - lo) / width
+            return x if x <= y else y
+
+        return ordinal_sum
+
+    @cached_property
+    def _grid_base(self) -> Optional[int]:
+        """The lcm of the block endpoints' denominators, which every grid
+        denominator is a multiple of; None when some block is a product
+        block, whose & leaves every grid."""
+        if any(b.kind is BlockKind.PRODUCT for b in self.blocks):
+            return None
+        return math.lcm(*(v.denominator for b in self.blocks for v in (b.lo, b.hi)))
+
+    def _grid_and(self, d: int) -> Callable[[int, int], int]:
+        """x & y on numerators over d, unchecked: the & of the grid
+        domain, for a norm whose blocks are all Lukasiewicz with
+        endpoints on the grid {k/d}.  The formulas of ``_and`` scaled by
+        d: max(x+y-hi, lo) inside a block square [lo,hi]^2, the minimum
+        elsewhere.  Compiled per call, as d depends on the values."""
+        if not self.blocks:
+            return min
+        table = tuple((_numerator(b.lo, d), _numerator(b.hi, d)) for b in self.blocks)
+        if table == ((0, d),):
+
+            def luk(x: int, y: int) -> int:
+                v = x + y - d
+                return v if v > 0 else 0
+
+            return luk
+
+        def ordinal_sum(x: int, y: int) -> int:
+            for lo, hi in table:
+                if lo <= x <= hi and lo <= y <= hi:
+                    v = x + y - hi
+                    return v if v > lo else lo
             return x if x <= y else y
 
         return ordinal_sum
@@ -158,6 +204,98 @@ def _luk(x: Fraction, y: Fraction) -> Fraction:
 
 def _prod(x: Fraction, y: Fraction) -> Fraction:
     return x * y
+
+
+def _numerator(v: Fraction, d: int) -> int:
+    """k with v = k/d, for a denominator d that v's divides."""
+    return v.numerator * (d // v.denominator)
+
+
+class FractionDomain:
+    """The kernels' values as they are: Fractions, with & as
+    ``TNorm._and``.  Entering and leaving copy the matrix."""
+
+    def __init__(self, t: TNorm):
+        self.t = t
+        self.op = t._and
+
+    def of(self, v: Fraction) -> Fraction:
+        return v
+
+    def value(self, x: Fraction) -> Fraction:
+        return x
+
+    def sqrt(self, x: Fraction) -> Fraction:
+        return sqrt_with(self.t, x)
+
+    def enter(self, matrix) -> list[list[Fraction]]:
+        return [list(row) for row in matrix]
+
+    def leave(self, m) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(row) for row in m)
+
+
+class GridDomain:
+    """The kernels' values as integer numerators k of k/d, with & as
+    ``TNorm._grid_and(d)``.  Exact for a norm with only Lukasiewicz
+    blocks when every value, every block endpoint and every constant
+    the kernel compares against lies on the grid {k/d}: the grid is
+    then closed under &, the meet and the join.  Values are converted
+    once on entry and once on exit."""
+
+    def __init__(self, t: TNorm, d: int):
+        self.d = d
+        self.op = t._grid_and(d)
+        self._blocks = tuple(
+            (_numerator(b.lo, d), _numerator(b.hi, d)) for b in t.blocks
+        )
+
+    def of(self, v: Fraction) -> int:
+        return _numerator(v, self.d)
+
+    def value(self, k: int) -> Fraction:
+        return Fraction(k, self.d)
+
+    def sqrt(self, x: int) -> int:
+        """``sqrt_with`` on the grid: (x+hi)/2 in a block [lo, hi) that
+        holds x, else x.  Exact when d was doubled (``halves``), since
+        x and hi are then even."""
+        for lo, hi in self._blocks:
+            if lo <= x < hi:
+                return (x + hi) // 2
+        return x
+
+    def enter(self, matrix) -> list[list[int]]:
+        d = self.d
+        return [[_numerator(v, d) for v in row] for row in matrix]
+
+    def leave(self, m) -> tuple[tuple[Fraction, ...], ...]:
+        d = self.d
+        values = {k: Fraction(k, d) for k in set().union(*m)}
+        return tuple(tuple(values[k] for k in row) for row in m)
+
+
+def kernel_domain(
+    t: TNorm, matrix, constants=(), halves: bool = False
+) -> FractionDomain | GridDomain:
+    """The exact domain a kernel runs in over t, for a matrix of
+    Fractions in [0, 1] and the constants it compares against (K
+    endpoints, explicit coordinates).
+
+    The grid whose d is the lcm of all their denominators and the block
+    endpoints' when every block of t is Lukasiewicz, with d doubled when
+    ``halves`` is set so that the band's square root (x+hi)/2 stays on
+    it; the Fraction domain otherwise.  There is no size threshold: d
+    may grow large, and integers stay exact at any size."""
+    base = t._grid_base
+    if base is None:
+        return FractionDomain(t)
+    d = math.lcm(
+        base,
+        *{v.denominator for row in matrix for v in row},
+        *{v.denominator for v in constants},
+    )
+    return GridDomain(t, 2 * d if halves else d)
 
 
 def tnorm_eval(t: TNorm, x, y) -> Fraction:

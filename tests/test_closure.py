@@ -1,15 +1,24 @@
 """The (join, &) path closure behind final_lift, reflect_r and
 por_reflection, checked against naive iterate-until-no-change oracles
-written here: relax every constraint, repeat while anything moves."""
+written here: relax every constraint, repeat while anything moves.
+coreflect_c and validate_qcat are checked against oracles written from
+their definitions.  The builtin norms, ordinal sums of Lukasiewicz
+blocks (whose kernels run on integer numerators) and sums with a
+product block (whose kernels run on Fractions) all face the same
+oracles, which compute on Fractions only."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realcat.errors import ProductIrrational
 from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, final_lift, two_point, validate_qcat
 from realcat.subconstructs import (
+    coreflect_c,
     explicit,
     is_in_cat_s,
     k_diagonal,
@@ -18,14 +27,55 @@ from realcat.subconstructs import (
     reflect_r,
     sqrt_band,
 )
-from realcat.tnorm import BUILTIN_NORMS, lukasiewicz, tnorm_eval
+from realcat.tnorm import (
+    BUILTIN_NORMS,
+    Block,
+    BlockKind,
+    TNorm,
+    lukasiewicz,
+    tnorm_eval,
+)
 
 VALUES = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 5)]
 K_FINITE = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 L3 = (F(0), F(1, 2), F(1))
+# sevenths and tenths make the common denominator of a matrix large
+FINE_VALUES = VALUES + [F(1, 7), F(3, 10), F(5, 7), F(7, 10), F(5, 12), F(8, 9)]
+K_FINE = (F(0), F(1, 7), F(3, 10), F(1, 2), F(5, 7), F(1))
+ENDPOINTS = sorted({F(a, b) for b in range(1, 13) for a in range(b + 1)})
 
 norms = st.sampled_from(sorted(BUILTIN_NORMS)).map(lambda n: BUILTIN_NORMS[n]())
 values = st.sampled_from(VALUES)
+
+
+@st.composite
+def ordinal_sums(draw, product_block):
+    """1-3 blocks with endpoints of denominator <= 12: all Lukasiewicz,
+    or, with product_block, at least one block of each kind."""
+    n = draw(st.integers(2 if product_block else 1, 3))
+    ends = st.lists(
+        st.sampled_from(ENDPOINTS), min_size=2 * n, max_size=2 * n, unique=True
+    )
+    ends = sorted(draw(ends))
+    kinds = [BlockKind.LUKASIEWICZ] * n
+    if product_block:
+        kinds = draw(
+            st.lists(st.sampled_from(list(BlockKind)), min_size=n, max_size=n).filter(
+                lambda ks: len(set(ks)) == 2
+            )
+        )
+    return TNorm(
+        tuple(Block(ends[2 * i], ends[2 * i + 1], kind) for i, kind in enumerate(kinds))
+    )
+
+
+sums = st.one_of(ordinal_sums(False), ordinal_sums(True))
+
+
+def fine_values(t):
+    """FINE_VALUES plus the block endpoints and midpoints of t."""
+    extra = [v for b in t.blocks for v in (b.lo, b.hi, (b.lo + b.hi) / 2)]
+    return st.sampled_from(FINE_VALUES + extra)
 
 
 def naive_closure(t, m):
@@ -66,18 +116,18 @@ def least_in(members, a):
     return min(k for k in members if k >= a)
 
 
-def raisers(t):
+def raisers(t, k=K_FINITE):
     """Suitable sets with oracle pair raisers built from their
     definitions, not from the library's bound helpers."""
     pairs = [(a, b) for a in L3 for b in L3]
     return [
         (
-            k_square(t, IntervalSet.of(K_FINITE)),
-            lambda a, b: (least_in(K_FINITE, a), least_in(K_FINITE, b)),
+            k_square(t, IntervalSet.of(k)),
+            lambda a, b: (least_in(k, a), least_in(k, b)),
         ),
         (
-            k_diagonal(t, IntervalSet.of(K_FINITE)),
-            lambda a, b: (least_in(K_FINITE, max(a, b)),) * 2,
+            k_diagonal(t, IntervalSet.of(k)),
+            lambda a, b: (least_in(k, max(a, b)),) * 2,
         ),
         (
             explicit(t, pairs),
@@ -95,8 +145,9 @@ def raisers(t):
 
 
 @st.composite
-def sink_families(draw):
+def sink_families(draw, norms=norms, values_of=lambda t: values):
     t = draw(norms)
+    values = values_of(t)
     n = draw(st.integers(1, 6))
     carrier = tuple(f"p{i}" for i in range(n))
     point = st.sampled_from(carrier)
@@ -105,11 +156,11 @@ def sink_families(draw):
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, norms=norms, values_of=lambda t: values):
     """Square matrices whose diagonal need not be 1."""
     t = draw(norms)
     n = draw(st.integers(1, 5))
-    row = st.lists(values, min_size=n, max_size=n)
+    row = st.lists(values_of(t), min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=n, max_size=n))
     return t, rows
 
@@ -117,6 +168,16 @@ def matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(sink_families())
 def test_final_lift_matches_naive_closure(family):
+    check_final_lift(family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sink_families(sums, fine_values))
+def test_final_lift_matches_naive_closure_on_ordinal_sums(family):
+    check_final_lift(family)
+
+
+def check_final_lift(family):
     t, carrier, edges = family
     sinks = [
         (two_point(t, a, b, ("s", "t")), {"s": x, "t": y})
@@ -135,13 +196,141 @@ def test_final_lift_matches_naive_closure(family):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.integers(0, 3))
 def test_reflect_r_matches_naive_reflection(case, which):
+    check_reflect_r(case, raisers(case[0])[which])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrices(sums, fine_values), st.integers(0, 3), st.sampled_from([K_FINITE, K_FINE])
+)
+def test_reflect_r_matches_naive_reflection_on_ordinal_sums(case, which, k):
+    check_reflect_r(case, raisers(case[0], k)[which])
+
+
+def check_reflect_r(case, raiser):
     t, rows = case
-    s, raise_pair = raisers(t)[which]
+    s, raise_pair = raiser
     c = QCat(t, tuple(f"p{i}" for i in range(len(rows))), rows)
     out = reflect_r(s, c)
     assert [list(row) for row in out.matrix] == naive_reflection(t, raise_pair, rows)
     for i in range(len(rows)):
         assert out.matrix[i][i] == c.matrix[i][i]
+
+
+def rational_root(v):
+    n, d = v.numerator, v.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    return F(rn, rd) if rn * rn == n and rd * rd == d else None
+
+
+def band_candidates(t, a, b):
+    """Every value a coordinate of the largest band pair below (a, b)
+    can take: a, b, 0, the block endpoints and the largest z with
+    z & z <= v for v = a, b inside each block (rational roots only)."""
+    out = {F(0), a, b}
+    for blk in t.blocks:
+        lo, hi = blk.lo, blk.hi
+        out |= {lo, hi}
+        for v in (a, b):
+            if lo <= v < hi:
+                if blk.kind is BlockKind.LUKASIEWICZ:
+                    out.add((v + hi) / 2)
+                elif rational_root((v - lo) * (hi - lo)) is not None:
+                    out.add(lo + rational_root((v - lo) * (hi - lo)))
+    return out
+
+
+def lowerers(t, k=K_FINITE):
+    """Suitable sets with the finite pair candidates of their largest
+    pair below (a, b), read off their definitions."""
+    pairs = [(a, b) for a in L3 for b in L3]
+    square = [(p, q) for p in k for q in k]
+
+    def band(a, b):
+        vs = band_candidates(t, a, b)
+        return [
+            (x, y)
+            for x in vs
+            for y in vs
+            if tnorm_eval(t, x, x) <= y and tnorm_eval(t, y, y) <= x
+        ]
+
+    return [
+        (k_square(t, IntervalSet.of(k)), lambda a, b: square),
+        (k_diagonal(t, IntervalSet.of(k)), lambda a, b: [(p, p) for p in k]),
+        (explicit(t, pairs), lambda a, b: pairs),
+        (sqrt_band(t), band),
+    ]
+
+
+def largest_below(candidates, a, b):
+    """The candidate pair below (a, b) that lies above every other one,
+    by brute force: S1 makes it exist."""
+    below = [(p, q) for p, q in candidates if p <= a and q <= b]
+    best = max(below)
+    assert all(p <= best[0] and q <= best[1] for p, q in below)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(matrices(), matrices(sums, fine_values)),
+    st.integers(0, 3),
+    st.sampled_from([K_FINITE, K_FINE]),
+)
+def test_coreflect_c_matches_largest_pair_below(case, which, k):
+    t, rows = case
+    s, candidates = lowerers(t, k)[which]
+    n = len(rows)
+    c = QCat(t, tuple(f"p{i}" for i in range(n)), rows)
+    try:
+        out = coreflect_c(s, c)
+    except ProductIrrational:
+        # some root is irrational: only the band inside a product block
+        assert which == 3 and any(b.kind is BlockKind.PRODUCT for b in t.blocks)
+        return
+    expected = [list(row) for row in rows]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = rows[i][j], rows[j][i]
+            expected[i][j], expected[j][i] = largest_below(candidates(a, b), a, b)
+    assert [list(row) for row in out.matrix] == expected
+
+
+def first_violation(t, points, m):
+    """validate_qcat's verdict from the definition: the first diagonal
+    entry below 1, else the first (i, j, k) in row-major order with
+    r(j,k) & r(i,j) > r(i,k), as (message, witness)."""
+    for i, p in enumerate(points):
+        if m[i][i] != 1:
+            return f"r({p},{p}) = {m[i][i]} != 1", (p,)
+    for i, j, k in itertools.product(range(len(points)), repeat=3):
+        lhs = tnorm_eval(t, m[j][k], m[i][j])
+        if lhs > m[i][k]:
+            x, y, z = points[i], points[j], points[k]
+            return (
+                f"r({y},{z}) & r({x},{y}) = {lhs} > r({x},{z}) = {m[i][k]}",
+                (x, y, z),
+            )
+    return "valid", None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(), matrices(sums, fine_values)), st.booleans(), st.booleans())
+def test_validate_qcat_reports_the_first_violation(case, unit_diagonal, closed):
+    t, rows = case
+    n = len(rows)
+    if unit_diagonal:
+        rows = [
+            [F(1) if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+        if closed:
+            rows = naive_closure(t, rows)
+    points = tuple(f"p{i}" for i in range(n))
+    res = validate_qcat(QCat(t, points, rows))
+    assert (res.message, res.witness) == first_violation(t, points, rows)
+    assert res.passed == (res.witness is None)
 
 
 @settings(max_examples=100, deadline=None)

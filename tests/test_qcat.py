@@ -202,6 +202,22 @@ class TestHomObjects:
         with pytest.raises(ValueError, match="different t-norms"):
             hom(two_point(LUK, 0, 0), two_point(GOD, 0, 0))
 
+    @pytest.mark.parametrize("build", [product, hom_power, hom_tensor])
+    def test_constructions_are_kept_on_their_first_argument(self, build):
+        """A second call with the same arguments returns the first
+        result; an equal but distinct second argument or another cap
+        builds it again, equal.  The memo is no part of equality."""
+        a = two_point(LUK, F(1, 2), F(1, 4))
+        b = two_point(LUK, F(3, 4), F(1, 2))
+        twin = two_point(LUK, F(3, 4), F(1, 2))
+        first = build(a, b)
+        assert build(a, b) is first
+        assert build(a, twin) is not first and build(a, twin) == first
+        if build is not product:
+            assert build(a, b, 10**5) is not first and build(a, b, 10**5) == first
+        assert a == two_point(LUK, F(1, 2), F(1, 4))
+        assert hash(a) == hash(two_point(LUK, F(1, 2), F(1, 4)))
+
     def test_hom_objects_are_valid(self):
         a = two_point(LUK, F(1, 2), F(1, 2))
         b = two_point(LUK, F(1, 4), F(3, 4))

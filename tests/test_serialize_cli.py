@@ -16,7 +16,7 @@ from realcat import serialize as ser
 from realcat.errors import DomainError, ParseError
 from realcat.intervals import IntervalSet
 from realcat.qcat import QFunctor, two_point
-from realcat.subconstructs import ccc_witness, explicit, k_square, sqrt_band
+from realcat.subconstructs import ccc_witness, explicit, k_diagonal, k_square, sqrt_band
 from realcat.tnorm import Block, BlockKind, TNorm, godel, lukasiewicz, remark4
 from realcat.values import parse_rat
 from realcat.yoneda import FCSequence
@@ -276,6 +276,28 @@ class TestCLI:
         assert cli.main(["construct", kind, str(s), str(c)]) == 5
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(value) in err
+
+    @pytest.mark.parametrize("norm", [lukasiewicz(), godel(), remark4()], ids=str)
+    @pytest.mark.parametrize("shape", [k_square, k_diagonal], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "kind, k, value, side",
+        [
+            ("reflect", [(0, F(1, 2))], F(5, 7), "above"),
+            ("coreflect", [(F(1, 2), 1)], F(2, 7), "below"),
+        ],
+    )
+    def test_missing_bound_reads_alike_in_both_domains(
+        self, workdir, capsys, norm, shape, kind, k, value, side
+    ):
+        """Lukasiewicz and Godel run the reflectors on numerators over
+        one denominator, remark4 (a product block) on Fractions; each
+        names the value without a bound in the same one line."""
+        s = workdir["dir"] / "s.json"
+        s.write_text(ser.dumps(ser.suitable_to_obj(shape(norm, IntervalSet.of(k)))))
+        c = workdir["dir"] / "c.json"
+        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(norm, value, value))))
+        assert cli.main(["construct", kind, str(s), str(c)]) == 5
+        assert capsys.readouterr().err == f"error: K has no member {side} {value}\n"
 
     def test_witness_negative(self, workdir, capsys):
         assert cli.main(["witness", "--k", workdir["k_l3"]]) == 0

@@ -12,10 +12,13 @@ from realcat.intervals import IntervalSet
 from realcat.tnorm import (
     Block,
     BlockKind,
+    FractionDomain,
+    GridDomain,
     TNorm,
     godel,
     idempotent_set,
     k_subset_of_m,
+    kernel_domain,
     lukasiewicz,
     m_set,
     meet_residual,
@@ -171,6 +174,22 @@ class TestTrustedKernel:
         t, x, y = case
         expected = _written_out(t, x, y)
         assert t._and(x, y) == tnorm_eval(t, x, y) == expected
+
+    @settings(max_examples=300)
+    @given(_norm_and_pair())
+    def test_grid_kernel_matches_the_formulas(self, case):
+        """Without a product block the kernels may run on numerators
+        over d; there & and the square root are the formulas scaled by
+        d.  A product block keeps the Fraction domain."""
+        t, x, y = case
+        dom = kernel_domain(t, [[x, y]], halves=True)
+        if any(b.kind is BlockKind.PRODUCT for b in t.blocks):
+            assert isinstance(dom, FractionDomain)
+            return
+        assert isinstance(dom, GridDomain)
+        assert all(dom.value(dom.of(v)) == v for v in (x, y))
+        assert dom.value(dom.op(dom.of(x), dom.of(y))) == _written_out(t, x, y)
+        assert dom.value(dom.sqrt(dom.of(x))) == sqrt_with(t, x)
 
     def test_ordinal_sum_checks_the_block_square(self):
         # (1/4, 3/4) straddles the remark4 split: the min, not 2xy = 3/8
