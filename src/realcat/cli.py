@@ -9,7 +9,9 @@ Four commands, each with only the flags it reads:
   A category or suitable-set file that does not decode is a failing case.
 - ``construct KIND INPUT... [--max-maps N] [--out FILE]``: apply a named
   construction and write the resulting category.  Every input category
-  is validated first; a matrix that is no category exits 5.
+  is validated first; a matrix that is no category exits 5.  So is the
+  result of ``hom_power``: [A, B] is a category when the values lie in
+  M, not for every A and B.
 - ``verify SUITE [--format json|text] [--tnorm T]``: run a named
   invariant suite.
 - ``witness --k FILE [--tnorm T] [--out FILE]``: decide cartesian
@@ -202,7 +204,12 @@ def cmd_construct(args) -> int:
         out = qc.final_lift(t, sinks, carrier)
     else:  # pragma: no cover
         raise ParseError(f"unknown construction {kind!r}")
-    text = ser.dumps(ser.qcat_to_obj(out.relabel([ser.point_label(p) for p in out.points])))
+    out = out.relabel([ser.point_label(p) for p in out.points])
+    if kind == "hom_power":
+        res = qc.validate_qcat(out)
+        if not res.passed:
+            raise DomainError(f"hom_power: the result is not a category: {res.message}")
+    text = ser.dumps(ser.qcat_to_obj(out))
     if args.out:
         _write(args.out, text)
     else:

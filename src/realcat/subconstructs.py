@@ -22,6 +22,7 @@ from .intervals import IntervalSet
 from .qcat import QCat, final_lift, path_closure, product, two_point
 from .tnorm import (
     CheckResult,
+    FractionDomain,
     TNorm,
     k_subset_of_m,
     m_set,
@@ -88,54 +89,47 @@ def explicit(t: TNorm, pairs) -> SuitableSet:
 
 
 def contains(s: SuitableSet, pair: Pair) -> bool:
-    """Exact membership.  The square-root band is decided without
-    computing roots, via the Galois characterization
-    (x, y) in S  iff  x & x <= y and y & y <= x."""
-    return _member(s)(unit(pair[0]), unit(pair[1]))
+    """Exact membership: (a, b) is in S iff ``_least_above`` maps it to
+    itself; a DomainError there means S has no pair above (a, b).
+    K^2: K.min_above(a) == a iff a is in K, as the components are
+    sorted and disjoint.  K_diagonal: (p, p) = (a, b) iff a = b is in K.
+    Band: (max(a, b&b), max(b, a&a)) = (a, b) is exactly the Galois test
+    a&a <= b and b&b <= a, so no root is computed.  Explicit: a member
+    is the meet of the candidates above it; for a non-member the map
+    raises or returns a larger pair.  No step uses S1-S3, so this holds
+    for a non-suitable S too."""
+    above = partial(_least_above, s, FractionDomain(s.tnorm), s.k, s.pairs)
+    return _fixed(above, unit(pair[0]), unit(pair[1]))
 
 
-def _member(s: SuitableSet) -> Callable[[Fraction, Fraction], bool]:
-    """The membership test of :func:`contains` on Fractions already
-    known to lie in [0, 1]."""
-    k = s.k
-    if s.variant is SuitableVariant.K_SQUARE:
-        return lambda a, b: a in k and b in k
-    if s.variant is SuitableVariant.K_DIAGONAL:
-        return lambda a, b: a == b and a in k
-    if s.variant is SuitableVariant.SQRT_BAND:
-        op = s.tnorm._and
-        return lambda a, b: op(a, a) <= b and op(b, b) <= a
-    pairs = s.pairs
-    return lambda a, b: (a, b) in pairs
-
-
-def _pair_join(p: Pair, q: Pair) -> Pair:
-    return (max(p[0], q[0]), max(p[1], q[1]))
-
-
-def _pair_meet(p: Pair, q: Pair) -> Pair:
-    return (min(p[0], q[0]), min(p[1], q[1]))
+def _fixed(above: Callable, a, b) -> bool:
+    """Whether (a, b) is its own least S-pair above: membership in S."""
+    try:
+        return above(a, b) == (a, b)
+    except DomainError:
+        return False
 
 
 def _closure_check(s: SuitableSet, members: Sequence[Pair]) -> CheckResult:
-    """S1-S3 on a finite set of validated members; first violation wins."""
-    op, member = s.tnorm._and, _member(s)
+    """S1-S3 on the members of an explicit S; first violation wins."""
+    op, pairs = s.tnorm._and, s.pairs
     for p in members:
-        if not member(p[1], p[0]):
+        if (p[1], p[0]) not in pairs:
             return CheckResult(False, f"S2 fails: swap of {p} missing", witness=p)
     for p in members:
         for q in members:
-            j, m = _pair_join(p, q), _pair_meet(p, q)
+            j = (max(p[0], q[0]), max(p[1], q[1]))
+            m = (min(p[0], q[0]), min(p[1], q[1]))
             w = (op(p[0], q[0]), op(p[1], q[1]))
-            if not member(*j):
+            if j not in pairs:
                 return CheckResult(
                     False, f"S1 fails: join of {p}, {q} = {j} missing", witness=(p, q)
                 )
-            if not member(*m):
+            if m not in pairs:
                 return CheckResult(
                     False, f"S1 fails: meet of {p}, {q} = {m} missing", witness=(p, q)
                 )
-            if not member(*w):
+            if w not in pairs:
                 return CheckResult(
                     False, f"S3 fails: {p} & {q} = {w} missing", witness=(p, q)
                 )
@@ -168,35 +162,32 @@ def check_suitable(s: SuitableSet) -> CheckResult:
 
 
 def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
-    member, m, n = _member(s), c.matrix, len(c.points)
-    return all(member(m[i][j], m[j][i]) for i in range(n) for j in range(n))
+    """Whether every pair (r(x,y), r(y,x)) of c, the diagonal included,
+    lies in S, decided as in :func:`contains` on the kernel domain."""
+    above, m, _ = _on_domain(s, c, _least_above)
+    n = len(m)
+    return all(_fixed(above, m[i][j], m[j][i]) for i in range(n) for j in range(n))
 
 
-def _constants(s: SuitableSet) -> list[Fraction]:
-    """The values besides the matrix that S's bounds compare against."""
-    if s.k is not None:
-        return [v for component in s.k.components for v in component]
-    if s.pairs is not None:
-        return [v for pair in s.pairs for v in pair]
-    return []
-
-
-def _bounds_in(s: SuitableSet, dom) -> tuple:
-    """S's K and explicit pairs (None where S has none) in the values
-    of dom, for the two bound functions below: they only compare them."""
-    k = pairs = None
-    if s.k is not None:
-        k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in s.k.components))
-    if s.pairs is not None:
-        pairs = frozenset((dom.of(a), dom.of(b)) for a, b in s.pairs)
-    return k, pairs
+def _on_domain(s: SuitableSet, c: QCat, bound: Callable) -> tuple:
+    """bound (``_largest_below`` or ``_least_above``) for S on the kernel
+    domain of c's matrix and S's constants (K endpoints, explicit
+    coordinates), with K and the pairs in the domain's values; returned
+    with c's matrix in those values and the domain."""
+    k, pairs = s.k, s.pairs
+    parts = (k.components if k is not None else ()) + tuple(pairs or ())
+    dom = kernel_domain(c.tnorm, c.matrix, [v for part in parts for v in part])
+    if k is not None:
+        k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in k.components))
+    if pairs is not None:
+        pairs = frozenset((dom.of(x), dom.of(y)) for x, y in pairs)
+    return partial(bound, s, dom, k, pairs), dom.enter(c.matrix), dom
 
 
 def _largest_below(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
     """The componentwise-largest S-pair below (a, b), all in the values
-    of dom, with k and pairs from ``_bounds_in``; S1/S2 make it unique,
-    and DomainError reports that S has none.  The band's square root
-    needs a domain built with halves."""
+    of dom, with k and pairs from ``_on_domain``; S1/S2 make it unique,
+    and DomainError reports that S has none."""
     if s.variant is SuitableVariant.K_SQUARE:
         p, q = k.max_below(a), k.max_below(b)
         if p is None or q is None:
@@ -221,7 +212,7 @@ def _largest_below(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
 
 def _least_above(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
     """The componentwise-least S-pair above (a, b), all in the values of
-    dom, with k and pairs from ``_bounds_in``; S1/S2 make it unique, and
+    dom, with k and pairs from ``_on_domain``; S1/S2 make it unique, and
     DomainError reports that S has none."""
     if s.variant is SuitableVariant.K_SQUARE:
         p, q = k.min_above(a), k.min_above(b)
@@ -250,23 +241,13 @@ def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
     """C(r): per point pair, the largest S-pair componentwise below
     (r(x,y), r(y,x)).  The output lies in Cat_S, is <= r entrywise and
     is a valid category."""
-    dom = kernel_domain(
-        c.tnorm,
-        c.matrix,
-        _constants(s),
-        halves=s.variant is SuitableVariant.SQRT_BAND,
-    )
-    below = partial(_largest_below, s, dom, *_bounds_in(s, dom))
-    m = dom.enter(c.matrix)
-    n = len(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j], m[j][i] = below(m[i][j], m[j][i])
+    below, m, dom = _on_domain(s, c, _largest_below)
+    _move_pairs(below, m)
     return QCat(c.tnorm, c.points, dom.leave(m))
 
 
-def _raise_pairs(above: Callable, m: list[list]) -> bool:
-    """Raise each off-diagonal pair of m to the least S-pair above it;
+def _move_pairs(bound: Callable, m: list[list]) -> bool:
+    """Move each off-diagonal pair of m to the S-pair bound gives it;
     report whether anything changed."""
     changed = False
     n = len(m)
@@ -274,7 +255,7 @@ def _raise_pairs(above: Callable, m: list[list]) -> bool:
         row_i = m[i]
         for j in range(i + 1, n):
             a, b = row_i[j], m[j][i]
-            p, q = above(a, b)
+            p, q = bound(a, b)
             if p != a or q != b:
                 row_i[j], m[j][i] = p, q
                 changed = True
@@ -288,9 +269,8 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     path closure, and repeats until a raise changes nothing; the
     diagonal is left as given.  Both steps are monotone and inflationary
     and fix every Cat_S structure above r, so the result is the least.
-    When every block of the norm is Lukasiewicz the loop runs on
-    integer numerators over one denominator (``tnorm.kernel_domain``),
-    else on Fractions; the values, and so the result, are the same.
+    The loop runs on the kernel domain (``tnorm.kernel_domain``), which
+    is exact, so the result is the one the Fractions give.
 
     Termination.  Every value the loop produces is an &-word over a
     finite base: the entries of r, the endpoints of K, the coordinates
@@ -303,13 +283,11 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     happens at the second raise: by S3 and S1 the closure of a matrix
     of S-pairs has S-pairs.
     """
-    dom = kernel_domain(c.tnorm, c.matrix, _constants(s))
-    above, op = partial(_least_above, s, dom, *_bounds_in(s, dom)), dom.op
-    m = dom.enter(c.matrix)
-    _raise_pairs(above, m)
-    path_closure(op, m)
-    while _raise_pairs(above, m):
-        path_closure(op, m)
+    above, m, dom = _on_domain(s, c, _least_above)
+    _move_pairs(above, m)
+    path_closure(dom.op, m)
+    while _move_pairs(above, m):
+        path_closure(dom.op, m)
     return QCat(c.tnorm, c.points, dom.leave(m))
 
 
@@ -356,18 +334,12 @@ def ccc_identity_check(
     scanned downward from 1, so the reported witness is the greatest
     failing triple; near the top of K is where the idempotency of a & a
     breaks, so this yields the canonical textbook instances."""
-    for a in grid:
-        if a not in k:
-            raise ValueError(f"grid value {a} outside K")
+    _require_grid_in(k, grid)
     ordered = sorted(set(grid), reverse=True)
     for u in ordered:
         for v in ordered:
             for r in ordered:
-                lhs = min(tnorm_eval(t, u, v), r)
-                rhs = max(
-                    tnorm_eval(t, min(u, r), v),
-                    tnorm_eval(t, min(v, r), u),
-                )
+                lhs, rhs = _identity_sides(t, u, v, r)
                 if lhs != rhs:
                     return CheckResult(
                         False,
@@ -376,6 +348,19 @@ def ccc_identity_check(
                         witness=(u, v, r),
                     )
     return CheckResult(True, "identity holds on the grid cube")
+
+
+def _identity_sides(t: TNorm, u, v, r) -> tuple[Fraction, Fraction]:
+    """lhs (u & v) ^ r and rhs ((u ^ r) & v) v ((v ^ r) & u) of the
+    distributivity identity."""
+    lhs = min(tnorm_eval(t, u, v), r)
+    return lhs, max(tnorm_eval(t, min(u, r), v), tnorm_eval(t, min(v, r), u))
+
+
+def _require_grid_in(k: IntervalSet, grid: Sequence[Fraction]) -> None:
+    for a in grid:
+        if a not in k:
+            raise ValueError(f"grid value {a} outside K")
 
 
 @dataclass(frozen=True)
@@ -401,16 +386,12 @@ def ccc_witness(t: TNorm, u, v, r) -> CCCWitness:
     that the final lift of {A x B -> A x D, A x C -> A x D} disagrees
     with the product structure at ((0,x),(1,y))."""
     u, v, r = unit(u), unit(v), unit(r)
-    uv = tnorm_eval(t, u, v)
-    lhs = min(uv, r)
-    rhs = max(
-        tnorm_eval(t, min(u, r), v),
-        tnorm_eval(t, min(v, r), u),
-    )
+    lhs, rhs = _identity_sides(t, u, v, r)
     if lhs == rhs:
         raise InvalidWitness(
             f"the identity holds at (u,v,r)=({u},{v},{r}); no witness"
         )
+    uv = tnorm_eval(t, u, v)
     a = two_point(t, r, r)
     b = QCat(t, ("x", "z"), ((ONE, u), (u, ONE)))
     c = QCat(t, ("z", "y"), ((ONE, v), (v, ONE)))
@@ -437,9 +418,7 @@ def power_existence_check(
     quantifier over all of K; the exact decision is ccc_criterion."""
     t = c.tnorm
     n = len(c.points)
-    for a in grid:
-        if a not in k:
-            raise ValueError(f"grid value {a} outside K")
+    _require_grid_in(k, grid)
     for u in grid:
         for v in grid:
             for i in range(n):

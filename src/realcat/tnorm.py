@@ -18,7 +18,8 @@ per call):
 
 * Fractions, with & as ``TNorm._and``, compiled once per norm from the
   block bounds.  Every norm has this domain.
-* Integer numerators k standing for k/d, with & as ``TNorm._grid_and(d)``.
+* Integer numerators k standing for k/d, with & compiled by
+  :class:`GridDomain` from the block endpoints scaled by d.
   When every block is Lukasiewicz (the Godel norm has none), the grid
   {k/d : 0 <= k <= d} is closed under & and the meet as soon as the
   block endpoints lie on it: it is a finite MV-chain, or an ordinal sum
@@ -84,7 +85,7 @@ class TNorm:
     @cached_property
     def _and(self) -> Callable[[Fraction, Fraction], Fraction]:
         """x & y on Fractions already known to lie in [0, 1], unchecked:
-        the & of the Fraction domain (``_grid_and`` is the other one).
+        the & of the Fraction domain (``GridDomain`` compiles the other).
 
         Compiled on first use and kept out of the fields, like
         ``QCat._positions``.  Inside a block square [a,b]^2 the linear
@@ -109,41 +110,6 @@ class TNorm:
                         v = x + y - hi
                         return v if v > lo else lo
                     return lo + (x - lo) * (y - lo) / width
-            return x if x <= y else y
-
-        return ordinal_sum
-
-    @cached_property
-    def _grid_base(self) -> Optional[int]:
-        """The lcm of the block endpoints' denominators, which every grid
-        denominator is a multiple of; None when some block is a product
-        block, whose & leaves every grid."""
-        if any(b.kind is BlockKind.PRODUCT for b in self.blocks):
-            return None
-        return math.lcm(*(v.denominator for b in self.blocks for v in (b.lo, b.hi)))
-
-    def _grid_and(self, d: int) -> Callable[[int, int], int]:
-        """x & y on numerators over d, unchecked: the & of the grid
-        domain, for a norm whose blocks are all Lukasiewicz with
-        endpoints on the grid {k/d}.  The formulas of ``_and`` scaled by
-        d: max(x+y-hi, lo) inside a block square [lo,hi]^2, the minimum
-        elsewhere.  Compiled per call, as d depends on the values."""
-        if not self.blocks:
-            return min
-        table = tuple((_numerator(b.lo, d), _numerator(b.hi, d)) for b in self.blocks)
-        if table == ((0, d),):
-
-            def luk(x: int, y: int) -> int:
-                v = x + y - d
-                return v if v > 0 else 0
-
-            return luk
-
-        def ordinal_sum(x: int, y: int) -> int:
-            for lo, hi in table:
-                if lo <= x <= hi and lo <= y <= hi:
-                    v = x + y - hi
-                    return v if v > lo else lo
             return x if x <= y else y
 
         return ordinal_sum
@@ -236,19 +202,17 @@ class FractionDomain:
 
 
 class GridDomain:
-    """The kernels' values as integer numerators k of k/d, with & as
-    ``TNorm._grid_and(d)``.  Exact for a norm with only Lukasiewicz
-    blocks when every value, every block endpoint and every constant
-    the kernel compares against lies on the grid {k/d}: the grid is
-    then closed under &, the meet and the join.  Values are converted
-    once on entry and once on exit."""
+    """The kernels' values as integer numerators k of k/d, with & compiled
+    from the block endpoints scaled once to numerators.  Exact for a norm
+    with only Lukasiewicz blocks when every value, every block endpoint
+    and every constant the kernel compares against lies on the grid
+    {k/d}: the grid is then closed under &, the meet and the join.
+    Values are converted once on entry and once on exit."""
 
     def __init__(self, t: TNorm, d: int):
         self.d = d
-        self.op = t._grid_and(d)
-        self._blocks = tuple(
-            (_numerator(b.lo, d), _numerator(b.hi, d)) for b in t.blocks
-        )
+        self._blocks = tuple((self.of(b.lo), self.of(b.hi)) for b in t.blocks)
+        self.op = _scaled_and(self._blocks, d)
 
     def of(self, v: Fraction) -> int:
         return _numerator(v, self.d)
@@ -258,8 +222,8 @@ class GridDomain:
 
     def sqrt(self, x: int) -> int:
         """``sqrt_with`` on the grid: (x+hi)/2 in a block [lo, hi) that
-        holds x, else x.  Exact when d was doubled (``halves``), since
-        x and hi are then even."""
+        holds x, else x.  Exact because ``kernel_domain`` always doubles
+        d, so x and hi are even."""
         for lo, hi in self._blocks:
             if lo <= x < hi:
                 return (x + hi) // 2
@@ -275,27 +239,46 @@ class GridDomain:
         return tuple(tuple(values[k] for k in row) for row in m)
 
 
-def kernel_domain(
-    t: TNorm, matrix, constants=(), halves: bool = False
-) -> FractionDomain | GridDomain:
+def _scaled_and(blocks: tuple[tuple[int, int], ...], d: int) -> Callable:
+    """x & y on numerators over d, unchecked, for Lukasiewicz blocks with
+    numerator bounds (lo, hi): the formulas of ``TNorm._and`` scaled by
+    d, max(x+y-hi, lo) inside a block square and the minimum elsewhere."""
+    if not blocks:
+        return min
+    if blocks == ((0, d),):
+
+        def luk(x: int, y: int) -> int:
+            v = x + y - d
+            return v if v > 0 else 0
+
+        return luk
+
+    def ordinal_sum(x: int, y: int) -> int:
+        for lo, hi in blocks:
+            if lo <= x <= hi and lo <= y <= hi:
+                v = x + y - hi
+                return v if v > lo else lo
+        return x if x <= y else y
+
+    return ordinal_sum
+
+
+def kernel_domain(t: TNorm, matrix, constants=()) -> FractionDomain | GridDomain:
     """The exact domain a kernel runs in over t, for a matrix of
     Fractions in [0, 1] and the constants it compares against (K
-    endpoints, explicit coordinates).
-
-    The grid whose d is the lcm of all their denominators and the block
-    endpoints' when every block of t is Lukasiewicz, with d doubled when
-    ``halves`` is set so that the band's square root (x+hi)/2 stays on
-    it; the Fraction domain otherwise.  There is no size threshold: d
-    may grow large, and integers stay exact at any size."""
-    base = t._grid_base
-    if base is None:
+    endpoints, explicit coordinates).  The Fraction domain when t has a
+    product block, whose & leaves every grid; else the grid whose d is
+    twice the lcm of the denominators of the values, the constants and
+    the block endpoints, so that the band's square root (x+hi)/2 stays
+    on it.  No size threshold: integers stay exact at any size."""
+    if any(b.kind is BlockKind.PRODUCT for b in t.blocks):
         return FractionDomain(t)
     d = math.lcm(
-        base,
+        *{v.denominator for b in t.blocks for v in (b.lo, b.hi)},
         *{v.denominator for row in matrix for v in row},
         *{v.denominator for v in constants},
     )
-    return GridDomain(t, 2 * d if halves else d)
+    return GridDomain(t, 2 * d)
 
 
 def tnorm_eval(t: TNorm, x, y) -> Fraction:

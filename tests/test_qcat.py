@@ -27,7 +27,7 @@ from realcat.qcat import (
     validate_qcat,
 )
 from realcat.subconstructs import por_coreflection, por_reflection
-from realcat.tnorm import BUILTIN_NORMS, godel, lukasiewicz, tnorm_eval
+from realcat.tnorm import BUILTIN_NORMS, godel, lukasiewicz, m_set, tnorm_eval
 from realcat.values import ONE, ZERO
 
 LUK = lukasiewicz()
@@ -312,6 +312,36 @@ def test_constructions_match_pointwise_formulas(pair):
     rho = por_coreflection(a)
     for p, q in itertools.product(a.points, repeat=2):
         assert rho.r(p, q) == (ONE if a.r(p, q) == ONE else 0)
+
+
+EIGHTHS = [F(i, 8) for i in range(9)]
+
+
+@st.composite
+def m_valued_pairs(draw):
+    """Two categories over one builtin norm with every value in its
+    quantale M: closures of rows drawn from the eighths inside M, which
+    M keeps, as it is closed under & and joins."""
+    t = BUILTIN_NORMS[draw(st.sampled_from(sorted(BUILTIN_NORMS)))]()
+    values = [v for v in EIGHTHS if v in m_set(t)]
+    cats = []
+    for prefix in ("a", "b"):
+        n = draw(st.integers(0, 3))
+        row = st.lists(st.sampled_from(values), min_size=n, max_size=n)
+        cats.append(closed_category(t, prefix, draw(st.lists(row, min_size=n, max_size=n))))
+    return cats
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_valued_pairs())
+def test_hom_power_of_m_valued_categories_is_a_category(pair):
+    """The paper's first theorem at finite scale: with values in M the
+    power object exists, so [A, B] is a category.  Outside M it need
+    not be (see the CLI test on the (3/4, 3/4, 1/2) witness)."""
+    a, b = pair
+    m = m_set(a.tnorm)
+    assert all(v in m for c in pair for row in c.matrix for v in row)
+    assert validate_qcat(hom_power(a, b)).passed
 
 
 @st.composite

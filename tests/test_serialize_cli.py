@@ -15,7 +15,7 @@ from realcat import cli
 from realcat import serialize as ser
 from realcat.errors import DomainError, ParseError
 from realcat.intervals import IntervalSet
-from realcat.qcat import QFunctor, two_point
+from realcat.qcat import QFunctor, final_lift, product, two_point
 from realcat.subconstructs import ccc_witness, explicit, k_diagonal, k_square, sqrt_band
 from realcat.tnorm import Block, BlockKind, TNorm, godel, lukasiewicz, remark4
 from realcat.values import parse_rat
@@ -238,6 +238,43 @@ class TestCLI:
             ]
         )
         assert code == 3
+
+    def test_construct_hom_power_refuses_a_non_category(self, workdir, capsys):
+        """A and L from the (3/4, 3/4, 1/2) witness are categories, L
+        being the final lift of A x B and A x C on the points of A x D,
+        but their 32-point [A, L] is not: one line names the triple."""
+        w = ccc_witness(LUK, F(3, 4), F(3, 4), F(1, 2))
+        ab, ac, ad = (product(w.cat_a, x) for x in (w.cat_b, w.cat_c, w.cat_d))
+        sinks = [(ab, {p: p for p in ab.points}), (ac, {p: p for p in ac.points})]
+        lifted = final_lift(LUK, sinks, ad.points)
+        paths = []
+        for name, cat in (("a", w.cat_a), ("l", lifted)):
+            paths.append(str(workdir["dir"] / f"{name}.json"))
+            Path(paths[-1]).write_text(ser.dumps(ser.qcat_to_obj(cat)))
+        assert cli.main(["validate", *paths]) == 0
+        capsys.readouterr()
+        assert cli.main(["construct", "hom_power", *paths]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: hom_power: the result is not a category: "
+            "r(((0,z),(1,z)),((0,z),(1,y))) & r(((0,x),(1,x)),((0,z),(1,z))) "
+            "= 1/2 > r(((0,x),(1,x)),((0,z),(1,y))) = 1/4\n"
+        )
+
+    def test_coreflect_explicit_set_also_carrying_k(self, workdir, capsys):
+        """An explicit set is its pairs; a K in its file plays no part,
+        and the pairs' coordinates (1/3 here) still fix the grid the
+        reflectors run on."""
+        s = workdir["dir"] / "s.json"
+        obj = ser.suitable_to_obj(explicit(LUK, [(0, 0), (F(1, 3), F(1, 3)), (1, 1)]))
+        obj["k"] = ser.intervalset_to_obj(IntervalSet.full())
+        s.write_text(ser.dumps(obj))
+        c = workdir["dir"] / "c.json"
+        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(LUK, F(1, 2), F(1, 2)))))
+        assert cli.main(["construct", "coreflect", str(s), str(c)]) == 0
+        out = ser.qcat_from_obj(json.loads(capsys.readouterr().out))
+        assert out.matrix == ((1, F(1, 3)), (F(1, 3), 1))
 
     @pytest.mark.parametrize(
         "table, named",

@@ -110,23 +110,29 @@ def in_band(blocks, a, b):
 
 
 @st.composite
-def band_cases(draw):
-    """(library norm, its blocks, band members on the /12 grid): a
-    builtin norm or a random ordinal sum, whose cuts split [0,1] into
-    pieces that are Lukasiewicz blocks, product blocks or left to the
-    minimum.  (a, a) is always a member, so every a has a partner."""
+def norm_cases(draw):
+    """(library norm, its blocks): a builtin norm or a random ordinal
+    sum, whose cuts on the /12 grid split [0,1] into pieces that are
+    Lukasiewicz blocks, product blocks or left to the minimum."""
     name = draw(st.sampled_from([None, *sorted(BUILTIN_BLOCKS)]))
     if name is not None:
-        t, blocks = BUILTIN_NORMS[name](), BUILTIN_BLOCKS[name]
-    else:
-        cuts = sorted(draw(st.sets(st.sampled_from(TWELFTHS), min_size=2, max_size=5)))
-        kinds = st.sampled_from([None, "lukasiewicz", "product"])
-        blocks = [
-            (lo, hi, kind)
-            for lo, hi in zip(cuts, cuts[1:])
-            if (kind := draw(kinds)) is not None
-        ]
-        t = TNorm(tuple(Block(lo, hi, BlockKind(kind)) for lo, hi, kind in blocks))
+        return BUILTIN_NORMS[name](), BUILTIN_BLOCKS[name]
+    cuts = sorted(draw(st.sets(st.sampled_from(TWELFTHS), min_size=2, max_size=5)))
+    kinds = st.sampled_from([None, "lukasiewicz", "product"])
+    blocks = [
+        (lo, hi, kind)
+        for lo, hi in zip(cuts, cuts[1:])
+        if (kind := draw(kinds)) is not None
+    ]
+    return TNorm(tuple(Block(lo, hi, BlockKind(kind)) for lo, hi, kind in blocks)), blocks
+
+
+@st.composite
+def band_cases(draw):
+    """(library norm, its blocks, band members on the /12 grid) for a
+    norm from ``norm_cases``.  (a, a) is always a member, so every a has
+    a partner."""
+    t, blocks = draw(norm_cases())
     members = []
     for a in draw(st.lists(st.sampled_from(TWELFTHS), min_size=1, max_size=8)):
         partners = [b for b in TWELFTHS if in_band(blocks, a, b)]
@@ -192,7 +198,85 @@ class TestCheckSuitable:
         assert res.witness == (F(3, 4), F(3, 4))
 
 
+QUARTER_PAIRS = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
+
+
+def joins_and_swaps(pairs):
+    """The closure of a pair set under swap, join and meet."""
+    closed = set(pairs)
+    while True:
+        grown = closed | {(b, a) for a, b in closed}
+        grown |= {(max(p[0], q[0]), max(p[1], q[1])) for p in closed for q in closed}
+        grown |= {(min(p[0], q[0]), min(p[1], q[1])) for p in closed for q in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@st.composite
+def membership_cases(draw):
+    """A suitable-set shape over a norm from ``norm_cases``, its
+    membership written out, and a 1-3 point matrix on the /12 grid, half
+    of whose off-diagonal pairs are drawn at or next to members of S.  S
+    need not be suitable: K may lack 0 or 1, and an explicit set may
+    miss a swap or a join."""
+    t, blocks = draw(norm_cases())
+    shape = draw(st.sampled_from(["k_square", "k_diagonal", "sqrt_band", "explicit"]))
+    if shape in ("k_square", "k_diagonal"):
+        cuts = sorted(draw(st.sets(st.sampled_from(TWELFTHS), min_size=1, max_size=6)))
+        parts = []
+        while cuts:
+            width = draw(st.integers(1, min(2, len(cuts))))
+            parts.append((cuts[0], cuts[width - 1]))
+            cuts = cuts[width:]
+        s = (k_square if shape == "k_square" else k_diagonal)(t, IntervalSet.of(parts))
+
+        def in_k(a):
+            return any(lo <= a <= hi for lo, hi in parts)
+
+        if shape == "k_square":
+            oracle = lambda a, b: in_k(a) and in_k(b)
+        else:
+            oracle = lambda a, b: a == b and in_k(a)
+        near = parts + [(hi, hi) for _, hi in parts]
+    elif shape == "sqrt_band":
+        s = sqrt_band(t)
+        oracle = lambda a, b: in_band(blocks, a, b)
+        near = [(a, b) for a in TWELFTHS for b in TWELFTHS if in_band(blocks, a, b)]
+    else:
+        seeds = draw(st.lists(st.sampled_from(QUARTER_PAIRS), min_size=1, max_size=3))
+        pairs = joins_and_swaps(seeds)
+        if draw(st.booleans()):
+            pairs.discard(draw(st.sampled_from(sorted(pairs))))
+        if not pairs:
+            pairs = set(seeds)
+        s = explicit(t, pairs)
+        oracle = lambda a, b: (a, b) in pairs
+        near = sorted(pairs)
+    n = draw(st.integers(1, 3))
+    m = [[draw(st.sampled_from([ONE, *TWELFTHS])) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                m[i][j], m[j][i] = draw(st.sampled_from(near))
+    c = QCat(t, tuple(f"p{i}" for i in range(n)), tuple(map(tuple, m)))
+    return s, oracle, c
+
+
 class TestCatSMembership:
+    @settings(max_examples=400, deadline=None)
+    @given(membership_cases())
+    def test_membership_matches_the_written_out_sets(self, case):
+        """contains and is_in_cat_s against S written out: K bounds
+        compared directly, the band through the norm's formula, an
+        explicit set as a Python set.  Norms without a product block
+        take the grid domain, the others Fractions."""
+        s, oracle, c = case
+        m, n = c.matrix, len(c.points)
+        expected = [oracle(m[i][j], m[j][i]) for i in range(n) for j in range(n)]
+        assert [contains(s, (m[i][j], m[j][i])) for i in range(n) for j in range(n)] == expected
+        assert is_in_cat_s(s, c) == all(expected)
+
     def test_k_square_checks_all_pairs(self):
         c = two_point(LUK, F(1, 2), 1)
         assert is_in_cat_s(k_square(LUK, L3), c)

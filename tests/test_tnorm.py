@@ -182,7 +182,7 @@ class TestTrustedKernel:
         over d; there & and the square root are the formulas scaled by
         d.  A product block keeps the Fraction domain."""
         t, x, y = case
-        dom = kernel_domain(t, [[x, y]], halves=True)
+        dom = kernel_domain(t, [[x, y]])
         if any(b.kind is BlockKind.PRODUCT for b in t.blocks):
             assert isinstance(dom, FractionDomain)
             return
