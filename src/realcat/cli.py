@@ -186,10 +186,6 @@ def cmd_construct(args) -> int:
     elif kind in ("coreflect", "reflect"):
         s = ser.suitable_from_obj(_load_json(args.inputs[0]))
         c = _category(args.inputs[1])
-        if s.tnorm != c.tnorm:
-            raise DomainError(
-                "the suitable set and the category live over different t-norms"
-            )
         out = (sub.coreflect_c if kind == "coreflect" else sub.reflect_r)(s, c)
     elif kind in ("por_rho", "por_sigma"):
         c = _category(args.inputs[0])

@@ -16,7 +16,7 @@ from functools import cached_property, wraps
 from typing import Callable, Mapping, Sequence
 
 from .errors import SizeLimitExceeded
-from .tnorm import CheckResult, TNorm, kernel_domain
+from .tnorm import CheckResult, Encoded, TNorm, encode, kernel_domain
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
@@ -56,6 +56,14 @@ class QCat:
         # argument (see _kept_on_first); kept out of the fields like
         # _positions, so equality and hashing do not change.
         return {}
+
+    @cached_property
+    def _encoded(self) -> Encoded:
+        # The matrix with the lcm D of its denominators and its entries'
+        # numerators over D, read once for every kernel call on this
+        # category (see tnorm.kernel_domain); kept out of the fields like
+        # _positions.
+        return encode(self.matrix)
 
     def index(self, p) -> int:
         """Position of p in the point list; ValueError if p is no point."""
@@ -97,8 +105,9 @@ def validate_qcat(c: QCat) -> CheckResult:
                 f"r({c.points[i]},{c.points[i]}) = {c.matrix[i][i]} != 1",
                 witness=(c.points[i],),
             )
-    dom = kernel_domain(c.tnorm, c.matrix)
-    op, m = dom.op, dom.enter(c.matrix)
+    e = c._encoded
+    dom = kernel_domain(c.tnorm, e.d)
+    op, m = dom.op, dom.enter(e)
     for i in range(n):
         row_i = m[i]
         for j in range(n):
@@ -397,8 +406,9 @@ def final_lift(
             for j, v in zip(images, row):
                 if v > m[i][j]:
                     m[i][j] = v
-    dom = kernel_domain(t, m)
-    closed = dom.enter(m)
+    e = encode(m)
+    dom = kernel_domain(t, e.d)
+    closed = dom.enter(e)
     path_closure(dom.op, closed)
     return QCat(t, carrier, dom.leave(closed))
 

@@ -11,10 +11,11 @@ construction for failures of the distributivity identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, InvalidWitness
@@ -22,7 +23,6 @@ from .intervals import IntervalSet
 from .qcat import QCat, final_lift, path_closure, product, two_point
 from .tnorm import (
     CheckResult,
-    FractionDomain,
     TNorm,
     k_subset_of_m,
     m_set,
@@ -71,6 +71,23 @@ class SuitableSet:
                 frozenset((unit(a), unit(b)) for a, b in self.pairs),
             )
 
+    @cached_property
+    def _lcm(self) -> int:
+        # The lcm of the denominators of the constants (K endpoints,
+        # explicit coordinates) that _on_domain puts on a kernel domain.
+        parts = (self.k.components if self.k is not None else ()) + tuple(
+            self.pairs or ()
+        )
+        return math.lcm(*{v.denominator for part in parts for v in part})
+
+    @cached_property
+    def _bounds(self) -> dict:
+        # (domain, _least_above or _largest_below) -> that bound with K
+        # and the pairs in the domain's values; filled by _bound_on, one
+        # entry per domain and bound.  Kept out of the fields, so
+        # equality and hashing do not change.
+        return {}
+
 
 def k_square(t: TNorm, k: IntervalSet) -> SuitableSet:
     return SuitableSet(t, SuitableVariant.K_SQUARE, k=k)
@@ -98,7 +115,7 @@ def contains(s: SuitableSet, pair: Pair) -> bool:
     is the meet of the candidates above it; for a non-member the map
     raises or returns a larger pair.  No step uses S1-S3, so this holds
     for a non-suitable S too."""
-    above = partial(_least_above, s, FractionDomain(s.tnorm), s.k, s.pairs)
+    above = _bound_on(s, s.tnorm._fractions, _least_above)
     return _fixed(above, unit(pair[0]), unit(pair[1]))
 
 
@@ -173,33 +190,50 @@ def _on_domain(s: SuitableSet, c: QCat, bound: Callable) -> tuple:
     """bound (``_largest_below`` or ``_least_above``) for S on the kernel
     domain of c's matrix and S's constants (K endpoints, explicit
     coordinates), with K and the pairs in the domain's values; returned
-    with c's matrix in those values and the domain."""
-    k, pairs = s.k, s.pairs
-    parts = (k.components if k is not None else ()) + tuple(pairs or ())
-    dom = kernel_domain(c.tnorm, c.matrix, [v for part in parts for v in part])
-    if k is not None:
-        k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in k.components))
-    if pairs is not None:
-        pairs = frozenset((dom.of(x), dom.of(y)) for x, y in pairs)
-    return partial(bound, s, dom, k, pairs), dom.enter(c.matrix), dom
+    with c's matrix in those values and the domain.  c's matrix comes
+    from its encoding (``QCat._encoded``) and the bound from S's cache,
+    so each is converted once.  DomainError when S and c live over
+    different t-norms."""
+    t = c.tnorm
+    if s.tnorm is not t and s.tnorm != t:
+        raise DomainError(
+            "the suitable set and the category live over different t-norms"
+        )
+    e = c._encoded
+    dom = kernel_domain(t, math.lcm(e.d, s._lcm))
+    return _bound_on(s, dom, bound), dom.enter(e), dom
 
 
-def _largest_below(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
+def _bound_on(s: SuitableSet, dom, bound: Callable) -> Callable:
+    """bound for S on dom, with K and the pairs in dom's values, built on
+    first use and then kept on S."""
+    hit = s._bounds.get((dom, bound))
+    if hit is None:
+        k, pairs = s.k, s.pairs
+        if k is not None:
+            k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in k.components))
+        if pairs is not None:
+            pairs = frozenset((dom.of(x), dom.of(y)) for x, y in pairs)
+        hit = s._bounds[dom, bound] = partial(bound, s.variant, dom, k, pairs)
+    return hit
+
+
+def _largest_below(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
     """The componentwise-largest S-pair below (a, b), all in the values
     of dom, with k and pairs from ``_on_domain``; S1/S2 make it unique,
     and DomainError reports that S has none."""
-    if s.variant is SuitableVariant.K_SQUARE:
+    if variant is SuitableVariant.K_SQUARE:
         p, q = k.max_below(a), k.max_below(b)
         if p is None or q is None:
             missing = a if p is None else b
             raise DomainError(f"K has no member below {dom.value(missing)}")
         return (p, q)
-    if s.variant is SuitableVariant.K_DIAGONAL:
+    if variant is SuitableVariant.K_DIAGONAL:
         p = k.max_below(min(a, b))
         if p is None:
             raise DomainError(f"K has no member below {dom.value(min(a, b))}")
         return (p, p)
-    if s.variant is SuitableVariant.SQRT_BAND:
+    if variant is SuitableVariant.SQRT_BAND:
         return (min(a, dom.sqrt(b)), min(b, dom.sqrt(a)))
     candidates = [m for m in pairs if m[0] <= a and m[1] <= b]
     if not candidates:
@@ -210,22 +244,22 @@ def _largest_below(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
     return best
 
 
-def _least_above(s: SuitableSet, dom, k, pairs, a, b) -> tuple:
+def _least_above(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
     """The componentwise-least S-pair above (a, b), all in the values of
     dom, with k and pairs from ``_on_domain``; S1/S2 make it unique, and
     DomainError reports that S has none."""
-    if s.variant is SuitableVariant.K_SQUARE:
+    if variant is SuitableVariant.K_SQUARE:
         p, q = k.min_above(a), k.min_above(b)
         if p is None or q is None:
             missing = a if p is None else b
             raise DomainError(f"K has no member above {dom.value(missing)}")
         return (p, q)
-    if s.variant is SuitableVariant.K_DIAGONAL:
+    if variant is SuitableVariant.K_DIAGONAL:
         p = k.min_above(max(a, b))
         if p is None:
             raise DomainError(f"K has no member above {dom.value(max(a, b))}")
         return (p, p)
-    if s.variant is SuitableVariant.SQRT_BAND:
+    if variant is SuitableVariant.SQRT_BAND:
         op = dom.op
         return (max(a, op(b, b)), max(b, op(a, a)))
     candidates = [m for m in pairs if m[0] >= a and m[1] >= b]
@@ -270,7 +304,11 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     diagonal is left as given.  Both steps are monotone and inflationary
     and fix every Cat_S structure above r, so the result is the least.
     The loop runs on the kernel domain (``tnorm.kernel_domain``), which
-    is exact, so the result is the one the Fractions give.
+    is exact, so the result is the one the Fractions give.  Each input
+    is converted to that domain once and kept on its owner: the domain
+    on the norm, c's numerators on c (``QCat._encoded``) and K and the
+    pairs on S (``_bound_on``), so a call only scales c's numerators
+    into fresh lists for the loop to write.
 
     Termination.  Every value the loop produces is an &-word over a
     finite base: the entries of r, the endpoints of K, the coordinates

@@ -11,10 +11,10 @@ are square roots inside product blocks, which raise
 
 Every public function here validates its arguments with
 :func:`~realcat.values.unit`.  The kernels that run & in their inner
-loops skip that check.  The tensor product and Cat_S membership run on
-Fractions; the path closure, category validation and the reflections
-compute in one of two exact domains (:func:`kernel_domain` picks one
-per call):
+loops skip that check.  The tensor product and ``contains`` run on
+Fractions; Cat_S membership of a category, the path closure, category
+validation and the reflections compute in one of two exact domains
+(:func:`kernel_domain` picks one per call):
 
 * Fractions, with & as ``TNorm._and``, compiled once per norm from the
   block bounds.  Every norm has this domain.
@@ -26,6 +26,12 @@ per call):
   of such chains (Cignoli, D'Ottaviano & Mundici 2000).  There & is
   integer addition and comparison is integer comparison.  A norm with
   a product block has only the Fraction domain.
+
+Each input is converted to a domain once and the result is kept on the
+immutable object that owns it: a norm keeps its domains (one per d), a
+category its :class:`Encoded` matrix, and a suitable set its constants
+on each domain.  A kernel call then only scales integers and copies
+rows.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, ProductIrrational
 from .intervals import IntervalSet
@@ -114,6 +120,23 @@ class TNorm:
 
         return ordinal_sum
 
+    @cached_property
+    def _grid_lcm(self) -> Optional[int]:
+        # The lcm of the block endpoints' denominators, or None when a
+        # product block leaves every grid; kept out of the fields like _and.
+        if any(b.kind is BlockKind.PRODUCT for b in self.blocks):
+            return None
+        return math.lcm(*{v.denominator for b in self.blocks for v in (b.lo, b.hi)})
+
+    @cached_property
+    def _domains(self) -> dict:
+        # GridDomain by d, filled by kernel_domain: one per distinct d
+        return {}
+
+    @cached_property
+    def _fractions(self) -> FractionDomain:
+        return FractionDomain(self)
+
     def __call__(self, x, y) -> Fraction:
         return tnorm_eval(self, x, y)
 
@@ -177,6 +200,25 @@ def _numerator(v: Fraction, d: int) -> int:
     return v.numerator * (d // v.denominator)
 
 
+class Encoded(NamedTuple):
+    """A matrix of Fractions with d, the lcm of its entries'
+    denominators, and each entry's numerator over d: what a domain
+    enters (see ``QCat._encoded``)."""
+
+    fractions: tuple
+    d: int
+    numerators: tuple
+
+
+def encode(matrix) -> Encoded:
+    """The :class:`Encoded` form of a matrix of Fractions, read off each
+    entry's ``as_integer_ratio()``."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in matrix]
+    d = math.lcm(*{q for row in ratios for _, q in row})
+    numerators = tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
+    return Encoded(matrix, d, numerators)
+
+
 class FractionDomain:
     """The kernels' values as they are: Fractions, with & as
     ``TNorm._and``.  Entering and leaving copy the matrix."""
@@ -194,8 +236,8 @@ class FractionDomain:
     def sqrt(self, x: Fraction) -> Fraction:
         return sqrt_with(self.t, x)
 
-    def enter(self, matrix) -> list[list[Fraction]]:
-        return [list(row) for row in matrix]
+    def enter(self, e: Encoded) -> list[list[Fraction]]:
+        return [list(row) for row in e.fractions]
 
     def leave(self, m) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(row) for row in m)
@@ -207,12 +249,17 @@ class GridDomain:
     with only Lukasiewicz blocks when every value, every block endpoint
     and every constant the kernel compares against lies on the grid
     {k/d}: the grid is then closed under &, the meet and the join.
-    Values are converted once on entry and once on exit."""
+
+    A domain is built once per norm and d (``kernel_domain`` keeps it on
+    the norm).  A matrix enters by scaling the numerators its
+    :class:`Encoded` form already holds, and leaves through a memo from
+    k to k/d that the domain keeps, so no Fraction is built twice."""
 
     def __init__(self, t: TNorm, d: int):
         self.d = d
         self._blocks = tuple((self.of(b.lo), self.of(b.hi)) for b in t.blocks)
         self.op = _scaled_and(self._blocks, d)
+        self._values: dict[int, Fraction] = {}
 
     def of(self, v: Fraction) -> int:
         return _numerator(v, self.d)
@@ -229,14 +276,16 @@ class GridDomain:
                 return (x + hi) // 2
         return x
 
-    def enter(self, matrix) -> list[list[int]]:
-        d = self.d
-        return [[_numerator(v, d) for v in row] for row in matrix]
+    def enter(self, e: Encoded) -> list[list[int]]:
+        """Fresh lists, since the kernels write into their matrix."""
+        s = self.d // e.d
+        return [[x * s for x in row] for row in e.numerators]
 
     def leave(self, m) -> tuple[tuple[Fraction, ...], ...]:
-        d = self.d
-        values = {k: Fraction(k, d) for k in set().union(*m)}
-        return tuple(tuple(values[k] for k in row) for row in m)
+        values, d = self._values, self.d
+        for k in set().union(*m).difference(values):
+            values[k] = Fraction(k, d)
+        return tuple([tuple(map(values.__getitem__, row)) for row in m])
 
 
 def _scaled_and(blocks: tuple[tuple[int, int], ...], d: int) -> Callable:
@@ -263,22 +312,24 @@ def _scaled_and(blocks: tuple[tuple[int, int], ...], d: int) -> Callable:
     return ordinal_sum
 
 
-def kernel_domain(t: TNorm, matrix, constants=()) -> FractionDomain | GridDomain:
-    """The exact domain a kernel runs in over t, for a matrix of
-    Fractions in [0, 1] and the constants it compares against (K
-    endpoints, explicit coordinates).  The Fraction domain when t has a
-    product block, whose & leaves every grid; else the grid whose d is
-    twice the lcm of the denominators of the values, the constants and
-    the block endpoints, so that the band's square root (x+hi)/2 stays
-    on it.  No size threshold: integers stay exact at any size."""
-    if any(b.kind is BlockKind.PRODUCT for b in t.blocks):
-        return FractionDomain(t)
-    d = math.lcm(
-        *{v.denominator for b in t.blocks for v in (b.lo, b.hi)},
-        *{v.denominator for row in matrix for v in row},
-        *{v.denominator for v in constants},
-    )
-    return GridDomain(t, 2 * d)
+def kernel_domain(t: TNorm, d: int) -> FractionDomain | GridDomain:
+    """The exact domain a kernel runs in over t, for values whose
+    denominators all divide d: the lcm of a matrix's ``Encoded.d`` and
+    the denominators of the constants it compares against (K endpoints,
+    explicit coordinates).  The norm's Fraction domain when t has a product
+    block, whose & leaves every grid; else the grid whose d is twice the
+    lcm of d and the block endpoints' denominators, so that the band's
+    square root (x+hi)/2 stays on it.  Both are kept on the norm, so a
+    domain is built and compiled once and a call only looks it up.  No
+    size threshold: integers stay exact at any size."""
+    base = t._grid_lcm
+    if base is None:
+        return t._fractions
+    d = 2 * math.lcm(base, d)
+    dom = t._domains.get(d)
+    if dom is None:
+        dom = t._domains[d] = GridDomain(t, d)
+    return dom
 
 
 def tnorm_eval(t: TNorm, x, y) -> Fraction:

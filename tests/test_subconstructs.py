@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcat.errors import DomainError, InvalidWitness
+from realcat.errors import DomainError, InvalidWitness, RealcatError
 from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, two_point, validate_qcat
 from realcat.subconstructs import (
@@ -23,6 +23,8 @@ from realcat.subconstructs import (
     is_in_cat_s,
     k_diagonal,
     k_square,
+    por_coreflection,
+    por_reflection,
     power_existence_check,
     reflect_r,
     sqrt_band,
@@ -362,6 +364,156 @@ class TestCoreflectorReflector:
         # (1/4 v 3/4 & 3/4, 3/4 v 1/4 & 1/4) = (1/2, 3/4)
         assert upper.r("0", "1") == F(1, 2)
         assert upper.r("1", "0") == F(3, 4)
+
+
+def spelled(name):
+    """Builtin norm ``name`` spelled by its blocks, with no name: equal
+    to the named builtin and to no other builtin."""
+    blocks = BUILTIN_BLOCKS[name]
+    return TNorm(tuple(Block(lo, hi, BlockKind(kind)) for lo, hi, kind in blocks))
+
+
+@st.composite
+def builtin_spellings(draw):
+    name = draw(st.sampled_from(sorted(BUILTIN_BLOCKS)))
+    return name, (spelled(name) if draw(st.booleans()) else BUILTIN_NORMS[name]())
+
+
+HALVES = [(0, 0), (F(1, 2), F(1, 2)), (1, 1)]
+SHAPES = {
+    "k_square": lambda t: k_square(t, L3),
+    "k_diagonal": lambda t: k_diagonal(t, L3),
+    "sqrt_band": sqrt_band,
+    "explicit": lambda t: explicit(t, HALVES),
+}
+
+
+class TestNormMismatch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        builtin_spellings(),
+        builtin_spellings(),
+        st.sampled_from(sorted(SHAPES)),
+        st.sampled_from([is_in_cat_s, coreflect_c, reflect_r]),
+    )
+    def test_cat_s_kernels_refuse_another_norm(self, left, right, shape, kernel):
+        """S over one builtin and c over another: DomainError, whatever
+        the spelling.  Two spellings of one builtin are one norm, and
+        give what S built over c's own norm object gives."""
+        (s_name, s_norm), (c_name, c_norm) = left, right
+        # 9/16 has a rational square root under every builtin
+        c = two_point(c_norm, F(9, 16), 1)
+        if s_name != c_name:
+            with pytest.raises(
+                DomainError,
+                match="^the suitable set and the category live over different t-norms$",
+            ):
+                kernel(SHAPES[shape](s_norm), c)
+        else:
+            assert kernel(SHAPES[shape](s_norm), c) == kernel(SHAPES[shape](c_norm), c)
+
+
+# Norms for the cache test, by name: the builtins and a Lukasiewicz sum
+# whose block endpoints lie on thirds.
+WARM_NORMS = {
+    **{name: BUILTIN_NORMS[name]() for name in BUILTIN_NORMS},
+    "luk_sum": TNorm(
+        (
+            Block(F(0), F(1, 3), BlockKind.LUKASIEWICZ),
+            Block(F(2, 3), F(1), BlockKind.LUKASIEWICZ),
+        )
+    ),
+}
+
+
+def fresh_norm(name):
+    """A new norm object equal to WARM_NORMS[name] and named alike (an
+    error message names the norm), with no caches."""
+    return TNorm(WARM_NORMS[name].blocks, name=WARM_NORMS[name].name)
+
+
+def suitable_sets(t):
+    """Suitable sets over t whose constants have denominators 1, 2, 3, 5
+    and 7, so that the kernel domain's d changes from set to set.  The
+    explicit set is not S3-closed; its errors are compared too."""
+    return [
+        k_square(t, CRISP),
+        k_square(t, IntervalSet.of([0, F(1, 3), F(2, 3), 1])),
+        k_diagonal(t, IntervalSet.of([0, (F(1, 5), F(2, 5)), 1])),
+        sqrt_band(t),
+        explicit(t, [(0, 0), (F(2, 7), F(2, 7)), (F(2, 7), 1), (1, F(2, 7)), (1, 1)]),
+        explicit(t, HALVES),
+    ]
+
+
+CAT_S_CALLS = {
+    "validate": lambda s, c: validate_qcat(c),
+    "is_in_cat_s": is_in_cat_s,
+    "coreflect_c": coreflect_c,
+    "reflect_r": reflect_r,
+    "por_rho": lambda s, c: por_coreflection(c),
+    "por_sigma": lambda s, c: por_reflection(c),
+}
+
+
+def outcome(call, s, c):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call(s, c)
+    except RealcatError as exc:
+        return type(exc), str(exc)
+
+
+def square_matrices(n):
+    """n x n matrices over denominators 1, 2, 3, 4, 5, 6 and 12; not
+    necessarily categories."""
+    values = st.sampled_from([ONE, *TWELFTHS, F(1, 5), F(3, 5)])
+    return st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+class TestKernelCaches:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(WARM_NORMS)),
+        st.lists(st.integers(1, 4).flatmap(square_matrices), min_size=2, max_size=2),
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(CAT_S_CALLS)),
+                st.integers(0, 5),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_warm_objects_answer_as_fresh_ones(self, name, matrices, calls):
+        """Two categories and a list of suitable sets, over a norm that
+        every example shares, serve a random sequence of calls; each
+        answer equals the same call on freshly built equal objects, whose
+        caches are empty.  The sets' constants and the categories'
+        entries have different denominators, so the grid's d changes
+        from call to call for each category and for each set.  Warming
+        changes no equality, hash or repr."""
+        t = WARM_NORMS[name]
+        cats = [
+            QCat(t, tuple(f"p{i}" for i in range(len(m))), tuple(map(tuple, m)))
+            for m in matrices
+        ]
+        sets = suitable_sets(t)
+        before = [(hash(x), repr(x)) for x in (t, *cats, *sets)]
+
+        def fresh(j, t):
+            return QCat(t, cats[j].points, tuple(map(tuple, matrices[j])))
+
+        for call, i, j in calls:
+            fresh_t = fresh_norm(name)
+            fresh_s = suitable_sets(fresh_t)[i]
+            expected = outcome(CAT_S_CALLS[call], fresh_s, fresh(j, fresh_t))
+            assert outcome(CAT_S_CALLS[call], sets[i], cats[j]) == expected
+        assert [(hash(x), repr(x)) for x in (t, *cats, *sets)] == before
+        fresh_t = fresh_norm(name)
+        assert t == fresh_t and sets == suitable_sets(fresh_t)
+        assert cats == [fresh(j, fresh_t) for j in range(2)]
 
 
 class TestCCCCriterion:
