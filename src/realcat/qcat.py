@@ -16,7 +16,7 @@ from functools import cached_property, wraps
 from typing import Callable, Mapping, Sequence
 
 from .errors import SizeLimitExceeded
-from .tnorm import CheckResult, Encoded, TNorm, encode, kernel_domain
+from .tnorm import CheckResult, Encoded, TNorm, encode, encode_unit, kernel_domain
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
@@ -34,15 +34,19 @@ class QCat:
 
     def __post_init__(self):
         n = len(self.points)
-        if len(set(self.points)) != n:
-            raise ValueError("duplicate points")
+        _require_distinct(self.points)
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("matrix shape does not match point list")
-        object.__setattr__(
-            self,
-            "matrix",
-            tuple(tuple(unit(v) for v in row) for row in self.matrix),
-        )
+        # One pass reads, checks and encodes the entries when they are
+        # Fractions in [0, 1], and keeps the encoding for the kernels;
+        # anything else goes through unit, which coerces or raises.
+        matrix = tuple(map(tuple, self.matrix))
+        e = encode_unit(matrix)
+        if e is None:
+            matrix = tuple(tuple(unit(v) for v in row) for row in matrix)
+        else:
+            self.__dict__["_encoded"] = e
+        object.__setattr__(self, "matrix", matrix)
 
     @cached_property
     def _positions(self) -> dict:
@@ -62,7 +66,9 @@ class QCat:
         # The matrix with the lcm D of its denominators and its entries'
         # numerators over D, read once for every kernel call on this
         # category (see tnorm.kernel_domain); kept out of the fields like
-        # _positions.
+        # _positions.  __post_init__ keeps the one it checked Fraction
+        # entries with, so this runs only for coerced entries and for
+        # what _built_qcat made.
         return encode(self.matrix)
 
     def index(self, p) -> int:
@@ -82,6 +88,28 @@ class QCat:
         return len(self.points)
 
 
+def _require_distinct(points: tuple) -> None:
+    if len(set(points)) != len(points):
+        raise ValueError("duplicate points")
+
+
+def _built_qcat(t: TNorm, points: tuple, matrix: tuple) -> QCat:
+    """A category the constructions below computed themselves, made
+    without ``QCat.__post_init__``'s checks.
+
+    Safe because nothing in it comes from outside unchecked: the points
+    are a checked category's points, pairs or image tuples of them, or
+    a carrier the lift has just checked with ``_require_distinct``; the
+    matrix is an n x n tuple of tuples whose entries are mins, joins and
+    & (``TNorm._and``) of checked entries, ``sqrt_with`` results, or
+    Fraction(k, d) with 0 <= k <= d from ``GridDomain.leave``, so each
+    is a Fraction in [0, 1] already.  The encoding stays lazy
+    (``_encoded``): many outputs never reach a kernel."""
+    c = object.__new__(QCat)
+    c.__dict__.update(tnorm=t, points=points, matrix=matrix)
+    return c
+
+
 def singleton(t: TNorm, point="*") -> QCat:
     """The terminal category on one point."""
     return QCat(t, (point,), ((ONE,),))
@@ -98,14 +126,14 @@ def validate_qcat(c: QCat) -> CheckResult:
     """Check reflexivity and the composition inequality exactly.  A
     failure reports the violating triple and both sides."""
     n = len(c.points)
+    e = c._encoded
     for i in range(n):
-        if c.matrix[i][i] != ONE:
+        if e.numerators[i][i] != e.d:  # r(x,x) = d/d = 1
             return CheckResult(
                 False,
                 f"r({c.points[i]},{c.points[i]}) = {c.matrix[i][i]} != 1",
                 witness=(c.points[i],),
             )
-    e = c._encoded
     dom = kernel_domain(c.tnorm, e.d)
     op, m = dom.op, dom.enter(e)
     for i in range(n):
@@ -249,7 +277,16 @@ def enumerate_functors(
     |B|^|A| exceeds max_maps: the cap bounds the map space, not the work
     the search does, so it refuses the same inputs as a full scan would."""
     tables = _functor_tables(a, b, max_maps)
-    return [QFunctor(a, b, images) for images in _images(b, tables)]
+    return [_built_functor(a, b, images) for images in _images(b, tables)]
+
+
+def _built_functor(dom: QCat, cod: QCat, mapping: tuple) -> QFunctor:
+    """A functor whose image tuple the search built from ``cod.points``,
+    one image per domain point, made without ``QFunctor.__post_init__``'s
+    checks, which it passes by construction."""
+    f = object.__new__(QFunctor)
+    f.__dict__.update(dom=dom, cod=cod, mapping=mapping)
+    return f
 
 
 def _kept_on_first(build: Callable) -> Callable:
@@ -295,7 +332,7 @@ def tensor(a: QCat, b: QCat) -> QCat:
         tuple(op(ra[i1][i2], rb[j1][j2]) for (i2, j2) in cells)
         for (i1, j1) in cells
     )
-    return QCat(a.tnorm, _pair_points(a, b), matrix)
+    return _built_qcat(a.tnorm, _pair_points(a, b), matrix)
 
 
 def _require_same_norm(a: QCat, b: QCat):
@@ -336,7 +373,7 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
         return d
 
     matrix = tuple(tuple(distance(f, g) for g in tables) for f in tables)
-    return QCat(a.tnorm, tuple(_images(b, tables)), matrix)
+    return _built_qcat(a.tnorm, tuple(_images(b, tables)), matrix)
 
 
 def initial_lift(
@@ -356,7 +393,8 @@ def initial_lift(
         )
         for i in range(n)
     )
-    return QCat(t, carrier, matrix)
+    _require_distinct(carrier)
+    return _built_qcat(t, carrier, matrix)
 
 
 def path_closure(op: Callable, m: list[list]) -> None:
@@ -410,7 +448,8 @@ def final_lift(
     dom = kernel_domain(t, e.d)
     closed = dom.enter(e)
     path_closure(dom.op, closed)
-    return QCat(t, carrier, dom.leave(closed))
+    _require_distinct(carrier)
+    return _built_qcat(t, carrier, dom.leave(closed))
 
 
 def tensor_transpose(a: QCat, b: QCat, c: QCat, f: QFunctor) -> QFunctor:

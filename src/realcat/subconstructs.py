@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, InvalidWitness
 from .intervals import IntervalSet
-from .qcat import QCat, final_lift, path_closure, product, two_point
+from .qcat import QCat, _built_qcat, final_lift, path_closure, product, two_point
 from .tnorm import (
     CheckResult,
     TNorm,
@@ -277,7 +277,7 @@ def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
     is a valid category."""
     below, m, dom = _on_domain(s, c, _largest_below)
     _move_pairs(below, m)
-    return QCat(c.tnorm, c.points, dom.leave(m))
+    return _built_qcat(c.tnorm, c.points, dom.leave(m))
 
 
 def _move_pairs(bound: Callable, m: list[list]) -> bool:
@@ -326,19 +326,28 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     path_closure(dom.op, m)
     while _move_pairs(above, m):
         path_closure(dom.op, m)
-    return QCat(c.tnorm, c.points, dom.leave(m))
+    return _built_qcat(c.tnorm, c.points, dom.leave(m))
+
+
+def _preorders(t: TNorm) -> SuitableSet:
+    """{0,1}^2 over t, built on first use and then kept on t, so its
+    bound maps and lcm are converted once per norm."""
+    s = t._kept.get(_preorders)
+    if s is None:
+        s = t._kept[_preorders] = k_square(t, CRISP)
+    return s
 
 
 def por_coreflection(c: QCat) -> QCat:
     """rho: the greatest preorder below r, x <= y iff r(x,y) = 1.  The
     preorders are Cat_S for S = {0,1}^2, so this is C for that S."""
-    return coreflect_c(k_square(c.tnorm, CRISP), c)
+    return coreflect_c(_preorders(c.tnorm), c)
 
 
 def por_reflection(c: QCat) -> QCat:
     """sigma: the least preorder above r, the reflexive-transitive
     closure of {(x,y) : r(x,y) != 0}; R for S = {0,1}^2."""
-    return reflect_r(k_square(c.tnorm, CRISP), c)
+    return reflect_r(_preorders(c.tnorm), c)
 
 
 def ccc_criterion(t: TNorm, k: IntervalSet) -> bool:

@@ -134,6 +134,13 @@ class TNorm:
         return {}
 
     @cached_property
+    def _kept(self) -> dict:
+        # objects the modules above build once per norm, keyed by their
+        # builder (subconstructs keeps {0,1}^2 here for por_*), so what
+        # they cache in turn is reused
+        return {}
+
+    @cached_property
     def _fractions(self) -> FractionDomain:
         return FractionDomain(self)
 
@@ -213,7 +220,33 @@ class Encoded(NamedTuple):
 def encode(matrix) -> Encoded:
     """The :class:`Encoded` form of a matrix of Fractions, read off each
     entry's ``as_integer_ratio()``."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in matrix]
+    return _encode(matrix, [[v.as_integer_ratio() for v in row] for row in matrix])
+
+
+def encode_unit(matrix) -> Optional[Encoded]:
+    """The :class:`Encoded` form of a tuple of tuples whose entries are
+    all Fractions in [0, 1], checked in the pass that encodes it; None
+    when an entry is not, so the caller can take ``values.unit``'s path
+    for the coercion or the error.  Each entry's ``as_integer_ratio()``
+    is read once, and the range is tested on integers: d // q > 0, so
+    p/q lies in [0, 1] exactly when its numerator p * (d // q) over d
+    lies in [0, d]."""
+    # an entry of another type reads as False, which fails to unpack
+    ratios = [
+        [v.__class__ is Fraction and v.as_integer_ratio() for v in row]
+        for row in matrix
+    ]
+    try:
+        e = _encode(matrix, ratios)
+    except TypeError:
+        return None
+    rows = e.numerators
+    if min(map(min, rows), default=0) < 0 or max(map(max, rows), default=0) > e.d:
+        return None
+    return e
+
+
+def _encode(matrix, ratios) -> Encoded:
     d = math.lcm(*{q for row in ratios for _, q in row})
     numerators = tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
     return Encoded(matrix, d, numerators)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from realcat.errors import SizeLimitExceeded
+from realcat.errors import RealcatError, SizeLimitExceeded
+from realcat.intervals import IntervalSet
 from realcat.qcat import (
     QCat,
     QFunctor,
@@ -26,8 +27,27 @@ from realcat.qcat import (
     two_point,
     validate_qcat,
 )
-from realcat.subconstructs import por_coreflection, por_reflection
-from realcat.tnorm import BUILTIN_NORMS, godel, lukasiewicz, m_set, tnorm_eval
+from realcat.subconstructs import (
+    coreflect_c,
+    explicit,
+    k_diagonal,
+    k_square,
+    por_coreflection,
+    por_reflection,
+    reflect_r,
+    sqrt_band,
+)
+from realcat.tnorm import (
+    BUILTIN_NORMS,
+    Block,
+    BlockKind,
+    TNorm,
+    encode,
+    godel,
+    lukasiewicz,
+    m_set,
+    tnorm_eval,
+)
 from realcat.values import ONE, ZERO
 
 LUK = lukasiewicz()
@@ -474,3 +494,166 @@ class TestLifts:
         for cat, f in sinks:
             functor = QFunctor(cat, lifted, tuple(f[p] for p in cat.points))
             assert is_functor(functor)
+
+
+# The builtins (grid domain: godel, lukasiewicz; Fraction domain:
+# product, remark4) and two Lukasiewicz sums on the grid domain.
+BUILT_NORMS = {
+    **{name: BUILTIN_NORMS[name]() for name in BUILTIN_NORMS},
+    "luk_thirds": TNorm(
+        (
+            Block(F(0), F(1, 3), BlockKind.LUKASIEWICZ),
+            Block(F(2, 3), F(1), BlockKind.LUKASIEWICZ),
+        )
+    ),
+    "luk_upper_half": TNorm((Block(F(1, 2), F(1), BlockKind.LUKASIEWICZ),)),
+}
+L3 = IntervalSet.of([0, F(1, 2), 1])
+VALUES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), ONE]
+SHAPES = [
+    lambda t: k_square(t, L3),
+    lambda t: k_diagonal(t, L3),
+    sqrt_band,
+    lambda t: explicit(t, [(0, 0), (F(1, 2), F(1, 2)), (1, 1)]),
+]
+
+
+def built_outputs(t, a, b):
+    """Every construction that builds its result unchecked, on a and b:
+    the lifts, the products and hom objects, and the reflectors.  A
+    reflector that raises (an irrational root, a set that is not
+    suitable under t) contributes nothing."""
+    yield final_lift(t, [(a, {p: p for p in a.points})], a.points)
+    to_a = {p: p for p in a.points}
+    to_b = {p: b.points[0] for p in a.points}
+    yield initial_lift(t, a.points, [(to_a, a), (to_b, b)])
+    yield initial_lift(t, ("u", "v"), [({"u": a.points[0], "v": a.points[-1]}, a)])
+    yield product(a, b)
+    yield tensor(a, b)
+    yield hom_power(a, b)
+    yield hom_tensor(a, b)
+    yield por_coreflection(a)
+    yield por_reflection(a)
+    for shape in SHAPES:
+        for kernel in (coreflect_c, reflect_r):
+            try:
+                yield kernel(shape(t), a)
+            except RealcatError:
+                pass
+
+
+class TestBuiltOutputs:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(BUILT_NORMS)),
+        st.lists(
+            st.integers(1, 3).flatmap(
+                lambda n: st.lists(
+                    st.lists(
+                        st.sampled_from(VALUES),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_unchecked_outputs_equal_checked_rebuilds(self, name, seeds):
+        """Each output the constructions build without QCat's checks is
+        the category QCat builds from the same points and matrix: equal,
+        with the same hash and repr (so every entry is a Fraction), a
+        tuple-of-tuples matrix, and an encoding equal to encode's.  The
+        checked rebuild keeps the encoding it read the entries with."""
+        t = BUILT_NORMS[name]
+        a, b = (
+            final_lift(t, [(QCat(t, pts, m), {p: p for p in pts})], pts)
+            for m in seeds
+            for pts in [tuple(f"p{i}" for i in range(len(m)))]
+        )
+        for out in built_outputs(t, a, b):
+            rebuilt = QCat(t, out.points, out.matrix)
+            assert out == rebuilt and hash(out) == hash(rebuilt)
+            assert repr(out) == repr(rebuilt)
+            assert type(out.matrix) is tuple
+            assert all(type(row) is tuple for row in out.matrix)
+            assert all(type(v) is F for row in out.matrix for v in row)
+            assert "_encoded" in rebuilt.__dict__
+            assert rebuilt._encoded == encode(out.matrix) == out._encoded
+
+
+class TestCheckedEntries:
+    """QCat checks outside entries in one pass; whatever is not a
+    Fraction in [0, 1] takes values.unit's path, which coerces it or
+    raises as it always has."""
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            (1, F(1)),
+            (0, F(0)),
+            (True, F(1)),
+            ("1/2", F(1, 2)),
+            (" 3/4 ", F(3, 4)),
+            (0.5, F(1, 2)),
+        ],
+    )
+    def test_other_types_are_coerced_to_fractions(self, entry, value):
+        c = QCat(LUK, ("a", "b"), ((1, entry), (F(0), 1)))
+        assert c.matrix == ((ONE, value), (ZERO, ONE))
+        assert all(type(v) is F for row in c.matrix for v in row)
+        assert repr(c) == repr(QCat(LUK, ("a", "b"), ((ONE, value), (ZERO, ONE))))
+        assert c._encoded == encode(c.matrix)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (F(3, 2), "value 3/2 outside [0, 1]"),
+            (F(-1, 2), "value -1/2 outside [0, 1]"),
+            (F(-1), "value -1 outside [0, 1]"),
+            (2, "value 2 outside [0, 1]"),
+            (-1, "value -1 outside [0, 1]"),
+            ("5/4", "value 5/4 outside [0, 1]"),
+            ("-0.25", "value -1/4 outside [0, 1]"),
+            (1.5, "value 3/2 outside [0, 1]"),
+            ("x", "Invalid literal for Fraction: 'x'"),
+        ],
+    )
+    def test_bad_entries_raise_units_error(self, entry, message):
+        with pytest.raises(ValueError) as err:
+            QCat(LUK, ("a", "b"), ((ONE, F(1, 2)), (entry, ONE)))
+        assert str(err.value) == message
+
+    def test_the_first_bad_entry_in_row_major_order_is_named(self):
+        matrix = (
+            (ONE, F(1, 2), F(5, 4)),
+            (F(0), ONE, F(-1, 3)),
+            (F(7, 3), F(0), ONE),
+        )
+        with pytest.raises(ValueError, match=r"^value 5/4 outside \[0, 1\]$"):
+            QCat(LUK, ("a", "b", "c"), matrix)
+
+    def test_lists_become_tuples(self):
+        c = QCat(LUK, ("a", "b"), [[ONE, F(1, 2)], [F(0), ONE]])
+        assert c.matrix == ((ONE, F(1, 2)), (ZERO, ONE))
+        assert type(c.matrix) is tuple and all(type(r) is tuple for r in c.matrix)
+        assert c._encoded == encode(c.matrix)
+
+    def test_lifts_refuse_a_repeated_or_unhashable_carrier_point(self, chain3):
+        source = ({"u": "a"}, chain3)
+        with pytest.raises(ValueError, match="^duplicate points$"):
+            initial_lift(LUK, ("u", "u"), [source])
+        with pytest.raises(ValueError, match="^duplicate points$"):
+            initial_lift(LUK, ("u", "u"), [])
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            initial_lift(LUK, (["u"],), [])
+        sink = (chain3, {"a": "x", "b": "x", "c": "y"})
+        with pytest.raises(ValueError, match="^duplicate points$"):
+            final_lift(LUK, [sink], ("x", "y", "x"))
+        with pytest.raises(ValueError, match="^duplicate points$"):
+            final_lift(LUK, [], ("x", "x"))
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            final_lift(LUK, [], (["x"],))

@@ -16,7 +16,16 @@ from realcat import serialize as ser
 from realcat.errors import DomainError, ParseError
 from realcat.intervals import IntervalSet
 from realcat.qcat import QFunctor, final_lift, product, two_point
-from realcat.subconstructs import ccc_witness, explicit, k_diagonal, k_square, sqrt_band
+from realcat.subconstructs import (
+    SuitableSet,
+    SuitableVariant,
+    ccc_witness,
+    coreflect_c,
+    explicit,
+    k_diagonal,
+    k_square,
+    sqrt_band,
+)
 from realcat.tnorm import Block, BlockKind, TNorm, godel, lukasiewicz, remark4
 from realcat.values import parse_rat
 from realcat.yoneda import FCSequence
@@ -59,6 +68,46 @@ class TestTNormFormat:
             parse_rat(value)
 
 
+def regex_parse_rat(text):
+    """The wire decode as ``Fraction(text)`` alone does it, with no fast
+    path: the oracle ``parse_rat`` must match on every string."""
+    try:
+        v = F(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}") from exc
+    if not 0 <= v <= 1:
+        raise ParseError(f"rational {text!r} outside [0, 1]")
+    return v
+
+
+def decoded(parse, text):
+    """parse(text), or the type, message and cause type of its error."""
+    try:
+        v = parse(text)
+    except ParseError as exc:
+        return ParseError, str(exc), type(exc.__cause__)
+    return type(v), v
+
+
+class TestParseRat:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/0", " 1/2 ", "+1/2", "-0/1", "1_0/20", "\u00b2/3",
+            "\u0661/\u0662", "/2", "1/", "007/8", "3/2", "2", "0", "1",
+            "0/5", "1/2/3", "1.5", "1e0", "", " ", "1 /2",
+            pytest.param("9" * 5000, id="5000-digits"),
+        ],
+    )
+    def test_accepts_and_refuses_what_fraction_does(self, text):
+        assert decoded(parse_rat, text) == decoded(regex_parse_rat, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/ +-_.e\u00b2\u0661", max_size=8))
+    def test_matches_the_regex_path_on_any_string(self, text):
+        assert decoded(parse_rat, text) == decoded(regex_parse_rat, text)
+
+
 class TestOtherFormats:
     def test_intervalset_roundtrip(self):
         s = IntervalSet.of([(0, F(1, 2)), F(3, 4), 1])
@@ -90,11 +139,36 @@ class TestOtherFormats:
     def test_suitable_roundtrip_all_variants(self):
         for s in (
             k_square(LUK, IntervalSet.of([0, F(1, 2), 1])),
+            k_diagonal(LUK, IntervalSet.of([0, F(1, 2), 1])),
             sqrt_band(remark4()),
             explicit(LUK, [(0, 0), (1, 1)]),
         ):
-            again = ser.suitable_from_obj(ser.suitable_to_obj(s))
-            assert again == s
+            obj = ser.suitable_to_obj(s)
+            assert ser.suitable_from_obj(obj) == s
+            # the file writes an absent field as null; leaving it out reads alike
+            terse = {key: v for key, v in obj.items() if v is not None}
+            assert ser.suitable_from_obj(terse) == s
+
+    @pytest.mark.parametrize(
+        "variant, stray",
+        [("explicit", "k"), ("k_square", "pairs"), ("k_diagonal", "pairs")],
+    )
+    def test_suitable_stray_field_is_refused(self, variant, stray):
+        """A field the variant does not read is refused, naming it,
+        rather than ignored; null stays accepted."""
+        obj = {
+            "variant": variant,
+            "tnorm": "lukasiewicz",
+            "k": ser.intervalset_to_obj(IntervalSet.of([0, 1])),
+            "pairs": [["0/1", "0/1"], ["1/1", "1/1"]],
+        }
+        with pytest.raises(ParseError) as err:
+            ser.suitable_from_obj(obj)
+        assert str(err.value) == (
+            f"the {variant} suitable set carries a stray {stray!r} field"
+        )
+        obj[stray] = None
+        assert ser.suitable_from_obj(obj).variant.value == variant
 
     def test_suitable_tnorm_from_context(self):
         obj = {"variant": "sqrt_band"}
@@ -263,18 +337,26 @@ class TestCLI:
         )
 
     def test_coreflect_explicit_set_also_carrying_k(self, workdir, capsys):
-        """An explicit set is its pairs; a K in its file plays no part,
-        and the pairs' coordinates (1/3 here) still fix the grid the
-        reflectors run on."""
+        """An explicit set is its pairs.  Built in the library with a K
+        as well, the K plays no part and the pairs' coordinates (1/3
+        here) still fix the grid the reflectors run on; in a file, the
+        stray K is refused (exit 2) with a message naming the field."""
+        pairs = frozenset([(F(0), F(0)), (F(1, 3), F(1, 3)), (F(1), F(1))])
+        both = SuitableSet(
+            LUK, SuitableVariant.EXPLICIT, k=IntervalSet.full(), pairs=pairs
+        )
+        out = coreflect_c(both, two_point(LUK, F(1, 2), F(1, 2)))
+        assert out.matrix == ((1, F(1, 3)), (F(1, 3), 1))
         s = workdir["dir"] / "s.json"
-        obj = ser.suitable_to_obj(explicit(LUK, [(0, 0), (F(1, 3), F(1, 3)), (1, 1)]))
-        obj["k"] = ser.intervalset_to_obj(IntervalSet.full())
-        s.write_text(ser.dumps(obj))
+        s.write_text(ser.dumps(ser.suitable_to_obj(both)))
         c = workdir["dir"] / "c.json"
         c.write_text(ser.dumps(ser.qcat_to_obj(two_point(LUK, F(1, 2), F(1, 2)))))
-        assert cli.main(["construct", "coreflect", str(s), str(c)]) == 0
-        out = ser.qcat_from_obj(json.loads(capsys.readouterr().out))
-        assert out.matrix == ((1, F(1, 3)), (F(1, 3), 1))
+        assert cli.main(["construct", "coreflect", str(s), str(c)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the explicit suitable set carries a stray 'k' field\n"
+        )
 
     @pytest.mark.parametrize(
         "table, named",
@@ -509,6 +591,21 @@ class TestCLI:
         assert out["summary"] == {"pass": 1, "fail": 1, "error": 0}
         assert out["cases"][1]["detail"] == (
             "suitable set invalid: 'nope' is not a valid SuitableVariant"
+        )
+
+    def test_validate_reports_a_stray_suitable_field_per_file(self, workdir, capsys):
+        s = workdir["dir"] / "s.json"
+        obj = ser.suitable_to_obj(k_square(LUK, IntervalSet.of([0, 1])))
+        obj["pairs"] = [["0/1", "0/1"]]
+        s.write_text(ser.dumps(obj))
+        assert cli.main(["validate", workdir["good"], str(s)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["summary"] == {"pass": 1, "fail": 1, "error": 0}
+        assert out["cases"][1]["detail"] == (
+            "suitable set invalid: the k_square suitable set carries a stray "
+            "'pairs' field"
         )
 
     def test_validate_reports_a_bad_interval_set_per_file(self, workdir, capsys):
