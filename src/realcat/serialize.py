@@ -175,14 +175,6 @@ def suitable_to_obj(s: SuitableSet) -> Any:
     }
 
 
-# The field each variant must leave absent or null: the other shape's
-_STRAY_FIELD = {
-    SuitableVariant.EXPLICIT: "k",
-    SuitableVariant.K_SQUARE: "pairs",
-    SuitableVariant.K_DIAGONAL: "pairs",
-}
-
-
 def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
     """Decode a suitable set under its own ``tnorm`` field.  The context
     norm ``tnorm`` stands in for a missing field; a field naming another
@@ -203,12 +195,6 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
         tnorm = own
     elif tnorm is None:
         raise ParseError("suitable set needs a t-norm (field or context)")
-    # null stands for an absent field, as suitable_to_obj writes it
-    stray = _STRAY_FIELD.get(variant)
-    if stray is not None and obj.get(stray) is not None:
-        raise ParseError(
-            f"the {variant.value} suitable set carries a stray {stray!r} field"
-        )
     k = intervalset_from_obj(obj["k"]) if obj.get("k") is not None else None
     try:
         pairs = (

@@ -50,7 +50,8 @@ class SuitableSet:
     """Symbolic description of a subset of [0,1]^2.
 
     k is required for the K_SQUARE / K_DIAGONAL variants, pairs for
-    EXPLICIT; SQRT_BAND is fully determined by the t-norm.
+    EXPLICIT, and each of them refuses the other; SQRT_BAND is fully
+    determined by the t-norm.
     """
 
     tnorm: TNorm
@@ -62,14 +63,25 @@ class SuitableSet:
         if self.variant in (SuitableVariant.K_SQUARE, SuitableVariant.K_DIAGONAL):
             if self.k is None:
                 raise ValueError(f"{self.variant.value} needs a carrier set K")
+            if self.pairs is not None:
+                raise self._stray("pairs")
         if self.variant is SuitableVariant.EXPLICIT:
             if self.pairs is None:
                 raise ValueError("explicit variant needs a pair set")
+            if self.k is not None:
+                raise self._stray("k")
             object.__setattr__(
                 self,
                 "pairs",
                 frozenset((unit(a), unit(b)) for a, b in self.pairs),
             )
+
+    def _stray(self, field: str) -> ValueError:
+        # a field the variant does not read would still enter _lcm and
+        # equality, and its file could not be told from one without it
+        return ValueError(
+            f"the {self.variant.value} suitable set carries a stray {field!r} field"
+        )
 
     @cached_property
     def _lcm(self) -> int:
@@ -329,25 +341,16 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     return _built_qcat(c.tnorm, c.points, dom.leave(m))
 
 
-def _preorders(t: TNorm) -> SuitableSet:
-    """{0,1}^2 over t, built on first use and then kept on t, so its
-    bound maps and lcm are converted once per norm."""
-    s = t._kept.get(_preorders)
-    if s is None:
-        s = t._kept[_preorders] = k_square(t, CRISP)
-    return s
-
-
 def por_coreflection(c: QCat) -> QCat:
     """rho: the greatest preorder below r, x <= y iff r(x,y) = 1.  The
     preorders are Cat_S for S = {0,1}^2, so this is C for that S."""
-    return coreflect_c(_preorders(c.tnorm), c)
+    return coreflect_c(k_square(c.tnorm, CRISP), c)
 
 
 def por_reflection(c: QCat) -> QCat:
     """sigma: the least preorder above r, the reflexive-transitive
     closure of {(x,y) : r(x,y) != 0}; R for S = {0,1}^2."""
-    return reflect_r(_preorders(c.tnorm), c)
+    return reflect_r(k_square(c.tnorm, CRISP), c)
 
 
 def ccc_criterion(t: TNorm, k: IntervalSet) -> bool:

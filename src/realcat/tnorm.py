@@ -134,13 +134,6 @@ class TNorm:
         return {}
 
     @cached_property
-    def _kept(self) -> dict:
-        # objects the modules above build once per norm, keyed by their
-        # builder (subconstructs keeps {0,1}^2 here for por_*), so what
-        # they cache in turn is reused
-        return {}
-
-    @cached_property
     def _fractions(self) -> FractionDomain:
         return FractionDomain(self)
 

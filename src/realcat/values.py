@@ -33,24 +33,14 @@ search and the ``resd_prop`` suite's cubes."""
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse the "p/q" wire format (a bare integer is accepted too).
-
-    ASCII "digits/digits" and bare ASCII digits, what ``format_rat``
-    writes, are split and read with ``int``; everything else goes to
-    ``Fraction(text)``, whose regex accepts more (signs, blanks,
-    decimals).  On a string the split reads, the regex gives the same
-    value or the same error."""
+    """Parse the "p/q" wire format (a bare integer is accepted too)."""
     if not isinstance(text, str):
         raise ParseError(f'bad rational {text!r}: rationals travel as "p/q" strings')
-    p, slash, q = text.partition("/")
     try:
-        if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
-            v = Fraction(int(p), int(q) if slash else 1)
-        else:
-            v = Fraction(text.strip())
+        v = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
-    if not 0 <= v.numerator <= v.denominator:
+    if not ZERO <= v <= ONE:
         raise ParseError(f"rational {text!r} outside [0, 1]")
     return v
 
