@@ -6,7 +6,6 @@ from .errors import (
     NotForwardCauchy,
     NotMValued,
     ParseError,
-    PreconditionError,
     ProductIrrational,
     RealcatError,
     SizeLimitExceeded,

@@ -41,7 +41,3 @@ class DomainError(RealcatError):
 class InvalidWitness(RealcatError):
     """A witness construction was requested at a triple where the
     distributivity identity actually holds."""
-
-
-class PreconditionError(RealcatError):
-    """A stated precondition of a theorem-check harness is violated."""

@@ -484,9 +484,17 @@ def subquantale_check(t: TNorm, k: IntervalSet) -> CheckResult:
 
 
 def _preimage_pair(t, comp1, comp2, target):
-    """Exact (x, y) in comp1 x comp2 with x & y = target.  Walks the
-    monotone boundary path (lo1 fixed, then hi2 fixed), solving the
-    remaining coordinate with the residual, which is rational."""
+    """Exact (x, y) in comp1 x comp2 with x & y = target, for a target
+    between lo1 & lo2 and hi1 & hi2.  Walks the monotone boundary path
+    (lo1 fixed, then hi2 fixed), solving the remaining coordinate with
+    the residual, which is rational.
+
+    For a continuous t-norm a & (a -> t) = min(a, t).  With lo1 fixed,
+    target <= lo1 & hi2 <= lo1, so lo1 & (lo1 -> target) = target; the
+    residual is >= lo2 as lo1 & lo2 <= target, and a clamp down to hi2
+    happens only when lo1 & hi2 <= target, that is equality.  With hi2
+    fixed, target <= hi1 & hi2 <= hi2 and lo1 & hi2 < target, so the
+    same holds with the clamp to [lo1, hi1]."""
     lo1, hi1 = comp1
     lo2, hi2 = comp2
     if target <= tnorm_eval(t, lo1, hi2):
@@ -497,7 +505,6 @@ def _preimage_pair(t, comp1, comp2, target):
         y = hi2
         x = tnorm_residual(t, y, target)
         x = min(max(x, lo1), hi1)
-    assert tnorm_eval(t, x, y) == target
     return (x, y)
 
 

@@ -33,11 +33,17 @@ search and the ``resd_prop`` suite's cubes."""
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse the "p/q" wire format (a bare integer is accepted too)."""
+    """Parse the "p/q" wire format (a bare integer is accepted too).
+    The accepted texts are those of Python 3.10's ``Fraction(str)`` on
+    every version: later versions also read underscores (3.11) and
+    blanks around the slash (3.12), which are refused here."""
     if not isinstance(text, str):
         raise ParseError(f'bad rational {text!r}: rationals travel as "p/q" strings')
     try:
-        v = Fraction(text.strip())
+        stripped = text.strip()
+        if "_" in stripped or any(ch.isspace() for ch in stripped):
+            raise ValueError("underscore or blank inside a rational")
+        v = Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
     if not ZERO <= v <= ONE:

@@ -1,10 +1,14 @@
 """Forward Cauchy sequences and Yoneda limits at finite scale.
 
-Nets are restricted to eventually cyclic sequences: in a finite
-category every forward Cauchy tail lands in a single class of points at
-mutual distance 1, so this presentation loses nothing at desk scale.
-The function-space results are exercised through the power-object
-structure of :func:`realcat.qcat.hom_power`.
+Nets are restricted to eventually cyclic sequences, which loses nothing
+in a finite category.  There the paper's second theorem (Yoneda
+complete M-valued categories and Yoneda continuous functors are
+cartesian closed) is mostly automatic.  Every finite category is Yoneda
+complete: the limits of a forward Cauchy sequence are the points
+isomorphic to a cycle point (:func:`yoneda_limits`).  Every functor is
+Yoneda continuous, as it keeps pairs at distance 1.  What is left is
+that pointwise limits in [A -> B] (:func:`realcat.qcat.hom_power`) are
+limits (:func:`function_space_limit`).
 """
 
 from __future__ import annotations
@@ -13,34 +17,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    NotForwardCauchy,
-    NotMValued,
-    PreconditionError,
-)
+from .errors import DomainError, NotForwardCauchy, NotMValued
 from .intervals import IntervalSet
 from .qcat import (
     QCat,
     QFunctor,
     functor_violation,
     hom_power,
-    is_functor,
     product,
+    validate_qcat,
 )
-from .tnorm import (
-    CheckResult,
-    TNorm,
-    idempotent_set,
-    m_set,
-    tnorm_eval,
-    way_below_in_m,
-)
-from .values import ONE, unit
+from .tnorm import CheckResult, TNorm, idempotent_set, m_set
+from .values import ONE
 
 
 @dataclass(frozen=True)
 class FCSequence:
-    """Eventually cyclic point sequence: prefix then cycle forever."""
+    """Eventually cyclic point sequence: prefix then cycle forever.
+    The ambient must be a category: :func:`yoneda_limits` rests on a
+    proof that needs reflexivity and transitivity, and checks neither."""
 
     ambient: QCat
     prefix: tuple
@@ -74,56 +69,27 @@ class LimitSet:
 
 
 def yoneda_limits(s: FCSequence) -> LimitSet:
-    """Points a with r(a, x) = meet over cycle points p of r(p, x) for
-    every x.  On the cycle the sup-inf tail formula stabilizes to that
-    meet; nonempty in finite categories (cycle members qualify)."""
+    """Points a with r(a, x) = meet over cycle points q of r(q, x) for
+    every x (the tail formula, stable on the cycle), in ambient order.
+
+    They are the points isomorphic to p = cycle[0].  As r(p, q) =
+    r(q, p) = 1 on the cycle, transitivity gives every cycle point p's
+    row, so the meet is r(p, x); a point isomorphic to p has that row
+    too.  Conversely a limit a has r(p, a) = r(a, a) = 1 and
+    r(a, p) = r(p, p) = 1."""
     if not is_forward_cauchy(s):
         raise NotForwardCauchy("sequence is not forward Cauchy")
     c = s.ambient
-    cyc = s.cycle_set()
-    tail = {x: min(c.r(p, x) for p in cyc) for x in c.points}
-    members = tuple(
-        a for a in c.points if all(c.r(a, x) == tail[x] for x in c.points)
+    p = s.cycle[0]
+    return LimitSet(
+        tuple(a for a in c.points if c.r(a, p) == ONE and c.r(p, a) == ONE)
     )
-    return LimitSet(members)
 
 
 def canonical_limit(s: FCSequence):
     """The limit of least ambient point index (limits come in ambient
     order); all choices are isomorphic."""
     return yoneda_limits(s).points[0]
-
-
-def is_alpha_monotone(s: FCSequence, alpha) -> bool:
-    """Eventually alpha-monotone: some tail has all forward distances
-    >= alpha; for a cyclic tail that is all ordered cycle pairs."""
-    alpha = unit(alpha)
-    cyc = s.cycle_set()
-    return all(s.ambient.r(p, q) >= alpha for p in cyc for q in cyc)
-
-
-def check_alpha_monotone_lemma(s: FCSequence, alpha) -> CheckResult:
-    """Theorem harness: for idempotent alpha and an eventually
-    alpha-monotone sequence, alpha ^ r(x_mu, x) <= alpha ^ r(x_la, x)
-    along the tail.  A failure would indicate an implementation bug."""
-    alpha = unit(alpha)
-    t = s.ambient.tnorm
-    if tnorm_eval(t, alpha, alpha) != alpha:
-        raise PreconditionError(f"alpha = {alpha} is not idempotent")
-    if not is_alpha_monotone(s, alpha):
-        raise PreconditionError("sequence is not eventually alpha-monotone")
-    c = s.ambient
-    cyc = s.cycle_set()
-    for later in cyc:
-        for earlier in cyc:
-            for x in c.points:
-                if min(alpha, c.r(later, x)) > min(alpha, c.r(earlier, x)):
-                    return CheckResult(
-                        False,
-                        f"monotone lemma fails at ({earlier}, {later}, {x})",
-                        witness=(earlier, later, x),
-                    )
-    return CheckResult(True, "tail meets are monotone under alpha")
 
 
 @dataclass(frozen=True)
@@ -144,14 +110,11 @@ class ApproxReport:
 
 
 def approx_property(t: TNorm) -> ApproxReport:
+    """includes_top is ``way_below_in_m(t, 1, 1)``: a block [lo, 1]
+    meets M at most in [lo, (lo+1)/2], which isolates 1 in M; with no
+    such block, [hi, 1] lies in M, hi < 1 the last block's end (or 0)."""
     idm = idempotent_set(t)
     top_block = any(b.hi == ONE for b in t.blocks)
-    if top_block:
-        # 1 is isolated in M, hence way below itself; every smaller
-        # idempotent is way below 1 outright.
-        assert way_below_in_m(t, ONE, ONE)
-    else:
-        assert not way_below_in_m(t, ONE, ONE) or idm.components == ((ONE, ONE),)
     sup = idm.supremum
     return ApproxReport(1 if top_block else 2, idm, top_block, sup, sup == ONE)
 
@@ -164,6 +127,11 @@ def _require_m_valued(c: QCat):
                 raise NotMValued(f"structure value {v} outside M")
 
 
+def _require_functor(f: QFunctor):
+    if (pair := functor_violation(f)) is not None:
+        raise DomainError(f"not a functor: fails at {pair[0]}, {pair[1]}")
+
+
 def function_space_limit(
     a: QCat,
     b: QCat,
@@ -171,39 +139,30 @@ def function_space_limit(
     cycle: Sequence[tuple],
 ) -> QFunctor:
     """Yoneda limit of an eventually cyclic functor sequence in the
-    power-object structure on [A -> B].
+    power-object structure on [A -> B], computed pointwise (least-index
+    Yoneda limit of each point sequence).
 
-    The limit is computed pointwise (least-index Yoneda limit of each
-    point sequence) and the limit law
-    d(f, g) = join_la meet_{la<=mu} d(f_mu, g) is verified against
-    every functor g before returning."""
+    For categories A and B it is the limit.  d(f, g) = 1 puts
+    s(f x, g x) >= r(x, x) = 1, so the cycle functors and the pointwise
+    limit L are pointwise isomorphic to f0 = cycle[0].  So L is a
+    functor, as s(L x, L y) = s(f0 x, f0 y), and d(L, g) = d(f, g) for
+    every cycle functor f, as d reads only values s(f x, g y): the law
+    d(L, g) = join_la meet_{la<=mu} d(f_mu, g) holds for every g."""
     _require_m_valued(a)
     _require_m_valued(b)
+    for c in (a, b):
+        if not (res := validate_qcat(c)):
+            raise DomainError(f"not a category: {res.message}")
     hom = hom_power(a, b)
     seq = FCSequence(hom, tuple(prefix), tuple(cycle))
     if not is_forward_cauchy(seq):
         raise NotForwardCauchy("functor sequence is not forward Cauchy in d_pi")
-    images = []
-    for i, x in enumerate(a.points):
-        point_cycle = tuple(f[i] for f in seq.cycle_set())
-        point_seq = FCSequence(b, (), point_cycle)
-        images.append(canonical_limit(point_seq))
-    limit = QFunctor(a, b, tuple(images))
-    assert is_functor(limit)
-    # Limit law: the tail stabilizes on the cycle, so the join-of-meets
-    # collapses to the meet over cycle members.
     cyc = seq.cycle_set()
-    f_point = limit.mapping
-    if f_point not in hom.points:  # pragma: no cover
-        raise NotForwardCauchy("pointwise limit is not a functor point")
-    for g in hom.points:
-        expected = min(hom.r(fm, g) for fm in cyc)
-        if hom.r(f_point, g) != expected:
-            raise NotForwardCauchy(
-                f"limit law fails against {g}: "
-                f"{hom.r(f_point, g)} != {expected}"
-            )
-    return limit
+    images = tuple(
+        canonical_limit(FCSequence(b, (), tuple(f[i] for f in cyc)))
+        for i in range(len(a.points))
+    )
+    return QFunctor(a, b, images)
 
 
 def check_ev(a: QCat, b: QCat) -> CheckResult:
@@ -221,20 +180,25 @@ def check_ev(a: QCat, b: QCat) -> CheckResult:
 
 def curry(a: QCat, c: QCat, b: QCat, f: QFunctor) -> QFunctor:
     """Transpose f : A x C -> B to C -> [A -> B] with the power-object
-    structure: z |-> f(-, z)."""
+    structure: z |-> f(-, z).  A map f that is not a functor is a
+    DomainError naming its first violating pair.
+
+    The transpose g is a functor exactly when f is: as u -> v is 1 for
+    u <= v and v otherwise, d(g z, g w) >= r(z, w) says that for all
+    x, y, s(f(x, z), f(y, w)) >= min(r(x, y), r(z, w))."""
+    _require_functor(f)
     hom = hom_power(a, b)
     images = tuple(
         tuple(f((x, z)) for x in a.points) for z in c.points
     )
-    g = QFunctor(c, hom, images)
-    assert is_functor(g)
-    return g
+    return QFunctor(c, hom, images)
 
 
 def uncurry(a: QCat, c: QCat, b: QCat, g: QFunctor) -> QFunctor:
-    """Inverse transposition: (x, z) |-> g(z)(x)."""
+    """Inverse transposition of g : C -> [A -> B]: (x, z) |-> g(z)(x);
+    a functor exactly when g is one (see :func:`curry`), which is
+    checked as there."""
+    _require_functor(g)
     dom = product(a, c)
     images = tuple(g(z)[a.index(x)] for (x, z) in dom.points)
-    f = QFunctor(dom, b, images)
-    assert is_functor(f)
-    return f
+    return QFunctor(dom, b, images)

@@ -366,15 +366,19 @@ def test_criterion_08_yoneda_suite(announce):
             if not ok:
                 break
 
-            # function-space limit law in [c -> c], verified by
-            # function_space_limit against every functor g
+            # function-space limit law in [c -> c]: the pointwise limit
+            # L has d(L, h) = min(d(f, h), d(g, h)) for every functor h
             if size <= 2:
                 hom = hom_power(c, c)
                 for f, g in itertools.product(hom.points, repeat=2):
                     seq = yoneda.FCSequence(hom, (), (f, g))
                     if not yoneda.is_forward_cauchy(seq):
                         continue
-                    yoneda.function_space_limit(c, c, (), (f, g))
+                    lim = yoneda.function_space_limit(c, c, (), (f, g)).mapping
+                    ok = ok and lim in hom.points and all(
+                        hom.r(lim, h) == min(hom.r(f, h), hom.r(g, h))
+                        for h in hom.points
+                    )
                     law_checks += 1
         if not ok:
             break

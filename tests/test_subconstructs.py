@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from realcat.errors import DomainError, InvalidWitness, RealcatError
 from realcat.intervals import IntervalSet
-from realcat.qcat import QCat, two_point, validate_qcat
+from realcat.qcat import QCat, final_lift, product as qproduct, two_point, validate_qcat
 from realcat.subconstructs import (
     ccc_criterion,
     ccc_failure_triple,
@@ -596,6 +596,31 @@ class TestCCCWitness:
     def test_holding_triple_rejected(self):
         with pytest.raises(InvalidWitness):
             ccc_witness(LUK, F(1, 2), F(1, 2), F(1, 2))
+
+    @settings(max_examples=300)
+    @given(
+        norm_cases(),
+        st.lists(st.fractions(0, 1, max_denominator=24), min_size=3, max_size=3),
+    )
+    def test_product_and_final_lift_give_lhs_and_rhs(self, case, uvr):
+        """ccc_witness proves its lhs and rhs in its docstring; here the
+        product A x D and the final lift of {A x B, A x C} are built, and
+        the identity's sides come from the written-out norm."""
+        t, blocks = case
+        u, v, r = uvr
+        lhs = min(oracle_and(blocks, u, v), r)
+        rhs = max(oracle_and(blocks, min(u, r), v), oracle_and(blocks, min(v, r), u))
+        if lhs == rhs:
+            with pytest.raises(InvalidWitness):
+                ccc_witness(t, u, v, r)
+            return
+        w = ccc_witness(t, u, v, r)
+        ab, ac, ad = (qproduct(w.cat_a, x) for x in (w.cat_b, w.cat_c, w.cat_d))
+        sinks = [(ab, {p: p for p in ab.points}), (ac, {p: p for p in ac.points})]
+        lifted = final_lift(t, sinks, ad.points)
+        pair = (("0", "x"), ("1", "y"))
+        assert (w.lhs, w.rhs) == (lhs, rhs)
+        assert (ad.r(*pair), lifted.r(*pair)) == (lhs, rhs)
 
 
 class TestPowerExistence:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcat.errors import DomainError, ProductIrrational
@@ -32,6 +32,7 @@ from realcat.tnorm import (
 )
 from realcat.tnorm import product as product_norm
 from realcat.values import unit
+from realcat.yoneda import approx_property
 
 LUK = lukasiewicz()
 GOD = godel()
@@ -382,6 +383,28 @@ class TestSubquantaleCheck:
         assert x in k and y in k
         assert tnorm_eval(LUK, x, y) not in k
 
+    @settings(max_examples=300)
+    @given(
+        st.one_of(st.sampled_from(ALL_NORMS), _ordinal_sums()),
+        st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=4),
+    )
+    @example(LUK, [(0, 3), (6, 18)])
+    def test_witness_pair_maps_exactly_onto_the_gap(self, t, ends):
+        """For random K (1 always in it), a failure's pair lies in K and
+        x & y is the gap value its message names, outside K.  In the
+        example the gap 3/16 lies above 1/4 & 3/4 = 0, so the pair is
+        solved with y at the top of its component."""
+        k = IntervalSet.of(
+            [(F(min(e), 24), F(max(e), 24)) for e in ends] + [F(1)]
+        )
+        res = subquantale_check(t, k)
+        if res.passed:
+            return
+        x, y = res.witness
+        gap = tnorm_eval(t, x, y)
+        assert x in k and y in k and gap not in k
+        assert res.message == f"{x} & {y} = {gap} escapes K"
+
 
 class TestWayBelow:
     def test_strictly_smaller_is_way_below(self):
@@ -401,3 +424,9 @@ class TestWayBelow:
     def test_outside_m_raises(self):
         with pytest.raises(DomainError):
             way_below_in_m(LUK, F(3, 4), 1)
+
+    @given(st.one_of(st.sampled_from(ALL_NORMS), _ordinal_sums()))
+    def test_top_way_below_itself_is_approx_includes_top(self, t):
+        """approx_property reads includes_top off the blocks by proof;
+        way_below_in_m decides it on M."""
+        assert way_below_in_m(t, 1, 1) == approx_property(t).includes_top

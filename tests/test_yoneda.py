@@ -1,23 +1,30 @@
 """Tests for forward Cauchy sequences, Yoneda limits and the
 function-space completeness results."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from realcat.errors import NotForwardCauchy, NotMValued, PreconditionError
-from realcat.qcat import QCat, enumerate_functors, hom_power, two_point
-from realcat.tnorm import godel, lukasiewicz, remark4
+from realcat.errors import DomainError, NotForwardCauchy, NotMValued
+from realcat.qcat import (
+    QCat,
+    QFunctor,
+    enumerate_functors,
+    hom_power,
+    product,
+    two_point,
+    validate_qcat,
+)
+from realcat.tnorm import godel, lukasiewicz, remark4, tnorm_eval
 from realcat.tnorm import product as product_norm
 from realcat.yoneda import (
     FCSequence,
     approx_property,
     canonical_limit,
-    check_alpha_monotone_lemma,
     check_ev,
     curry,
     function_space_limit,
-    is_alpha_monotone,
     is_forward_cauchy,
     uncurry,
     yoneda_limits,
@@ -25,6 +32,37 @@ from realcat.yoneda import (
 
 LUK = lukasiewicz()
 GOD = godel()
+L3 = (F(0), F(1, 2), F(1))
+
+
+def l3_categories(t, max_size=3):
+    """Every category over t with values in {0, 1/2, 1} on up to
+    max_size points."""
+    for size in range(1, max_size + 1):
+        slots = [(i, j) for i in range(size) for j in range(size) if i != j]
+        for combo in itertools.product(L3, repeat=len(slots)):
+            matrix = [[F(1)] * size for _ in range(size)]
+            for (i, j), v in zip(slots, combo):
+                matrix[i][j] = v
+            c = QCat(t, tuple(f"p{i}" for i in range(size)), tuple(map(tuple, matrix)))
+            if validate_qcat(c):
+                yield c
+
+
+def tail_limits(s):
+    """The Yoneda limits by their definition: the points a with
+    r(a, x) = meet over the cycle of r(p, x) for every x."""
+    c = s.ambient
+    tail = {x: min(c.r(p, x) for p in s.cycle) for x in c.points}
+    return tuple(a for a in c.points if all(c.r(a, x) == tail[x] for x in c.points))
+
+
+def assert_limit_law(a, b, cycle, limit):
+    """d(L, g) = meet over the cycle of d(f, g) for every functor g."""
+    hom = hom_power(a, b)
+    assert limit.mapping in hom.points
+    for g in hom.points:
+        assert hom.r(limit.mapping, g) == min(hom.r(f, g) for f in cycle)
 
 
 @pytest.fixture
@@ -106,34 +144,48 @@ class TestYonedaLimits:
                 cluster.r("a", x), cluster.r("b", x)
             )
 
+    @pytest.mark.parametrize("t", [LUK, GOD], ids=["lukasiewicz", "godel"])
+    def test_limits_match_the_tail_formula_exhaustively(self, t):
+        """yoneda_limits reads the limits off as the class of cycle[0];
+        here they come from their definition, on every forward Cauchy
+        cycle of up to 3 points in every small L3 category."""
+        sequences = 0
+        for c in l3_categories(t):
+            for n in (1, 2, 3):
+                for cyc in itertools.product(c.points, repeat=n):
+                    s = FCSequence(c, (), cyc)
+                    if is_forward_cauchy(s):
+                        assert yoneda_limits(s).points == tail_limits(s)
+                        sequences += 1
+        assert sequences > 1000
+
 
 class TestAlphaMonotone:
-    def test_monotonicity_threshold(self, chain):
-        s = FCSequence(chain, (), ("a",))
-        assert is_alpha_monotone(s, 1)
-        s2 = FCSequence(chain, (), ("a", "b"))
-        # forward distances within the cycle are >= 1/2
-        assert is_alpha_monotone(s2, F(1, 2))
-        assert not is_alpha_monotone(s2, F(3, 4))
+    """The lemma that an eventually alpha-monotone sequence has
+    monotone alpha-meets: for idempotent alpha and cycle points all at
+    distance >= alpha, alpha ^ r(x_mu, x) <= alpha ^ r(x_la, x).  It
+    follows from alpha & y = min(alpha, y) and transitivity, so the
+    library does not check it; this oracle does, exhaustively."""
 
-    def test_lemma_holds_for_idempotent_alpha(self, chain):
-        s = FCSequence(chain, (), ("a", "b"))
-        # 0 is idempotent for Lukasiewicz
-        assert check_alpha_monotone_lemma(s, 0).passed
-
-    def test_non_idempotent_alpha_rejected(self, chain):
-        with pytest.raises(PreconditionError):
-            check_alpha_monotone_lemma(FCSequence(chain, (), ("a",)), F(1, 2))
-
-    def test_not_monotone_enough_rejected(self, chain):
-        s = FCSequence(chain, (), ("a", "b"))
-        with pytest.raises(PreconditionError):
-            check_alpha_monotone_lemma(s, 1)
-
-    def test_godel_interior_idempotents(self, cluster):
-        c = QCat(GOD, cluster.points, cluster.matrix)
-        s = FCSequence(c, (), ("a", "b"))
-        assert check_alpha_monotone_lemma(s, F(1, 2)).passed
+    @pytest.mark.parametrize("t", [LUK, GOD], ids=["lukasiewicz", "godel"])
+    def test_lemma_on_every_small_l3_category(self, t):
+        idempotents = [a for a in L3 if tnorm_eval(t, a, a) == a]
+        assert all(
+            tnorm_eval(t, a, y) == min(a, y) for a in idempotents for y in L3
+        )
+        checked = 0
+        for c in l3_categories(t):
+            for n in (1, 2, 3):
+                for cyc in itertools.combinations(c.points, n):
+                    for alpha in idempotents:
+                        if any(c.r(p, q) < alpha for p in cyc for q in cyc):
+                            continue
+                        for later, earlier, x in itertools.product(cyc, cyc, c.points):
+                            assert min(alpha, c.r(later, x)) <= min(
+                                alpha, c.r(earlier, x)
+                            )
+                        checked += 1
+        assert checked > 100
 
 
 class TestApproxProperty:
@@ -163,6 +215,7 @@ class TestFunctionSpaceLimits:
         f = hom.points[0]
         lim = function_space_limit(self.a, self.b, (), (f,))
         assert lim.mapping == f
+        assert_limit_law(self.a, self.b, (f,), lim)
 
     def test_cycling_between_isomorphic_functors(self):
         a = two_point(LUK, F(1, 2), F(1, 2))
@@ -187,6 +240,36 @@ class TestFunctionSpaceLimits:
             lim = function_space_limit(a, cod, (), (f, g))
             assert hom.r(lim.mapping, f) == 1
             assert hom.r(lim.mapping, g) == 1
+            assert_limit_law(a, cod, (f, g), lim)
+
+    def test_limit_law_on_every_small_l3_pair(self):
+        """Every forward Cauchy cycle of up to two functors between
+        categories of up to two points: the pointwise limit meets the
+        limit law against every functor g."""
+        cats = list(l3_categories(LUK, 2))
+        laws = 0
+        for a, b in itertools.product(cats, repeat=2):
+            hom = hom_power(a, b)
+            for cycle in itertools.product(hom.points, repeat=2):
+                if hom.r(cycle[0], cycle[1]) == hom.r(cycle[1], cycle[0]) == 1:
+                    lim = function_space_limit(a, b, (), cycle)
+                    assert_limit_law(a, b, cycle, lim)
+                    laws += 1
+        assert laws > 100
+
+    def test_non_category_is_refused(self):
+        """The limit law rests on A and B being categories; an M-valued
+        map that is not transitive is refused before any limit."""
+        bad = QCat(
+            LUK,
+            ("a", "b", "c"),
+            ((F(1), F(1), F(0)), (F(0), F(1), F(1)), (F(0), F(0), F(1))),
+        )
+        with pytest.raises(DomainError) as err:
+            function_space_limit(self.a, bad, (), (("a", "a"),))
+        assert str(err.value) == (
+            "not a category: r(b,c) & r(a,b) = 1 > r(a,c) = 0"
+        )
 
     def test_non_cauchy_functor_sequence_raises(self):
         hom = hom_power(self.a, self.b)
@@ -214,8 +297,6 @@ class TestEvaluationAndCurrying:
         assert check_ev(a, b).passed
 
     def test_curry_uncurry_roundtrip_all_functors(self):
-        from realcat.qcat import product
-
         a = two_point(LUK, F(1, 2), F(1, 2))
         b = two_point(LUK, F(1, 4), F(1, 4))
         c = two_point(LUK, F(1, 2), F(0))
@@ -230,3 +311,18 @@ class TestEvaluationAndCurrying:
             assert uncurry(a, c, b, g).mapping == f.mapping
             seen.add(g.mapping)
         assert seen == {g.mapping for g in curried}
+
+    def test_non_functor_is_refused_naming_its_first_pair(self):
+        a = two_point(LUK, F(1, 2), F(1, 2))
+        b = two_point(LUK, F(1, 4), F(1, 4))
+        c = two_point(LUK, 1, 1)
+        f = QFunctor(product(a, c), b, ("0", "0", "1", "0"))
+        with pytest.raises(DomainError) as err:
+            curry(a, c, b, f)
+        assert str(err.value) == "not a functor: fails at ('0', '0'), ('1', '0')"
+        hom = hom_power(a, b)
+        g = QFunctor(c, hom, (hom.points[0], hom.points[-1]))
+        assert hom.r(hom.points[0], hom.points[-1]) < 1
+        with pytest.raises(DomainError) as err:
+            uncurry(a, c, b, g)
+        assert str(err.value) == "not a functor: fails at 0, 1"
