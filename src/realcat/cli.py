@@ -11,7 +11,9 @@ Four commands, each with only the flags it reads:
   construction and write the resulting category.  Every input category
   is validated first; a matrix that is no category exits 5.  So is the
   result of ``hom_power``: [A, B] is a category when the values lie in
-  M, not for every A and B.
+  M, not for every A and B.  Tuple-shaped points are written as flat
+  labels, and a result with two points written alike (``("a", "b,c")``
+  and ``("a,b", "c")``, or ``"1"`` and ``1``) exits 5.
 - ``verify SUITE [--format json|text] [--tnorm T]``: run a named
   invariant suite.
 - ``witness --k FILE [--tnorm T] [--out FILE]``: decide cartesian
@@ -53,25 +55,10 @@ EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_DOMAIN = 5
 
-# each construction and the number of input files it takes
-CONSTRUCT_KINDS = {
-    "product": 2,
-    "tensor": 2,
-    "hom_tensor": 2,
-    "hom_power": 2,
-    "coreflect": 2,
-    "reflect": 2,
-    "initial_lift": 1,
-    "final_lift": 1,
-    "por_rho": 1,
-    "por_sigma": 1,
-}
-
-
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -125,6 +112,70 @@ def _category(path: str) -> qc.QCat:
     return _require_category(path, ser.qcat_from_obj(_load_json(path)))
 
 
+def _categories(args) -> list[qc.QCat]:
+    cats = [_category(path) for path in args.inputs]
+    if cats[0].tnorm != cats[-1].tnorm:
+        raise DomainError("the two categories live over different t-norms")
+    return cats
+
+
+def _suitable_and_category(args):
+    return ser.suitable_from_obj(_load_json(args.inputs[0])), _category(args.inputs[1])
+
+
+def _labelled(kind: str, c: qc.QCat) -> qc.QCat:
+    """c on the labels its file shows (``serialize.point_label``), which
+    must be distinct for the file to read back as a category.  The
+    matrix is c's own, so it is not read again."""
+    labels = {}
+    for p in c.points:
+        label = ser.point_label(p)
+        if label in labels:
+            raise DomainError(
+                f"{kind}: the result's points {labels[label]!r} and {p!r} "
+                f"are both written {label!r}"
+            )
+        labels[label] = p
+    return qc._built_qcat(c.tnorm, tuple(labels), c.matrix)
+
+
+def _hom_power(args) -> qc.QCat:
+    """[A, B] on its file's labels, refused when it is not a category."""
+    out = _labelled(args.kind, qc.hom_power(*_categories(args), args.max_maps))
+    res = qc.validate_qcat(out)
+    if not res.passed:
+        raise DomainError(f"{args.kind}: the result is not a category: {res.message}")
+    return out
+
+
+def _initial_lift(args) -> qc.QCat:
+    t, carrier, sources = ser.initial_lift_from_obj(_load_json(args.inputs[0]))
+    _require_lift_categories(args.inputs[0], t, [cat for _, cat in sources])
+    return qc.initial_lift(t, carrier, sources)
+
+
+def _final_lift(args) -> qc.QCat:
+    t, sinks, carrier = ser.final_lift_from_obj(_load_json(args.inputs[0]))
+    _require_lift_categories(args.inputs[0], t, [cat for cat, _ in sinks])
+    return qc.final_lift(t, sinks, carrier)
+
+
+# each construction: the number of input files it takes, and the function
+# that decodes and checks them (from the parsed arguments) and builds it
+CONSTRUCT_KINDS = {
+    "product": (2, lambda args: qc.product(*_categories(args))),
+    "tensor": (2, lambda args: qc.tensor(*_categories(args))),
+    "hom_tensor": (2, lambda args: qc.hom_tensor(*_categories(args), args.max_maps)),
+    "hom_power": (2, _hom_power),
+    "coreflect": (2, lambda args: sub.coreflect_c(*_suitable_and_category(args))),
+    "reflect": (2, lambda args: sub.reflect_r(*_suitable_and_category(args))),
+    "initial_lift": (1, _initial_lift),
+    "final_lift": (1, _final_lift),
+    "por_rho": (1, lambda args: sub.por_coreflection(*_categories(args))),
+    "por_sigma": (1, lambda args: sub.por_reflection(*_categories(args))),
+}
+
+
 def cmd_validate(args) -> int:
     report = Report("validate")
     config_tnorm = _tnorm(args.tnorm) if args.tnorm else None
@@ -167,45 +218,12 @@ def cmd_validate(args) -> int:
 
 def cmd_construct(args) -> int:
     kind = args.kind
-    if len(args.inputs) != CONSTRUCT_KINDS[kind]:
+    arity, build = CONSTRUCT_KINDS[kind]
+    if len(args.inputs) != arity:
         raise ParseError(
-            f"construct {kind} takes {CONSTRUCT_KINDS[kind]} input file(s), "
-            f"got {len(args.inputs)}"
+            f"construct {kind} takes {arity} input file(s), got {len(args.inputs)}"
         )
-    if kind in ("product", "tensor", "hom_tensor", "hom_power"):
-        a, b = _category(args.inputs[0]), _category(args.inputs[1])
-        if a.tnorm != b.tnorm:
-            raise DomainError("the two categories live over different t-norms")
-        fn = {
-            "product": qc.product,
-            "tensor": qc.tensor,
-            "hom_tensor": lambda x, y: qc.hom_tensor(x, y, args.max_maps),
-            "hom_power": lambda x, y: qc.hom_power(x, y, args.max_maps),
-        }[kind]
-        out = fn(a, b)
-    elif kind in ("coreflect", "reflect"):
-        s = ser.suitable_from_obj(_load_json(args.inputs[0]))
-        c = _category(args.inputs[1])
-        out = (sub.coreflect_c if kind == "coreflect" else sub.reflect_r)(s, c)
-    elif kind in ("por_rho", "por_sigma"):
-        c = _category(args.inputs[0])
-        out = (sub.por_coreflection if kind == "por_rho" else sub.por_reflection)(c)
-    elif kind == "initial_lift":
-        t, carrier, sources = ser.initial_lift_from_obj(_load_json(args.inputs[0]))
-        _require_lift_categories(args.inputs[0], t, [cat for _, cat in sources])
-        out = qc.initial_lift(t, carrier, sources)
-    elif kind == "final_lift":
-        t, sinks, carrier = ser.final_lift_from_obj(_load_json(args.inputs[0]))
-        _require_lift_categories(args.inputs[0], t, [cat for cat, _ in sinks])
-        out = qc.final_lift(t, sinks, carrier)
-    else:  # pragma: no cover
-        raise ParseError(f"unknown construction {kind!r}")
-    out = out.relabel([ser.point_label(p) for p in out.points])
-    if kind == "hom_power":
-        res = qc.validate_qcat(out)
-        if not res.passed:
-            raise DomainError(f"hom_power: the result is not a category: {res.message}")
-    text = ser.dumps(ser.qcat_to_obj(out))
+    text = ser.dumps(ser.qcat_to_obj(_labelled(kind, build(args))))
     if args.out:
         _write(args.out, text)
     else:

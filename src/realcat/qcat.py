@@ -10,6 +10,7 @@ or row-major so reports are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -81,9 +82,6 @@ class QCat:
     def r(self, p, q) -> Fraction:
         return self.matrix[self.index(p)][self.index(q)]
 
-    def relabel(self, labels: Sequence) -> "QCat":
-        return QCat(self.tnorm, tuple(labels), self.matrix)
-
     def __len__(self):
         return len(self.points)
 
@@ -99,12 +97,13 @@ def _built_qcat(t: TNorm, points: tuple, matrix: tuple) -> QCat:
 
     Safe because nothing in it comes from outside unchecked: the points
     are a checked category's points, pairs or image tuples of them, or
-    a carrier the lift has just checked with ``_require_distinct``; the
-    matrix is an n x n tuple of tuples whose entries are mins, joins and
-    & (``TNorm._and``) of checked entries, ``sqrt_with`` results, or
-    Fraction(k, d) with 0 <= k <= d from ``GridDomain.leave``, so each
-    is a Fraction in [0, 1] already.  The encoding stays lazy
-    (``_encoded``): many outputs never reach a kernel."""
+    a carrier or labels just checked to be distinct (the lifts, the
+    CLI's output labels); the matrix is a category's own, or an n x n
+    tuple of tuples whose entries are mins, joins and & (``TNorm._and``)
+    of checked entries, ``sqrt_with`` results, or Fraction(k, d) with
+    0 <= k <= d from ``GridDomain.leave``, so each is a Fraction in
+    [0, 1] already.  The encoding stays lazy (``_encoded``): many
+    outputs never reach a kernel."""
     c = object.__new__(QCat)
     c.__dict__.update(tnorm=t, points=points, matrix=matrix)
     return c
@@ -175,20 +174,8 @@ class QFunctor:
             if not known:
                 raise ValueError(f"image {img!r} not a codomain point")
 
-    @staticmethod
-    def from_dict(dom: QCat, cod: QCat, table: Mapping) -> "QFunctor":
-        return QFunctor(dom, cod, tuple(table[p] for p in dom.points))
-
     def __call__(self, p):
         return self.mapping[self.dom.index(p)]
-
-    def compose_after(self, other: "QFunctor") -> "QFunctor":
-        """self o other (other first)."""
-        if other.cod.points != self.dom.points:
-            raise ValueError("composition mismatch")
-        return QFunctor(
-            other.dom, self.cod, tuple(self(q) for q in other.mapping)
-        )
 
 
 def functor_violation(f: QFunctor) -> tuple | None:
@@ -213,21 +200,22 @@ def _functor_tables(a: QCat, b: QCat, max_maps: int) -> list[tuple[int, ...]]:
     Depth-first search: domain points are assigned in order, each to the
     codomain points in index order, and a new image is kept only if
     r(x,x) <= s(fx,fx) and, for every point y assigned before it,
-    r(x,y) <= s(fx,fy) and r(y,x) <= s(fy,fx).  Entries are compared by
-    exact integer rank in the sorted set of values of both matrices."""
+    r(x,y) <= s(fx,fy) and r(y,x) <= s(fy,fx).  Entries are compared
+    exactly as integers: each matrix's kept numerators (``QCat._encoded``)
+    scaled to the lcm of the two denominators."""
     na, nb = len(a.points), len(b.points)
     if nb**na > max_maps:
         raise SizeLimitExceeded(na, nb, max_maps)
     if na == 0:
         return [()]
-    # Values are keyed by their (numerator, denominator) pair, which is
-    # unique in lowest terms and hashes ~10x faster than a Fraction.
-    values = {
-        v.as_integer_ratio(): v for m in (a.matrix, b.matrix) for row in m for v in row
-    }
-    rank = {key: k for k, key in enumerate(sorted(values, key=values.__getitem__))}
-    dom = [[rank[v.as_integer_ratio()] for v in row] for row in a.matrix]
-    cod = [[rank[v.as_integer_ratio()] for v in row] for row in b.matrix]
+    ea, eb = a._encoded, b._encoded
+    d = math.lcm(ea.d, eb.d)
+    dom, cod = (
+        e.numerators
+        if e.d == d
+        else [[v * (d // e.d) for v in row] for row in e.numerators]
+        for e in (ea, eb)
+    )
     dom_t = [list(col) for col in zip(*dom)]
     cod_t = [list(col) for col in zip(*cod)]
     # fits[x]: the images allowed for point x by the diagonal alone

@@ -1,9 +1,11 @@
-"""JSON wire formats.
+"""JSON wire formats: t-norms, interval sets, categories, suitable sets,
+lift specs (read only) and CCC witnesses (written only).
 
 Rationals are always serialized as "p/q" strings, never as decimals, so
 round-tripping is exact.  Tuple-shaped points (from products and hom
 objects) are flattened to parenthesized labels on output; emitted files
-re-parse to equal values.
+re-parse to equal values unless two points flatten to one label, which
+``realcat construct`` refuses.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from typing import Any
 
 from .errors import DomainError, ParseError
 from .intervals import IntervalSet
-from .qcat import QCat, QFunctor
+from .qcat import QCat
 from .subconstructs import CCCWitness, SuitableSet, SuitableVariant
 from .tnorm import BUILTIN_NORMS, Block, BlockKind, TNorm
 from .values import format_rat, parse_rat
-from .yoneda import FCSequence
 
 
 def point_label(p) -> str:
@@ -105,7 +106,7 @@ def intervalset_from_obj(obj: Any) -> IntervalSet:
 
 
 # ---------------------------------------------------------------------------
-# categories and functors
+# categories
 
 
 def qcat_to_obj(c: QCat) -> Any:
@@ -135,27 +136,6 @@ def qcat_from_obj(obj: Any) -> QCat:
         raise ParseError(f"category points must be labels: {exc}") from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def functor_to_obj(f: QFunctor) -> Any:
-    return {
-        "dom": qcat_to_obj(f.dom),
-        "cod": qcat_to_obj(f.cod),
-        "map": {
-            point_label(p): point_label(img)
-            for p, img in zip(f.dom.points, f.mapping)
-        },
-    }
-
-
-def functor_from_obj(obj: Any) -> QFunctor:
-    try:
-        dom = qcat_from_obj(obj["dom"])
-        cod = qcat_from_obj(obj["cod"])
-        table = obj["map"]
-        return QFunctor.from_dict(dom, cod, table)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad functor: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +266,7 @@ def final_lift_from_obj(obj: Any):
 
 
 # ---------------------------------------------------------------------------
-# sequences and witnesses
-
-
-def fcsequence_to_obj(s: FCSequence) -> Any:
-    return {
-        "category": qcat_to_obj(s.ambient),
-        "prefix": [point_label(p) for p in s.prefix],
-        "cycle": [point_label(p) for p in s.cycle],
-    }
-
-
-def fcsequence_from_obj(obj: Any) -> FCSequence:
-    try:
-        ambient = qcat_from_obj(obj["category"])
-        return FCSequence(ambient, tuple(obj["prefix"]), tuple(obj["cycle"]))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad sequence: {exc}") from exc
+# witnesses
 
 
 def witness_to_obj(w: CCCWitness) -> Any:

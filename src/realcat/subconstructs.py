@@ -24,7 +24,6 @@ from .qcat import QCat, _built_qcat, path_closure, two_point
 from .tnorm import (
     CheckResult,
     TNorm,
-    k_subset_of_m,
     m_set,
     kernel_domain,
     subquantale_check,
@@ -355,7 +354,7 @@ def por_reflection(c: QCat) -> QCat:
 def ccc_criterion(t: TNorm, k: IntervalSet) -> bool:
     """Decidable cartesian-closedness criterion for K-Cat: every a in K
     has a & a idempotent, i.e. K is contained in M."""
-    return k_subset_of_m(t, k)
+    return k.is_subset(m_set(t))
 
 
 def ccc_failure_triple(t: TNorm, k: IntervalSet) -> tuple[Fraction, Fraction, Fraction]:

@@ -508,11 +508,6 @@ def _preimage_pair(t, comp1, comp2, target):
     return (x, y)
 
 
-def k_subset_of_m(t: TNorm, k: IntervalSet) -> bool:
-    """Exact containment K <= M (a & a idempotent for all a in K)."""
-    return k.is_subset(m_set(t))
-
-
 def way_below_in_m(t: TNorm, x, y) -> bool:
     """Decide x << y in the complete chain M.
 

@@ -134,7 +134,10 @@ class TestFunctors:
     def test_identity_and_composition(self, chain3):
         ident = QFunctor(chain3, chain3, chain3.points)
         assert is_functor(ident)
-        assert ident.compose_after(ident).mapping == ident.mapping
+        f = QFunctor(chain3, chain3, ("b", "b", "c"))
+        assert f("a") == "b"
+        composite = tuple(f(ident(p)) for p in chain3.points)
+        assert composite == f.mapping
 
     def test_functor_violation_is_the_first_pair_in_row_major_order(self):
         a = two_point(LUK, F(1, 2), F(1, 4))
@@ -161,10 +164,6 @@ class TestFunctors:
         err = exc.value
         assert (err.dom_size, err.cod_size, err.cap) == (3, 3, 3)
         assert str(err) == "27 candidate maps exceed the cap 3"
-
-    def test_from_dict_roundtrip(self, chain3):
-        f = QFunctor.from_dict(chain3, chain3, {"a": "b", "b": "b", "c": "c"})
-        assert f("a") == "b"
 
 
 class TestProductAndTensor:

@@ -8,14 +8,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcat import cli
 from realcat import serialize as ser
 from realcat.errors import DomainError, ParseError
 from realcat.intervals import IntervalSet
-from realcat.qcat import QFunctor, final_lift, product, two_point
+from realcat.qcat import final_lift, product, two_point
 from realcat.subconstructs import (
     SuitableSet,
     SuitableVariant,
@@ -27,7 +27,6 @@ from realcat.subconstructs import (
 )
 from realcat.tnorm import Block, BlockKind, TNorm, godel, lukasiewicz, remark4
 from realcat.values import parse_rat
-from realcat.yoneda import FCSequence
 
 LUK = lukasiewicz()
 
@@ -128,12 +127,6 @@ class TestOtherFormats:
         assert obj["points"] == ["(0,a)", "(0,b)", "(1,a)", "(1,b)"]
         assert ser.qcat_from_obj(obj).matrix == p.matrix
 
-    def test_functor_roundtrip(self):
-        c = two_point(LUK, F(1, 2), F(1, 2))
-        f = QFunctor(c, c, ("1", "0"))
-        again = ser.functor_from_obj(ser.functor_to_obj(f))
-        assert again.mapping == f.mapping
-
     def test_suitable_roundtrip_all_variants(self):
         for s in (
             k_square(LUK, IntervalSet.of([0, F(1, 2), 1])),
@@ -193,12 +186,6 @@ class TestOtherFormats:
         assert ser.suitable_from_obj(own, tnorm=godel()).tnorm == godel()
         with pytest.raises(DomainError):
             ser.suitable_from_obj(own, tnorm=LUK)
-
-    def test_fcsequence_roundtrip(self):
-        c = two_point(LUK, 1, 1)
-        s = FCSequence(c, ("0",), ("1", "0"))
-        again = ser.fcsequence_from_obj(ser.fcsequence_to_obj(s))
-        assert again == s
 
     def test_witness_serialization(self):
         w = ccc_witness(LUK, F(3, 4), F(3, 4), F(1, 2))
@@ -308,7 +295,7 @@ class TestCLI:
             ]
         )
         assert code == 0
-        emitted = json.loads(open(out_path).read())
+        emitted = json.loads(Path(out_path).read_text())
         cat = ser.qcat_from_obj(emitted)
         assert len(cat) == 4
         assert cli.main(["validate", out_path]) == 0
@@ -442,7 +429,7 @@ class TestCLI:
             ["witness", "--k", workdir["k5"], "--out", out_path]
         )
         assert code == 1
-        emitted = json.loads(open(out_path).read())
+        emitted = json.loads(Path(out_path).read_text())
         assert (emitted["u"], emitted["v"], emitted["r"]) == (
             "3/4",
             "3/4",
@@ -793,7 +780,8 @@ RATS = st.sampled_from(
     ["0/1", "1/4", "1/3", "1/2", "2/3", "3/4", "1/1"] * 3
     + ["1", "2/1", "-1/2", "x", "1/0"]
 )
-LABELS = st.sampled_from(["a", "b", "c"])
+# "a,b" and "b,c", or "1" and 1, flatten to one label in a result
+LABELS = st.sampled_from(["a", "b", "c", "a,b", "b,c", "1", 1])
 KEYS = st.sampled_from(
     ["tnorm", "points", "matrix", "blocks", "lo", "hi", "kind", "at",
      "components", "variant", "k", "pairs", "carrier", "sinks", "sources",
@@ -929,7 +917,7 @@ def _case(draw):
         else:
             docs["A"] = draw(_mostly(_category(norm)))
         docs["B"] = draw(_mostly(_category(other)))
-        inputs = ["A", "B"][: cli.CONSTRUCT_KINDS[kind]]
+        inputs = ["A", "B"][: cli.CONSTRUCT_KINDS[kind][0]]
         if draw(st.integers(0, 9)) == 9:
             inputs = draw(st.sampled_from([["A"], ["A", "B"], ["A", "B", "B"]]))
         argv = ["construct", kind, *inputs]
@@ -953,12 +941,14 @@ def _case(draw):
     return argv, docs
 
 
-def _run_case(argv, docs, tmp):
-    """Write the documents under tmp, run the CLI; (exit code, stderr)."""
+def _run_case(argv, docs, tmp, raw=None):
+    """Write the documents (and the raw texts) under tmp, run the CLI;
+    (exit code, stderr)."""
     names = {"OUT": str(Path(tmp) / "out.json")}
-    for name, obj in docs.items():
+    texts = {name: json.dumps(obj) for name, obj in docs.items()} | (raw or {})
+    for name, text in texts.items():
         names[name] = str(Path(tmp) / f"{name}.json")
-        Path(names[name]).write_text(json.dumps(obj))
+        Path(names[name]).write_text(text)
     argv = [names.get(a, a) for a in argv]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -969,8 +959,23 @@ def _run_case(argv, docs, tmp):
     return code, err.getvalue()
 
 
+def _two_points(points):
+    return {"tnorm": "godel", "points": points, "matrix": [["1/1", "0/1"], ["0/1", "1/1"]]}
+
+
+# two results whose points flatten to one label: ("a", "b,c") and
+# ("a,b", "c") are both "(a,b,c)"; "1" and 1 are both "1"
+PRODUCT_COLLISION = (
+    ["construct", "product", "A", "B"],
+    {"A": _two_points(["a", "a,b"]), "B": _two_points(["b,c", "c"])},
+)
+POR_COLLISION = (["construct", "por_sigma", "A"], {"A": _two_points(["1", 1])})
+
+
 @settings(max_examples=300, deadline=None)
 @given(_case())
+@example(PRODUCT_COLLISION)
+@example(POR_COLLISION)
 def test_cli_boundary_exit_codes(case):
     """Any argv over small arbitrary JSON files ends in a documented exit
     code with at most one line on stderr, never a traceback."""
@@ -979,3 +984,52 @@ def test_cli_boundary_exit_codes(case):
         code, err = _run_case(argv, docs, tmp)
     assert code in {0, 1, 2, 3, 5}, argv
     assert err.count("\n") <= 1, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "case, line",
+    [
+        (
+            PRODUCT_COLLISION,
+            "error: product: the result's points ('a', 'b,c') and ('a,b', 'c') "
+            "are both written '(a,b,c)'\n",
+        ),
+        (
+            POR_COLLISION,
+            "error: por_sigma: the result's points '1' and 1 are both written '1'\n",
+        ),
+    ],
+)
+def test_construct_refuses_points_written_alike(case, line):
+    """A result file must read back as the category it was built from,
+    so two points that flatten to one label exit 5, before anything is
+    written."""
+    argv, docs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_case(argv + ["--out", "OUT"], docs, tmp) == (5, line)
+        assert not (Path(tmp) / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "DEEP"],
+        ["construct", "product", "DEEP", "DEEP"],
+        ["construct", "final_lift", "DEEP"],
+        ["witness", "--k", "DEEP"],
+        ["verify", "approx", "--tnorm", "DEEP"],
+        ["validate", "DEEP", "--tnorm", "DEEP"],
+    ],
+)
+def test_deeply_nested_json_is_a_parse_error(argv):
+    """JSON nested past the decoder's recursion limit is a file that
+    does not parse: exit 2 and one line naming the file, as for any
+    other bad JSON (--tnorm prefixes its own hint)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        deep = str(Path(tmp) / "DEEP.json")
+        code, err = _run_case(argv, {}, tmp, raw={"DEEP": "[" * 100_000 + "]" * 100_000})
+    assert code == 2 and err.count("\n") == 1 and err.endswith("\n")
+    if "--tnorm" in argv:
+        assert err.startswith("error: --tnorm takes one of ") and f"; {deep}: " in err
+    else:
+        assert err.startswith(f"error: {deep}: ")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from realcat.errors import DomainError, ProductIrrational
 from realcat.intervals import IntervalSet
+from realcat.subconstructs import ccc_criterion
 from realcat.tnorm import (
     Block,
     BlockKind,
@@ -18,7 +19,6 @@ from realcat.tnorm import (
     TNorm,
     godel,
     idempotent_set,
-    k_subset_of_m,
     kernel_domain,
     lukasiewicz,
     m_set,
@@ -337,9 +337,9 @@ class TestIdempotentsAndM:
 
     def test_k_subset_of_m(self):
         l3 = IntervalSet.of([0, F(1, 2), 1])
-        assert k_subset_of_m(LUK, l3)
-        assert not k_subset_of_m(LUK, IntervalSet.of([0, F(3, 4), 1]))
-        assert k_subset_of_m(GOD, IntervalSet.full())
+        assert ccc_criterion(LUK, l3)
+        assert not ccc_criterion(LUK, IntervalSet.of([0, F(3, 4), 1]))
+        assert ccc_criterion(GOD, IntervalSet.full())
 
 
 class TestSubquantaleCheck:
