@@ -13,7 +13,7 @@ Four commands, each with only the flags it reads:
   result of ``hom_power``: [A, B] is a category when the values lie in
   M, not for every A and B.  Tuple-shaped points are written as flat
   labels, and a result with two points written alike (``("a", "b,c")``
-  and ``("a,b", "c")``, or ``"1"`` and ``1``) exits 5.
+  and ``("a,b", "c")``, or ``"1"`` and ``1``) exits 5 and writes nothing.
 - ``verify SUITE [--format json|text] [--tnorm T]``: run a named
   invariant suite.
 - ``witness --k FILE [--tnorm T] [--out FILE]``: decide cartesian
@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import qcat as qc
@@ -123,26 +124,11 @@ def _suitable_and_category(args):
     return ser.suitable_from_obj(_load_json(args.inputs[0])), _category(args.inputs[1])
 
 
-def _labelled(kind: str, c: qc.QCat) -> qc.QCat:
-    """c on the labels its file shows (``serialize.point_label``), which
-    must be distinct for the file to read back as a category.  The
-    matrix is c's own, so it is not read again."""
-    labels = {}
-    for p in c.points:
-        label = ser.point_label(p)
-        if label in labels:
-            raise DomainError(
-                f"{kind}: the result's points {labels[label]!r} and {p!r} "
-                f"are both written {label!r}"
-            )
-        labels[label] = p
-    return qc._built_qcat(c.tnorm, tuple(labels), c.matrix)
-
-
 def _hom_power(args) -> qc.QCat:
-    """[A, B] on its file's labels, refused when it is not a category."""
-    out = _labelled(args.kind, qc.hom_power(*_categories(args), args.max_maps))
-    res = qc.validate_qcat(out)
+    """[A, B], refused when it is not a category; the check names the
+    points by the labels its file shows."""
+    out = qc.hom_power(*_categories(args), args.max_maps)
+    res = qc.validate_qcat(out.relabel(ser.point_labels(out)))
     if not res.passed:
         raise DomainError(f"{args.kind}: the result is not a category: {res.message}")
     return out
@@ -178,40 +164,30 @@ CONSTRUCT_KINDS = {
 
 def cmd_validate(args) -> int:
     report = Report("validate")
-    config_tnorm = _tnorm(args.tnorm) if args.tnorm else None
+    t = _tnorm(args.tnorm) if args.tnorm else None
+    # each input kind: the decoder of its file and the check of its value
+    checks = {
+        "category": (ser.qcat_from_obj, qc.validate_qcat),
+        "suitable set": (partial(ser.suitable_from_obj, tnorm=t), sub.check_suitable),
+        "interval set": (ser.intervalset_from_obj, partial(subquantale_check, t)),
+    }
     for path in args.paths:
         obj = _load_json(path)
         kind = ser.kind_of(obj)
-        if kind == "category":
-            try:
-                cat = ser.qcat_from_obj(obj)
-            except ParseError as exc:
-                report.record(path, False, f"category invalid: {exc}")
-                continue
-            res = qc.validate_qcat(cat)
-            report.record(path, res.passed, res.message)
-        elif kind == "suitable set":
-            try:
-                s = ser.suitable_from_obj(obj, tnorm=config_tnorm)
-            except ParseError as exc:
-                report.record(path, False, f"suitable set invalid: {exc}")
-                continue
-            except DomainError as exc:
-                raise DomainError(f"{path}: {exc}") from exc
-            res = sub.check_suitable(s)
-            report.record(path, res.passed, res.message)
-        elif kind == "interval set":
-            if config_tnorm is None:
-                raise ParseError("subquantale check needs --tnorm")
-            try:
-                k = ser.intervalset_from_obj(obj)
-            except ParseError as exc:
-                report.record(path, False, f"interval set invalid: {exc}")
-                continue
-            res = subquantale_check(config_tnorm, k)
-            report.record(path, res.passed, res.message)
-        else:
+        if kind is None:
             raise ParseError(f"{path}: unrecognized input kind")
+        if kind == "interval set" and t is None:
+            raise ParseError("subquantale check needs --tnorm")
+        decode, check = checks[kind]
+        try:
+            value = decode(obj)
+        except ParseError as exc:
+            report.record(path, False, f"{kind} invalid: {exc}")
+            continue
+        except DomainError as exc:  # a suitable set over another norm
+            raise DomainError(f"{path}: {exc}") from exc
+        res = check(value)
+        report.record(path, res.passed, res.message)
     _emit(report, args.format)
     return EXIT_OK if report.passed else EXIT_WITNESS
 
@@ -223,7 +199,7 @@ def cmd_construct(args) -> int:
         raise ParseError(
             f"construct {kind} takes {arity} input file(s), got {len(args.inputs)}"
         )
-    text = ser.dumps(ser.qcat_to_obj(_labelled(kind, build(args))))
+    text = ser.dumps(ser.qcat_to_obj(build(args)))
     if args.out:
         _write(args.out, text)
     else:

@@ -82,6 +82,15 @@ class QCat:
     def r(self, p, q) -> Fraction:
         return self.matrix[self.index(p)][self.index(q)]
 
+    def relabel(self, labels: Sequence) -> "QCat":
+        """The same category on new labels, distinct and one per point;
+        the matrix is shared, not read again."""
+        labels = tuple(labels)
+        if len(labels) != len(self.points):
+            raise ValueError("matrix shape does not match point list")
+        _require_distinct(labels)
+        return _built_qcat(self.tnorm, labels, self.matrix)
+
     def __len__(self):
         return len(self.points)
 
@@ -97,10 +106,10 @@ def _built_qcat(t: TNorm, points: tuple, matrix: tuple) -> QCat:
 
     Safe because nothing in it comes from outside unchecked: the points
     are a checked category's points, pairs or image tuples of them, or
-    a carrier or labels just checked to be distinct (the lifts, the
-    CLI's output labels); the matrix is a category's own, or an n x n
-    tuple of tuples whose entries are mins, joins and & (``TNorm._and``)
-    of checked entries, ``sqrt_with`` results, or Fraction(k, d) with
+    a carrier or labels just checked to be distinct (the lifts,
+    ``QCat.relabel``); the matrix is a category's own, or an n x n tuple
+    of tuples whose entries are mins, joins and & (``TNorm._and``) of
+    checked entries, ``sqrt_with`` results, or Fraction(k, d) with
     0 <= k <= d from ``GridDomain.leave``, so each is a Fraction in
     [0, 1] already.  The encoding stays lazy (``_encoded``): many
     outputs never reach a kernel."""
@@ -176,6 +185,14 @@ class QFunctor:
 
     def __call__(self, p):
         return self.mapping[self.dom.index(p)]
+
+    def compose_after(self, other: "QFunctor") -> "QFunctor":
+        """self o other (other first)."""
+        if other.cod.points != self.dom.points:
+            raise ValueError("composition mismatch")
+        return QFunctor(
+            other.dom, self.cod, tuple(self(q) for q in other.mapping)
+        )
 
 
 def functor_violation(f: QFunctor) -> tuple | None:

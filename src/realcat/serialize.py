@@ -3,9 +3,9 @@ lift specs (read only) and CCC witnesses (written only).
 
 Rationals are always serialized as "p/q" strings, never as decimals, so
 round-tripping is exact.  Tuple-shaped points (from products and hom
-objects) are flattened to parenthesized labels on output; emitted files
-re-parse to equal values unless two points flatten to one label, which
-``realcat construct`` refuses.
+objects) are flattened to parenthesized labels on output, and a
+category with two points flattened alike is refused, so emitted files
+re-parse to equal values.
 """
 
 from __future__ import annotations
@@ -25,6 +25,18 @@ def point_label(p) -> str:
     if isinstance(p, tuple):
         return "(" + ",".join(point_label(q) for q in p) + ")"
     return str(p)
+
+
+def point_labels(c: QCat) -> list[str]:
+    """c's points as its file writes them.  Two points written alike
+    would read back as one, so they are a DomainError."""
+    seen = {}
+    for p in c.points:
+        label = point_label(p)
+        q = seen.setdefault(label, p)
+        if q is not p:
+            raise DomainError(f"points {q!r} and {p!r} are both written {label!r}")
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +124,7 @@ def intervalset_from_obj(obj: Any) -> IntervalSet:
 def qcat_to_obj(c: QCat) -> Any:
     return {
         "tnorm": tnorm_to_obj(c.tnorm),
-        "points": [point_label(p) for p in c.points],
+        "points": point_labels(c),
         "matrix": [[format_rat(v) for v in row] for row in c.matrix],
     }
 

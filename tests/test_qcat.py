@@ -120,6 +120,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             QCat(LUK, ("a", "a"), ((ONE, ONE), (ONE, ONE)))
 
+    def test_relabel_shares_the_matrix_and_refuses_bad_labels(self, chain3):
+        c = chain3.relabel(["x", "y", "z"])
+        assert c.points == ("x", "y", "z") and c.matrix is chain3.matrix
+        assert c.tnorm == chain3.tnorm and validate_qcat(c).passed
+        for labels in (["x", "x", "z"], ["x", "y"]):
+            with pytest.raises(ValueError):
+                chain3.relabel(labels)
+
     def test_two_point_always_valid(self):
         for a in QUARTERS:
             for b in QUARTERS:
@@ -134,10 +142,8 @@ class TestFunctors:
     def test_identity_and_composition(self, chain3):
         ident = QFunctor(chain3, chain3, chain3.points)
         assert is_functor(ident)
-        f = QFunctor(chain3, chain3, ("b", "b", "c"))
-        assert f("a") == "b"
-        composite = tuple(f(ident(p)) for p in chain3.points)
-        assert composite == f.mapping
+        assert ident.compose_after(ident).mapping == ident.mapping
+        assert QFunctor(chain3, chain3, ("b", "b", "c"))("a") == "b"
 
     def test_functor_violation_is_the_first_pair_in_row_major_order(self):
         a = two_point(LUK, F(1, 2), F(1, 4))

@@ -127,6 +127,20 @@ class TestOtherFormats:
         assert obj["points"] == ["(0,a)", "(0,b)", "(1,a)", "(1,b)"]
         assert ser.qcat_from_obj(obj).matrix == p.matrix
 
+    def test_points_written_alike_are_refused(self):
+        """A file must read back as the category written, so the writer
+        refuses two points that flatten to one label."""
+        p = product(
+            two_point(LUK, 0, 0, ("a", "a,b")), two_point(LUK, 0, 0, ("b,c", "c"))
+        )
+        with pytest.raises(DomainError) as err:
+            ser.qcat_to_obj(p)
+        assert str(err.value) == (
+            "points ('a', 'b,c') and ('a,b', 'c') are both written '(a,b,c)'"
+        )
+        with pytest.raises(DomainError):
+            ser.point_labels(two_point(LUK, 0, 0, ("1", 1)))
+
     def test_suitable_roundtrip_all_variants(self):
         for s in (
             k_square(LUK, IntervalSet.of([0, F(1, 2), 1])),
@@ -959,23 +973,32 @@ def _run_case(argv, docs, tmp, raw=None):
     return code, err.getvalue()
 
 
-def _two_points(points):
-    return {"tnorm": "godel", "points": points, "matrix": [["1/1", "0/1"], ["0/1", "1/1"]]}
+def _discrete(points):
+    """The discrete Godel category on the points."""
+    n = len(points)
+    matrix = [["1/1" if i == j else "0/1" for j in range(n)] for i in range(n)]
+    return {"tnorm": "godel", "points": points, "matrix": matrix}
 
 
-# two results whose points flatten to one label: ("a", "b,c") and
+# results whose points flatten to one label: ("a", "b,c") and
 # ("a,b", "c") are both "(a,b,c)"; "1" and 1 are both "1"
 PRODUCT_COLLISION = (
     ["construct", "product", "A", "B"],
-    {"A": _two_points(["a", "a,b"]), "B": _two_points(["b,c", "c"])},
+    {"A": _discrete(["a", "a,b"]), "B": _discrete(["b,c", "c"])},
 )
-POR_COLLISION = (["construct", "por_sigma", "A"], {"A": _two_points(["1", 1])})
+POR_COLLISION = (["construct", "por_sigma", "A"], {"A": _discrete(["1", 1])})
+# the functors ("a", "b,c") and ("a,b", "c") from two points into four
+HOM_POWER_COLLISION = (
+    ["construct", "hom_power", "A", "B"],
+    {"A": _discrete(["x", "y"]), "B": _discrete(["a", "a,b", "b,c", "c"])},
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_case())
 @example(PRODUCT_COLLISION)
 @example(POR_COLLISION)
+@example(HOM_POWER_COLLISION)
 def test_cli_boundary_exit_codes(case):
     """Any argv over small arbitrary JSON files ends in a documented exit
     code with at most one line on stderr, never a traceback."""
@@ -991,12 +1014,12 @@ def test_cli_boundary_exit_codes(case):
     [
         (
             PRODUCT_COLLISION,
-            "error: product: the result's points ('a', 'b,c') and ('a,b', 'c') "
-            "are both written '(a,b,c)'\n",
+            "error: points ('a', 'b,c') and ('a,b', 'c') are both written '(a,b,c)'\n",
         ),
+        (POR_COLLISION, "error: points '1' and 1 are both written '1'\n"),
         (
-            POR_COLLISION,
-            "error: por_sigma: the result's points '1' and 1 are both written '1'\n",
+            HOM_POWER_COLLISION,
+            "error: points ('a', 'b,c') and ('a,b', 'c') are both written '(a,b,c)'\n",
         ),
     ],
 )
