@@ -65,7 +65,6 @@ from .tnorm import (
 from .yoneda import (
     ApproxReport,
     FCSequence,
-    LimitSet,
     approx_property,
     canonical_limit,
     check_ev,

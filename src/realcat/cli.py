@@ -31,7 +31,10 @@ far fewer, but an input with |B|^|A| above the cap exits 3 unsearched.
 Exit codes: 0 success or negative witness, 1 positive witness or failed
 validation, >= 2 operational errors (parse, usage or file errors 2, size
 cap 3, other domain errors 5; 4 is retired).  Every error is one line
-on stderr.
+on stderr, and so is each case of a text report: a line break inside a
+label, a path or an argument is written as its escape (``\n``).
+Category, suitable-set and t-norm files hold JSON arrays where the
+format has them; a string or an object there is a parse error.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 from . import qcat as qc
 from . import serialize as ser
 from . import subconstructs as sub
-from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded
+from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded, one_line
 from .suites import SUITES, Report, WorkspaceConfig, run_suite
 from .tnorm import BUILTIN_NORMS, TNorm, subquantale_check
 from .values import SAMPLE_DENOMINATOR
@@ -55,6 +58,7 @@ EXIT_WITNESS = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_DOMAIN = 5
+EXIT_CODES = {ParseError: EXIT_PARSE, SizeLimitExceeded: EXIT_SIZE}  # else EXIT_DOMAIN
 
 def _load_json(path: str):
     try:
@@ -240,7 +244,7 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors print one line and exit 2."""
 
     def error(self, message):
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {one_line(message)}\n")
 
 
 def _map_cap(text: str) -> int:
@@ -303,15 +307,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
     except RealcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        print(f"error: {one_line(str(exc))}", file=sys.stderr)
+        return EXIT_CODES.get(type(exc), EXIT_DOMAIN)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all realcat modules."""
+"""Exception hierarchy shared by all realcat modules, and the one-line rule."""
+
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def one_line(text: str) -> str:
+    """text with each character ``str.splitlines`` breaks at written as
+    its repr escape (a newline as backslash-n), all others unchanged."""
+    return text.translate(_LINE_BREAKS)
 
 
 class RealcatError(Exception):

@@ -39,12 +39,21 @@ def point_labels(c: QCat) -> list[str]:
     return list(seen)
 
 
+def _require_arrays(*values):
+    """A JSON array where the format has one (a string or an object would
+    iterate as characters or keys); readers call it last, after decoding."""
+    for v in values:
+        if not isinstance(v, list):
+            raise TypeError(f"expected an array, got {type(v).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # t-norms
 
 
 def tnorm_to_obj(t: TNorm) -> Any:
-    if t.name in BUILTIN_NORMS:
+    """A builtin's name only for a norm equal to it, as names are labels."""
+    if t.name in BUILTIN_NORMS and t == BUILTIN_NORMS[t.name]():
         return t.name
     return {
         "blocks": [
@@ -78,6 +87,7 @@ def tnorm_from_obj(obj: Any) -> TNorm:
             )
             for b in obj["blocks"]
         )
+        _require_arrays(obj["blocks"])
         return TNorm(blocks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad block spec: {exc}") from exc
@@ -138,16 +148,18 @@ def qcat_from_obj(obj: Any) -> QCat:
         matrix = tuple(
             tuple(parse_rat(v) for v in row) for row in obj["matrix"]
         )
+        try:
+            c = QCat(t, points, matrix)
+        except TypeError as exc:
+            raise ParseError(f"category points must be labels: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+        _require_arrays(obj["points"], obj["matrix"], *obj["matrix"])
+        return c
     except KeyError as exc:
         raise ParseError(f"category is missing field {exc}") from exc
     except TypeError as exc:
         raise ParseError(f"category points and matrix must be lists: {exc}") from exc
-    try:
-        return QCat(t, points, matrix)
-    except TypeError as exc:
-        raise ParseError(f"category points must be labels: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +206,10 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
             if obj.get("pairs") is not None
             else None
         )
-        return SuitableSet(tnorm, variant, k=k, pairs=pairs)
+        s = SuitableSet(tnorm, variant, k=k, pairs=pairs)
+        if pairs is not None:
+            _require_arrays(obj["pairs"], *obj["pairs"])
+        return s
     except TypeError as exc:
         raise ParseError(f"suitable pairs must be a list of pairs: {exc}") from exc
     except ValueError as exc:

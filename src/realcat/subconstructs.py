@@ -232,17 +232,14 @@ def _largest_below(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
     """The componentwise-largest S-pair below (a, b), all in the values
     of dom, with k and pairs from ``_on_domain``; S1/S2 make it unique,
     and DomainError reports that S has none."""
+    if variant is SuitableVariant.K_DIAGONAL:  # the K_SQUARE pair at (m, m)
+        variant, a, b = SuitableVariant.K_SQUARE, min(a, b), min(a, b)
     if variant is SuitableVariant.K_SQUARE:
         p, q = k.max_below(a), k.max_below(b)
         if p is None or q is None:
             missing = a if p is None else b
             raise DomainError(f"K has no member below {dom.value(missing)}")
         return (p, q)
-    if variant is SuitableVariant.K_DIAGONAL:
-        p = k.max_below(min(a, b))
-        if p is None:
-            raise DomainError(f"K has no member below {dom.value(min(a, b))}")
-        return (p, p)
     if variant is SuitableVariant.SQRT_BAND:
         return (min(a, dom.sqrt(b)), min(b, dom.sqrt(a)))
     candidates = [m for m in pairs if m[0] <= a and m[1] <= b]
@@ -258,17 +255,14 @@ def _least_above(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
     """The componentwise-least S-pair above (a, b), all in the values of
     dom, with k and pairs from ``_on_domain``; S1/S2 make it unique, and
     DomainError reports that S has none."""
+    if variant is SuitableVariant.K_DIAGONAL:  # the K_SQUARE pair at (m, m)
+        variant, a, b = SuitableVariant.K_SQUARE, max(a, b), max(a, b)
     if variant is SuitableVariant.K_SQUARE:
         p, q = k.min_above(a), k.min_above(b)
         if p is None or q is None:
             missing = a if p is None else b
             raise DomainError(f"K has no member above {dom.value(missing)}")
         return (p, q)
-    if variant is SuitableVariant.K_DIAGONAL:
-        p = k.min_above(max(a, b))
-        if p is None:
-            raise DomainError(f"K has no member above {dom.value(max(a, b))}")
-        return (p, p)
     if variant is SuitableVariant.SQRT_BAND:
         op = dom.op
         return (max(a, op(b, b)), max(b, op(a, a)))

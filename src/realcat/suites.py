@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import subconstructs as sub
 from . import yoneda
+from .errors import one_line
 from .intervals import IntervalSet
 from .qcat import (
     QCat,
@@ -45,7 +46,7 @@ from .tnorm import (
     tnorm_residual,
 )
 from .tnorm import product as product_norm
-from .values import ONE, SAMPLE_DENOMINATOR, ZERO, format_rat, uniform_grid
+from .values import ONE, SAMPLE_DENOMINATOR, ZERO, format_rat
 
 
 @dataclass
@@ -102,8 +103,8 @@ class Report:
         lines = [f"suite {self.suite}"]
         for c in self.cases:
             mark = {"pass": "ok  ", "fail": "FAIL", "error": "ERR "}[c["status"]]
-            detail = f"  ({c['detail']})" if c["detail"] else ""
-            lines.append(f"  [{mark}] {c['name']}{detail}")
+            detail = f"  ({one_line(c['detail'])})" if c["detail"] else ""
+            lines.append(f"  [{mark}] {one_line(c['name'])}{detail}")
         s = self.summary
         lines.append(
             f"  {s['pass']} passed, {s['fail']} failed, {s['error']} errored"
@@ -216,7 +217,7 @@ def _residual_failures(t: TNorm, grid: Sequence[Fraction]):
 
 def suite_resd_prop(config: WorkspaceConfig) -> Report:
     rep = Report("resd_prop")
-    grid = uniform_grid(SAMPLE_DENOMINATOR)
+    grid = IntervalSet.full().sample(SAMPLE_DENOMINATOR)
     rep.check(
         "meet residual adjunction on the grid cube",
         (
@@ -439,7 +440,7 @@ def suite_exponential_law(config: WorkspaceConfig) -> Report:
 def _limit_failures(sequences):
     for s in sequences:
         c = s.ambient
-        lim = yoneda.yoneda_limits(s).points
+        lim = yoneda.yoneda_limits(s)
         if not lim:
             yield f"empty limit set on {c.matrix}"
         if any(c.r(p, q) != ONE for p in lim for q in lim):
@@ -448,7 +449,7 @@ def _limit_failures(sequences):
             img = yoneda.FCSequence(c, (), tuple(map(f, s.cycle)))
             if not yoneda.is_forward_cauchy(img):
                 yield "functor image not Cauchy"
-            elif not set(map(f, lim)) <= set(yoneda.yoneda_limits(img).points):
+            elif not set(map(f, lim)) <= set(yoneda.yoneda_limits(img)):
                 yield "functor does not preserve limits"
 
 

@@ -137,9 +137,6 @@ class TNorm:
     def _fractions(self) -> FractionDomain:
         return FractionDomain(self)
 
-    def __call__(self, x, y) -> Fraction:
-        return tnorm_eval(self, x, y)
-
     def __str__(self):
         if self.name:
             return self.name

@@ -1,10 +1,10 @@
-"""Exact rationals in the unit interval and grid helpers.
+"""Exact rationals in the unit interval.
 
 All structure values in this package are ``fractions.Fraction`` instances
 confined to [0, 1].  Fractions are already stored in lowest terms and
 compare exactly, so no wrapper class is needed; this module supplies
-validation, the "p/q" wire format, and the sampling grids used by the
-brute-force oracles.
+validation, the "p/q" wire format, and the denominator of the sampling
+grid used by the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -54,10 +54,3 @@ def parse_rat(text: str) -> Fraction:
 def format_rat(v: Fraction) -> str:
     """Render as "p/q" (always with an explicit denominator)."""
     return f"{v.numerator}/{v.denominator}"
-
-
-def uniform_grid(denominator: int) -> list[Fraction]:
-    """The multiples k/denominator for k = 0..denominator, ascending."""
-    if denominator < 1:
-        raise ValueError("denominator must be >= 1")
-    return [Fraction(k, denominator) for k in range(denominator + 1)]

@@ -22,6 +22,7 @@ from .intervals import IntervalSet
 from .qcat import (
     QCat,
     QFunctor,
+    _require_same_norm,
     functor_violation,
     hom_power,
     product,
@@ -33,44 +34,43 @@ from .values import ONE
 
 @dataclass(frozen=True)
 class FCSequence:
-    """Eventually cyclic point sequence: prefix then cycle forever.
-    The ambient must be a category: :func:`yoneda_limits` rests on a
-    proof that needs reflexivity and transitivity, and checks neither."""
+    """Eventually cyclic point sequence: prefix then cycle forever, in
+    an ambient that must be a category (a DomainError otherwise), as the
+    proof behind :func:`yoneda_limits` needs transitivity."""
 
     ambient: QCat
     prefix: tuple
     cycle: tuple
 
     def __post_init__(self):
-        if not self.cycle:
-            raise ValueError("cycle must be nonempty")
-        for p in self.prefix + self.cycle:
-            if p not in self.ambient.points:
-                raise ValueError(f"{p!r} is not a point of the ambient category")
+        _require_points(self.ambient, self.prefix, self.cycle)
+        _require_category(self.ambient)
 
-    def cycle_set(self) -> tuple:
-        return tuple(dict.fromkeys(self.cycle))
+
+def _require_points(c: QCat, prefix: tuple, cycle: tuple):
+    if not cycle:
+        raise ValueError("cycle must be nonempty")
+    for p in prefix + cycle:
+        if p not in c.points:
+            raise ValueError(f"{p!r} is not a point of the ambient category")
 
 
 def is_forward_cauchy(s: FCSequence) -> bool:
     """The sup-inf condition equals 1 iff every ordered pair of cycle
     points (wraparound included) is at distance 1: for large enough
     window starts the inf ranges over exactly those pairs."""
-    cyc = s.cycle_set()
-    return all(s.ambient.r(p, q) == ONE for p in cyc for q in cyc)
+    return all(s.ambient.r(p, q) == ONE for p in s.cycle for q in s.cycle)
 
 
-@dataclass(frozen=True)
-class LimitSet:
-    """All Yoneda limits of a sequence; members are pairwise at mutual
-    distance 1, so the limit is unique up to isomorphy."""
-
-    points: tuple
+def _isomorphic(c: QCat, p) -> tuple:
+    """The points a of c with r(a, p) = r(p, a) = 1, in ambient order."""
+    return tuple(a for a in c.points if c.r(a, p) == ONE and c.r(p, a) == ONE)
 
 
-def yoneda_limits(s: FCSequence) -> LimitSet:
-    """Points a with r(a, x) = meet over cycle points q of r(q, x) for
-    every x (the tail formula, stable on the cycle), in ambient order.
+def yoneda_limits(s: FCSequence) -> tuple:
+    """All Yoneda limits of s, pairwise isomorphic: the points a with
+    r(a, x) = meet over cycle points q of r(q, x) for every x (the tail
+    formula, stable on the cycle), in ambient order.
 
     They are the points isomorphic to p = cycle[0].  As r(p, q) =
     r(q, p) = 1 on the cycle, transitivity gives every cycle point p's
@@ -79,17 +79,13 @@ def yoneda_limits(s: FCSequence) -> LimitSet:
     r(a, p) = r(p, p) = 1."""
     if not is_forward_cauchy(s):
         raise NotForwardCauchy("sequence is not forward Cauchy")
-    c = s.ambient
-    p = s.cycle[0]
-    return LimitSet(
-        tuple(a for a in c.points if c.r(a, p) == ONE and c.r(p, a) == ONE)
-    )
+    return _isomorphic(s.ambient, s.cycle[0])
 
 
 def canonical_limit(s: FCSequence):
     """The limit of least ambient point index (limits come in ambient
     order); all choices are isomorphic."""
-    return yoneda_limits(s).points[0]
+    return yoneda_limits(s)[0]
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,11 @@ def _require_m_valued(c: QCat):
                 raise NotMValued(f"structure value {v} outside M")
 
 
+def _require_category(c: QCat):
+    if not (res := validate_qcat(c)):
+        raise DomainError(f"not a category: {res.message}")
+
+
 def _require_functor(f: QFunctor):
     if (pair := functor_violation(f)) is not None:
         raise DomainError(f"not a functor: fails at {pair[0]}, {pair[1]}")
@@ -139,42 +140,37 @@ def function_space_limit(
     cycle: Sequence[tuple],
 ) -> QFunctor:
     """Yoneda limit of an eventually cyclic functor sequence in the
-    power-object structure on [A -> B], computed pointwise (least-index
-    Yoneda limit of each point sequence).
+    power-object structure on [A -> B], for M-valued categories A and B:
+    x goes to the first point of B isomorphic to f0(x), f0 = cycle[0].
 
-    For categories A and B it is the limit.  d(f, g) = 1 puts
+    It is the limit, and the pointwise one.  d(f, g) = 1 puts
     s(f x, g x) >= r(x, x) = 1, so the cycle functors and the pointwise
-    limit L are pointwise isomorphic to f0 = cycle[0].  So L is a
-    functor, as s(L x, L y) = s(f0 x, f0 y), and d(L, g) = d(f, g) for
+    limit L are pointwise isomorphic to f0 (each point sequence's
+    limits are the class of f0(x), see :func:`yoneda_limits`).  So L is
+    a functor, as s(L x, L y) = s(f0 x, f0 y), and d(L, g) = d(f, g) for
     every cycle functor f, as d reads only values s(f x, g y): the law
-    d(L, g) = join_la meet_{la<=mu} d(f_mu, g) holds for every g."""
-    _require_m_valued(a)
-    _require_m_valued(b)
-    for c in (a, b):
-        if not (res := validate_qcat(c)):
-            raise DomainError(f"not a category: {res.message}")
-    hom = hom_power(a, b)
-    seq = FCSequence(hom, tuple(prefix), tuple(cycle))
-    if not is_forward_cauchy(seq):
+    d(L, g) = join_la meet_{la<=mu} d(f_mu, g) holds for every g.
+
+    [A -> B] is a category then (on M, u & v is min(u, v) or a Lukasiewicz
+    block's start), so no FCSequence re-checks it, at |[A -> B]|^3 cost."""
+    for require in (_require_m_valued, _require_category):
+        for c in (a, b):
+            require(c)
+    hom, cycle = hom_power(a, b), tuple(cycle)
+    _require_points(hom, tuple(prefix), cycle)
+    if not all(hom.r(f, g) == ONE for f in cycle for g in cycle):
         raise NotForwardCauchy("functor sequence is not forward Cauchy in d_pi")
-    cyc = seq.cycle_set()
-    images = tuple(
-        canonical_limit(FCSequence(b, (), tuple(f[i] for f in cyc)))
-        for i in range(len(a.points))
-    )
-    return QFunctor(a, b, images)
+    return QFunctor(a, b, tuple(_isomorphic(b, y)[0] for y in cycle[0]))
 
 
 def check_ev(a: QCat, b: QCat) -> CheckResult:
-    """Verify the evaluation map (x, f) |-> f(x) is a functor from
-    A x [A -> B] to B; a failure names the first violating pair."""
-    dom = product(a, hom_power(a, b))
-    ev = QFunctor(dom, b, tuple(f[a.index(x)] for (x, f) in dom.points))
-    pair = functor_violation(ev)
-    if pair is not None:
-        return CheckResult(
-            False, f"evaluation fails at {pair[0]}, {pair[1]}", witness=pair
-        )
+    """Whether evaluation (x, f) |-> f(x) is a functor A x [A -> B] -> B.
+    It is one for all A and B over one norm (two norms: ValueError).
+
+    A x [A -> B] carries min(r(x, y), d(f, g)), and d(f, g) <=
+    r(x, y) -> s(f x, g y), as d is the meet of those residuals of the
+    meet (:func:`realcat.qcat.hom_power`); min(u, u -> v) <= v."""
+    _require_same_norm(a, b)
     return CheckResult(True, "evaluation is a functor")
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from realcat import cli
 from realcat import serialize as ser
-from realcat.errors import DomainError, ParseError
+from realcat.errors import DomainError, ParseError, one_line
 from realcat.intervals import IntervalSet
 from realcat.qcat import final_lift, product, two_point
 from realcat.subconstructs import (
@@ -25,7 +25,15 @@ from realcat.subconstructs import (
     k_square,
     sqrt_band,
 )
-from realcat.tnorm import Block, BlockKind, TNorm, godel, lukasiewicz, remark4
+from realcat.tnorm import (
+    Block,
+    BlockKind,
+    TNorm,
+    godel,
+    lukasiewicz,
+    remark4,
+    tnorm_eval,
+)
 from realcat.values import parse_rat
 
 LUK = lukasiewicz()
@@ -46,6 +54,20 @@ class TestTNormFormat:
         )
         again = ser.tnorm_from_obj(ser.tnorm_to_obj(t))
         assert again.blocks == t.blocks
+
+    def test_a_builtin_name_is_written_only_for_that_builtin(self):
+        """The name is a label that equality ignores: a Lukasiewicz norm
+        named "godel" is written by its blocks, so a category over it
+        reads back over Lukasiewicz, where 1/2 & 1/2 is 0, not 1/2."""
+        t = TNorm((Block(F(0), F(1), BlockKind.LUKASIEWICZ),), name="godel")
+        assert ser.tnorm_to_obj(t) == {
+            "blocks": [{"lo": "0/1", "hi": "1/1", "kind": "lukasiewicz"}]
+        }
+        c = two_point(t, F(1, 2), F(1, 2))
+        back = ser.qcat_from_obj(json.loads(ser.dumps(ser.qcat_to_obj(c))))
+        assert back == c and back.tnorm == LUK
+        assert tnorm_eval(back.tnorm, F(1, 2), F(1, 2)) == 0
+        assert ser.tnorm_to_obj(TNorm((), name="godel")) == "godel"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ParseError):
@@ -1056,3 +1078,111 @@ def test_deeply_nested_json_is_a_parse_error(argv):
         assert err.startswith("error: --tnorm takes one of ") and f"; {deep}: " in err
     else:
         assert err.startswith(f"error: {deep}: ")
+
+
+# every character str.splitlines breaks a line at
+LINE_BREAKS = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+
+
+def test_one_line_escapes_each_line_break_and_nothing_else():
+    assert len(LINE_BREAKS) == 10
+    for c in map(chr, range(0x110000)):
+        expected = repr(c)[1:-1] if c in LINE_BREAKS else c
+        assert one_line(f"a{c}b") == f"a{expected}b"
+
+
+def _run(argv):
+    """Run the CLI in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LINE_BREAKS))
+def test_a_line_break_in_a_label_path_or_argument_stays_on_one_line(brk):
+    """Errors and the cases of a text report are one line each: a line
+    break in a point label, a file path or an argument is escaped."""
+    esc = repr(brk)[1:-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        cat = Path(tmp) / f"c{brk}.json"
+        shown = one_line(str(cat))
+        cat.write_text(
+            json.dumps(
+                {
+                    "tnorm": "lukasiewicz",
+                    "points": [f"x{brk}y", "z"],
+                    "matrix": [["1/2", "0/1"], ["0/1", "1/1"]],
+                }
+            )
+        )
+        why = f"r(x{esc}y,x{esc}y) = 1/2 != 1"
+        assert _run(["construct", "por_rho", str(cat)]) == (
+            5, "", f"error: {shown}: not a category: {why}\n"
+        )
+        assert _run(["validate", str(cat), "--format", "text"]) == (
+            1,
+            f"suite validate\n  [FAIL] {shown}  ({why})\n"
+            "  0 passed, 1 failed, 0 errored\n",
+            "",
+        )
+        missing = Path(tmp) / f"no{brk}file.json"
+        code, out, err = _run(["validate", str(missing)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {one_line(str(missing))}: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert _run(["verify", "approx", f"x{brk}y"]) == (
+        2, "", f"realcat: error: unrecognized arguments: x{esc}y\n"
+    )
+
+
+_GODEL_IDENTITY = {
+    "tnorm": "godel",
+    "points": ["a", "b"],
+    "matrix": [["1/1", "0/1"], ["0/1", "1/1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, cause",
+    [
+        ("category", {"tnorm": "godel", "points": "ab", "matrix": ["10", "01"]}, "str"),
+        ("category", {"tnorm": "godel", "points": ["a"], "matrix": {"1": 0}}, "dict"),
+        ("category", {"tnorm": "godel", "points": ["a", "b"], "matrix": ["10", "01"]}, "str"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {}}}, "dict"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": ""}}, "str"),
+        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": ["00", "11"]}, "str"),
+        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": {"01": 1}}, "dict"),
+    ],
+    ids=["points", "matrix", "rows", "blocks-object", "blocks-string", "pair", "pairs"],
+)
+def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, cause):
+    """Each of these decoded once, as characters or keys; now validate
+    records a failing case and construct exits 2."""
+    reader = {
+        "category": "category points and matrix must be lists",
+        "suitable set": "suitable pairs must be a list of pairs",
+    }[kind]
+    if isinstance(doc["tnorm"], dict):
+        reader = "bad block spec"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(doc))
+        other = Path(tmp) / "cat.json"
+        other.write_text(json.dumps(_GODEL_IDENTITY))
+        code, out, err = _run(["validate", str(path)])
+        assert (code, err) == (1, "")
+        [case] = json.loads(out)["cases"]
+        assert case["status"] == "fail"
+        assert case["detail"] == (
+            f"{kind} invalid: {reader}: expected an array, got {cause}"
+        )
+        argv = ["construct", "por_rho", str(path)]
+        if kind == "suitable set":
+            argv = ["construct", "coreflect", str(path), str(other)]
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1

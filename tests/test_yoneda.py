@@ -2,21 +2,23 @@
 function-space completeness results."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from realcat.errors import DomainError, NotForwardCauchy, NotMValued
+from realcat.errors import DomainError, NotForwardCauchy, NotMValued, SizeLimitExceeded
 from realcat.qcat import (
     QCat,
     QFunctor,
     enumerate_functors,
+    functor_violation,
     hom_power,
     product,
     two_point,
     validate_qcat,
 )
-from realcat.tnorm import godel, lukasiewicz, remark4, tnorm_eval
+from realcat.tnorm import CheckResult, godel, lukasiewicz, remark4, tnorm_eval
 from realcat.tnorm import product as product_norm
 from realcat.yoneda import (
     FCSequence,
@@ -47,6 +49,20 @@ def l3_categories(t, max_size=3):
             c = QCat(t, tuple(f"p{i}" for i in range(size)), tuple(map(tuple, matrix)))
             if validate_qcat(c):
                 yield c
+
+
+def l3_matrices(t, size, rng=None, count=None):
+    """Square matrices over t with every entry, the diagonal too, in
+    {0, 1/2, 1}, categories or not: all of them, or count drawn by rng."""
+    cells = size * size
+    combos = (
+        itertools.product(L3, repeat=cells)
+        if rng is None
+        else (tuple(rng.choice(L3) for _ in range(cells)) for _ in range(count))
+    )
+    for combo in combos:
+        rows = tuple(combo[i * size : (i + 1) * size] for i in range(size))
+        yield QCat(t, tuple(f"p{i}" for i in range(size)), rows)
 
 
 def tail_limits(s):
@@ -112,22 +128,47 @@ class TestForwardCauchy:
         with pytest.raises(ValueError):
             FCSequence(chain, ("a",), ())
 
+    def test_an_ambient_that_is_no_category_is_refused(self):
+        """The limits are read off by a proof that needs a category; on
+        the 2- and 3-point L3 matrices under Lukasiewicz that fail
+        validate_qcat the read-off set differed from the tail formula's
+        on many sequences, so every such ambient is refused."""
+        rng = random.Random(13)
+        ambients = [
+            *l3_matrices(LUK, 2),
+            *l3_matrices(LUK, 3, rng, 400),
+        ]
+        refused = 0
+        for c in ambients:
+            res = validate_qcat(c)
+            if res:
+                continue
+            for cyc in itertools.chain(
+                itertools.product(c.points, repeat=1),
+                itertools.product(c.points, repeat=2),
+            ):
+                with pytest.raises(DomainError) as err:
+                    FCSequence(c, (), cyc)
+                assert str(err.value) == f"not a category: {res.message}"
+                refused += 1
+        assert refused > 1000
+
 
 class TestYonedaLimits:
     def test_constant_sequence_limits(self, chain):
         s = FCSequence(chain, (), ("b",))
-        assert "b" in yoneda_limits(s).points
+        assert "b" in yoneda_limits(s)
         assert canonical_limit(s) == "b"
 
     def test_limits_of_cluster_cycle(self, cluster):
         s = FCSequence(cluster, ("x",), ("a", "b"))
-        lims = yoneda_limits(s).points
+        lims = yoneda_limits(s)
         assert set(lims) == {"a", "b"}
         assert canonical_limit(s) == "a"
 
     def test_limits_are_mutually_isomorphic(self, cluster):
         s = FCSequence(cluster, (), ("b", "a"))
-        lims = yoneda_limits(s).points
+        lims = yoneda_limits(s)
         for p in lims:
             for q in lims:
                 assert cluster.r(p, q) == 1
@@ -155,7 +196,7 @@ class TestYonedaLimits:
                 for cyc in itertools.product(c.points, repeat=n):
                     s = FCSequence(c, (), cyc)
                     if is_forward_cauchy(s):
-                        assert yoneda_limits(s).points == tail_limits(s)
+                        assert yoneda_limits(s) == tail_limits(s)
                         sequences += 1
         assert sequences > 1000
 
@@ -257,6 +298,59 @@ class TestFunctionSpaceLimits:
                     laws += 1
         assert laws > 100
 
+    @pytest.mark.parametrize("t", [LUK, GOD], ids=["lukasiewicz", "godel"])
+    def test_the_function_space_of_m_valued_categories_is_a_category(self, t):
+        """function_space_limit does not validate [A -> B]; this oracle
+        does, for every pair of categories on up to two points with
+        values in {0, 1/4, 1/2, 1} (all in M for both norms; 1/4 & 1/2 and
+        1/2 & 1/2 are 0 under Lukasiewicz), and for drawn pairs with a
+        three-point side."""
+        quarters = (F(0), F(1, 4), F(1, 2), F(1))
+        cats = {n: [] for n in (1, 2, 3)}
+        for n in cats:
+            slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for combo in itertools.product(quarters, repeat=len(slots)):
+                rows = [[F(1)] * n for _ in range(n)]
+                for (i, j), v in zip(slots, combo):
+                    rows[i][j] = v
+                c = QCat(t, tuple(f"p{i}" for i in range(n)), tuple(map(tuple, rows)))
+                if validate_qcat(c):
+                    cats[n].append(c)
+        rng = random.Random(7)
+        small = cats[1] + cats[2]
+        pairs = [*itertools.product(small, repeat=2)]
+        pairs += [(rng.choice(cats[2]), rng.choice(cats[3])) for _ in range(100)]
+        pairs += [(rng.choice(cats[3]), rng.choice(cats[2])) for _ in range(100)]
+        for a, b in pairs:
+            res = validate_qcat(hom_power(a, b))
+            assert res, (a.matrix, b.matrix, res.message)
+
+    @pytest.mark.parametrize("t", [LUK, GOD], ids=["lukasiewicz", "godel"])
+    def test_matches_the_per_point_limits(self, t):
+        """Differential against the pointwise form: at each x, the
+        canonical limit of the point sequence (f(x) for f in the cycle)
+        in B, on every forward Cauchy cycle of up to two functors and
+        every prefix of up to one."""
+        def pointwise(a, b, cycle):
+            cyc = tuple(dict.fromkeys(cycle))
+            return tuple(
+                canonical_limit(FCSequence(b, (), tuple(f[i] for f in cyc)))
+                for i in range(len(a.points))
+            )
+
+        checked = 0
+        for a, b in itertools.product(list(l3_categories(t, 2)), repeat=2):
+            hom = hom_power(a, b)
+            for n in (1, 2):
+                for cycle in itertools.product(hom.points, repeat=n):
+                    if any(hom.r(f, g) != 1 for f in cycle for g in cycle):
+                        continue
+                    for prefix in ((), hom.points[-1:]):
+                        lim = function_space_limit(a, b, prefix, cycle)
+                        assert lim.mapping == pointwise(a, b, cycle)
+                        checked += 1
+        assert checked > 500
+
     def test_non_category_is_refused(self):
         """The limit law rests on A and B being categories; an M-valued
         map that is not transitive is refused before any limit."""
@@ -295,6 +389,34 @@ class TestEvaluationAndCurrying:
         a = two_point(LUK, F(1, 2), F(1, 4))
         b = two_point(LUK, F(1, 4), F(1, 2))
         assert check_ev(a, b).passed
+
+    @pytest.mark.parametrize("t", [LUK, GOD], ids=["lukasiewicz", "godel"])
+    def test_evaluation_is_a_functor_on_every_small_l3_pair(self, t):
+        """check_ev states its proof; this oracle builds A x [A -> B]
+        and scans evaluation for every pair of L3 matrices of up to two
+        points, categories or not."""
+        mats = [*l3_matrices(t, 1), *l3_matrices(t, 2)]
+        for a, b in itertools.product(mats, repeat=2):
+            dom = product(a, hom_power(a, b))
+            ev = QFunctor(dom, b, tuple(f[a.index(x)] for (x, f) in dom.points))
+            assert functor_violation(ev) is None
+            assert check_ev(a, b) == CheckResult(True, "evaluation is a functor")
+
+    def test_check_ev_refuses_two_norms_and_answers_past_the_map_cap(self):
+        a = two_point(LUK, F(1, 2), F(1, 4))
+        with pytest.raises(ValueError, match="different t-norms"):
+            check_ev(a, two_point(GOD, F(1, 2), F(1, 4)))
+        discrete = [
+            QCat(
+                LUK,
+                tuple(map(str, range(n))),
+                tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n)),
+            )
+            for n in (7, 8)
+        ]
+        with pytest.raises(SizeLimitExceeded):
+            hom_power(*discrete)
+        assert check_ev(*discrete).passed
 
     def test_curry_uncurry_roundtrip_all_functors(self):
         a = two_point(LUK, F(1, 2), F(1, 2))
