@@ -44,6 +44,7 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import qcat as qc
 from . import serialize as ser
@@ -113,8 +114,17 @@ def _require_lift_categories(path: str, t: TNorm, cats) -> None:
             )
 
 
+def _decoded(path: str, decode: Callable):
+    """decode applied to the JSON in path; a decode error names the file."""
+    obj = _load_json(path)
+    try:
+        return decode(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _category(path: str) -> qc.QCat:
-    return _require_category(path, ser.qcat_from_obj(_load_json(path)))
+    return _require_category(path, _decoded(path, ser.qcat_from_obj))
 
 
 def _categories(args) -> list[qc.QCat]:
@@ -125,7 +135,7 @@ def _categories(args) -> list[qc.QCat]:
 
 
 def _suitable_and_category(args):
-    return ser.suitable_from_obj(_load_json(args.inputs[0])), _category(args.inputs[1])
+    return _decoded(args.inputs[0], ser.suitable_from_obj), _category(args.inputs[1])
 
 
 def _hom_power(args) -> qc.QCat:
@@ -139,13 +149,13 @@ def _hom_power(args) -> qc.QCat:
 
 
 def _initial_lift(args) -> qc.QCat:
-    t, carrier, sources = ser.initial_lift_from_obj(_load_json(args.inputs[0]))
+    t, carrier, sources = _decoded(args.inputs[0], ser.initial_lift_from_obj)
     _require_lift_categories(args.inputs[0], t, [cat for _, cat in sources])
     return qc.initial_lift(t, carrier, sources)
 
 
 def _final_lift(args) -> qc.QCat:
-    t, sinks, carrier = ser.final_lift_from_obj(_load_json(args.inputs[0]))
+    t, sinks, carrier = _decoded(args.inputs[0], ser.final_lift_from_obj)
     _require_lift_categories(args.inputs[0], t, [cat for cat, _ in sinks])
     return qc.final_lift(t, sinks, carrier)
 

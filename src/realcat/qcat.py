@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .errors import SizeLimitExceeded
@@ -197,12 +198,14 @@ class QFunctor:
 
 def functor_violation(f: QFunctor) -> tuple | None:
     """The first pair (x, y) of domain points in row-major order with
-    r(x, y) > s(fx, fy), or None when f is a functor."""
-    n = len(f.dom.points)
-    cod_idx = [f.cod.index(img) for img in f.mapping]
-    for i in range(n):
-        for j in range(n):
-            if f.dom.matrix[i][j] > f.cod.matrix[cod_idx[i]][cod_idx[j]]:
+    r(x, y) > s(fx, fy), or None when f is a functor (entries compare as
+    ints, see :func:`_common_numerators`)."""
+    dom, cod = _common_numerators(f.dom, f.cod)
+    index = [f.cod.index(img) for img in f.mapping]
+    for i, row in enumerate(dom):
+        image_row = cod[index[i]]
+        for j, fj in enumerate(index):
+            if row[j] > image_row[fj]:
                 return f.dom.points[i], f.dom.points[j]
     return None
 
@@ -211,78 +214,95 @@ def is_functor(f: QFunctor) -> bool:
     return functor_violation(f) is None
 
 
-def _functor_tables(a: QCat, b: QCat, max_maps: int) -> list[tuple[int, ...]]:
-    """Image-index tables of all functors A -> B, in lexicographic order.
+def _common_numerators(a: QCat, b: QCat) -> list:
+    """The kept numerators (``QCat._encoded``) of a's and b's matrices,
+    both over the lcm of their denominators, so entries compare as ints."""
+    d = math.lcm(a._encoded.d, b._encoded.d)
+    return [
+        e.numerators if e.d == d else [[k * d // e.d for k in r] for r in e.numerators]
+        for e in (a._encoded, b._encoded)
+    ]
 
-    Depth-first search: domain points are assigned in order, each to the
-    codomain points in index order, and a new image is kept only if
-    r(x,x) <= s(fx,fx) and, for every point y assigned before it,
-    r(x,y) <= s(fx,fy) and r(y,x) <= s(fy,fx).  Entries are compared
-    exactly as integers: each matrix's kept numerators (``QCat._encoded``)
-    scaled to the lcm of the two denominators."""
+
+def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
+    """The image-index tables and the image tuples of all functors
+    A -> B, in lexicographic order of the tables.
+
+    The images left to a point are a bitmask over B's indices (entries
+    compare as ints, see :func:`_common_numerators`).  Points are
+    assigned in order; entering x, the search ANDs the mask of
+    r(x,x) <= s(fx,fx) with, per point y assigned before x, the mask of
+    r(x,y) <= s(fx,fy) and r(y,x) <= s(fy,fx), built once per distinct
+    (r(x,y), r(y,x)).  An empty set backtracks at once, and at the last
+    point the whole set is emitted.  Sets are read low bit first and
+    earlier points change slowest, so the tables come out in
+    lexicographic order.  A stack replaces recursion, so |A| is not
+    bounded by the recursion limit (|B| = 1 admits any |A|)."""
     na, nb = len(a.points), len(b.points)
     if nb**na > max_maps:
         raise SizeLimitExceeded(na, nb, max_maps)
     if na == 0:
-        return [()]
-    ea, eb = a._encoded, b._encoded
-    d = math.lcm(ea.d, eb.d)
-    dom, cod = (
-        e.numerators
-        if e.d == d
-        else [[v * (d // e.d) for v in row] for row in e.numerators]
-        for e in (ea, eb)
-    )
-    dom_t = [list(col) for col in zip(*dom)]
-    cod_t = [list(col) for col in zip(*cod)]
-    # fits[x]: the images allowed for point x by the diagonal alone
-    fits = [[fx for fx in range(nb) if dom[x][x] <= cod[fx][fx]] for x in range(na)]
-    # A stack instead of recursion, so |A| is not bounded by the
-    # interpreter's recursion limit (|B| = 1 admits any |A| under the cap).
-    image: list[int] = []
-    tries = [iter(fits[0])]
-    tables = []
-    while tries:
+        return [()], [()]
+    dom, cod = _common_numerators(a, b)
+    # B's loops s(fx,fx) and cells (s(fx,fy), s(fy,fx)), the last first, so
+    # that "0"/"1" flags read off them as a binary numeral make a mask with
+    # bit fx, or fy * nb + fx; pairs need the cells only when |A| > 1, and
+    # then nb * nb <= max_maps
+    loops = [r[k] for k, r in enumerate(cod)][::-1]
+    cells = [*chain.from_iterable(map(zip, zip(*cod), cod))][::-1] if na > 1 else []
+    row = (1 << nb) - 1
+    held: dict = {}  # r(x,x) -> x's mask; (r(x,y), r(y,x)) -> per fy, a mask
+    diag, allowed = [], []  # allowed[x][y]: held[r(x,y), r(y,x)], for y < x
+    for x, r in enumerate(dom):
+        if (u := r[x]) not in held:
+            held[u] = int("0" + "".join(["1" if u <= s else "0" for s in loops]), 2)
+        diag.append(held[u])
+        allowed.append([])
+        for y in range(x):
+            if (key := (r[y], dom[y][x])) not in held:
+                u, v = key
+                flags = ["1" if u <= s and v <= t else "0" for s, t in cells]
+                flat = int("0" + "".join(flags), 2)
+                held[key] = [flat >> fy * nb & row for fy in range(nb)]
+            allowed[x].append(held[key])
+    labels, tails = b.points, {}  # a last point's set -> its images as 1-tuples
+    tables, images = [], []
+    image, left = [], []  # per point before x: its image, its untried images
+    while True:
         x = len(image)
-        out_x, in_x = dom[x], dom_t[x]
-        for fx in tries[-1]:
-            out_fx, in_fx = cod[fx], cod_t[fx]
-            for y, fy in enumerate(image):
-                if out_x[y] > out_fx[fy] or in_x[y] > in_fx[fy]:
-                    break
-            else:
-                break  # fx fits every assigned point: keep it
-        else:  # no image left for x: backtrack
-            tries.pop()
-            if image:
-                image.pop()
-            continue
-        if x + 1 == na:
-            tables.append((*image, fx))
-        else:
-            image.append(fx)
-            tries.append(iter(fits[x + 1]))
-    return tables
-
-
-def _images(b: QCat, tables: list[tuple[int, ...]]) -> list[tuple]:
-    return [tuple(b.points[k] for k in table) for table in tables]
+        m = diag[x]
+        for masks, fy in zip(allowed[x], image):
+            m &= masks[fy]
+        if m and x < na - 1:
+            image.append(0)
+            left.append(m)
+        elif m:
+            if m not in tails:  # bin(m)[:1:-1]: m's bits, low bit first
+                ones = [(k,) for k, c in enumerate(bin(m)[:1:-1]) if c == "1"]
+                tails[m] = ones, [(labels[k],) for k, in ones]
+            pre, (ones, named) = tuple(image), tails[m]
+            tables += map(pre.__add__, ones)
+            images += map(tuple([labels[k] for k in pre]).__add__, named)
+        while left and not left[-1]:  # backtrack past points with no image left
+            left.pop()
+            image.pop()
+        if not left:
+            return tables, images
+        low = left[-1] & -left[-1]  # the next untried image of the last point
+        left[-1] ^= low
+        image[-1] = low.bit_length() - 1
 
 
 def enumerate_functors(
     a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP
 ) -> list[QFunctor]:
     """All functors A -> B in lexicographic order of the image table
-    (codomain point index order).
-
-    A backtracking search assigns the points of A in order and tries the
-    points of B in index order, checking each new image against itself
-    and against every point already assigned; a partial map that breaks
+    (codomain point index order), found by the search over bitmask
+    domains of :func:`_functor_tables`: a partial map that breaks
     r(x,y) <= s(fx,fy) is never extended.  Raises SizeLimitExceeded when
     |B|^|A| exceeds max_maps: the cap bounds the map space, not the work
     the search does, so it refuses the same inputs as a full scan would."""
-    tables = _functor_tables(a, b, max_maps)
-    return [_built_functor(a, b, images) for images in _images(b, tables)]
+    return [_built_functor(a, b, m) for m in _functor_tables(a, b, max_maps)[1]]
 
 
 def _built_functor(dom: QCat, cod: QCat, mapping: tuple) -> QFunctor:
@@ -351,7 +371,7 @@ def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     at the points of A on the functors A -> B (as image tuples), so
     d(f,g) = meet_x s(f x, g x)."""
     _require_same_norm(a, b)
-    points = tuple(_images(b, _functor_tables(a, b, max_maps)))
+    points = tuple(_functor_tables(a, b, max_maps)[1])
     evaluations = [({f: f[i] for f in points}, b) for i in range(len(a.points))]
     return initial_lift(a.tnorm, points, evaluations)
 
@@ -364,7 +384,7 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     u -> v is 1 for u <= v and v otherwise, d(f,g) is the least
     s(f x, g y) over the pairs where r(x,y) is larger, and 1 if none."""
     _require_same_norm(a, b)
-    tables = _functor_tables(a, b, max_maps)
+    tables, images = _functor_tables(a, b, max_maps)
     n = len(a.points)
     pairs = [(i, j, a.matrix[i][j]) for i in range(n) for j in range(n)]
     s = b.matrix
@@ -378,7 +398,7 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
         return d
 
     matrix = tuple(tuple(distance(f, g) for g in tables) for f in tables)
-    return _built_qcat(a.tnorm, tuple(_images(b, tables)), matrix)
+    return _built_qcat(a.tnorm, tuple(images), matrix)
 
 
 def initial_lift(

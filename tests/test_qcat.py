@@ -1,6 +1,7 @@
 """Tests for finite real-enriched categories and their constructions."""
 
 import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -170,6 +171,24 @@ class TestFunctors:
         err = exc.value
         assert (err.dom_size, err.cod_size, err.cap) == (3, 3, 3)
         assert str(err) == "27 candidate maps exceed the cap 3"
+
+    def test_search_keeps_its_own_stack(self):
+        """|B| = 1 admits any |A| under the cap, so the search must not
+        recurse per point: with the recursion limit below |A|, a chain
+        of 150 points still maps into the singleton."""
+        n = 150
+        chain = QCat(
+            LUK,
+            tuple(range(n)),
+            tuple(tuple(ONE if i <= j else ZERO for j in range(n)) for i in range(n)),
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            found = enumerate_functors(chain, singleton(LUK))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [f.mapping for f in found] == [("*",) * n]
 
 
 class TestProductAndTensor:
@@ -391,6 +410,17 @@ def matrix_pairs(draw):
 @example(("lukasiewicz", [[ONE]], [], []))  # |B| = 0: none
 @example(("product", [[F(1, 2)]], [[F(1, 4)]], ["b0"]))  # diagonals below 1
 @example(("remark4", [[F(1, 2)]], [[ONE, ZERO], [ZERO, F(1, 4)]], ["b1", "b0"]))
+@example(  # |B| = 1: the constant map is the one functor
+    ("godel", [[F((i + j) % 5, 4) for j in range(5)] for i in range(5)], [[ONE]], ["b"])
+)
+@example(  # B's points 0 and 2 are isomorphic, so functors come in pairs
+    (
+        "lukasiewicz",
+        [[ONE, F(1, 2)], [F(1, 4), ONE]],
+        [[ONE, F(1, 2), ONE], [F(1, 4), ONE, F(1, 4)], [ONE, F(1, 2), ONE]],
+        ["b2", "b0", "b1"],
+    )
+)
 def test_functor_search_matches_exhaustive_scan(case):
     """enumerate_functors and hom_power against a scan of every image
     table in codomain index order; B's labels are not sorted, so the
@@ -431,6 +461,54 @@ def test_functor_search_matches_exhaustive_scan(case):
         )
         for f in tables
     )
+
+
+@st.composite
+def maps_between_grids(draw):
+    """The rows of A and B and a map between their index sets.  One
+    matrix takes eighths, the other twelfths with a third among them, so
+    their denominators differ (unless A has no points); an entry may come
+    as an int or a string for ``unit`` to coerce, and diagonals below 1
+    and non-categories are drawn too."""
+
+    def rows(n, d):
+        entry = st.integers(0, d).map(lambda k: F(k, d))
+        entry = st.one_of(entry, entry.map(str), st.sampled_from([0, 1]))
+        row = st.lists(entry, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+
+    na, nb = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    eighths = draw(st.booleans())
+    a_rows, b_rows = rows(na, 8 if eighths else 12), rows(nb, 12 if eighths else 8)
+    thirds = b_rows if eighths else a_rows
+    if thirds:
+        thirds[draw(st.integers(0, len(thirds) - 1))][0] = F(1, 3)
+    mapping = draw(st.lists(st.integers(0, nb - 1), min_size=na, max_size=na))
+    return a_rows, b_rows, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_between_grids())
+@example(([[F(1, 2)]], [[F(1, 3)]], [0]))  # a diagonal above its image's
+@example(([["1/8", 1], [0, "7/8"]], [[F(1, 3), "3/4"], [1, 0]], [1, 0]))
+def test_functor_violation_matches_a_fraction_scan(case):
+    """The integer scan finds the pair a scan of Fractions finds first in
+    row-major order, or neither finds one."""
+    a_rows, b_rows, mapping = case
+    n = len(a_rows)
+    first = next(
+        (
+            (f"a{i}", f"a{j}")
+            for i in range(n)
+            for j in range(n)
+            if F(a_rows[i][j]) > F(b_rows[mapping[i]][mapping[j]])
+        ),
+        None,
+    )
+    a = QCat(LUK, tuple(f"a{i}" for i in range(n)), tuple(map(tuple, a_rows)))
+    b = QCat(LUK, tuple(f"b{k}" for k in range(len(b_rows))), tuple(map(tuple, b_rows)))
+    f = QFunctor(a, b, tuple(b.points[k] for k in mapping))
+    assert functor_violation(f) == first
 
 
 class TestLifts:

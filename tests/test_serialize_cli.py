@@ -392,7 +392,7 @@ class TestCLI:
         assert cli.main(["construct", "coreflect", str(s), str(c)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {s}: {message}\n"
 
     @pytest.mark.parametrize(
         "table, named",
@@ -540,7 +540,47 @@ class TestCLI:
         path.write_text(json.dumps(spec))
         assert cli.main(["construct", kind, str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (
+                ["product", "good", "x"],
+                {"points": ["a"], "matrix": [["1/1"]]},
+                "category is missing field 'tnorm'",
+            ),
+            (
+                ["coreflect", "x", "good"],
+                {"tnorm": "lukasiewicz"},
+                "suitable set must carry a 'variant'",
+            ),
+            (
+                ["final_lift", "x"],
+                {"tnorm": "lukasiewicz", "carrier": ["x"]},
+                "lift spec is missing field 'sinks'",
+            ),
+            (
+                ["initial_lift", "x"],
+                {"tnorm": "lukasiewicz", "carrier": "x", "sources": []},
+                "lift carrier must be a list",
+            ),
+        ],
+        ids=["category", "suitable-set", "final-lift", "initial-lift"],
+    )
+    def test_construct_names_the_file_that_fails_to_decode(
+        self, workdir, capsys, argv, doc, message
+    ):
+        """Each reader of construct puts the path of the input it could
+        not decode before the decoder's message."""
+        path = workdir["dir"] / "x.json"
+        path.write_text(json.dumps(doc))
+        kind, *inputs = argv
+        inputs = [workdir["good"] if f == "good" else str(path) for f in inputs]
+        assert cli.main(["construct", kind, *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
 
     def test_construct_initial_lift(self, workdir, capsys):
         edge = two_point(LUK, F(1, 2), 0, points=("a", "b"))
