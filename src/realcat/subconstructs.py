@@ -18,11 +18,12 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, InvalidWitness
+from .errors import DomainError, InvalidWitness, ProductIrrational
 from .intervals import IntervalSet
 from .qcat import QCat, _built_qcat, path_closure, two_point
 from .tnorm import (
     CheckResult,
+    GridDomain,
     TNorm,
     m_set,
     kernel_domain,
@@ -92,9 +93,9 @@ class SuitableSet:
 
     @cached_property
     def _bounds(self) -> dict:
-        # (domain, _least_above or _largest_below) -> that bound with K
-        # and the pairs in the domain's values; filled by _bound_on, one
-        # entry per domain and bound.  Kept out of the fields, so
+        # (grid domain, "above" or "below") -> S's bound there and its
+        # pin (a row rule and sup K, or the explicit pair bound and
+        # None); filled by _kernel_on, one entry per domain and side.  Kept out of the fields, so
         # equality and hashing do not change.
         return {}
 
@@ -116,23 +117,40 @@ def explicit(t: TNorm, pairs) -> SuitableSet:
 
 
 def contains(s: SuitableSet, pair: Pair) -> bool:
-    """Exact membership: (a, b) is in S iff ``_least_above`` maps it to
-    itself; a DomainError there means S has no pair above (a, b).
-    K^2: K.min_above(a) == a iff a is in K, as the components are
-    sorted and disjoint.  K_diagonal: (p, p) = (a, b) iff a = b is in K.
-    Band: (max(a, b&b), max(b, a&a)) = (a, b) is exactly the Galois test
-    a&a <= b and b&b <= a, so no root is computed.  Explicit: a member
-    is the meet of the candidates above it; for a non-member the map
-    raises or returns a larger pair.  No step uses S1-S3, so this holds
-    for a non-suitable S too."""
-    above = _bound_on(s, s.tnorm._fractions, _least_above)
-    return _fixed(above, unit(pair[0]), unit(pair[1]))
+    """Exact membership: (a, b) is in S iff its least S-pair above is
+    (a, b) itself; a DomainError there means S has no pair above it.
+    K^2, K_diagonal and the band read this off their row rule, on the
+    row [a, b] against the column [b, a] (see ``_row_rule``).  K^2:
+    K.min_above(a) == a iff a is in K, as the components are sorted and
+    disjoint.  K_diagonal: min_above(max(a, b)) equals a and b iff
+    a = b is in K.  Band: (max(a, b&b), max(b, a&a)) = (a, b) is
+    exactly the Galois test a&a <= b and b&b <= a, so no root is
+    computed.  Explicit: a member is the meet of the candidates above
+    it; for a non-member the scan raises or returns a larger pair.  No
+    step uses S1-S3, so this holds for a non-suitable S too."""
+    above, _ = _kernel_on(s, s.tnorm._fractions, "above")
+    a, b = unit(pair[0]), unit(pair[1])
+    if s.variant is SuitableVariant.EXPLICIT:
+        return _fixed(above, a, b)
+    return _rows_fixed(above, [[a, b]], [[b, a]])
 
 
 def _fixed(above: Callable, a, b) -> bool:
-    """Whether (a, b) is its own least S-pair above: membership in S."""
+    """Whether (a, b) is its own least explicit S-pair above: membership
+    in S."""
     try:
         return above(a, b) == (a, b)
+    except DomainError:
+        return False
+
+
+def _rows_fixed(rule: Callable, rows, cols) -> bool:
+    """Whether rule, a row rule toward "above", leaves each row as it is
+    against its column, stopping at the first row it moves: then each
+    pair the rows and columns meet is in S.  A DomainError means a pair
+    has no S-pair above it, so it is not in S."""
+    try:
+        return all(rule(row, col) == row for row, col in zip(rows, cols))
     except DomainError:
         return False
 
@@ -190,20 +208,23 @@ def check_suitable(s: SuitableSet) -> CheckResult:
 
 def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
     """Whether every pair (r(x,y), r(y,x)) of c, the diagonal included,
-    lies in S, decided as in :func:`contains` on the kernel domain."""
-    above, m, _ = _on_domain(s, c, _least_above)
-    n = len(m)
-    return all(_fixed(above, m[i][j], m[j][i]) for i in range(n) for j in range(n))
+    lies in S, decided as in :func:`contains` on the kernel domain: row
+    by row with the row rule, stopping at the first row it moves, or
+    pair by pair for an explicit S."""
+    (above, _), m, _ = _on_domain(s, c, "above")
+    if s.variant is SuitableVariant.EXPLICIT:
+        n = len(m)
+        return all(_fixed(above, m[i][j], m[j][i]) for i in range(n) for j in range(n))
+    return _rows_fixed(above, m, zip(*m))
 
 
-def _on_domain(s: SuitableSet, c: QCat, bound: Callable) -> tuple:
-    """bound (``_largest_below`` or ``_least_above``) for S on the kernel
-    domain of c's matrix and S's constants (K endpoints, explicit
-    coordinates), with K and the pairs in the domain's values; returned
-    with c's matrix in those values and the domain.  c's matrix comes
-    from its encoding (``QCat._encoded``) and the bound from S's cache,
-    so each is converted once.  DomainError when S and c live over
-    different t-norms."""
+def _on_domain(s: SuitableSet, c: QCat, side: str) -> tuple:
+    """S's (bound, pin) for side ("above" or "below", see ``_kernel_on``)
+    on the kernel domain of c's matrix and S's constants (K endpoints,
+    explicit coordinates); returned with c's matrix in that domain's
+    values and the domain.  c's matrix comes from its encoding
+    (``QCat._encoded``), so it is converted once.  DomainError when S
+    and c live over different t-norms."""
     t = c.tnorm
     if s.tnorm is not t and s.tnorm != t:
         raise DomainError(
@@ -211,37 +232,94 @@ def _on_domain(s: SuitableSet, c: QCat, bound: Callable) -> tuple:
         )
     e = c._encoded
     dom = kernel_domain(t, math.lcm(e.d, s._lcm))
-    return _bound_on(s, dom, bound), dom.enter(e), dom
+    return _kernel_on(s, dom, side), dom.enter(e), dom
 
 
-def _bound_on(s: SuitableSet, dom, bound: Callable) -> Callable:
-    """bound for S on dom, with K and the pairs in dom's values, built on
-    first use and then kept on S."""
-    hit = s._bounds.get((dom, bound))
+def _kernel_on(s: SuitableSet, dom, side: str) -> tuple:
+    """(bound, pin): S's bound on dom toward side, with K and the pairs
+    in dom's values.  For an explicit S the pair bound ``_least_above``
+    ("above") or ``_largest_below`` ("below"), and no pin.  For the
+    others the row rule of ``_row_rule`` and, as pin, sup K (1 for the
+    band), a value that has a bound and that the rule keeps (an empty K
+    has none, and takes 1; see ``_move``).  Kept on S for a grid domain, where a rule's
+    value map holds at most d + 1 entries; built per call on the
+    Fraction domain, whose values are unbounded."""
+    hit = s._bounds.get((dom, side))
     if hit is None:
-        k, pairs = s.k, s.pairs
-        if k is not None:
-            k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in k.components))
-        if pairs is not None:
-            pairs = frozenset((dom.of(x), dom.of(y)) for x, y in pairs)
-        hit = s._bounds[dom, bound] = partial(bound, s.variant, dom, k, pairs)
+        if s.variant is SuitableVariant.EXPLICIT:
+            pairs = frozenset((dom.of(x), dom.of(y)) for x, y in s.pairs)
+            bound = _least_above if side == "above" else _largest_below
+            hit = partial(bound, dom, pairs), None
+        else:
+            hit = _row_rule(s, dom, side), dom.of(s.k.supremum if s.k else ONE)
+        if dom.__class__ is GridDomain:
+            s._bounds[dom, side] = hit
     return hit
 
 
-def _largest_below(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
-    """The componentwise-largest S-pair below (a, b), all in the values
-    of dom, with k and pairs from ``_on_domain``; S1/S2 make it unique,
-    and DomainError reports that S has none."""
-    if variant is SuitableVariant.K_DIAGONAL:  # the K_SQUARE pair at (m, m)
-        variant, a, b = SuitableVariant.K_SQUARE, min(a, b), min(a, b)
-    if variant is SuitableVariant.K_SQUARE:
-        p, q = k.max_below(a), k.max_below(b)
-        if p is None or q is None:
-            missing = a if p is None else b
-            raise DomainError(f"K has no member below {dom.value(missing)}")
-        return (p, q)
-    if variant is SuitableVariant.SQRT_BAND:
-        return (min(a, dom.sqrt(b)), min(b, dom.sqrt(a)))
+class _ValueMap(dict):
+    """v -> fn(v), computed on the first lookup of v and kept; a lookup
+    that raises keeps nothing."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, v):
+        w = self[v] = self.fn(v)
+        return w
+
+
+def _row_rule(s: SuitableSet, dom, side: str) -> Callable:
+    """rule(row, col) -> row moved toward side: entry j becomes the
+    first coordinate of the least S-pair above ("above") or the largest
+    S-pair below ("below") (row[j], col[j]).  The second coordinate of
+    that pair is the rule on the swapped pair, so a row of a matrix
+    against its column gives the row of the moved matrix.  For K^2,
+    K_diagonal and the band the bound is a value map combined entry by
+    entry with the transposed entry:
+    K^2: K.min_above / K.max_below of the entry;
+    K_diagonal: that map at the max / min of the two entries, the K^2
+    pair at (p, p);
+    band: max(x, y & y) / min(x, sqrt y), the Galois bounds of
+    a&a <= b and b&b <= a.
+    The map is a :class:`_ValueMap`, so it computes each value once;
+    a value K has no member toward raises DomainError naming it, and a
+    root that is not rational raises ProductIrrational."""
+    if s.variant is SuitableVariant.SQRT_BAND:
+        if side == "above":
+            op = dom.op
+            square = _ValueMap(lambda y: op(y, y))
+            return lambda row, col: [
+                x if x >= (q := square[y]) else q for x, y in zip(row, col)
+            ]
+        root = _ValueMap(dom.sqrt)
+        return lambda row, col: [
+            x if x <= (q := root[y]) else q for x, y in zip(row, col)
+        ]
+    k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in s.k.components))
+    nearest = k.min_above if side == "above" else k.max_below
+
+    def member(v):
+        p = nearest(v)
+        if p is None:
+            raise DomainError(f"K has no member {side} {dom.value(v)}")
+        return p
+
+    bound = _ValueMap(member)
+    if s.variant is SuitableVariant.K_SQUARE:
+        return lambda row, col: [bound[x] for x in row]
+    if side == "above":
+        return lambda row, col: [bound[x if x >= y else y] for x, y in zip(row, col)]
+    return lambda row, col: [bound[x if x <= y else y] for x, y in zip(row, col)]
+
+
+def _largest_below(dom, pairs, a, b) -> tuple:
+    """The componentwise-largest pair of the explicit S below (a, b),
+    all in the values of dom, with pairs from ``_kernel_on``; S1/S2
+    make it unique, and DomainError reports that S has none."""
     candidates = [m for m in pairs if m[0] <= a and m[1] <= b]
     if not candidates:
         raise DomainError(f"no explicit member below ({dom.value(a)}, {dom.value(b)})")
@@ -251,21 +329,10 @@ def _largest_below(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
     return best
 
 
-def _least_above(variant: SuitableVariant, dom, k, pairs, a, b) -> tuple:
-    """The componentwise-least S-pair above (a, b), all in the values of
-    dom, with k and pairs from ``_on_domain``; S1/S2 make it unique, and
-    DomainError reports that S has none."""
-    if variant is SuitableVariant.K_DIAGONAL:  # the K_SQUARE pair at (m, m)
-        variant, a, b = SuitableVariant.K_SQUARE, max(a, b), max(a, b)
-    if variant is SuitableVariant.K_SQUARE:
-        p, q = k.min_above(a), k.min_above(b)
-        if p is None or q is None:
-            missing = a if p is None else b
-            raise DomainError(f"K has no member above {dom.value(missing)}")
-        return (p, q)
-    if variant is SuitableVariant.SQRT_BAND:
-        op = dom.op
-        return (max(a, op(b, b)), max(b, op(a, a)))
+def _least_above(dom, pairs, a, b) -> tuple:
+    """The componentwise-least pair of the explicit S above (a, b), all
+    in the values of dom, with pairs from ``_kernel_on``; S1/S2 make it
+    unique, and DomainError reports that S has none."""
     candidates = [m for m in pairs if m[0] >= a and m[1] >= b]
     if not candidates:
         raise DomainError(f"no explicit member above ({dom.value(a)}, {dom.value(b)})")
@@ -279,9 +346,43 @@ def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
     """C(r): per point pair, the largest S-pair componentwise below
     (r(x,y), r(y,x)).  The output lies in Cat_S, is <= r entrywise and
     is a valid category."""
-    below, m, dom = _on_domain(s, c, _largest_below)
-    _move_pairs(below, m)
+    (below, pin), m, dom = _on_domain(s, c, "below")
+    _move(s, below, pin, m)
     return _built_qcat(c.tnorm, c.points, dom.leave(m))
+
+
+def _move(s: SuitableSet, bound: Callable, pin, m: list[list]) -> bool:
+    """Move each off-diagonal pair of m to its S-pair toward bound's
+    side and report whether anything changed; the diagonal is left as
+    given.  An explicit S moves pair by pair (``_move_pairs``).  The
+    others rebuild each row with their row rule against its column,
+    every row from m as given.  During that pass the diagonal holds pin
+    (see ``_kernel_on``), so no diagonal entry raises.  When the pass
+    raises, the pairs i < j are tried in the order ``_move_pairs``
+    visits them, r(i,j)'s side first, so the error names the first pair
+    without a bound.  Fewer than two points leave no pair to move, and
+    then an empty K's pin may not raise."""
+    if s.variant is SuitableVariant.EXPLICIT:
+        return _move_pairs(bound, m)
+    n = len(m)
+    if n < 2:
+        return False
+    diagonal = [row[i] for i, row in enumerate(m)]
+    for i, row in enumerate(m):
+        row[i] = pin
+    try:
+        moved = [bound(row, col) for row, col in zip(m, zip(*m))]
+    except (DomainError, ProductIrrational):
+        for i in range(n):
+            for j in range(i + 1, n):
+                bound([m[i][j]], [m[j][i]])
+                bound([m[j][i]], [m[i][j]])
+        raise
+    changed = moved != m
+    for i, row in enumerate(moved):
+        row[i] = diagonal[i]
+    m[:] = moved
+    return changed
 
 
 def _move_pairs(bound: Callable, m: list[list]) -> bool:
@@ -310,9 +411,12 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     The loop runs on the kernel domain (``tnorm.kernel_domain``), which
     is exact, so the result is the one the Fractions give.  Each input
     is converted to that domain once and kept on its owner: the domain
-    on the norm, c's numerators on c (``QCat._encoded``) and K and the
-    pairs on S (``_bound_on``), so a call only scales c's numerators
-    into fresh lists for the loop to write.
+    on the norm, c's numerators on c (``QCat._encoded``) and S's bound
+    on S (``_kernel_on``): for K^2, K_diagonal and the band a row rule
+    whose value map computes each value once, so a raise rebuilds each
+    row with one lookup per entry; for an explicit S the pairs, which
+    the pair scan reads.  On the Fraction domain S's bound is built per
+    call.
 
     Termination.  Every value the loop produces is an &-word over a
     finite base: the entries of r, the endpoints of K, the coordinates
@@ -325,10 +429,10 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     happens at the second raise: by S3 and S1 the closure of a matrix
     of S-pairs has S-pairs.
     """
-    above, m, dom = _on_domain(s, c, _least_above)
-    _move_pairs(above, m)
+    (above, pin), m, dom = _on_domain(s, c, "above")
+    _move(s, above, pin, m)
     path_closure(dom.op, m)
-    while _move_pairs(above, m):
+    while _move(s, above, pin, m):
         path_closure(dom.op, m)
     return _built_qcat(c.tnorm, c.points, dom.leave(m))
 

@@ -28,10 +28,13 @@ validation and the reflections compute in one of two exact domains
   a product block has only the Fraction domain.
 
 Each input is converted to a domain once and the result is kept on the
-immutable object that owns it: a norm keeps its domains (one per d), a
-category its :class:`Encoded` matrix, and a suitable set its constants
-on each domain.  A kernel call then only scales integers and copies
-rows.
+immutable object that owns it: a norm keeps its domains (one per d) and
+its M, a category its :class:`Encoded` matrix, and a suitable set its
+bound on each grid domain and side.  For K^2, K_diagonal and the band
+that bound is a row rule reading a value map that computes each value
+once and holds at most d + 1 of them, like a grid domain's own memo;
+the Fraction domain's values are unbounded, so there the rule is built
+per call.  A kernel call then only scales integers and rebuilds rows.
 """
 
 from __future__ import annotations
@@ -127,6 +130,16 @@ class TNorm:
         if any(b.kind is BlockKind.PRODUCT for b in self.blocks):
             return None
         return math.lcm(*{v.denominator for b in self.blocks for v in (b.lo, b.hi)})
+
+    @cached_property
+    def _m(self) -> IntervalSet:
+        # m_set's value, built on first use and kept out of the fields
+        # like _grid_lcm; IntervalSet is frozen, so callers can share it
+        result = idempotent_set(self)
+        for b in self.blocks:
+            if b.kind is BlockKind.LUKASIEWICZ:
+                result = result.union(IntervalSet.of([(b.lo, (b.lo + b.hi) / 2)]))
+        return result
 
     @cached_property
     def _domains(self) -> dict:
@@ -433,12 +446,9 @@ def idempotent_set(t: TNorm) -> IntervalSet:
 
 def m_set(t: TNorm) -> IntervalSet:
     """The quantale M = {a : a & a is idempotent}: the idempotents plus,
-    for each Lukasiewicz block [a, b], the lower half [a, (a+b)/2]."""
-    result = idempotent_set(t)
-    for b in t.blocks:
-        if b.kind is BlockKind.LUKASIEWICZ:
-            result = result.union(IntervalSet.of([(b.lo, (b.lo + b.hi) / 2)]))
-    return result
+    for each Lukasiewicz block [a, b], the lower half [a, (a+b)/2].
+    Built once per norm and kept on it (``TNorm._m``)."""
+    return t._m
 
 
 @dataclass(frozen=True)

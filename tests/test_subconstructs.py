@@ -2,13 +2,14 @@
 closedness machinery."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcat.errors import DomainError, InvalidWitness, RealcatError
+from realcat.errors import DomainError, InvalidWitness, ProductIrrational, RealcatError
 from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, final_lift, product as qproduct, two_point, validate_qcat
 from realcat.subconstructs import (
@@ -366,6 +367,180 @@ class TestCoreflectorReflector:
         assert upper.r("1", "0") == F(3, 4)
 
 
+# The pair-scan oracle below writes S out: K as its (lo, hi) parts and
+# the band through the blocks, with roots by the block formulas.  It
+# moves the pairs i < j in row-major order, r(i,j)'s side first, so an
+# error names the first pair, and the first value in it, that lacks a
+# bound.
+
+
+def oracle_sqrt(t, blocks, x):
+    """max{z : z & z <= x}: (x+hi)/2 in a Lukasiewicz block [lo, hi)
+    holding x, lo + sqrt((x-lo)(hi-lo)) in a product block, else x."""
+    for lo, hi, kind in blocks:
+        if lo <= x < hi:
+            if kind == "lukasiewicz":
+                return (x + hi) / 2
+            square = (x - lo) * (hi - lo)
+            p, q = math.isqrt(square.numerator), math.isqrt(square.denominator)
+            if p * p != square.numerator or q * q != square.denominator:
+                raise ProductIrrational(f"sqrt of {x} under {t} is irrational")
+            return lo + F(p, q)
+    return x
+
+
+def oracle_nearest(parts, side, v):
+    """The member of K nearest to v toward side, from K's parts."""
+    if side == "above":
+        members = [max(lo, v) for lo, hi in parts if hi >= v]
+        best = min(members, default=None)
+    else:
+        members = [min(hi, v) for lo, hi in parts if lo <= v]
+        best = max(members, default=None)
+    if best is None:
+        raise DomainError(f"K has no member {side} {v}")
+    return best
+
+
+def oracle_pair_bound(case, side, a, b):
+    """The S-pair toward side from (a, b): the least above or the
+    largest below."""
+    shape, t, blocks, parts = case
+    if shape == "sqrt_band":
+        if side == "above":
+            return (
+                max(a, oracle_and(blocks, b, b)),
+                max(b, oracle_and(blocks, a, a)),
+            )
+        first = min(a, oracle_sqrt(t, blocks, b))
+        return first, min(b, oracle_sqrt(t, blocks, a))
+    if shape == "k_diagonal":
+        a = b = max(a, b) if side == "above" else min(a, b)
+    first = oracle_nearest(parts, side, a)
+    return first, oracle_nearest(parts, side, b)
+
+
+def oracle_move(case, side, m):
+    changed = False
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            pair = oracle_pair_bound(case, side, m[i][j], m[j][i])
+            changed |= pair != (m[i][j], m[j][i])
+            m[i][j], m[j][i] = pair
+    return changed
+
+
+def oracle_closure(blocks, m):
+    """Raise m(i,j) to m(i,k) & m(k,j) until nothing changes; the
+    diagonal is never written."""
+    n = len(m)
+    grown = True
+    while grown:
+        grown = False
+        for i, j, k in itertools.product(range(n), repeat=3):
+            via = oracle_and(blocks, m[i][k], m[k][j])
+            if i != j and via > m[i][j]:
+                m[i][j], grown = via, True
+
+
+def oracle_coreflect(case, m):
+    m = [list(row) for row in m]
+    oracle_move(case, "below", m)
+    return tuple(map(tuple, m))
+
+
+def oracle_reflect(case, m):
+    m = [list(row) for row in m]
+    oracle_move(case, "above", m)
+    oracle_closure(case[2], m)
+    while oracle_move(case, "above", m):
+        oracle_closure(case[2], m)
+    return tuple(map(tuple, m))
+
+
+def oracle_member(case, a, b):
+    shape, t, blocks, parts = case
+    if shape == "sqrt_band":
+        return in_band(blocks, a, b)
+
+    def in_k(v):
+        return any(lo <= v <= hi for lo, hi in parts)
+
+    if shape == "k_diagonal":
+        return a == b and in_k(a)
+    return in_k(a) and in_k(b)
+
+
+@st.composite
+def pair_scan_cases(draw):
+    """(case, S, category, pair): S is K^2, K_diagonal (K may lack 0, 1
+    or everything) or the band over a norm from ``norm_cases``, written
+    out in case; the category has 3-6 points on the /12 grid, either
+    path-closed with a diagonal of 1 or an arbitrary matrix."""
+    t, blocks = draw(norm_cases())
+    shape = draw(st.sampled_from(["k_square", "k_diagonal", "sqrt_band"]))
+    parts = []
+    if shape == "sqrt_band":
+        s = sqrt_band(t)
+    else:
+        cuts = sorted(draw(st.sets(st.sampled_from(TWELFTHS), max_size=6)))
+        while cuts:
+            width = draw(st.integers(1, min(2, len(cuts))))
+            parts.append((cuts[0], cuts[width - 1]))
+            cuts = cuts[width:]
+        s = (k_square if shape == "k_square" else k_diagonal)(t, IntervalSet.of(parts))
+    n = draw(st.integers(3, 6))
+    values = st.sampled_from([ONE, *TWELFTHS])
+    m = [[draw(values) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = ONE
+        oracle_closure(blocks, m)
+    c = QCat(t, tuple(f"p{i}" for i in range(n)), tuple(map(tuple, m)))
+    return (shape, t, blocks, parts), s, c, (draw(values), draw(values))
+
+
+def answer(call, *args):
+    """The call's value (a category's matrix), or the type and message
+    of what it raised."""
+    try:
+        out = call(*args)
+    except RealcatError as exc:
+        return type(exc), str(exc)
+    return out.matrix if isinstance(out, QCat) else out
+
+
+class TestRowRulesAgainstPairScan:
+    @settings(max_examples=250, deadline=None)
+    @given(pair_scan_cases())
+    def test_kernels_match_the_pair_scan(self, drawn):
+        """C, R, Cat_S membership and contains against the pair scan
+        written out above, errors included: when several pairs lack a
+        bound, the library names the same pair and value.  Norms
+        without a product block run on the grid, the others on
+        Fractions."""
+        case, s, c, (a, b) = drawn
+        m, n = c.matrix, len(c.points)
+        assert answer(coreflect_c, s, c) == answer(oracle_coreflect, case, m)
+        assert answer(reflect_r, s, c) == answer(oracle_reflect, case, m)
+        assert is_in_cat_s(s, c) == all(
+            oracle_member(case, m[i][j], m[j][i]) for i in range(n) for j in range(n)
+        )
+        assert contains(s, (a, b)) == oracle_member(case, a, b)
+
+    @pytest.mark.parametrize("shape", [k_square, k_diagonal], ids=lambda f: f.__name__)
+    def test_an_empty_k_leaves_one_point_alone(self, shape):
+        """With K empty no value has a bound, yet one point has no pair
+        to move, so C and R return it; on two points the first entry
+        is named."""
+        s = shape(LUK, IntervalSet.empty())
+        c = QCat(LUK, ("p",), ((F(1, 2),),))
+        assert coreflect_c(s, c) == c and reflect_r(s, c) == c
+        assert not is_in_cat_s(s, c)
+        with pytest.raises(DomainError, match="^K has no member above 3/4$"):
+            reflect_r(s, two_point(LUK, F(3, 4), F(1, 4)))
+
+
 def spelled(name):
     """Builtin norm ``name`` spelled by its blocks, with no name: equal
     to the named builtin and to no other builtin."""
@@ -433,9 +608,11 @@ def fresh_norm(name):
 
 
 def suitable_sets(t):
-    """Suitable sets over t whose constants have denominators 1, 2, 3, 5
-    and 7, so that the kernel domain's d changes from set to set.  The
-    explicit set is not S3-closed; its errors are compared too."""
+    """Sets over t whose constants have denominators 1, 2, 3, 4, 5 and
+    7, so that the kernel domain's d changes from set to set.  The
+    explicit set is not S3-closed, the last K^2 set's K lacks 1 and the
+    last K_diagonal set's K lacks 0, so their errors are compared
+    too."""
     return [
         k_square(t, CRISP),
         k_square(t, IntervalSet.of([0, F(1, 3), F(2, 3), 1])),
@@ -443,6 +620,8 @@ def suitable_sets(t):
         sqrt_band(t),
         explicit(t, [(0, 0), (F(2, 7), F(2, 7)), (F(2, 7), 1), (1, F(2, 7)), (1, 1)]),
         explicit(t, HALVES),
+        k_square(t, IntervalSet.of([0, (F(1, 4), F(1, 2))])),
+        k_diagonal(t, IntervalSet.of([(F(1, 3), F(2, 3)), 1])),
     ]
 
 
@@ -453,6 +632,7 @@ CAT_S_CALLS = {
     "reflect_r": reflect_r,
     "por_rho": lambda s, c: por_coreflection(c),
     "por_sigma": lambda s, c: por_reflection(c),
+    "m_set": lambda s, c: m_set(s.tnorm),
 }
 
 
@@ -479,7 +659,7 @@ class TestKernelCaches:
         st.lists(
             st.tuples(
                 st.sampled_from(sorted(CAT_S_CALLS)),
-                st.integers(0, 5),
+                st.integers(0, 7),
                 st.integers(0, 1),
             ),
             min_size=1,
@@ -492,8 +672,9 @@ class TestKernelCaches:
         answer equals the same call on freshly built equal objects, whose
         caches are empty.  The sets' constants and the categories'
         entries have different denominators, so the grid's d changes
-        from call to call for each category and for each set.  Warming
-        changes no equality, hash or repr."""
+        from call to call for each category and for each set.  Warming,
+        M kept on the norm included, changes no equality, hash or
+        repr."""
         t = WARM_NORMS[name]
         cats = [
             QCat(t, tuple(f"p{i}" for i in range(len(m))), tuple(map(tuple, m)))
@@ -510,6 +691,7 @@ class TestKernelCaches:
             fresh_s = suitable_sets(fresh_t)[i]
             expected = outcome(CAT_S_CALLS[call], fresh_s, fresh(j, fresh_t))
             assert outcome(CAT_S_CALLS[call], sets[i], cats[j]) == expected
+        assert m_set(t) is m_set(t) == m_set(fresh_norm(name))
         assert [(hash(x), repr(x)) for x in (t, *cats, *sets)] == before
         fresh_t = fresh_norm(name)
         assert t == fresh_t and sets == suitable_sets(fresh_t)
