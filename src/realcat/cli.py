@@ -9,9 +9,10 @@ Four commands, each with only the flags it reads:
   A category or suitable-set file that does not decode is a failing case.
 - ``construct KIND INPUT... [--max-maps N] [--out FILE]``: apply a named
   construction and write the resulting category.  Every input category
-  is validated first; a matrix that is no category exits 5.  So is the
-  result of ``hom_power``: [A, B] is a category when the values lie in
-  M, not for every A and B.  Tuple-shaped points are written as flat
+  is validated first; a matrix that is no category exits 5, and so does
+  a suitable set of ``coreflect``/``reflect`` that fails S1-S3.  So does
+  the result of ``hom_power``: [A, B] is a category when the values lie
+  in M, not for every A and B.  Tuple-shaped points are written as flat
   labels, and a result with two points written alike (``("a", "b,c")``
   and ``("a,b", "c")``, or ``"1"`` and ``1``) exits 5 and writes nothing.
 - ``verify SUITE [--format json|text] [--tnorm T]``: run a named
@@ -95,18 +96,10 @@ def _emit(report: Report, fmt: str):
         sys.stdout.write(ser.dumps(report.to_obj()))
 
 
-def _require_category(path: str, c: qc.QCat) -> qc.QCat:
-    """Constructions read categories only: reject any other matrix."""
-    res = qc.validate_qcat(c)
-    if not res.passed:
-        raise DomainError(f"{path}: not a category: {res.message}")
-    return c
-
-
 def _require_lift_categories(path: str, t: TNorm, cats) -> None:
     """A lift spec's categories are categories over the spec's norm."""
     for cat in cats:
-        _require_category(path, cat)
+        qc.require_category(cat, where=f"{path}: ")
         if cat.tnorm != t:
             raise DomainError(
                 f"{path}: the lift spec and one of its categories live over "
@@ -124,7 +117,8 @@ def _decoded(path: str, decode: Callable):
 
 
 def _category(path: str) -> qc.QCat:
-    return _require_category(path, _decoded(path, ser.qcat_from_obj))
+    """Constructions read categories only: reject any other matrix."""
+    return qc.require_category(_decoded(path, ser.qcat_from_obj), where=f"{path}: ")
 
 
 def _categories(args) -> list[qc.QCat]:
@@ -135,16 +129,19 @@ def _categories(args) -> list[qc.QCat]:
 
 
 def _suitable_and_category(args):
-    return _decoded(args.inputs[0], ser.suitable_from_obj), _category(args.inputs[1])
+    """C and R read suitable sets only: reject any other set."""
+    path = args.inputs[0]
+    s = sub.require_suitable(_decoded(path, ser.suitable_from_obj), where=f"{path}: ")
+    return s, _category(args.inputs[1])
 
 
 def _hom_power(args) -> qc.QCat:
     """[A, B], refused when it is not a category; the check names the
     points by the labels its file shows."""
     out = qc.hom_power(*_categories(args), args.max_maps)
-    res = qc.validate_qcat(out.relabel(ser.point_labels(out)))
-    if not res.passed:
-        raise DomainError(f"{args.kind}: the result is not a category: {res.message}")
+    qc.require_category(
+        out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
+    )
     return out
 
 

@@ -17,7 +17,7 @@ from functools import cached_property, wraps
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .errors import SizeLimitExceeded
+from .errors import DomainError, SizeLimitExceeded
 from .tnorm import CheckResult, Encoded, TNorm, encode, encode_unit, kernel_domain
 from .values import ONE, ZERO, unit
 
@@ -162,6 +162,15 @@ def validate_qcat(c: QCat) -> CheckResult:
                         witness=(c.points[i], c.points[j], c.points[k]),
                     )
     return CheckResult(True, "valid")
+
+
+def require_category(c: QCat, where: str = "") -> QCat:
+    """c itself when it is a category (``validate_qcat``); otherwise
+    DomainError "not a category: ..." after the prefix where."""
+    res = validate_qcat(c)
+    if not res.passed:
+        raise DomainError(f"{where}not a category: {res.message}")
+    return c
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
+from operator import ge, le
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, InvalidWitness, ProductIrrational
@@ -93,11 +94,16 @@ class SuitableSet:
 
     @cached_property
     def _bounds(self) -> dict:
-        # (grid domain, "above" or "below") -> S's bound there and its
-        # pin (a row rule and sup K, or the explicit pair bound and
-        # None); filled by _kernel_on, one entry per domain and side.  Kept out of the fields, so
-        # equality and hashing do not change.
+        # (grid domain, "above" or "below") -> S's row rule there and
+        # its pin; filled by _kernel_on, one entry per domain and side.
+        # Kept out of the fields, so equality and hashing do not change.
         return {}
+
+    @cached_property
+    def _suitable(self) -> CheckResult:
+        # check_suitable(self), which C and R require; kept out of the
+        # fields like _lcm and _bounds
+        return check_suitable(self)
 
 
 def k_square(t: TNorm, k: IntervalSet) -> SuitableSet:
@@ -117,31 +123,18 @@ def explicit(t: TNorm, pairs) -> SuitableSet:
 
 
 def contains(s: SuitableSet, pair: Pair) -> bool:
-    """Exact membership: (a, b) is in S iff its least S-pair above is
-    (a, b) itself; a DomainError there means S has no pair above it.
-    K^2, K_diagonal and the band read this off their row rule, on the
-    row [a, b] against the column [b, a] (see ``_row_rule``).  K^2:
-    K.min_above(a) == a iff a is in K, as the components are sorted and
-    disjoint.  K_diagonal: min_above(max(a, b)) equals a and b iff
-    a = b is in K.  Band: (max(a, b&b), max(b, a&a)) = (a, b) is
-    exactly the Galois test a&a <= b and b&b <= a, so no root is
-    computed.  Explicit: a member is the meet of the candidates above
-    it; for a non-member the scan raises or returns a larger pair.  No
-    step uses S1-S3, so this holds for a non-suitable S too."""
-    above, _ = _kernel_on(s, s.tnorm._fractions, "above")
+    """Exact membership in any S, suitable or not.  Explicit: (a, b) is
+    a written-out pair.  The others: the row rule toward "above" (see
+    ``_row_rule``) keeps the row [a, b] against the column [b, a].
+    K^2: K.min_above(a) == a iff a is in K, as the components are
+    sorted and disjoint.  K_diagonal: min_above(max(a, b)) equals a and
+    b iff a = b is in K.  Band: (max(a, b&b), max(b, a&a)) = (a, b) is
+    the Galois test a&a <= b and b&b <= a, so no root is computed."""
     a, b = unit(pair[0]), unit(pair[1])
     if s.variant is SuitableVariant.EXPLICIT:
-        return _fixed(above, a, b)
+        return (a, b) in s.pairs
+    above, _ = _kernel_on(s, s.tnorm._fractions, "above")
     return _rows_fixed(above, [[a, b]], [[b, a]])
-
-
-def _fixed(above: Callable, a, b) -> bool:
-    """Whether (a, b) is its own least explicit S-pair above: membership
-    in S."""
-    try:
-        return above(a, b) == (a, b)
-    except DomainError:
-        return False
 
 
 def _rows_fixed(rule: Callable, rows, cols) -> bool:
@@ -206,52 +199,58 @@ def check_suitable(s: SuitableSet) -> CheckResult:
     return CheckResult(True, "S1-S3 hold on the tested members")
 
 
+def require_suitable(s: SuitableSet, where: str = "") -> SuitableSet:
+    """s when S1-S3 hold (``check_suitable``, decided once per set);
+    else DomainError "not a suitable set: ..." after the prefix where."""
+    res = s._suitable
+    if not res.passed:
+        raise DomainError(f"{where}not a suitable set: {res.message}")
+    return s
+
+
 def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
     """Whether every pair (r(x,y), r(y,x)) of c, the diagonal included,
-    lies in S, decided as in :func:`contains` on the kernel domain: row
-    by row with the row rule, stopping at the first row it moves, or
-    pair by pair for an explicit S."""
-    (above, _), m, _ = _on_domain(s, c, "above")
+    lies in S, for any S, decided as in :func:`contains`, the row rule
+    running on the kernel domain row by row and stopping at the first
+    row it moves.  DomainError when S and c live over different norms."""
+    _require_same_norm(s, c)
     if s.variant is SuitableVariant.EXPLICIT:
-        n = len(m)
-        return all(_fixed(above, m[i][j], m[j][i]) for i in range(n) for j in range(n))
+        m = c.matrix
+        return all(
+            pair in s.pairs for row, col in zip(m, zip(*m)) for pair in zip(row, col)
+        )
+    (above, _), m, _ = _on_domain(s, c, "above")
     return _rows_fixed(above, m, zip(*m))
 
 
-def _on_domain(s: SuitableSet, c: QCat, side: str) -> tuple:
-    """S's (bound, pin) for side ("above" or "below", see ``_kernel_on``)
-    on the kernel domain of c's matrix and S's constants (K endpoints,
-    explicit coordinates); returned with c's matrix in that domain's
-    values and the domain.  c's matrix comes from its encoding
-    (``QCat._encoded``), so it is converted once.  DomainError when S
-    and c live over different t-norms."""
-    t = c.tnorm
-    if s.tnorm is not t and s.tnorm != t:
+def _require_same_norm(s: SuitableSet, c: QCat) -> None:
+    if s.tnorm is not c.tnorm and s.tnorm != c.tnorm:
         raise DomainError(
             "the suitable set and the category live over different t-norms"
         )
+
+
+def _on_domain(s: SuitableSet, c: QCat, side: str) -> tuple:
+    """S's (rule, pin) toward side (``_kernel_on``), c's matrix and the
+    kernel domain of both, which share a norm.  The matrix comes from
+    c's encoding (``QCat._encoded``), so it is converted once."""
     e = c._encoded
-    dom = kernel_domain(t, math.lcm(e.d, s._lcm))
+    dom = kernel_domain(c.tnorm, math.lcm(e.d, s._lcm))
     return _kernel_on(s, dom, side), dom.enter(e), dom
 
 
 def _kernel_on(s: SuitableSet, dom, side: str) -> tuple:
-    """(bound, pin): S's bound on dom toward side, with K and the pairs
-    in dom's values.  For an explicit S the pair bound ``_least_above``
-    ("above") or ``_largest_below`` ("below"), and no pin.  For the
-    others the row rule of ``_row_rule`` and, as pin, sup K (1 for the
-    band), a value that has a bound and that the rule keeps (an empty K
-    has none, and takes 1; see ``_move``).  Kept on S for a grid domain, where a rule's
-    value map holds at most d + 1 entries; built per call on the
-    Fraction domain, whose values are unbounded."""
+    """(rule, pin) in dom's values: S's row rule toward side, and the
+    largest explicit coordinate, else 1, which a suitable K holds (an
+    empty explicit S takes 1, whose lookup raises).  In a suitable S,
+    (pin, pin) joins every pair with its swap, so it is in S and the
+    rule keeps it (see ``_move``).  Kept on S for a grid domain, where a value map
+    holds at most (d + 1)^2 keys; built per call on the Fraction
+    domain, whose values are unbounded."""
     hit = s._bounds.get((dom, side))
     if hit is None:
-        if s.variant is SuitableVariant.EXPLICIT:
-            pairs = frozenset((dom.of(x), dom.of(y)) for x, y in s.pairs)
-            bound = _least_above if side == "above" else _largest_below
-            hit = partial(bound, dom, pairs), None
-        else:
-            hit = _row_rule(s, dom, side), dom.of(s.k.supremum if s.k else ONE)
+        pin = max((v for pair in s.pairs or () for v in pair), default=ONE)
+        hit = _row_rule(s, dom, side), dom.of(pin)
         if dom.__class__ is GridDomain:
             s._bounds[dom, side] = hit
     return hit
@@ -277,16 +276,18 @@ def _row_rule(s: SuitableSet, dom, side: str) -> Callable:
     first coordinate of the least S-pair above ("above") or the largest
     S-pair below ("below") (row[j], col[j]).  The second coordinate of
     that pair is the rule on the swapped pair, so a row of a matrix
-    against its column gives the row of the moved matrix.  For K^2,
-    K_diagonal and the band the bound is a value map combined entry by
-    entry with the transposed entry:
+    against its column gives the row of the moved matrix.  The bound is
+    a value map combined entry by entry with the transposed entry:
     K^2: K.min_above / K.max_below of the entry;
     K_diagonal: that map at the max / min of the two entries, the K^2
     pair at (p, p);
     band: max(x, y & y) / min(x, sqrt y), the Galois bounds of
-    a&a <= b and b&b <= a.
-    The map is a :class:`_ValueMap`, so it computes each value once;
-    a value K has no member toward raises DomainError naming it, and a
+    a&a <= b and b&b <= a;
+    explicit: on the pair (x, y), the least / largest first coordinate
+    of S's pairs above / below it; by S2 the rule on (y, x) gives the
+    second, and by S1 their meet / join is in S.
+    The map is a :class:`_ValueMap`, so it computes each value once; a
+    value (pair) without a bound raises DomainError naming it, and a
     root that is not rational raises ProductIrrational."""
     if s.variant is SuitableVariant.SQRT_BAND:
         if side == "above":
@@ -299,6 +300,21 @@ def _row_rule(s: SuitableSet, dom, side: str) -> Callable:
         return lambda row, col: [
             x if x <= (q := root[y]) else q for x, y in zip(row, col)
         ]
+    if s.variant is SuitableVariant.EXPLICIT:
+        pairs = [(dom.of(p), dom.of(q)) for p, q in s.pairs]
+        toward, nearest = (ge, min) if side == "above" else (le, max)
+
+        def first(xy):
+            x, y = xy
+            firsts = [p for p, q in pairs if toward(p, x) and toward(q, y)]
+            if not firsts:
+                raise DomainError(
+                    f"no explicit member {side} ({dom.value(x)}, {dom.value(y)})"
+                )
+            return nearest(firsts)
+
+        pair_bound = _ValueMap(first)
+        return lambda row, col: [pair_bound[xy] for xy in zip(row, col)]
     k = IntervalSet(tuple((dom.of(lo), dom.of(hi)) for lo, hi in s.k.components))
     nearest = k.min_above if side == "above" else k.max_below
 
@@ -316,124 +332,75 @@ def _row_rule(s: SuitableSet, dom, side: str) -> Callable:
     return lambda row, col: [bound[x if x <= y else y] for x, y in zip(row, col)]
 
 
-def _largest_below(dom, pairs, a, b) -> tuple:
-    """The componentwise-largest pair of the explicit S below (a, b),
-    all in the values of dom, with pairs from ``_kernel_on``; S1/S2
-    make it unique, and DomainError reports that S has none."""
-    candidates = [m for m in pairs if m[0] <= a and m[1] <= b]
-    if not candidates:
-        raise DomainError(f"no explicit member below ({dom.value(a)}, {dom.value(b)})")
-    best = (max(m[0] for m in candidates), max(m[1] for m in candidates))
-    if best not in pairs:
-        raise DomainError("explicit set is not join-closed below the target")
-    return best
-
-
-def _least_above(dom, pairs, a, b) -> tuple:
-    """The componentwise-least pair of the explicit S above (a, b), all
-    in the values of dom, with pairs from ``_kernel_on``; S1/S2 make it
-    unique, and DomainError reports that S has none."""
-    candidates = [m for m in pairs if m[0] >= a and m[1] >= b]
-    if not candidates:
-        raise DomainError(f"no explicit member above ({dom.value(a)}, {dom.value(b)})")
-    best = (min(m[0] for m in candidates), min(m[1] for m in candidates))
-    if best not in pairs:
-        raise DomainError("explicit set is not meet-closed above the target")
-    return best
-
-
 def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
     """C(r): per point pair, the largest S-pair componentwise below
-    (r(x,y), r(y,x)).  The output lies in Cat_S, is <= r entrywise and
-    is a valid category."""
-    (below, pin), m, dom = _on_domain(s, c, "below")
-    _move(s, below, pin, m)
+    (r(x,y), r(y,x)); the diagonal is left as given.  S must be
+    suitable (see ``_moved``).  For a category c the output is a
+    category <= r: for distinct x, y, z the & of the pairs at (x,y) and
+    (y,z) is in S by S3 and below r's pair at (x,z), so below the
+    largest S-pair there; the other triples meet the diagonal's 1.  It
+    lies in Cat_S when (1, 1) is in S, as in every suitable K^2,
+    K_diagonal and band."""
+    m, dom = _moved(s, c, "below")
     return _built_qcat(c.tnorm, c.points, dom.leave(m))
 
 
-def _move(s: SuitableSet, bound: Callable, pin, m: list[list]) -> bool:
-    """Move each off-diagonal pair of m to its S-pair toward bound's
-    side and report whether anything changed; the diagonal is left as
-    given.  An explicit S moves pair by pair (``_move_pairs``).  The
-    others rebuild each row with their row rule against its column,
-    every row from m as given.  During that pass the diagonal holds pin
-    (see ``_kernel_on``), so no diagonal entry raises.  When the pass
-    raises, the pairs i < j are tried in the order ``_move_pairs``
-    visits them, r(i,j)'s side first, so the error names the first pair
-    without a bound.  Fewer than two points leave no pair to move, and
-    then an empty K's pin may not raise."""
-    if s.variant is SuitableVariant.EXPLICIT:
-        return _move_pairs(bound, m)
+def _moved(s: SuitableSet, c: QCat, side: str) -> tuple:
+    """c's matrix, its off-diagonal pairs moved toward side, and its
+    kernel domain.  DomainError when S and c live over different
+    t-norms, else when S is not suitable (``require_suitable``)."""
+    _require_same_norm(s, c)
+    require_suitable(s)
+    (rule, pin), m, dom = _on_domain(s, c, side)
+    _move(rule, pin, m)
+    return m, dom
+
+
+def _move(rule: Callable, pin, m: list[list]) -> None:
+    """Move each off-diagonal pair of m to its S-pair toward the rule's
+    side, rebuilding each row against its column from m as given.  The
+    diagonal holds pin during that pass, so it does not raise, and is
+    then put back.  When the pass raises, the pairs i < j are tried in
+    row-major order, r(i,j)'s side first, so the error names the first
+    pair without a bound.  One point has no pair, and an empty S's pin
+    would raise: it is left alone."""
     n = len(m)
     if n < 2:
-        return False
+        return
     diagonal = [row[i] for i, row in enumerate(m)]
     for i, row in enumerate(m):
         row[i] = pin
     try:
-        moved = [bound(row, col) for row, col in zip(m, zip(*m))]
+        moved = [rule(row, col) for row, col in zip(m, zip(*m))]
     except (DomainError, ProductIrrational):
         for i in range(n):
             for j in range(i + 1, n):
-                bound([m[i][j]], [m[j][i]])
-                bound([m[j][i]], [m[i][j]])
+                rule([m[i][j]], [m[j][i]])
+                rule([m[j][i]], [m[i][j]])
         raise
-    changed = moved != m
     for i, row in enumerate(moved):
         row[i] = diagonal[i]
     m[:] = moved
-    return changed
-
-
-def _move_pairs(bound: Callable, m: list[list]) -> bool:
-    """Move each off-diagonal pair of m to the S-pair bound gives it;
-    report whether anything changed."""
-    changed = False
-    n = len(m)
-    for i in range(n):
-        row_i = m[i]
-        for j in range(i + 1, n):
-            a, b = row_i[j], m[j][i]
-            p, q = bound(a, b)
-            if p != a or q != b:
-                row_i[j], m[j][i] = p, q
-                changed = True
-    return changed
 
 
 def reflect_r(s: SuitableSet, c: QCat) -> QCat:
-    """R(r): least Cat_S structure above r.
+    """R(r): the least Cat_S structure above r off the diagonal, which
+    is left as given.  S must be suitable (see ``_moved``).
 
-    Raises each pair to the least S-pair above it, then takes the exact
-    path closure, and repeats until a raise changes nothing; the
-    diagonal is left as given.  Both steps are monotone and inflationary
-    and fix every Cat_S structure above r, so the result is the least.
-    The loop runs on the kernel domain (``tnorm.kernel_domain``), which
-    is exact, so the result is the one the Fractions give.  Each input
-    is converted to that domain once and kept on its owner: the domain
-    on the norm, c's numerators on c (``QCat._encoded``) and S's bound
-    on S (``_kernel_on``): for K^2, K_diagonal and the band a row rule
-    whose value map computes each value once, so a raise rebuilds each
-    row with one lookup per entry; for an explicit S the pairs, which
-    the pair scan reads.  On the Fraction domain S's bound is built per
-    call.
-
-    Termination.  Every value the loop produces is an &-word over a
-    finite base: the entries of r, the endpoints of K, the coordinates
-    of the explicit pairs, and b & b for the square-root band.  For a
-    finite ordinal sum of Lukasiewicz and product blocks only finitely
-    many such words lie above any e > 0.  On the grid domain this is
-    plain: the entries are integers in [0, d], finitely many.  Entries
-    only increase, so each entry changes finitely often once it is
-    positive, and some raise changes nothing.  When S is suitable this
-    happens at the second raise: by S3 and S1 the closure of a matrix
-    of S-pairs has S-pairs.
+    One raise of each pair to the least S-pair above it, then the exact
+    path closure.  Both steps are monotone and inflationary and fix
+    every Cat_S structure above r, so the result is the least once it
+    lies in Cat_S, and it does.  After the raise every off-diagonal
+    pair is in S.  The closure at (x, y) joins the & of the entries
+    along each path from x to y; the reverse paths give (y, x).  The
+    pair of a path and its reverse is the componentwise & of the pairs
+    it crosses, in S by S3, and the join of those is in S by S1.  So a
+    second raise would change nothing.  The diagonal is never read or
+    written.  Both steps run on the exact kernel domain, with each
+    input converted once and kept on its owner (``_kernel_on``).
     """
-    (above, pin), m, dom = _on_domain(s, c, "above")
-    _move(s, above, pin, m)
+    m, dom = _moved(s, c, "above")
     path_closure(dom.op, m)
-    while _move(s, above, pin, m):
-        path_closure(dom.op, m)
     return _built_qcat(c.tnorm, c.points, dom.leave(m))
 
 

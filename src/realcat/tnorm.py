@@ -30,11 +30,12 @@ validation and the reflections compute in one of two exact domains
 Each input is converted to a domain once and the result is kept on the
 immutable object that owns it: a norm keeps its domains (one per d) and
 its M, a category its :class:`Encoded` matrix, and a suitable set its
-bound on each grid domain and side.  For K^2, K_diagonal and the band
-that bound is a row rule reading a value map that computes each value
-once and holds at most d + 1 of them, like a grid domain's own memo;
-the Fraction domain's values are unbounded, so there the rule is built
-per call.  A kernel call then only scales integers and rebuilds rows.
+bound on each grid domain and side.  For every variant that bound is a
+row rule reading a value map that computes each value once and holds
+at most d + 1 of them ((d + 1)^2 pairs for an explicit set), like a
+grid domain's own memo; the Fraction domain's values are unbounded, so
+there the rule is built per call.  A kernel call then only scales
+integers and rebuilds rows.
 """
 
 from __future__ import annotations

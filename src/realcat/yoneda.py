@@ -26,7 +26,7 @@ from .qcat import (
     functor_violation,
     hom_power,
     product,
-    validate_qcat,
+    require_category,
 )
 from .tnorm import CheckResult, TNorm, idempotent_set, m_set
 from .values import ONE
@@ -44,7 +44,7 @@ class FCSequence:
 
     def __post_init__(self):
         _require_points(self.ambient, self.prefix, self.cycle)
-        _require_category(self.ambient)
+        require_category(self.ambient)
 
 
 def _require_points(c: QCat, prefix: tuple, cycle: tuple):
@@ -123,11 +123,6 @@ def _require_m_valued(c: QCat):
                 raise NotMValued(f"structure value {v} outside M")
 
 
-def _require_category(c: QCat):
-    if not (res := validate_qcat(c)):
-        raise DomainError(f"not a category: {res.message}")
-
-
 def _require_functor(f: QFunctor):
     if (pair := functor_violation(f)) is not None:
         raise DomainError(f"not a functor: fails at {pair[0]}, {pair[1]}")
@@ -153,7 +148,7 @@ def function_space_limit(
 
     [A -> B] is a category then (on M, u & v is min(u, v) or a Lukasiewicz
     block's start), so no FCSequence re-checks it, at |[A -> B]|^3 cost."""
-    for require in (_require_m_valued, _require_category):
+    for require in (_require_m_valued, require_category):
         for c in (a, b):
             require(c)
     hom, cycle = hom_power(a, b), tuple(cycle)

@@ -2,7 +2,9 @@
 por_reflection, checked against naive iterate-until-no-change oracles
 written here: relax every constraint, repeat while anything moves.
 coreflect_c and validate_qcat are checked against oracles written from
-their definitions.  The builtin norms, ordinal sums of Lukasiewicz
+their definitions.  C and R take suitable sets only: half the drawn
+sets are closed under & here, and C and R must refuse every drawn set
+that is not suitable.  The builtin norms, ordinal sums of Lukasiewicz
 blocks (whose kernels run on integer numerators) and sums with a
 product block (whose kernels run on Fractions) all face the same
 oracles, which compute on Fractions only."""
@@ -11,13 +13,15 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcat.errors import ProductIrrational
+from realcat.errors import DomainError, ProductIrrational
 from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, final_lift, two_point, validate_qcat
 from realcat.subconstructs import (
+    check_suitable,
     coreflect_c,
     explicit,
     is_in_cat_s,
@@ -116,10 +120,35 @@ def least_in(members, a):
     return min(k for k in members if k >= a)
 
 
-def raisers(t, k=K_FINITE):
-    """Suitable sets with oracle pair raisers built from their
-    definitions, not from the library's bound helpers."""
-    pairs = [(a, b) for a in L3 for b in L3]
+def and_closed(t, points):
+    """points without those inside a product block, with 1, closed
+    under &: finite, as & keeps the grid of a Lukasiewicz block and its
+    endpoints, and a subquantale, so K^2 and K_diagonal over it and its
+    square written out are suitable."""
+    inside = [b for b in t.blocks if b.kind is BlockKind.PRODUCT]
+    out = {F(1)} | {v for v in points if not any(b.lo < v < b.hi for b in inside)}
+    while new := {tnorm_eval(t, a, b) for a in out for b in out} - out:
+        out |= new
+    return tuple(sorted(out))
+
+
+def refuses(call, s, c):
+    """Whether S fails S1-S3; then call(s, c) must refuse it, naming the
+    first failure."""
+    res = check_suitable(s)
+    if not res.passed:
+        with pytest.raises(DomainError) as err:
+            call(s, c)
+        assert str(err.value) == f"not a suitable set: {res.message}"
+    return not res.passed
+
+
+def raisers(t, k=K_FINITE, closed=False):
+    """Sets over K, or over its closure ``and_closed`` (then suitable),
+    with oracle pair raisers built from their definitions, not from the
+    library's bound helpers."""
+    k, l3 = (and_closed(t, k), and_closed(t, L3)) if closed else (k, L3)
+    pairs = [(a, b) for a in l3 for b in l3]
     return [
         (
             k_square(t, IntervalSet.of(k)),
@@ -194,23 +223,28 @@ def check_final_lift(family):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(), st.integers(0, 3))
-def test_reflect_r_matches_naive_reflection(case, which):
-    check_reflect_r(case, raisers(case[0])[which])
+@given(matrices(), st.integers(0, 3), st.booleans())
+def test_reflect_r_matches_naive_reflection(case, which, closed):
+    check_reflect_r(case, raisers(case[0], closed=closed)[which])
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    matrices(sums, fine_values), st.integers(0, 3), st.sampled_from([K_FINITE, K_FINE])
+    matrices(sums, fine_values),
+    st.integers(0, 3),
+    st.sampled_from([K_FINITE, K_FINE]),
+    st.booleans(),
 )
-def test_reflect_r_matches_naive_reflection_on_ordinal_sums(case, which, k):
-    check_reflect_r(case, raisers(case[0], k)[which])
+def test_reflect_r_matches_naive_reflection_on_ordinal_sums(case, which, k, closed):
+    check_reflect_r(case, raisers(case[0], k, closed)[which])
 
 
 def check_reflect_r(case, raiser):
     t, rows = case
     s, raise_pair = raiser
     c = QCat(t, tuple(f"p{i}" for i in range(len(rows))), rows)
+    if refuses(reflect_r, s, c):
+        return
     out = reflect_r(s, c)
     assert [list(row) for row in out.matrix] == naive_reflection(t, raise_pair, rows)
     for i in range(len(rows)):
@@ -240,10 +274,12 @@ def band_candidates(t, a, b):
     return out
 
 
-def lowerers(t, k=K_FINITE):
-    """Suitable sets with the finite pair candidates of their largest
-    pair below (a, b), read off their definitions."""
-    pairs = [(a, b) for a in L3 for b in L3]
+def lowerers(t, k=K_FINITE, closed=False):
+    """Sets over K, or over its closure ``and_closed`` (then suitable),
+    with the finite pair candidates of their largest pair below (a, b),
+    read off their definitions."""
+    k, l3 = (and_closed(t, k), and_closed(t, L3)) if closed else (k, L3)
+    pairs = [(a, b) for a in l3 for b in l3]
     square = [(p, q) for p in k for q in k]
 
     def band(a, b):
@@ -277,12 +313,15 @@ def largest_below(candidates, a, b):
     st.one_of(matrices(), matrices(sums, fine_values)),
     st.integers(0, 3),
     st.sampled_from([K_FINITE, K_FINE]),
+    st.booleans(),
 )
-def test_coreflect_c_matches_largest_pair_below(case, which, k):
+def test_coreflect_c_matches_largest_pair_below(case, which, k, closed):
     t, rows = case
-    s, candidates = lowerers(t, k)[which]
+    s, candidates = lowerers(t, k, closed)[which]
     n = len(rows)
     c = QCat(t, tuple(f"p{i}" for i in range(n)), rows)
+    if refuses(coreflect_c, s, c):
+        return
     try:
         out = coreflect_c(s, c)
     except ProductIrrational:

@@ -20,6 +20,7 @@ from realcat.subconstructs import (
     SuitableSet,
     SuitableVariant,
     ccc_witness,
+    check_suitable,
     explicit,
     k_diagonal,
     k_square,
@@ -266,6 +267,21 @@ def workdir(tmp_path):
     return files
 
 
+def missing_bounds():
+    """(kind, S, value, message): a suitable S with no pair toward the
+    pair (value, value), over norms whose kernels run on the grid
+    (Lukasiewicz, Godel) and on Fractions (remark4)."""
+    for norm in (lukasiewicz(), godel(), remark4()):
+        half = explicit(norm, [(0, 0), (F(1, 2), F(1, 2))])
+        yield "reflect", half, F(5, 7), "no explicit member above (5/7, 5/7)"
+        top = explicit(norm, [(1, 1)])
+        yield "coreflect", top, F(2, 7), "no explicit member below (2/7, 2/7)"
+        if norm.name != "lukasiewicz":  # there every subquantale holds 0
+            for shape in (k_square, k_diagonal):
+                upper = shape(norm, IntervalSet.of([(F(1, 2), 1)]))
+                yield "coreflect", upper, F(2, 7), "K has no member below 2/7"
+
+
 class TestCLI:
     def test_validate_ok(self, workdir, capsys):
         assert cli.main(["validate", workdir["good"]]) == 0
@@ -418,41 +434,62 @@ class TestCLI:
         assert err.count("\n") == 1 and named in err
 
     @pytest.mark.parametrize(
-        "kind, k, value",
-        [("reflect", [(0, F(1, 2))], F(3, 4)), ("coreflect", [(F(1, 2), 1)], F(1, 4))],
+        "kind, s, value",
+        [
+            ("reflect", explicit(LUK, [(0, 0), (F(1, 2), F(1, 2))]), F(3, 4)),
+            ("coreflect", k_square(godel(), IntervalSet.of([F(1, 2), 1])), F(1, 4)),
+        ],
+        ids=["reflect", "coreflect"],
     )
     def test_construct_without_bounding_member_exits_five(
-        self, workdir, capsys, kind, k, value
+        self, workdir, capsys, kind, s, value
     ):
-        s = workdir["dir"] / "s.json"
-        s.write_text(ser.dumps(ser.suitable_to_obj(k_square(LUK, IntervalSet.of(k)))))
+        """A suitable set with no pair toward one of c's values: an
+        explicit set lacking (1, 1) above 3/4, Godel's {1/2, 1} below
+        1/4."""
+        s_path = workdir["dir"] / "s.json"
+        s_path.write_text(ser.dumps(ser.suitable_to_obj(s)))
         c = workdir["dir"] / "c.json"
-        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(LUK, value, value))))
-        assert cli.main(["construct", kind, str(s), str(c)]) == 5
+        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(s.tnorm, value, value))))
+        assert cli.main(["construct", kind, str(s_path), str(c)]) == 5
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(value) in err
 
-    @pytest.mark.parametrize("norm", [lukasiewicz(), godel(), remark4()], ids=str)
-    @pytest.mark.parametrize("shape", [k_square, k_diagonal], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind", ["coreflect", "reflect"])
+    def test_construct_refuses_a_set_that_is_not_suitable(self, workdir, capsys, kind):
+        """K = {0, 1/8, 3/4, 1} is no subquantale under Lukasiewicz
+        (3/4 & 3/4 = 1/2): its K^2 is refused before C or R runs, in one
+        line naming the file."""
+        s = workdir["dir"] / "S.json"
+        k = IntervalSet.of([0, F(1, 8), F(3, 4), 1])
+        s.write_text(ser.dumps(ser.suitable_to_obj(k_square(LUK, k))))
+        c = workdir["dir"] / "C.json"
+        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(LUK, F(3, 4), F(1, 4)))))
+        assert cli.main(["construct", kind, str(s), str(c)]) == 5
+        assert capsys.readouterr().err == (
+            f"error: {s}: not a suitable set: 3/4 & 3/4 = 1/2 escapes K\n"
+        )
+
     @pytest.mark.parametrize(
-        "kind, k, value, side",
+        "kind, s, value, message",
         [
-            ("reflect", [(0, F(1, 2))], F(5, 7), "above"),
-            ("coreflect", [(F(1, 2), 1)], F(2, 7), "below"),
+            pytest.param(*case, id=f"{case[0]}-{case[1].variant.value}-{case[1].tnorm}")
+            for case in missing_bounds()
         ],
     )
     def test_missing_bound_reads_alike_in_both_domains(
-        self, workdir, capsys, norm, shape, kind, k, value, side
+        self, workdir, capsys, kind, s, value, message
     ):
         """Lukasiewicz and Godel run the reflectors on numerators over
         one denominator, remark4 (a product block) on Fractions; each
-        names the value without a bound in the same one line."""
-        s = workdir["dir"] / "s.json"
-        s.write_text(ser.dumps(ser.suitable_to_obj(shape(norm, IntervalSet.of(k)))))
+        names the pair or value without a bound in the same one line."""
+        assert check_suitable(s)
+        s_path = workdir["dir"] / "s.json"
+        s_path.write_text(ser.dumps(ser.suitable_to_obj(s)))
         c = workdir["dir"] / "c.json"
-        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(norm, value, value))))
-        assert cli.main(["construct", kind, str(s), str(c)]) == 5
-        assert capsys.readouterr().err == f"error: K has no member {side} {value}\n"
+        c.write_text(ser.dumps(ser.qcat_to_obj(two_point(s.tnorm, value, value))))
+        assert cli.main(["construct", kind, str(s_path), str(c)]) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_witness_negative(self, workdir, capsys):
         assert cli.main(["witness", "--k", workdir["k_l3"]]) == 0

@@ -4,6 +4,7 @@ closedness machinery."""
 import itertools
 import math
 from fractions import Fraction as F
+from operator import ge, le
 
 import pytest
 from hypothesis import given, settings
@@ -367,11 +368,44 @@ class TestCoreflectorReflector:
         assert upper.r("1", "0") == F(3, 4)
 
 
-# The pair-scan oracle below writes S out: K as its (lo, hi) parts and
-# the band through the blocks, with roots by the block formulas.  It
-# moves the pairs i < j in row-major order, r(i,j)'s side first, so an
-# error names the first pair, and the first value in it, that lacks a
-# bound.
+class TestSuitableSetsOnly:
+    """C and R refuse a set that fails S1-S3, after the norm check; on
+    such sets they used to return wrong results.  Membership still
+    answers for every set."""
+
+    def test_a_k_that_is_no_subquantale_is_refused(self):
+        """{0, 1/8, 3/4, 1} misses 3/4 & 3/4 = 1/2 under Lukasiewicz.
+        Moved through it, this category's pairs gave no category:
+        r(p1,p2) & r(p0,p1) = 1/2 > r(p0,p2) = 1/8."""
+        s = k_square(LUK, IntervalSet.of([0, F(1, 8), F(3, 4), 1]))
+        half, most = F(1, 2), F(3, 4)
+        m = ((1, most, half), (F(1, 4), 1, most), (half, F(1, 4), 1))
+        c = QCat(LUK, ("p0", "p1", "p2"), m)
+        assert validate_qcat(c)
+        for kernel in (coreflect_c, reflect_r):
+            with pytest.raises(
+                DomainError, match="^not a suitable set: 3/4 & 3/4 = 1/2 escapes K$"
+            ):
+                kernel(s, c)
+        assert not is_in_cat_s(s, c)
+
+    def test_a_set_without_a_swap_is_refused(self):
+        """(1/2, 1) is in S but (1, 1/2) is not: C used to return
+        two_point(1/2, 1) as it was, a category outside Cat_S."""
+        s = explicit(LUK, [(0, 0), (1, 1), (F(1, 2), 1)])
+        c = two_point(LUK, F(1, 2), 1)
+        for kernel in (coreflect_c, reflect_r):
+            with pytest.raises(DomainError, match="^not a suitable set: S2 fails: swap"):
+                kernel(s, c)
+        assert contains(s, (F(1, 2), 1)) and not contains(s, (1, F(1, 2)))
+        assert not is_in_cat_s(s, c)
+
+
+# The pair-scan oracle below writes S out: K as its (lo, hi) parts, an
+# explicit set as its pairs and the band through the blocks, with roots
+# by the block formulas.  It moves the pairs i < j in row-major order,
+# r(i,j)'s side first, so an error names the first pair, and the first
+# value in it, that lacks a bound.
 
 
 def oracle_sqrt(t, blocks, x):
@@ -406,6 +440,12 @@ def oracle_pair_bound(case, side, a, b):
     """The S-pair toward side from (a, b): the least above or the
     largest below."""
     shape, t, blocks, parts = case
+    if shape == "explicit":
+        pick, toward = (min, ge) if side == "above" else (max, le)
+        found = [(p, q) for p, q in parts if toward(p, a) and toward(q, b)]
+        if not found:
+            raise DomainError(f"no explicit member {side} ({a}, {b})")
+        return pick(p for p, _ in found), pick(q for _, q in found)
     if shape == "sqrt_band":
         if side == "above":
             return (
@@ -460,6 +500,8 @@ def oracle_reflect(case, m):
 
 def oracle_member(case, a, b):
     shape, t, blocks, parts = case
+    if shape == "explicit":
+        return (a, b) in parts
     if shape == "sqrt_band":
         return in_band(blocks, a, b)
 
@@ -471,19 +513,66 @@ def oracle_member(case, a, b):
     return in_k(a) and in_k(b)
 
 
+def off_product(blocks, values):
+    """The values inside no product block: & keeps the /12 grid on them."""
+    inside = [(lo, hi) for lo, hi, kind in blocks if kind == "product"]
+    return {v for v in values if not any(lo < v < hi for lo, hi in inside)}
+
+
+def and_closed(blocks, values):
+    """The values off the product blocks, with 1, closed under &: a
+    subquantale, over which K^2 and K_diagonal are suitable."""
+    closed = off_product(blocks, values) | {ONE}
+    while grown := {oracle_and(blocks, x, y) for x in closed for y in closed} - closed:
+        closed |= grown
+    return closed
+
+
+def and_closed_pairs(blocks, pairs):
+    """The closure of a pair set under swap, join, meet and &: a
+    suitable explicit set."""
+    closed = set(pairs)
+    while True:
+        grown = joins_and_swaps(closed)
+        grown |= {
+            (oracle_and(blocks, p[0], q[0]), oracle_and(blocks, p[1], q[1]))
+            for p in grown
+            for q in grown
+        }
+        if grown == closed:
+            return closed
+        closed = grown
+
+
 @st.composite
 def pair_scan_cases(draw):
     """(case, S, category, pair): S is K^2, K_diagonal (K may lack 0, 1
-    or everything) or the band over a norm from ``norm_cases``, written
-    out in case; the category has 3-6 points on the /12 grid, either
-    path-closed with a diagonal of 1 or an arbitrary matrix."""
+    or everything), an explicit set or the band over a norm from
+    ``norm_cases``, written out in case.  In half the draws K or the
+    explicit pairs are closed under & (``and_closed``,
+    ``and_closed_pairs``, seeds off the product blocks), so S is
+    suitable; the others are suitable only by chance.  The category has
+    3-6 points on the /12 grid, either path-closed with a diagonal of 1
+    or an arbitrary matrix."""
     t, blocks = draw(norm_cases())
-    shape = draw(st.sampled_from(["k_square", "k_diagonal", "sqrt_band"]))
+    shape = draw(st.sampled_from(["k_square", "k_diagonal", "sqrt_band", "explicit"]))
+    closed = draw(st.booleans())
     parts = []
     if shape == "sqrt_band":
         s = sqrt_band(t)
+    elif shape == "explicit":
+        grid = sorted(off_product(blocks, TWELFTHS)) if closed else TWELFTHS
+        pair = st.tuples(st.sampled_from(grid), st.sampled_from(grid))
+        parts = set(draw(st.lists(pair, max_size=4)))
+        if closed:
+            if draw(st.booleans()):
+                parts.add((ONE, ONE))
+            parts = and_closed_pairs(blocks, parts)
+        s = explicit(t, parts)
     else:
         cuts = sorted(draw(st.sets(st.sampled_from(TWELFTHS), max_size=6)))
+        if closed:
+            parts, cuts = [(v, v) for v in sorted(and_closed(blocks, cuts))], []
         while cuts:
             width = draw(st.integers(1, min(2, len(cuts))))
             parts.append((cuts[0], cuts[width - 1]))
@@ -516,28 +605,45 @@ class TestRowRulesAgainstPairScan:
     def test_kernels_match_the_pair_scan(self, drawn):
         """C, R, Cat_S membership and contains against the pair scan
         written out above, errors included: when several pairs lack a
-        bound, the library names the same pair and value.  Norms
-        without a product block run on the grid, the others on
-        Fractions."""
+        bound, the library names the same pair and value.  C and R
+        refuse a set that is not suitable, naming its first failure;
+        membership answers for every set.  Norms without a product
+        block run on the grid, the others on Fractions."""
         case, s, c, (a, b) = drawn
         m, n = c.matrix, len(c.points)
-        assert answer(coreflect_c, s, c) == answer(oracle_coreflect, case, m)
-        assert answer(reflect_r, s, c) == answer(oracle_reflect, case, m)
+        res = check_suitable(s)
+        refusal = (DomainError, f"not a suitable set: {res.message}")
+        for kernel, oracle in (
+            (coreflect_c, oracle_coreflect),
+            (reflect_r, oracle_reflect),
+        ):
+            expected = answer(oracle, case, m) if res.passed else refusal
+            assert answer(kernel, s, c) == expected
         assert is_in_cat_s(s, c) == all(
             oracle_member(case, m[i][j], m[j][i]) for i in range(n) for j in range(n)
         )
         assert contains(s, (a, b)) == oracle_member(case, a, b)
 
     @pytest.mark.parametrize("shape", [k_square, k_diagonal], ids=lambda f: f.__name__)
-    def test_an_empty_k_leaves_one_point_alone(self, shape):
-        """With K empty no value has a bound, yet one point has no pair
-        to move, so C and R return it; on two points the first entry
-        is named."""
+    def test_an_empty_k_is_refused(self, shape):
+        """An empty K lacks 1, so it is no subquantale: C and R refuse
+        it even on one point, which has no pair to move."""
         s = shape(LUK, IntervalSet.empty())
+        c = QCat(LUK, ("p",), ((F(1, 2),),))
+        for kernel in (coreflect_c, reflect_r):
+            with pytest.raises(DomainError, match="^not a suitable set: 1 is not a member"):
+                kernel(s, c)
+        assert not is_in_cat_s(s, c)
+
+    def test_an_empty_explicit_set_leaves_one_point_alone(self):
+        """The empty pair set is suitable and no value has a bound, yet
+        one point has no pair to move, so C and R return it; on two
+        points the first pair is named."""
+        s = explicit(LUK, [])
         c = QCat(LUK, ("p",), ((F(1, 2),),))
         assert coreflect_c(s, c) == c and reflect_r(s, c) == c
         assert not is_in_cat_s(s, c)
-        with pytest.raises(DomainError, match="^K has no member above 3/4$"):
+        with pytest.raises(DomainError, match=r"^no explicit member above \(3/4, 1/4\)"):
             reflect_r(s, two_point(LUK, F(3, 4), F(1, 4)))
 
 
@@ -585,7 +691,8 @@ class TestNormMismatch:
             ):
                 kernel(SHAPES[shape](s_norm), c)
         else:
-            assert kernel(SHAPES[shape](s_norm), c) == kernel(SHAPES[shape](c_norm), c)
+            expected = answer(kernel, SHAPES[shape](c_norm), c)
+            assert answer(kernel, SHAPES[shape](s_norm), c) == expected
 
 
 # Norms for the cache test, by name: the builtins and a Lukasiewicz sum
@@ -611,8 +718,8 @@ def suitable_sets(t):
     """Sets over t whose constants have denominators 1, 2, 3, 4, 5 and
     7, so that the kernel domain's d changes from set to set.  The
     explicit set is not S3-closed, the last K^2 set's K lacks 1 and the
-    last K_diagonal set's K lacks 0, so their errors are compared
-    too."""
+    last K_diagonal set's K lacks 0, so their errors (C and R refuse
+    the sets that are not suitable) are compared too."""
     return [
         k_square(t, CRISP),
         k_square(t, IntervalSet.of([0, F(1, 3), F(2, 3), 1])),
