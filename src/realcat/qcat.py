@@ -18,7 +18,9 @@ from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, SizeLimitExceeded
-from .tnorm import CheckResult, Encoded, TNorm, encode, encode_unit, kernel_domain
+from .tnorm import (
+    CheckResult, Encoded, GridDomain, TNorm, encode, encode_unit, kernel_domain
+)
 from .values import ONE, ZERO, unit
 
 Point = object  # str | tuple, hashable
@@ -133,7 +135,19 @@ def two_point(t: TNorm, a, b, points=("0", "1")) -> QCat:
 
 def validate_qcat(c: QCat) -> CheckResult:
     """Check reflexivity and the composition inequality exactly.  A
-    failure reports the violating triple and both sides."""
+    failure reports the first violating triple in row-major order and
+    both sides.  The scan runs & as :func:`path_closure` does, three
+    integer pieces per r(x,y) on a grid, once per category: c keeps the
+    result in its ``__dict__``, out of the fields like ``_encoded`` (a
+    cached_property's first read takes a lock on Python 3.11)."""
+    res = c.__dict__.get("_validated")
+    if res is None:
+        res = c.__dict__["_validated"] = _category_check(c)
+    return res
+
+
+def _category_check(c: QCat) -> CheckResult:
+    """``validate_qcat``'s scan; z = y is skipped, as r(y,y) & v = v."""
     n = len(c.points)
     e = c._encoded
     for i in range(n):
@@ -144,23 +158,36 @@ def validate_qcat(c: QCat) -> CheckResult:
                 witness=(c.points[i],),
             )
     dom = kernel_domain(c.tnorm, e.d)
-    op, m = dom.op, dom.enter(e)
+    m = dom.enter(e)
+    op = None if isinstance(dom, GridDomain) else dom.op
     for i in range(n):
         row_i = m[i]
         for j in range(n):
-            r_ij, row_j = row_i[j], m[j]
-            if not r_ij:  # 0 & anything = 0: nothing to violate
+            v, row_j = row_i[j], m[j]
+            if not v:  # 0 & anything = 0: nothing to violate
                 continue
-            for k in range(n):
-                lhs = op(row_j[k], r_ij)
-                if lhs > row_i[k]:
-                    return CheckResult(
-                        False,
-                        f"r({c.points[j]},{c.points[k]}) & "
-                        f"r({c.points[i]},{c.points[j]}) = {dom.value(lhs)} > "
-                        f"r({c.points[i]},{c.points[k]}) = {c.matrix[i][k]}",
-                        witness=(c.points[i], c.points[j], c.points[k]),
-                    )
+            hi = None
+            for k, lhs in enumerate(row_j):
+                if lhs > row_i[k] and k != j:
+                    if hi is None and not op:
+                        lo, hi = dom.piece(v)
+                        s = v - hi
+                    if op:
+                        lhs = op(lhs, v)
+                    elif lhs >= hi:
+                        lhs = v
+                    elif lhs >= lo:
+                        lhs += s
+                        if lhs < lo:
+                            lhs = lo
+                    if lhs > row_i[k]:
+                        return CheckResult(
+                            False,
+                            f"r({c.points[j]},{c.points[k]}) & "
+                            f"r({c.points[i]},{c.points[j]}) = {dom.value(lhs)} > "
+                            f"r({c.points[i]},{c.points[k]}) = {c.matrix[i][k]}",
+                            witness=(c.points[i], c.points[j], c.points[k]),
+                        )
     return CheckResult(True, "valid")
 
 
@@ -431,30 +458,45 @@ def initial_lift(
     return _built_qcat(t, carrier, matrix)
 
 
-def path_closure(op: Callable, m: list[list]) -> None:
-    """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j,
-    with op as &: the entries are values of the domain op belongs to
-    (see ``tnorm.kernel_domain``), and op runs unchecked.
+def path_closure(dom, m: list[list]) -> None:
+    """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j, with
+    & unchecked on dom's values (see ``tnorm.kernel_domain``).
 
     One Floyd-Warshall pass (k outer) is the exact closure over the
     quantale ([0,1], join, &): x & y <= min(x, y), so a cycle never
     raises a path and the best path between two points is simple
     (Lehmann 1977).  The diagonal is never written, so a matrix whose
-    diagonal lies below 1 keeps it."""
+    diagonal lies below 1 keeps it.  As a & v <= min(a, v) for
+    v = m(i,k), only an a = m(k,j) above m(i,j) with j != k can raise
+    it.  On a grid, a & v is v for a >= hi, a for a < lo and else
+    max(a + v - hi, lo), with (lo, hi) = ``GridDomain.piece(v)`` read at
+    the first such a; exact by ``GridDomain.op``, it runs inline.  The
+    Fraction domain (product blocks) calls its &."""
     n = len(m)
+    op = None if isinstance(dom, GridDomain) else dom.op
     for k in range(n):
         row_k = m[k]
         for i in range(n):
             row_i = m[i]
-            via_k = row_i[k]
-            if i == k or not via_k:
+            v = row_i[k]
+            if i == k or not v:
                 continue
-            for j in range(n):
-                if j == i or j == k:
-                    continue
-                via = op(row_k[j], via_k)
-                if via > row_i[j]:
-                    row_i[j] = via
+            hi = None
+            for j, a in enumerate(row_k):
+                if a > row_i[j] and j != i and j != k:
+                    if hi is None and not op:
+                        lo, hi = dom.piece(v)
+                        s = v - hi
+                    if op:
+                        a = op(a, v)
+                    elif a >= hi:
+                        a = v
+                    elif a >= lo:
+                        a += s
+                        if a < lo:
+                            a = lo
+                    if a > row_i[j]:
+                        row_i[j] = a
 
 
 def final_lift(
@@ -481,7 +523,7 @@ def final_lift(
     e = encode(m)
     dom = kernel_domain(t, e.d)
     closed = dom.enter(e)
-    path_closure(dom.op, closed)
+    path_closure(dom, closed)
     _require_distinct(carrier)
     return _built_qcat(t, carrier, dom.leave(closed))
 

@@ -400,7 +400,7 @@ def reflect_r(s: SuitableSet, c: QCat) -> QCat:
     input converted once and kept on its owner (``_kernel_on``).
     """
     m, dom = _moved(s, c, "above")
-    path_closure(dom.op, m)
+    path_closure(dom, m)
     return _built_qcat(c.tnorm, c.points, dom.leave(m))
 
 

@@ -18,8 +18,9 @@ validation and the reflections compute in one of two exact domains
 
 * Fractions, with & as ``TNorm._and``, compiled once per norm from the
   block bounds.  Every norm has this domain.
-* Integer numerators k standing for k/d, with & compiled by
-  :class:`GridDomain` from the block endpoints scaled by d.
+* Integer numerators k standing for k/d, with & read off
+  :class:`GridDomain`'s block table (``GridDomain.piece``), which the
+  path closure and category validation read directly to run & inline.
   When every block is Lukasiewicz (the Godel norm has none), the grid
   {k/d : 0 <= k <= d} is closed under & and the meet as soon as the
   block endpoints lie on it: it is a finite MV-chain, or an ordinal sum
@@ -281,8 +282,8 @@ class FractionDomain:
 
 
 class GridDomain:
-    """The kernels' values as integer numerators k of k/d, with & compiled
-    from the block endpoints scaled once to numerators.  Exact for a norm
+    """The kernels' values as integer numerators k of k/d, with & read
+    off the block endpoints scaled once to numerators.  Exact for a norm
     with only Lukasiewicz blocks when every value, every block endpoint
     and every constant the kernel compares against lies on the grid
     {k/d}: the grid is then closed under &, the meet and the join.
@@ -295,7 +296,6 @@ class GridDomain:
     def __init__(self, t: TNorm, d: int):
         self.d = d
         self._blocks = tuple((self.of(b.lo), self.of(b.hi)) for b in t.blocks)
-        self.op = _scaled_and(self._blocks, d)
         self._values: dict[int, Fraction] = {}
 
     def of(self, v: Fraction) -> int:
@@ -304,14 +304,34 @@ class GridDomain:
     def value(self, k: int) -> Fraction:
         return Fraction(k, self.d)
 
-    def sqrt(self, x: int) -> int:
-        """``sqrt_with`` on the grid: (x+hi)/2 in a block [lo, hi) that
-        holds x, else x.  Exact because ``kernel_domain`` always doubles
-        d, so x and hi are even."""
+    def piece(self, v: int) -> tuple[int, int]:
+        """(lo, hi) of the block [lo, hi) that holds v, or (v, v) when
+        none does: with v fixed, & is three integer pieces (``op``)."""
         for lo, hi in self._blocks:
-            if lo <= x < hi:
-                return (x + hi) // 2
-        return x
+            if lo <= v < hi:
+                return lo, hi
+        return v, v
+
+    def op(self, x: int, y: int) -> int:
+        """x & y on numerators, unchecked: for (lo, hi) = ``piece(y)``, y
+        when x >= hi, x when x < lo, else max(x + y - hi, lo), which is
+        ``TNorm._and`` scaled by d.  Off the block square & is min(x, y):
+        x >= hi lies above the block or on its top, x < lo below it or in
+        the block ending at lo = y, and a y in no [lo, hi) (every Godel
+        value, a block's top) takes the minimum, as blocks do on edges."""
+        lo, hi = self.piece(y)
+        if x >= hi:
+            return y
+        if x < lo:
+            return x
+        v = x + y - hi
+        return v if v > lo else lo
+
+    def sqrt(self, x: int) -> int:
+        """``sqrt_with`` on the grid: (x+hi)/2 for (lo, hi) = ``piece(x)``,
+        which reads the upper block at a shared endpoint, and x in no
+        block.  Exact as ``kernel_domain`` always doubles d: x, hi even."""
+        return (x + self.piece(x)[1]) // 2
 
     def enter(self, e: Encoded) -> list[list[int]]:
         """Fresh lists, since the kernels write into their matrix."""
@@ -323,30 +343,6 @@ class GridDomain:
         for k in set().union(*m).difference(values):
             values[k] = Fraction(k, d)
         return tuple([tuple(map(values.__getitem__, row)) for row in m])
-
-
-def _scaled_and(blocks: tuple[tuple[int, int], ...], d: int) -> Callable:
-    """x & y on numerators over d, unchecked, for Lukasiewicz blocks with
-    numerator bounds (lo, hi): the formulas of ``TNorm._and`` scaled by
-    d, max(x+y-hi, lo) inside a block square and the minimum elsewhere."""
-    if not blocks:
-        return min
-    if blocks == ((0, d),):
-
-        def luk(x: int, y: int) -> int:
-            v = x + y - d
-            return v if v > 0 else 0
-
-        return luk
-
-    def ordinal_sum(x: int, y: int) -> int:
-        for lo, hi in blocks:
-            if lo <= x <= hi and lo <= y <= hi:
-                v = x + y - hi
-                return v if v > lo else lo
-        return x if x <= y else y
-
-    return ordinal_sum
 
 
 def kernel_domain(t: TNorm, d: int) -> FractionDomain | GridDomain:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcat.errors import DomainError, ProductIrrational
@@ -36,6 +36,7 @@ from realcat.tnorm import (
     Block,
     BlockKind,
     TNorm,
+    godel,
     lukasiewicz,
     tnorm_eval,
 )
@@ -174,21 +175,23 @@ def raisers(t, k=K_FINITE, closed=False):
 
 
 @st.composite
-def sink_families(draw, norms=norms, values_of=lambda t: values):
+def sink_families(
+    draw, norms=norms, values_of=lambda t: values, sizes=(1, 6), max_edges=8
+):
     t = draw(norms)
     values = values_of(t)
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(*sizes))
     carrier = tuple(f"p{i}" for i in range(n))
     point = st.sampled_from(carrier)
-    edges = draw(st.lists(st.tuples(values, values, point, point), max_size=8))
-    return t, carrier, edges
+    edges = st.lists(st.tuples(values, values, point, point), max_size=max_edges)
+    return t, carrier, draw(edges)
 
 
 @st.composite
-def matrices(draw, norms=norms, values_of=lambda t: values):
+def matrices(draw, norms=norms, values_of=lambda t: values, sizes=(1, 5)):
     """Square matrices whose diagonal need not be 1."""
     t = draw(norms)
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(*sizes))
     row = st.lists(values_of(t), min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=n, max_size=n))
     return t, rows
@@ -370,6 +373,91 @@ def test_validate_qcat_reports_the_first_violation(case, unit_diagonal, closed):
     res = validate_qcat(QCat(t, points, rows))
     assert (res.message, res.witness) == first_violation(t, points, rows)
     assert res.passed == (res.witness is None)
+
+
+# The grid kernels at the benchmark's scale (8-14 points): there
+# path_closure and validate_qcat run & inline as three integer pieces
+# per fixed entry v (GridDomain.piece).  STEPS has a block starting
+# above 0, so that the floor max(a + v - hi, lo) matters, and a block
+# endpoint shared with the next block; fine_values holds the endpoints.
+STEPS = TNorm(
+    (
+        Block(F(1, 4), F(1, 2), BlockKind.LUKASIEWICZ),
+        Block(F(1, 2), F(1), BlockKind.LUKASIEWICZ),
+    )
+)
+grid_norms = st.one_of(
+    st.sampled_from([godel(), lukasiewicz(), STEPS]), ordinal_sums(False)
+)
+LARGE = (8, 14)
+POINTS8 = tuple(f"p{i}" for i in range(8))
+
+
+def padded(rows, n=8):
+    """rows on the first points of n, with 1 on the rest of the diagonal
+    and 0 elsewhere, so the added points raise and break nothing."""
+    k = len(rows)
+    return [
+        [F(rows[i][j]) if i < k and j < k else F(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def lowered_categories(draw):
+    """Path-closed matrices with a unit diagonal, then one entry kept,
+    halved or set to 0, so the first violation can lie anywhere."""
+    t, rows = draw(matrices(grid_norms, fine_values, LARGE))
+    n = len(rows)
+    rows = naive_closure(
+        t, [[F(1) if i == j else v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+    )
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[i][j] = draw(st.sampled_from([rows[i][j], rows[i][j] / 2, F(0)]))
+    return t, rows
+
+
+# with v = 3/8 in STEPS's block [1/4, 1/2): a = 5/16 has a + v - hi below
+# lo, so & is the floor 1/4; a = 3/4 >= hi gives v; a = 1/8 < lo gives a
+PINNED_EDGES = [
+    [(F(5, 16), 0, "p0", "p1"), (F(5, 16), 0, "p1", "p2")],
+    [(F(3, 8), 0, "p0", "p1"), (F(3, 4), 0, "p1", "p2")],
+    [(F(3, 8), 0, "p0", "p1"), (F(1, 8), 0, "p1", "p2")],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sink_families(grid_norms, fine_values, LARGE, max_edges=30))
+@example((STEPS, POINTS8, PINNED_EDGES[0]))
+@example((STEPS, POINTS8, PINNED_EDGES[1]))
+@example((STEPS, POINTS8, PINNED_EDGES[2]))
+def test_final_lift_matches_naive_closure_at_benchmark_scale(family):
+    check_final_lift(family)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    matrices(grid_norms, fine_values, LARGE),
+    st.integers(0, 3),
+    st.sampled_from([K_FINITE, K_FINE]),
+    st.booleans(),
+)
+def test_reflect_r_matches_naive_reflection_at_benchmark_scale(
+    case, which, k, closed
+):
+    check_reflect_r(case, raisers(case[0], k, closed)[which])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lowered_categories())
+@example((STEPS, padded([[1, F(5, 16), F(3, 16)], [0, 1, F(5, 16)], [0, 0, 1]])))
+@example((STEPS, padded([[1, F(3, 8), F(1, 4)], [0, 1, F(3, 4)], [0, 0, 1]])))
+@example((STEPS, padded([[1, F(3, 8), 0], [0, 1, F(1, 8)], [0, 0, 1]])))
+def test_validate_qcat_reports_the_first_violation_at_benchmark_scale(case):
+    t, rows = case
+    points = tuple(f"p{i}" for i in range(len(rows)))
+    res = validate_qcat(QCat(t, points, rows))
+    assert (res.message, res.witness) == first_violation(t, points, rows)
 
 
 @settings(max_examples=100, deadline=None)

@@ -134,6 +134,16 @@ class TestValidation:
             for b in QUARTERS:
                 assert validate_qcat(two_point(LUK, a, b)).passed
 
+    def test_each_category_is_scanned_once(self, chain3):
+        """The result is kept on the category, out of its fields."""
+        res = validate_qcat(chain3)
+        assert validate_qcat(chain3) is res
+        bad = QCat(LUK, ("a",), ((F(1, 2),),))
+        assert validate_qcat(bad) is validate_qcat(bad)
+        same = QCat(LUK, chain3.points, chain3.matrix)
+        assert same == chain3 and hash(same) == hash(chain3)
+        assert repr(same) == repr(chain3)
+
 
 class TestFunctors:
     def test_enumeration_into_singleton(self, chain3):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from realcat.errors import DomainError, NotForwardCauchy, NotMValued, SizeLimitExceeded
+from realcat import qcat
 from realcat.qcat import (
     QCat,
     QFunctor,
@@ -15,6 +16,7 @@ from realcat.qcat import (
     functor_violation,
     hom_power,
     product,
+    require_category,
     two_point,
     validate_qcat,
 )
@@ -152,6 +154,21 @@ class TestForwardCauchy:
                 assert str(err.value) == f"not a category: {res.message}"
                 refused += 1
         assert refused > 1000
+
+
+    def test_sequences_over_one_ambient_scan_it_once(self, chain, monkeypatch):
+        """validate_qcat keeps its result on the category, so N sequences
+        over one ambient, and require_category after them, run the
+        O(n^3) scan once."""
+        scanned = []
+        scan = qcat._category_check
+        monkeypatch.setattr(
+            qcat, "_category_check", lambda c: scanned.append(c) or scan(c)
+        )
+        for cyc in itertools.product(chain.points, repeat=2):
+            FCSequence(chain, (), cyc)
+        assert require_category(chain) is chain
+        assert scanned == [chain]
 
 
 class TestYonedaLimits:
