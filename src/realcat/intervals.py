@@ -80,12 +80,6 @@ class IntervalSet:
         return IntervalSet.of(list(self.components) + list(other.components))
 
     @property
-    def infimum(self) -> Fraction:
-        if not self.components:
-            raise ValueError("empty set has no infimum in itself")
-        return self.components[0][0]
-
-    @property
     def supremum(self) -> Fraction:
         if not self.components:
             raise ValueError("empty set has no supremum in itself")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
@@ -136,10 +136,10 @@ def two_point(t: TNorm, a, b, points=("0", "1")) -> QCat:
 def validate_qcat(c: QCat) -> CheckResult:
     """Check reflexivity and the composition inequality exactly.  A
     failure reports the first violating triple in row-major order and
-    both sides.  The scan runs & as :func:`path_closure` does, three
-    integer pieces per r(x,y) on a grid, once per category: c keeps the
-    result in its ``__dict__``, out of the fields like ``_encoded`` (a
-    cached_property's first read takes a lock on Python 3.11)."""
+    both sides.  The scan is :func:`_relax`'s, once per category: c
+    keeps the result in its ``__dict__``, out of the fields like
+    ``_encoded`` (a cached_property's first read takes a lock on
+    Python 3.11)."""
     res = c.__dict__.get("_validated")
     if res is None:
         res = c.__dict__["_validated"] = _category_check(c)
@@ -147,48 +147,27 @@ def validate_qcat(c: QCat) -> CheckResult:
 
 
 def _category_check(c: QCat) -> CheckResult:
-    """``validate_qcat``'s scan; z = y is skipped, as r(y,y) & v = v."""
-    n = len(c.points)
-    e = c._encoded
-    for i in range(n):
+    """``validate_qcat``'s scan: the diagonal, then :func:`_relax` in
+    row-major order, stopping at the first entry it would raise."""
+    e, p = c._encoded, c.points
+    for i in range(len(p)):
         if e.numerators[i][i] != e.d:  # r(x,x) = d/d = 1
             return CheckResult(
                 False,
-                f"r({c.points[i]},{c.points[i]}) = {c.matrix[i][i]} != 1",
-                witness=(c.points[i],),
+                f"r({p[i]},{p[i]}) = {c.matrix[i][i]} != 1",
+                witness=(p[i],),
             )
     dom = kernel_domain(c.tnorm, e.d)
-    m = dom.enter(e)
-    op = None if isinstance(dom, GridDomain) else dom.op
-    for i in range(n):
-        row_i = m[i]
-        for j in range(n):
-            v, row_j = row_i[j], m[j]
-            if not v:  # 0 & anything = 0: nothing to violate
-                continue
-            hi = None
-            for k, lhs in enumerate(row_j):
-                if lhs > row_i[k] and k != j:
-                    if hi is None and not op:
-                        lo, hi = dom.piece(v)
-                        s = v - hi
-                    if op:
-                        lhs = op(lhs, v)
-                    elif lhs >= hi:
-                        lhs = v
-                    elif lhs >= lo:
-                        lhs += s
-                        if lhs < lo:
-                            lhs = lo
-                    if lhs > row_i[k]:
-                        return CheckResult(
-                            False,
-                            f"r({c.points[j]},{c.points[k]}) & "
-                            f"r({c.points[i]},{c.points[j]}) = {dom.value(lhs)} > "
-                            f"r({c.points[i]},{c.points[k]}) = {c.matrix[i][k]}",
-                            witness=(c.points[i], c.points[j], c.points[k]),
-                        )
-    return CheckResult(True, "valid")
+    hit = _relax(dom, dom.enter(e), check=True)
+    if hit is None:
+        return CheckResult(True, "valid")
+    i, k, j, lhs = hit
+    return CheckResult(
+        False,
+        f"r({p[k]},{p[j]}) & r({p[i]},{p[k]}) = {dom.value(lhs)} > "
+        f"r({p[i]},{p[j]}) = {c.matrix[i][j]}",
+        witness=(p[i], p[k], p[j]),
+    )
 
 
 def require_category(c: QCat, where: str = "") -> QCat:
@@ -222,14 +201,6 @@ class QFunctor:
 
     def __call__(self, p):
         return self.mapping[self.dom.index(p)]
-
-    def compose_after(self, other: "QFunctor") -> "QFunctor":
-        """self o other (other first)."""
-        if other.cod.points != self.dom.points:
-            raise ValueError("composition mismatch")
-        return QFunctor(
-            other.dom, self.cod, tuple(self(q) for q in other.mapping)
-        )
 
 
 def functor_violation(f: QFunctor) -> tuple | None:
@@ -460,43 +431,63 @@ def initial_lift(
 
 def path_closure(dom, m: list[list]) -> None:
     """Close m in place under m(i,j) >= m(k,j) & m(i,k) for i != j, with
-    & unchecked on dom's values (see ``tnorm.kernel_domain``).
+    & unchecked on dom's values (see ``tnorm.kernel_domain``): one exact
+    pass of :func:`_relax`, which never writes the diagonal."""
+    _relax(dom, m, check=False)
 
-    One Floyd-Warshall pass (k outer) is the exact closure over the
-    quantale ([0,1], join, &): x & y <= min(x, y), so a cycle never
-    raises a path and the best path between two points is simple
-    (Lehmann 1977).  The diagonal is never written, so a matrix whose
-    diagonal lies below 1 keeps it.  As a & v <= min(a, v) for
-    v = m(i,k), only an a = m(k,j) above m(i,j) with j != k can raise
-    it.  On a grid, a & v is v for a >= hi, a for a < lo and else
-    max(a + v - hi, lo), with (lo, hi) = ``GridDomain.piece(v)`` read at
-    the first such a; exact by ``GridDomain.op``, it runs inline.  The
-    Fraction domain (product blocks) calls its &."""
-    n = len(m)
+
+def _relax(dom, m: list[list], check: bool) -> tuple | None:
+    """m(i,j) >= m(k,j) & m(i,k) over distinct i, j and k, with &
+    unchecked on dom's values.  ``path_closure`` visits the pairs (i, k)
+    with k outer and writes each raise; ``validate_qcat`` (check) visits
+    them row-major and returns the first raise unwritten, as
+    (i, k, j, m(k,j) & m(i,k)), or None.
+
+    One pass with k outer is the exact closure over ([0,1], join, &):
+    as x & y <= min(x, y), a cycle never raises a path and the best path
+    between two points is simple (Lehmann 1977).  As a & v <= min(a, v)
+    for v = m(i,k), only an a = m(k,j) above m(i,j) can raise it, and
+    none does when v = 0 or j = k.  On a grid, a & v is v for a >= hi,
+    a for a < lo and else max(a + v - hi, lo), with (lo, hi) =
+    ``GridDomain.piece(v)`` read at the first such a (exact by
+    ``GridDomain.op``); the Fraction domain (product blocks) calls its
+    &.  A check may skip k = i and j = i, as the diagonal is 1 by then:
+    r(i,i) & v = v, and no entry lies above r(i,i) = 1."""
     op = None if isinstance(dom, GridDomain) else dom.op
-    for k in range(n):
-        row_k = m[k]
-        for i in range(n):
-            row_i = m[i]
-            v = row_i[k]
-            if i == k or not v:
-                continue
-            hi = None
-            for j, a in enumerate(row_k):
-                if a > row_i[j] and j != i and j != k:
-                    if hi is None and not op:
-                        lo, hi = dom.piece(v)
-                        s = v - hi
-                    if op:
-                        a = op(a, v)
-                    elif a >= hi:
-                        a = v
-                    elif a >= lo:
-                        a += s
-                        if a < lo:
-                            a = lo
-                    if a > row_i[j]:
-                        row_i[j] = a
+    for i, k in _pairs(len(m), check):
+        row_i = m[i]
+        v = row_i[k]
+        if not v:
+            continue
+        hi = None
+        for j, a in enumerate(m[k]):
+            if a > row_i[j] and j != i and j != k:
+                if hi is None and not op:
+                    lo, hi = dom.piece(v)
+                    s = v - hi
+                if op:
+                    a = op(a, v)
+                elif a >= hi:
+                    a = v
+                elif a >= lo:
+                    a += s
+                    if a < lo:
+                        a = lo
+                if a > row_i[j]:
+                    if check:
+                        return i, k, j, a
+                    row_i[j] = a
+    return None
+
+
+@cache
+def _pairs(n: int, row_major: bool) -> tuple:
+    """:func:`_relax`'s orders: the pairs (i, k) of distinct indices below
+    n, row-major or with k outer, kept per n: built in each call, they
+    cost more than the scan's two nested loops over range(n) would."""
+    if row_major:
+        return tuple((i, k) for i in range(n) for k in range(n) if i != k)
+    return tuple((i, k) for k in range(n) for i in range(n) if i != k)
 
 
 def final_lift(

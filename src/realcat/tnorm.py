@@ -19,8 +19,8 @@ validation and the reflections compute in one of two exact domains
 * Fractions, with & as ``TNorm._and``, compiled once per norm from the
   block bounds.  Every norm has this domain.
 * Integer numerators k standing for k/d, with & read off
-  :class:`GridDomain`'s block table (``GridDomain.piece``), which the
-  path closure and category validation read directly to run & inline.
+  :class:`GridDomain`'s block table (``GridDomain.piece``); the one scan
+  behind path closure and validation, ``qcat._relax``, runs & inline.
   When every block is Lukasiewicz (the Godel norm has none), the grid
   {k/d : 0 <= k <= d} is closed under & and the meet as soon as the
   block endpoints lie on it: it is a finite MV-chain, or an ordinal sum

@@ -55,13 +55,17 @@ values = st.sampled_from(VALUES)
 
 @st.composite
 def ordinal_sums(draw, product_block):
-    """1-3 blocks with endpoints of denominator <= 12: all Lukasiewicz,
-    or, with product_block, at least one block of each kind."""
+    """1-3 blocks with endpoints of denominator <= 12, adjacent blocks
+    sharing an endpoint or not: all Lukasiewicz, or, with product_block,
+    at least one block of each kind."""
     n = draw(st.integers(2 if product_block else 1, 3))
     ends = st.lists(
         st.sampled_from(ENDPOINTS), min_size=2 * n, max_size=2 * n, unique=True
     )
     ends = sorted(draw(ends))
+    for i in range(1, n):
+        if draw(st.booleans()):  # block i starts where block i - 1 ends
+            ends[2 * i] = ends[2 * i - 1]
     kinds = [BlockKind.LUKASIEWICZ] * n
     if product_block:
         kinds = draw(
@@ -75,6 +79,16 @@ def ordinal_sums(draw, product_block):
 
 
 sums = st.one_of(ordinal_sums(False), ordinal_sums(True))
+
+# A block starting above 0, and a block endpoint, 1/2, shared with the
+# next block, where GridDomain.piece must pick the upper block (for the
+# square root); fine_values holds the endpoints.
+STEPS = TNorm(
+    (
+        Block(F(1, 4), F(1, 2), BlockKind.LUKASIEWICZ),
+        Block(F(1, 2), F(1), BlockKind.LUKASIEWICZ),
+    )
+)
 
 
 def fine_values(t):
@@ -318,6 +332,9 @@ def largest_below(candidates, a, b):
     st.sampled_from([K_FINITE, K_FINE]),
     st.booleans(),
 )
+# the band's largest pair below (1, 1/2) is (sqrt 1/2, 1/2) = (3/4, 1/2),
+# the root read in the block above the shared endpoint 1/2
+@example((STEPS, [[1, 1], [F(1, 2), 1]]), 3, K_FINITE, False)
 def test_coreflect_c_matches_largest_pair_below(case, which, k, closed):
     t, rows = case
     s, candidates = lowerers(t, k, closed)[which]
@@ -357,8 +374,15 @@ def first_violation(t, points, m):
     return "valid", None
 
 
+# r(p2,p1) & r(p0,p2) = 1/2 > r(p0,p1) = 0 comes first in row-major
+# order; a scan with the middle point outer would first meet
+# r(p0,p2) & r(p1,p0) = 1/2 > r(p1,p2) = 0
+PINNED_ORDER = [[1, 0, F(1, 2)], [F(1, 2), 1, 0], [0, F(1, 2), 1]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(matrices(), matrices(sums, fine_values)), st.booleans(), st.booleans())
+@example((godel(), PINNED_ORDER), False, False)
 def test_validate_qcat_reports_the_first_violation(case, unit_diagonal, closed):
     t, rows = case
     n = len(rows)
@@ -377,15 +401,8 @@ def test_validate_qcat_reports_the_first_violation(case, unit_diagonal, closed):
 
 # The grid kernels at the benchmark's scale (8-14 points): there
 # path_closure and validate_qcat run & inline as three integer pieces
-# per fixed entry v (GridDomain.piece).  STEPS has a block starting
-# above 0, so that the floor max(a + v - hi, lo) matters, and a block
-# endpoint shared with the next block; fine_values holds the endpoints.
-STEPS = TNorm(
-    (
-        Block(F(1, 4), F(1, 2), BlockKind.LUKASIEWICZ),
-        Block(F(1, 2), F(1), BlockKind.LUKASIEWICZ),
-    )
-)
+# per fixed entry v (GridDomain.piece); STEPS (above) makes the floor
+# max(a + v - hi, lo) matter.
 grid_norms = st.one_of(
     st.sampled_from([godel(), lukasiewicz(), STEPS]), ordinal_sums(False)
 )

@@ -82,10 +82,9 @@ class TestMembership:
         assert self.S.is_subset(IntervalSet.full())
 
     def test_extrema(self):
-        assert self.S.infimum == 0
         assert self.S.supremum == 1
         with pytest.raises(ValueError):
-            IntervalSet.empty().infimum
+            IntervalSet.empty().supremum
 
 
 class TestBounds:

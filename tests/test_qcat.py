@@ -153,7 +153,6 @@ class TestFunctors:
     def test_identity_and_composition(self, chain3):
         ident = QFunctor(chain3, chain3, chain3.points)
         assert is_functor(ident)
-        assert ident.compose_after(ident).mapping == ident.mapping
         assert QFunctor(chain3, chain3, ("b", "b", "c"))("a") == "b"
 
     def test_functor_violation_is_the_first_pair_in_row_major_order(self):
