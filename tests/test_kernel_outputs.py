@@ -1,6 +1,9 @@
-"""The kernels' outputs on the committed corpus (``kernel_outputs.json``,
-written by ``tools/record_outputs.py``) replay unchanged: validate_qcat,
-final_lift, reflect_r, coreflect_c and is_in_cat_s, errors included."""
+"""The library's outputs on the committed corpora (written by
+``tools/record_outputs.py``) replay unchanged, errors included:
+``kernel_outputs.json`` for validate_qcat, final_lift, reflect_r,
+coreflect_c and is_in_cat_s, and ``functor_outputs.json`` for the
+functor search, products, hom objects, curry, uncurry and the
+function-space limit."""
 
 import importlib.util
 import json
@@ -14,11 +17,22 @@ record_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_outputs)
 
 
-def test_the_kernel_output_corpus_replays_unchanged():
-    saved = json.loads(record_outputs.OUTPUTS.read_text())
-    replayed = record_outputs.record(saved["seed"])
+def first_difference_on_replay(path, build):
+    saved = json.loads(path.read_text())
+    replayed = record_outputs.record(saved["seed"], build)
     assert len(saved["cases"]) > 3000
-    differs = record_outputs.first_difference(saved["cases"], replayed)
+    return record_outputs.first_difference(saved["cases"], replayed)
+
+
+def test_the_kernel_output_corpus_replays_unchanged():
+    differs = first_difference_on_replay(record_outputs.OUTPUTS, record_outputs.cases)
+    assert differs is None, f"first case that differs: {differs}"
+
+
+def test_the_functor_output_corpus_replays_unchanged():
+    differs = first_difference_on_replay(
+        record_outputs.FUNCTOR_OUTPUTS, record_outputs.functor_cases
+    )
     assert differs is None, f"first case that differs: {differs}"
 
 

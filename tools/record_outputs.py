@@ -1,18 +1,28 @@
-"""Record the category kernels' outputs on a seeded corpus, or replay it.
+"""Record the library's outputs on two seeded corpora, or replay them.
 
-    python3 tools/record_outputs.py          # write tests/kernel_outputs.json
+    python3 tools/record_outputs.py          # write both corpus files
     python3 tools/record_outputs.py --check  # replay; name the first case that differs
 
-The corpus is drawn with ``random.Random`` from a fixed seed, with the
+Each corpus is drawn with ``random.Random`` from a fixed seed, with the
 standard library only, so it replays on every supported Python without
-the test extras.  It covers ``validate_qcat`` (verdict, message and
-witness), ``final_lift``, ``reflect_r``, ``coreflect_c`` and
-``is_in_cat_s`` under the Godel, Lukasiewicz, product and remark4
-norms and under ordinal sums of Lukasiewicz blocks on a /12 grid (some
-with adjacent blocks sharing an endpoint), on 1-14 points: categories,
-categories with one entry lowered, random matrices, all four
-suitable-set variants (suitable or not) and refused inputs.  Each case
-is stored as a digest of its output, or of its error's type and text.
+the test extras.  Both use the Godel, Lukasiewicz, product and remark4
+norms and ordinal sums of Lukasiewicz blocks on a /12 grid (some with
+adjacent blocks sharing an endpoint).
+
+- ``tests/kernel_outputs.json`` (:func:`cases`): ``validate_qcat``
+  (verdict, message and witness), ``final_lift``, ``reflect_r``,
+  ``coreflect_c`` and ``is_in_cat_s`` on 1-14 points: categories,
+  categories with one entry lowered, random matrices, all four
+  suitable-set variants (suitable or not) and refused inputs.
+- ``tests/functor_outputs.json`` (:func:`functor_cases`):
+  ``enumerate_functors`` image tables (|A| = 0, |B| = 0 and |B| = 1
+  included, and at and just past the map cap), ``product``, ``tensor``,
+  ``hom_power`` and ``hom_tensor``, ``curry``, ``uncurry`` and
+  ``function_space_limit``, on categories and random matrices whose
+  values mix thirds with quarters, and refused inputs.
+
+Each case is stored as a digest of its output, or of its error's type
+and text.
 
 Re-record only at a commit whose outputs are known to be right, and
 name in CHANGES.md every case whose digest changes.
@@ -31,9 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
+from realcat import qcat as qc  # noqa: E402
 from realcat import subconstructs as sc  # noqa: E402
+from realcat import yoneda  # noqa: E402
 from realcat.intervals import IntervalSet  # noqa: E402
-from realcat.qcat import QCat, final_lift, two_point, validate_qcat  # noqa: E402
+from realcat.qcat import QCat, QFunctor, final_lift, two_point, validate_qcat  # noqa: E402
 from realcat.tnorm import (  # noqa: E402
     BUILTIN_NORMS,
     Block,
@@ -49,8 +61,10 @@ from realcat.tnorm import (  # noqa: E402
 )
 
 OUTPUTS = ROOT / "tests" / "kernel_outputs.json"
+FUNCTOR_OUTPUTS = ROOT / "tests" / "functor_outputs.json"
 SEED = 20
 ROUNDS = 480
+FUNCTOR_ROUNDS = 240
 
 VALUES = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 5), F(1, 7), F(5, 12)]
 CHAINS = ((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
@@ -224,10 +238,162 @@ def refused() -> list:
     ]
 
 
+THIRDS = [F(k, 3) for k in range(4)]
+QUARTERS = [F(k, 4) for k in range(5)]
+MIXED = sorted({*THIRDS, *QUARTERS})
+FUNCTOR_NORMS = ("godel", "lukasiewicz", "product", "remark4", "sum")
+
+
+def draw_cat(rng, t, n, prefix, pool):
+    """A category on n points, the final lift of two-point sinks over
+    pool, or one time in four a matrix over pool that need be none."""
+    points = tuple(f"{prefix}{i}" for i in range(n))
+    if rng.random() < 0.25:
+        return QCat(t, points, [[rng.choice(pool) for _ in points] for _ in points])
+    sinks = []
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        x, y = rng.choice(points), rng.choice(points)
+        sinks.append((two_point(t, a, b, ("s", "t")), {"s": x, "t": y}))
+    return QCat(t, points, final_lift(t, sinks, points).matrix)
+
+
+def draw_map(rng, dom, cod):
+    """A map dom -> cod drawn at random, functor or not; None when cod
+    has no point for dom's points."""
+    if dom.points and not cod.points:
+        return None
+    return QFunctor(dom, cod, tuple(rng.choice(cod.points) for _ in dom.points))
+
+
+def functor_cases(seed: int = SEED) -> list:
+    """(id, function, arguments) per case of the functor corpus, in a
+    fixed order: per round a norm, A (0-3 points) and B (0-4 points)
+    over thirds, quarters or both, and C (0-2 points); the search, the
+    products and hom objects, curry and uncurry, and the function-space
+    limit on M-valued categories."""
+    rng = random.Random(seed)
+    out = []
+    for r in range(FUNCTOR_ROUNDS):
+        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
+        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        pa, pb = (rng.choice([THIRDS, QUARTERS, MIXED]) + ends for _ in "ab")
+        na, nb, nc = rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 2)
+        a, b = draw_cat(rng, t, na, "a", pa), draw_cat(rng, t, nb, "b", pb)
+        c = draw_cat(rng, t, nc, "c", MIXED + ends)
+        tag = f"{r:03d} {name} {na}->{nb} c={nc}"
+        out.append((f"{tag} enumerate_functors", qc.enumerate_functors, (a, b)))
+        for build in (qc.product, qc.tensor, qc.hom_power, qc.hom_tensor):
+            out.append((f"{tag} {build.__name__}", build, (a, b)))
+        if r % 3 == 0:  # the map cap at |B|^|A| and just below it
+            cap = nb**na
+            for at in (cap, cap - 1):
+                out.append((f"{tag} enumerate cap={at}", qc.enumerate_functors, (a, b, at)))
+            out.append((f"{tag} hom_power cap={cap - 1}", qc.hom_power, (a, b, cap - 1)))
+            out.append((f"{tag} hom_tensor cap={cap - 1}", qc.hom_tensor, (a, b, cap - 1)))
+        hom = qc.hom_power(a, b)
+        out.append((f"{tag} enumerate C -> [A, B]", qc.enumerate_functors, (c, hom)))
+        ac = qc.product(a, c)
+        direct = qc.enumerate_functors(ac, b)
+        picks = [direct[0], direct[-1], rng.choice(direct)] if direct else []
+        for k, f in enumerate([*picks, draw_map(rng, ac, b)]):
+            if f is not None:
+                out.append((f"{tag} curry {k}", yoneda.curry, (a, c, b, f)))
+        for k, f in enumerate(picks):
+            try:
+                g = yoneda.curry(a, c, b, f)
+            except ValueError:  # a diagonal below 1: f(-, z) need be no functor
+                continue
+            out.append((f"{tag} uncurry {k}", yoneda.uncurry, (a, c, b, g)))
+        g = draw_map(rng, c, hom)
+        if g is not None:
+            out.append((f"{tag} uncurry drawn", yoneda.uncurry, (a, c, b, g)))
+        out += limit_cases(rng, t, tag, ends)
+    return out + functor_refused()
+
+
+def limit_cases(rng, t, tag, ends) -> list:
+    """function_space_limit on M-valued A and B (1-3 points, a random
+    matrix now and then) for a one-point cycle, an isomorphic pair, a
+    drawn pair and a drawn prefix; and on a non-M-valued A."""
+    m = m_set(t)
+    pool = [v for v in MIXED + ends if v in m]
+    a = draw_cat(rng, t, rng.randint(1, 3), "a", pool)
+    b = draw_cat(rng, t, rng.randint(1, 3), "b", pool)
+    hom = qc.hom_power(a, b)
+    if not hom.points:  # a random B may admit no functor
+        return [(f"{tag} limit no functor", yoneda.function_space_limit, (a, b, (), ("?",)))]
+    f = rng.choice(hom.points)
+    iso = [g for g in hom.points if hom.r(f, g) == hom.r(g, f) == 1]
+    drawn = [rng.choice(hom.points) for _ in range(2)]
+    limit = yoneda.function_space_limit
+    out = [
+        (f"{tag} limit one point", limit, (a, b, (), (f,))),
+        (f"{tag} limit isomorphic pair", limit, (a, b, (), (f, iso[-1]))),
+        (f"{tag} limit drawn pair", limit, (a, b, (), drawn)),
+        (f"{tag} limit drawn prefix", limit, (a, b, drawn, (f,))),
+    ]
+    outside = [v for v in MIXED if v not in m]
+    if outside:
+        above = QCat(t, ("x", "y"), ((1, outside[0]), (0, 1)))
+        out.append((f"{tag} limit outside M", limit, (above, b, (), (f,))))
+    return out
+
+
+def functor_refused() -> list:
+    """Fixed edge cases and refused inputs of the functor corpus."""
+    luk, god, half = lukasiewicz(), godel(), F(1, 2)
+    empty = QCat(luk, (), ())
+    one = QCat(luk, ("*",), ((F(1),),))
+    a = two_point(luk, half, F(1, 3))
+    b = two_point(luk, F(3, 4), F(1, 4))
+    chain = QCat(luk, ("x", "y", "z"), ((1, half, 0), (0, 1, half), (0, 0, 1)))
+    ab = qc.product(a, b)
+    bad = QFunctor(ab, b, tuple("0" if p == ("1", "1") else "1" for p in ab.points))
+    low = two_point(luk, F(1, 4), 0)  # M-valued, as a is
+    out = [
+        ("|A| = 0 enumerate", qc.enumerate_functors, (empty, a)),
+        ("|A| = |B| = 0 enumerate", qc.enumerate_functors, (empty, empty)),
+        ("|B| = 0 enumerate", qc.enumerate_functors, (a, empty)),
+        ("|B| = 1 enumerate", qc.enumerate_functors, (chain, one)),
+        ("|A| = 0 hom_power", qc.hom_power, (empty, a)),
+        ("|A| = 0 hom_tensor", qc.hom_tensor, (empty, empty)),
+        ("|B| = 0 hom_power", qc.hom_power, (a, empty)),
+        ("|B| = 0 hom_tensor", qc.hom_tensor, (a, empty)),
+        ("|A| = 0 product", qc.product, (empty, a)),
+        ("|B| = 0 tensor", qc.tensor, (a, empty)),
+        ("cap at 27", qc.enumerate_functors, (chain, chain, 27)),
+        ("refused cap 26", qc.enumerate_functors, (chain, chain, 26)),
+        ("refused hom_power cap 26", qc.hom_power, (chain, chain, 26)),
+        ("refused hom_tensor cap 0", qc.hom_tensor, (a, b, 0)),
+        ("refused curry of a non-functor", yoneda.curry, (a, b, b, bad)),
+        ("refused uncurry of a non-functor", yoneda.uncurry, (a, b, b, bad)),
+        ("refused limit empty cycle", yoneda.function_space_limit, (a, low, (), ())),
+        (
+            "refused limit point outside [A, B]",
+            yoneda.function_space_limit,
+            (a, low, (), (("2", "0"),)),
+        ),
+        ("refused limit outside M", yoneda.function_space_limit, (a, b, (), (("0", "0"),))),
+        (
+            "limit into a chain",
+            yoneda.function_space_limit,
+            (a, chain, (), qc.hom_power(a, chain).points[-1:]),
+        ),
+    ]
+    other = two_point(god, half, 0)
+    for build in (qc.product, qc.tensor, qc.hom_power, qc.hom_tensor):
+        out.append((f"refused {build.__name__} over two norms", build, (a, other)))
+    return out
+
+
 def outcome(fn, args) -> str:
     """fn(*args) as text: a category's points and entries, a check's
-    verdict, message and witness, the repr of anything else, or the
-    error's type and text."""
+    verdict, message and witness, a functor's domain and codomain points
+    and image tuple, a list of functors' image tuples (with the ends of
+    the first and whether all share them), the repr of anything else, or
+    the error's type and text."""
     try:
         value = fn(*args)
     except Exception as exc:  # every error is an output here
@@ -236,14 +402,23 @@ def outcome(fn, args) -> str:
         return repr((value.points, [[str(v) for v in row] for row in value.matrix]))
     if isinstance(value, CheckResult):
         return repr((value.passed, value.message, value.witness))
+    if isinstance(value, QFunctor):
+        return repr((value.dom.points, value.cod.points, value.mapping))
+    if isinstance(value, list) and value and isinstance(value[0], QFunctor):
+        dom, cod = value[0].dom, value[0].cod
+        shared = all(f.dom is dom and f.cod is cod for f in value)
+        return repr((dom.points, cod.points, shared, [f.mapping for f in value]))
     return repr(value)
 
 
-def record(seed: int = SEED) -> dict:
-    """case id -> digest of its outcome."""
+CORPORA = ((OUTPUTS, cases), (FUNCTOR_OUTPUTS, functor_cases))
+
+
+def record(seed: int = SEED, build=cases) -> dict:
+    """case id -> digest of its outcome, over the cases build(seed)."""
     return {
         cid: hashlib.sha256(outcome(fn, args).encode()).hexdigest()[:16]
-        for cid, fn, args in cases(seed)
+        for cid, fn, args in build(seed)
     }
 
 
@@ -258,19 +433,23 @@ def first_difference(recorded: dict, replayed: dict):
 
 def main(args: list) -> int:
     if args == ["--check"]:
-        saved = json.loads(OUTPUTS.read_text())
-        cid = first_difference(saved["cases"], record(saved["seed"]))
-        if cid is not None:
-            print(f"differs: {cid}")
-            return 1
-        print(f"{len(saved['cases'])} cases replay unchanged")
-        return 0
+        status = 0
+        for path, build in CORPORA:
+            saved = json.loads(path.read_text())
+            cid = first_difference(saved["cases"], record(saved["seed"], build))
+            if cid is not None:
+                print(f"{path.name} differs: {cid}")
+                status = 1
+            else:
+                print(f"{path.name}: {len(saved['cases'])} cases replay unchanged")
+        return status
     if args:
         print("usage: record_outputs.py [--check]", file=sys.stderr)
         return 2
-    digests = record(SEED)
-    OUTPUTS.write_text(json.dumps({"seed": SEED, "cases": digests}, indent=0) + "\n")
-    print(f"{len(digests)} cases written to {OUTPUTS.relative_to(ROOT)}")
+    for path, build in CORPORA:
+        digests = record(SEED, build)
+        path.write_text(json.dumps({"seed": SEED, "cases": digests}, indent=0) + "\n")
+        print(f"{len(digests)} cases written to {path.relative_to(ROOT)}")
     return 0
 
 
