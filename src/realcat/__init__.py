@@ -19,7 +19,6 @@ from .qcat import (
     hom_power,
     hom_tensor,
     initial_lift,
-    is_functor,
     product,
     tensor,
     tensor_transpose,

@@ -121,11 +121,6 @@ def _built_qcat(t: TNorm, points: tuple, matrix: tuple) -> QCat:
     return c
 
 
-def singleton(t: TNorm, point="*") -> QCat:
-    """The terminal category on one point."""
-    return QCat(t, (point,), ((ONE,),))
-
-
 def two_point(t: TNorm, a, b, points=("0", "1")) -> QCat:
     """The two-point category with r(0,1) = a and r(1,0) = b.  Every
     pair (a, b) is valid: a & b <= 1 always."""
@@ -207,7 +202,7 @@ def functor_violation(f: QFunctor) -> tuple | None:
     """The first pair (x, y) of domain points in row-major order with
     r(x, y) > s(fx, fy), or None when f is a functor (entries compare as
     ints, see :func:`_common_numerators`)."""
-    dom, cod = _common_numerators(f.dom, f.cod)
+    _, dom, cod = _common_numerators(f.dom, f.cod)
     index = [f.cod.index(img) for img in f.mapping]
     for i, row in enumerate(dom):
         image_row = cod[index[i]]
@@ -217,23 +212,28 @@ def functor_violation(f: QFunctor) -> tuple | None:
     return None
 
 
-def is_functor(f: QFunctor) -> bool:
-    return functor_violation(f) is None
-
-
-def _common_numerators(a: QCat, b: QCat) -> list:
-    """The kept numerators (``QCat._encoded``) of a's and b's matrices,
-    both over the lcm of their denominators, so entries compare as ints."""
+def _common_numerators(a: QCat, b: QCat) -> tuple[int, list, list]:
+    """The lcm d of a's and b's denominators and the kept numerators
+    (``QCat._encoded``) of their matrices over d, so entries compare as
+    ints.  As k -> k/d is strictly increasing, the least of some
+    numerators names the least of their entries, and that entry's own
+    Fraction is their meet: the constructions below take meets this way
+    and build no Fraction."""
     d = math.lcm(a._encoded.d, b._encoded.d)
-    return [
-        e.numerators if e.d == d else [[k * d // e.d for k in r] for r in e.numerators]
-        for e in (a._encoded, b._encoded)
-    ]
+    return d, _numerators_over(a._encoded, d), _numerators_over(b._encoded, d)
 
 
-def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
-    """The image-index tables and the image tuples of all functors
-    A -> B, in lexicographic order of the tables.
+def _numerators_over(e: Encoded, d: int) -> list:
+    if e.d == d:
+        return e.numerators
+    return [[k * d // e.d for k in r] for r in e.numerators]
+
+
+def _functor_leaves(a: QCat, b: QCat, max_maps: int):
+    """The functors A -> B as leaves of a search, in lexicographic order
+    of their image-index tables: per leaf the indices of the images of
+    every point but the last, a tuple, and the last point's images as
+    1-tuples, once as indices and once as B's points.
 
     The images left to a point are a bitmask over B's indices (entries
     compare as ints, see :func:`_common_numerators`).  Points are
@@ -241,16 +241,18 @@ def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
     r(x,x) <= s(fx,fx) with, per point y assigned before x, the mask of
     r(x,y) <= s(fx,fy) and r(y,x) <= s(fy,fx), built once per distinct
     (r(x,y), r(y,x)).  An empty set backtracks at once, and at the last
-    point the whole set is emitted.  Sets are read low bit first and
-    earlier points change slowest, so the tables come out in
+    point the whole set is one leaf.  Sets are read low bit first and
+    earlier points change slowest, so the leaves come out in
     lexicographic order.  A stack replaces recursion, so |A| is not
-    bounded by the recursion limit (|B| = 1 admits any |A|)."""
+    bounded by the recursion limit (|B| = 1 admits any |A|).  The map
+    cap is checked before the first leaf."""
     na, nb = len(a.points), len(b.points)
     if nb**na > max_maps:
         raise SizeLimitExceeded(na, nb, max_maps)
     if na == 0:
-        return [()], [()]
-    dom, cod = _common_numerators(a, b)
+        yield (), ([()], [()])
+        return
+    _, dom, cod = _common_numerators(a, b)
     # B's loops s(fx,fx) and cells (s(fx,fy), s(fy,fx)), the last first, so
     # that "0"/"1" flags read off them as a binary numeral make a mask with
     # bit fx, or fy * nb + fx; pairs need the cells only when |A| > 1, and
@@ -273,7 +275,6 @@ def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
                 held[key] = [flat >> fy * nb & row for fy in range(nb)]
             allowed[x].append(held[key])
     labels, tails = b.points, {}  # a last point's set -> its images as 1-tuples
-    tables, images = [], []
     image, left = [], []  # per point before x: its image, its untried images
     while True:
         x = len(image)
@@ -287,17 +288,26 @@ def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
             if m not in tails:  # bin(m)[:1:-1]: m's bits, low bit first
                 ones = [(k,) for k, c in enumerate(bin(m)[:1:-1]) if c == "1"]
                 tails[m] = ones, [(labels[k],) for k, in ones]
-            pre, (ones, named) = tuple(image), tails[m]
-            tables += map(pre.__add__, ones)
-            images += map(tuple([labels[k] for k in pre]).__add__, named)
+            yield tuple(image), tails[m]
         while left and not left[-1]:  # backtrack past points with no image left
             left.pop()
             image.pop()
         if not left:
-            return tables, images
+            return
         low = left[-1] & -left[-1]  # the next untried image of the last point
         left[-1] ^= low
         image[-1] = low.bit_length() - 1
+
+
+def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
+    """The image-index tables and the image tuples of all functors
+    A -> B, in lexicographic order of the tables (see
+    :func:`_functor_leaves`): what the hom objects index and label."""
+    labels, tables, images = b.points, [], []
+    for pre, (ones, named) in _functor_leaves(a, b, max_maps):
+        tables += map(pre.__add__, ones)
+        images += map(tuple([labels[k] for k in pre]).__add__, named)
+    return tables, images
 
 
 def enumerate_functors(
@@ -305,20 +315,26 @@ def enumerate_functors(
 ) -> list[QFunctor]:
     """All functors A -> B in lexicographic order of the image table
     (codomain point index order), found by the search over bitmask
-    domains of :func:`_functor_tables`: a partial map that breaks
+    domains of :func:`_functor_leaves`: a partial map that breaks
     r(x,y) <= s(fx,fy) is never extended.  Raises SizeLimitExceeded when
     |B|^|A| exceeds max_maps: the cap bounds the map space, not the work
-    the search does, so it refuses the same inputs as a full scan would."""
-    return [_built_functor(a, b, m) for m in _functor_tables(a, b, max_maps)[1]]
+    the search does, so it refuses the same inputs as a full scan would.
 
-
-def _built_functor(dom: QCat, cod: QCat, mapping: tuple) -> QFunctor:
-    """A functor whose image tuple the search built from ``cod.points``,
-    one image per domain point, made without ``QFunctor.__post_init__``'s
-    checks, which it passes by construction."""
-    f = object.__new__(QFunctor)
-    f.__dict__.update(dom=dom, cod=cod, mapping=mapping)
-    return f
+    Each functor's image tuple is built from ``b.points`` one image per
+    domain point, so it passes ``QFunctor.__post_init__``'s checks by
+    construction and is made without them, its fields written straight
+    into its ``__dict__``; no index table is built."""
+    labels, new, found = b.points, object.__new__, []
+    for pre, (_, named) in _functor_leaves(a, b, max_maps):
+        head = tuple([labels[k] for k in pre])
+        for tail in named:
+            f = new(QFunctor)
+            fields = f.__dict__
+            fields["dom"] = a
+            fields["cod"] = b
+            fields["mapping"] = head + tail
+            found.append(f)
+    return found
 
 
 def _kept_on_first(build: Callable) -> Callable:
@@ -345,14 +361,20 @@ def _pair_points(a: QCat, b: QCat) -> tuple:
 @_kept_on_first
 def product(a: QCat, b: QCat) -> QCat:
     """Cartesian product: the initial lift of the two projections, so
-    the structure is the pointwise meet."""
+    the structure is the pointwise meet min(r(x,x'), s(y,y')).  r and s
+    compare as integer numerators over one denominator, which order as
+    the entries do: the smaller names the smaller entry, and the meet is
+    that entry's own Fraction, r's on a tie (see
+    :func:`_common_numerators`)."""
     _require_same_norm(a, b)
-    points = _pair_points(a, b)
-    projections = [
-        ({pq: pq[0] for pq in points}, a),
-        ({pq: pq[1] for pq in points}, b),
-    ]
-    return initial_lift(a.tnorm, points, projections)
+    _, ea, eb = _common_numerators(a, b)
+    rows = []
+    for ra, na in zip(a.matrix, ea):
+        for rb, nb in zip(b.matrix, eb):
+            cells = [*zip(nb, rb)]
+            row = [x if u <= v else y for u, x in zip(na, ra) for v, y in cells]
+            rows.append(tuple(row))
+    return _built_qcat(a.tnorm, _pair_points(a, b), tuple(rows))
 
 
 def tensor(a: QCat, b: QCat) -> QCat:
@@ -376,11 +398,23 @@ def _require_same_norm(a: QCat, b: QCat):
 def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     """Function space for the tensor: the initial lift of the evaluations
     at the points of A on the functors A -> B (as image tuples), so
-    d(f,g) = meet_x s(f x, g x)."""
+    d(f,g) = meet_x s(f x, g x), 1 when A is empty.  The meet is taken
+    on B's integer numerators, which order as B's entries do: the least
+    names the least entry, and d(f,g) is that entry's own Fraction, or
+    ONE when it is 1 (see :func:`_common_numerators`)."""
     _require_same_norm(a, b)
-    points = tuple(_functor_tables(a, b, max_maps)[1])
-    evaluations = [({f: f[i] for f in points}, b) for i in range(len(a.points))]
-    return initial_lift(a.tnorm, points, evaluations)
+    tables, images = _functor_tables(a, b, max_maps)
+    top, e, s = b._encoded.d, b._encoded.numerators, b.matrix
+
+    def meet(f, g):
+        k, d = top, ONE
+        for x, y in zip(f, g):
+            if e[x][y] < k:
+                k, d = e[x][y], s[x][y]
+        return d
+
+    matrix = tuple(tuple(meet(f, g) for g in tables) for f in tables)
+    return _built_qcat(a.tnorm, tuple(images), matrix)
 
 
 @_kept_on_first
@@ -389,19 +423,23 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     functors A -> B, structure d(f,g) = meet over x,y of
     r(x,y) -> s(f x, g y) with -> the residual of the meet.  As
     u -> v is 1 for u <= v and v otherwise, d(f,g) is the least
-    s(f x, g y) over the pairs where r(x,y) is larger, and 1 if none."""
+    s(f x, g y) over the pairs where r(x,y) is larger, and 1 if none.
+    r and s compare as integer numerators over one denominator, which
+    order as the entries do: the least names the least entry, and d(f,g)
+    is that entry's own Fraction, or ONE (see
+    :func:`_common_numerators`)."""
     _require_same_norm(a, b)
     tables, images = _functor_tables(a, b, max_maps)
-    n = len(a.points)
-    pairs = [(i, j, a.matrix[i][j]) for i in range(n) for j in range(n)]
+    top, ea, eb = _common_numerators(a, b)
+    pairs = [(i, j, r) for i, row in enumerate(ea) for j, r in enumerate(row) if r]
     s = b.matrix
 
     def distance(f, g):
-        d = ONE
+        k, d = top, ONE
         for i, j, r in pairs:
-            v = s[f[i]][g[j]]
-            if r > v and v < d:
-                d = v
+            v = eb[f[i]][g[j]]
+            if v < r and v < k:
+                k, d = v, s[f[i]][g[j]]
         return d
 
     matrix = tuple(tuple(distance(f, g) for g in tables) for f in tables)
@@ -414,9 +452,12 @@ def initial_lift(
     sources: Sequence[tuple[Mapping, QCat]],
 ) -> QCat:
     """Initial structure on the carrier for maps f_i into (X_i, r_i):
-    d(x,y) = meet_i r_i(f_i x, f_i y)."""
+    d(x,y) = meet_i r_i(f_i x, f_i y).  A repeated carrier point, a map
+    that omits a carrier point or sends one outside its category is a
+    ValueError, raised before any meet is taken."""
     carrier = tuple(carrier)
-    pulled = [(cod.matrix, [cod.index(f[x]) for x in carrier]) for f, cod in sources]
+    _require_distinct(carrier)
+    pulled = [(cod.matrix, _source_indices(f, cod, carrier)) for f, cod in sources]
     n = len(carrier)
     matrix = tuple(
         tuple(
@@ -425,8 +466,15 @@ def initial_lift(
         )
         for i in range(n)
     )
-    _require_distinct(carrier)
     return _built_qcat(t, carrier, matrix)
+
+
+def _source_indices(f: Mapping, cod: QCat, carrier: tuple) -> list:
+    """The index in cod of each carrier point's image under f."""
+    for x in carrier:
+        if x not in f:
+            raise ValueError(f"source map omits point {x!r}")
+    return [cod.index(f[x]) for x in carrier]
 
 
 def path_closure(dom, m: list[list]) -> None:
@@ -499,14 +547,22 @@ def final_lift(
 
     The least transitive structure above the pushed-forward values:
     seed with joins of r_i over preimage pairs (1 on the diagonal, 0
-    elsewhere), then take the exact path closure of the seed.
+    elsewhere), then take the exact path closure of the seed.  A
+    repeated carrier point, a map that omits a point of its category or
+    sends one outside the carrier is a ValueError, raised before the
+    seed is built.
     """
     carrier = tuple(carrier)
+    _require_distinct(carrier)
     idx = {p: i for i, p in enumerate(carrier)}
+    try:
+        pushed = [(cat, [idx[f[p]] for p in cat.points]) for cat, f in sinks]
+    except KeyError:
+        _require_sink_points(sinks, idx)
+        raise
     n = len(carrier)
     m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for cat, f in sinks:
-        images = [idx[f[p]] for p in cat.points]
+    for cat, images in pushed:
         for i, row in zip(images, cat.matrix):
             for j, v in zip(images, row):
                 if v > m[i][j]:
@@ -515,8 +571,20 @@ def final_lift(
     dom = kernel_domain(t, e.d)
     closed = dom.enter(e)
     path_closure(dom, closed)
-    _require_distinct(carrier)
     return _built_qcat(t, carrier, dom.leave(closed))
+
+
+def _require_sink_points(sinks: Sequence, idx: dict) -> None:
+    """ValueError naming the first point, in order, that a sink map omits
+    or sends outside the carrier (idx)."""
+    for cat, f in sinks:
+        for p in cat.points:
+            if p not in f:
+                raise ValueError(f"sink map omits point {p!r}") from None
+            if f[p] not in idx:
+                raise ValueError(
+                    f"sink map sends {p!r} to {f[p]!r}, outside the carrier"
+                ) from None
 
 
 def tensor_transpose(a: QCat, b: QCat, c: QCat, f: QFunctor) -> QFunctor:

@@ -19,9 +19,7 @@ from realcat.qcat import (
     hom_power,
     hom_tensor,
     initial_lift,
-    is_functor,
     product,
-    singleton,
     tensor,
     tensor_transpose,
     tensor_untranspose,
@@ -55,6 +53,14 @@ LUK = lukasiewicz()
 GOD = godel()
 
 QUARTERS = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+# Value pools over other denominators: two matrices drawn from different
+# pools meet only after an lcm rescale, and tie on 0, 1/2 and 1.
+POOLS = [
+    QUARTERS,
+    [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)],
+    [F(0), F(1, 5), F(1, 2), F(4, 5), F(1)],
+    [F(0), F(1, 8), F(3, 8), F(1, 2), F(7, 8), F(1)],
+]
 
 
 def all_categories(t, values, size):
@@ -147,21 +153,21 @@ class TestValidation:
 
 class TestFunctors:
     def test_enumeration_into_singleton(self, chain3):
-        fs = enumerate_functors(chain3, singleton(LUK))
+        fs = enumerate_functors(chain3, QCat(LUK, ("*",), ((ONE,),)))
         assert len(fs) == 1
 
     def test_identity_and_composition(self, chain3):
         ident = QFunctor(chain3, chain3, chain3.points)
-        assert is_functor(ident)
+        assert functor_violation(ident) is None
         assert QFunctor(chain3, chain3, ("b", "b", "c"))("a") == "b"
 
     def test_functor_violation_is_the_first_pair_in_row_major_order(self):
         a = two_point(LUK, F(1, 2), F(1, 4))
         ident = QFunctor(a, a, a.points)
-        assert functor_violation(ident) is None and is_functor(ident)
+        assert functor_violation(ident) is None
         # r(0,1) = 1/2 and r(1,0) = 1/4 both exceed the discrete 0
         f = QFunctor(a, two_point(LUK, 0, 0), a.points)
-        assert functor_violation(f) == ("0", "1") and not is_functor(f)
+        assert functor_violation(f) == ("0", "1")
         g = QFunctor(a, two_point(LUK, F(1, 2), 0), a.points)
         assert functor_violation(g) == ("1", "0")
 
@@ -194,7 +200,7 @@ class TestFunctors:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(100)
         try:
-            found = enumerate_functors(chain, singleton(LUK))
+            found = enumerate_functors(chain, QCat(LUK, ("*",), ((ONE,),)))
         finally:
             sys.setrecursionlimit(limit)
         assert [f.mapping for f in found] == [("*",) * n]
@@ -228,7 +234,7 @@ class TestProductAndTensor:
         p = product(a, b)
         fst = QFunctor(p, a, tuple(x for (x, _) in p.points))
         snd = QFunctor(p, b, tuple(y for (_, y) in p.points))
-        assert is_functor(fst) and is_functor(snd)
+        assert functor_violation(fst) is None and functor_violation(snd) is None
 
 
 class TestHomObjects:
@@ -290,7 +296,7 @@ class TestTensorTransposition:
         assert len(direct) == len(curried)
         for f in direct:
             g = tensor_transpose(a, b, c, f)
-            assert is_functor(g)
+            assert functor_violation(g) is None
             back = tensor_untranspose(a, b, c, g)
             assert back.mapping == f.mapping
 
@@ -341,7 +347,8 @@ def category_pairs(draw):
     cats = []
     for prefix in ("a", "b"):
         n = draw(st.integers(0, 3))
-        row = st.lists(st.sampled_from(QUARTERS), min_size=n, max_size=n)
+        pool = draw(st.sampled_from(POOLS))
+        row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
         cats.append(closed_category(t, prefix, draw(st.lists(row, min_size=n, max_size=n))))
     return cats
 
@@ -400,11 +407,13 @@ def test_hom_power_of_m_valued_categories_is_a_category(pair):
 @st.composite
 def matrix_pairs(draw):
     """A norm, the rows of A and B (categories or arbitrary matrices,
-    diagonals below 1 included) and B's labels in a drawn order."""
+    diagonals below 1 included, each over its own value pool) and B's
+    labels in a drawn order."""
     norm = draw(st.sampled_from(sorted(BUILTIN_NORMS)))
     rows = []
     for n in (draw(st.integers(0, 3)), draw(st.integers(0, 4))):
-        row = st.lists(st.sampled_from(QUARTERS), min_size=n, max_size=n)
+        pool = draw(st.sampled_from(POOLS))
+        row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
         m = draw(st.lists(row, min_size=n, max_size=n))
         if draw(st.booleans()):
             m = closed_category(BUILTIN_NORMS[norm](), "p", m).matrix
@@ -585,7 +594,7 @@ class TestLifts:
         lifted = final_lift(LUK, sinks, ("a", "b", "c"))
         for cat, f in sinks:
             functor = QFunctor(cat, lifted, tuple(f[p] for p in cat.points))
-            assert is_functor(functor)
+            assert functor_violation(functor) is None
 
 
 # The builtins (grid domain: godel, lukasiewicz; Fraction domain:
@@ -749,3 +758,30 @@ class TestCheckedEntries:
             final_lift(LUK, [], ("x", "x"))
         with pytest.raises(TypeError, match="unhashable type: 'list'"):
             final_lift(LUK, [], (["x"],))
+
+    def test_lifts_refuse_a_map_that_omits_or_escapes_a_point(self, chain3):
+        """Each refusal names the point, in one sentence, before any work."""
+        cases = [
+            (
+                lambda: final_lift(
+                    LUK, [(chain3, {"a": "x", "b": "y", "c": "z"})], ("x", "y")
+                ),
+                "sink map sends 'c' to 'z', outside the carrier",
+            ),
+            (
+                lambda: final_lift(LUK, [(chain3, {"a": "x", "c": "y"})], ("x", "y")),
+                "sink map omits point 'b'",
+            ),
+            (
+                lambda: initial_lift(LUK, ("u", "v"), [({"u": "a"}, chain3)]),
+                "source map omits point 'v'",
+            ),
+            (
+                lambda: initial_lift(LUK, ("u", "v"), [({"u": "a", "v": "q"}, chain3)]),
+                "'q' is not a point",
+            ),
+        ]
+        for lift, message in cases:
+            with pytest.raises(ValueError) as err:
+                lift()
+            assert str(err.value) == message

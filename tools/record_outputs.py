@@ -45,7 +45,14 @@ from realcat import qcat as qc  # noqa: E402
 from realcat import subconstructs as sc  # noqa: E402
 from realcat import yoneda  # noqa: E402
 from realcat.intervals import IntervalSet  # noqa: E402
-from realcat.qcat import QCat, QFunctor, final_lift, two_point, validate_qcat  # noqa: E402
+from realcat.qcat import (  # noqa: E402
+    QCat,
+    QFunctor,
+    final_lift,
+    initial_lift,
+    two_point,
+    validate_qcat,
+)
 from realcat.tnorm import (  # noqa: E402
     BUILTIN_NORMS,
     Block,
@@ -227,6 +234,16 @@ def refused() -> list:
             final_lift,
             (luk, [(a, {"0": "p", "1": "z"})], ("p", "q")),
         ),
+        (
+            "refused sink map omitting a point",
+            final_lift,
+            (luk, [(a, {"0": "p"})], ("p", "q")),
+        ),
+        (
+            "refused source map omitting a point",
+            initial_lift,
+            (luk, ("p", "q"), [({"p": "0"}, a)]),
+        ),
         ("refused duplicate carrier", final_lift, (luk, [], ("p", "p"))),
         ("refused unsuitable set", sc.reflect_r, (unsuitable, a)),
         ("refused set over another norm", sc.coreflect_c, (sc.sqrt_band(godel()), a)),
@@ -288,10 +305,13 @@ def functor_cases(seed: int = SEED) -> list:
             out.append((f"{tag} {build.__name__}", build, (a, b)))
         if r % 3 == 0:  # the map cap at |B|^|A| and just below it
             cap = nb**na
-            for at in (cap, cap - 1):
-                out.append((f"{tag} enumerate cap={at}", qc.enumerate_functors, (a, b, at)))
-            out.append((f"{tag} hom_power cap={cap - 1}", qc.hom_power, (a, b, cap - 1)))
-            out.append((f"{tag} hom_tensor cap={cap - 1}", qc.hom_tensor, (a, b, cap - 1)))
+            for label, fn, at in (
+                ("enumerate", qc.enumerate_functors, cap),
+                ("enumerate", qc.enumerate_functors, cap - 1),
+                ("hom_power", qc.hom_power, cap - 1),
+                ("hom_tensor", qc.hom_tensor, cap - 1),
+            ):
+                out.append((f"{tag} {label} cap={at}", fn, (a, b, at)))
         hom = qc.hom_power(a, b)
         out.append((f"{tag} enumerate C -> [A, B]", qc.enumerate_functors, (c, hom)))
         ac = qc.product(a, c)
@@ -321,13 +341,12 @@ def limit_cases(rng, t, tag, ends) -> list:
     pool = [v for v in MIXED + ends if v in m]
     a = draw_cat(rng, t, rng.randint(1, 3), "a", pool)
     b = draw_cat(rng, t, rng.randint(1, 3), "b", pool)
-    hom = qc.hom_power(a, b)
+    hom, limit = qc.hom_power(a, b), yoneda.function_space_limit
     if not hom.points:  # a random B may admit no functor
-        return [(f"{tag} limit no functor", yoneda.function_space_limit, (a, b, (), ("?",)))]
+        return [(f"{tag} limit no functor", limit, (a, b, (), ("?",)))]
     f = rng.choice(hom.points)
     iso = [g for g in hom.points if hom.r(f, g) == hom.r(g, f) == 1]
     drawn = [rng.choice(hom.points) for _ in range(2)]
-    limit = yoneda.function_space_limit
     out = [
         (f"{tag} limit one point", limit, (a, b, (), (f,))),
         (f"{tag} limit isomorphic pair", limit, (a, b, (), (f, iso[-1]))),
@@ -375,7 +394,11 @@ def functor_refused() -> list:
             yoneda.function_space_limit,
             (a, low, (), (("2", "0"),)),
         ),
-        ("refused limit outside M", yoneda.function_space_limit, (a, b, (), (("0", "0"),))),
+        (
+            "refused limit outside M",
+            yoneda.function_space_limit,
+            (a, b, (), (("0", "0"),)),
+        ),
         (
             "limit into a chain",
             yoneda.function_space_limit,
