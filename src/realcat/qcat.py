@@ -219,8 +219,11 @@ def _common_numerators(a: QCat, b: QCat) -> tuple[int, list, list]:
     numerators names the least of their entries, and that entry's own
     Fraction is their meet: the constructions below take meets this way
     and build no Fraction."""
-    d = math.lcm(a._encoded.d, b._encoded.d)
-    return d, _numerators_over(a._encoded, d), _numerators_over(b._encoded, d)
+    ea, eb = a._encoded, b._encoded
+    if ea.d == eb.d:
+        return ea.d, ea.numerators, eb.numerators
+    d = math.lcm(ea.d, eb.d)
+    return d, _numerators_over(ea, d), _numerators_over(eb, d)
 
 
 def _numerators_over(e: Encoded, d: int) -> list:
