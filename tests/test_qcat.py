@@ -760,7 +760,7 @@ class TestCheckedEntries:
             final_lift(LUK, [], (["x"],))
 
     def test_lifts_refuse_a_map_that_omits_or_escapes_a_point(self, chain3):
-        """Each refusal names the point, in one sentence, before any work."""
+        """Each refusal is one sentence that names the point."""
         cases = [
             (
                 lambda: final_lift(
