@@ -219,17 +219,11 @@ def _common_numerators(a: QCat, b: QCat) -> tuple[int, list, list]:
     numerators names the least of their entries, and that entry's own
     Fraction is their meet: the constructions below take meets this way
     and build no Fraction."""
-    ea, eb = a._encoded, b._encoded
-    if ea.d == eb.d:
-        return ea.d, ea.numerators, eb.numerators
-    d = math.lcm(ea.d, eb.d)
-    return d, _numerators_over(ea, d), _numerators_over(eb, d)
-
-
-def _numerators_over(e: Encoded, d: int) -> list:
-    if e.d == d:
-        return e.numerators
-    return [[k * d // e.d for k in r] for r in e.numerators]
+    d = math.lcm(a._encoded.d, b._encoded.d)
+    return d, *[
+        e.numerators if e.d == d else [[k * d // e.d for k in r] for r in e.numerators]
+        for e in (a._encoded, b._encoded)
+    ]
 
 
 def _functor_leaves(a: QCat, b: QCat, max_maps: int):
