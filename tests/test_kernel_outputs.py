@@ -2,8 +2,8 @@
 ``tools/record_outputs.py``) replay unchanged, errors included:
 ``kernel_outputs.json`` for validate_qcat, final_lift, reflect_r,
 coreflect_c and is_in_cat_s, and ``functor_outputs.json`` for the
-functor search, products, hom objects, curry, uncurry and the
-function-space limit."""
+functor search, products, hom objects, curry, uncurry, the
+function-space limit and initial_lift."""
 
 import importlib.util
 import json

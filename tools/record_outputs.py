@@ -19,7 +19,10 @@ adjacent blocks sharing an endpoint).
   included, and at and just past the map cap), ``product``, ``tensor``,
   ``hom_power`` and ``hom_tensor``, ``curry``, ``uncurry`` and
   ``function_space_limit``, on categories and random matrices whose
-  values mix thirds with quarters, and refused inputs.
+  values mix thirds with quarters, and refused inputs; then
+  ``initial_lift`` (:func:`lift_cases`) for 0-3 sources over the same
+  values, drawn from a stream of its own so the cases before it keep
+  their draws.
 
 Each case is stored as a digest of its output, or of its error's type
 and text.
@@ -72,6 +75,7 @@ FUNCTOR_OUTPUTS = ROOT / "tests" / "functor_outputs.json"
 SEED = 20
 ROUNDS = 480
 FUNCTOR_ROUNDS = 240
+LIFT_ROUNDS = 160
 
 VALUES = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 5), F(1, 7), F(5, 12)]
 CHAINS = ((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
@@ -330,7 +334,40 @@ def functor_cases(seed: int = SEED) -> list:
         if g is not None:
             out.append((f"{tag} uncurry drawn", yoneda.uncurry, (a, c, b, g)))
         out += limit_cases(rng, t, tag, ends)
-    return out + functor_refused()
+    return out + functor_refused() + lift_cases(seed)
+
+
+def lift_cases(seed: int = SEED) -> list:
+    """initial_lift on a carrier of 0-4 points for 0-3 sources, each a
+    map into a 1-3 point category over thirds, quarters or both; one
+    time in eight a map omits a carrier point or sends one outside its
+    category, or the carrier repeats a point."""
+    rng = random.Random(seed + 1)
+    out = []
+    for r in range(LIFT_ROUNDS):
+        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
+        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        carrier = [f"u{i}" for i in range(rng.randint(0, 4))]
+        sources = []
+        for k in range(rng.randint(0, 3)):
+            pool = rng.choice([THIRDS, QUARTERS, MIXED]) + ends
+            cod = draw_cat(rng, t, rng.randint(1, 3), f"s{k}.", pool)
+            sources.append(({x: rng.choice(cod.points) for x in carrier}, cod))
+        tag = f"{r:03d} {name} n={len(carrier)} sources={len(sources)}"
+        fault = rng.randrange(8) if carrier else 1
+        if fault == 0 and sources:
+            f = rng.choice(sources)[0]
+            if rng.random() < 0.5:
+                del f[rng.choice(carrier)]
+            else:
+                f[rng.choice(carrier)] = "outside"
+            tag += " bad map"
+        elif fault == 0:
+            carrier.append(carrier[0])
+            tag += " repeated point"
+        out.append((f"{tag} initial_lift", initial_lift, (t, carrier, sources)))
+    return out
 
 
 def limit_cases(rng, t, tag, ends) -> list:
