@@ -11,11 +11,12 @@ or row-major so reports are reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, wraps
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, SizeLimitExceeded
 from .tnorm import (
@@ -212,18 +213,37 @@ def functor_violation(f: QFunctor) -> tuple | None:
     return None
 
 
-def _common_numerators(a: QCat, b: QCat) -> tuple[int, list, list]:
-    """The lcm d of a's and b's denominators and the kept numerators
-    (``QCat._encoded``) of their matrices over d, so entries compare as
-    ints.  As k -> k/d is strictly increasing, the least of some
-    numerators names the least of their entries, and that entry's own
-    Fraction is their meet: the constructions below take meets this way
-    and build no Fraction."""
-    d = math.lcm(a._encoded.d, b._encoded.d)
-    return d, *[
-        e.numerators if e.d == d else [[k * d // e.d for k in r] for r in e.numerators]
-        for e in (a._encoded, b._encoded)
-    ]
+def _common_numerators(*cats: QCat) -> tuple:
+    """The lcm d of the categories' denominators (1 for none) and the
+    kept numerators (``QCat._encoded``) of each matrix over d, so entries
+    of different categories compare as ints."""
+    d, out = 1, []
+    for c in cats:
+        d = math.lcm(d, c._encoded.d)
+    for c in cats:
+        ks, m = c._encoded.numerators, d // c._encoded.d
+        out.append(ks if m == 1 else [[k * m for k in r] for r in ks])
+    return d, *out
+
+
+def _least(t: TNorm, points: tuple, top: int, terms: list) -> QCat:
+    """The pointwise meet that ``initial_lift``, ``product`` and both hom
+    objects take, as a category on points.  A term (nums, fracs, rows,
+    cols, bound) offers at (p, q) the entry fracs[rows[p]][cols[q]] of a
+    matrix, when its numerator over top, nums[rows[p]][cols[q]], lies
+    below bound (top + 1 admits all); the entry at (p, q) is the least
+    entry offered there, ONE when none is.
+
+    Exact, with no Fraction built: as k -> k/top is strictly increasing,
+    the least numerator offered names the least entry, and that entry's
+    own Fraction (``names``) is the meet; top stands for no offer."""
+    n = len(points)
+    names, least = {top: ONE}, [top] * (n * n)
+    for nums, fracs, rows, cols, bound in terms:
+        names.update(zip(chain.from_iterable(nums), chain.from_iterable(fracs)))
+        pulled = [r[j] for r in map(nums.__getitem__, rows) for j in cols]
+        least = [v if v < u and v < bound else u for u, v in zip(least, pulled)]
+    return _built_qcat(t, points, tuple(zip(*[map(names.__getitem__, least)] * n)))
 
 
 def _functor_leaves(a: QCat, b: QCat, max_maps: int):
@@ -296,15 +316,20 @@ def _functor_leaves(a: QCat, b: QCat, max_maps: int):
         image[-1] = low.bit_length() - 1
 
 
-def _functor_tables(a: QCat, b: QCat, max_maps: int) -> tuple[list, list]:
-    """The image-index tables and the image tuples of all functors
-    A -> B, in lexicographic order of the tables (see
-    :func:`_functor_leaves`): what the hom objects index and label."""
+def _function_space(a: QCat, b: QCat, max_maps: int, pairs: Callable) -> QCat:
+    """A hom object on the functors A -> B, as image tuples in the order
+    of :func:`_functor_leaves`: :func:`_least` with one term per
+    (x, y, bound) in pairs(ea, top), ea being A's numerators over top,
+    read at x's images (rows) and y's images (columns) in B's."""
+    _require_same_norm(a, b)
     labels, tables, images = b.points, [], []
     for pre, (ones, named) in _functor_leaves(a, b, max_maps):
         tables += map(pre.__add__, ones)
         images += map(tuple([labels[k] for k in pre]).__add__, named)
-    return tables, images
+    at = [*zip(*tables)] or [()] * len(a.points)  # at[x]: x's image per functor
+    top, ea, eb = _common_numerators(a, b)
+    terms = [(eb, b.matrix, at[x], at[y], bound) for x, y, bound in pairs(ea, top)]
+    return _least(a.tnorm, tuple(images), top, terms)
 
 
 def enumerate_functors(
@@ -358,20 +383,15 @@ def _pair_points(a: QCat, b: QCat) -> tuple:
 @_kept_on_first
 def product(a: QCat, b: QCat) -> QCat:
     """Cartesian product: the initial lift of the two projections, so
-    the structure is the pointwise meet min(r(x,x'), s(y,y')).  r and s
-    compare as integer numerators over one denominator, which order as
-    the entries do: the smaller names the smaller entry, and the meet is
-    that entry's own Fraction, r's on a tie (see
-    :func:`_common_numerators`)."""
+    the structure is the pointwise meet min(r(x,x'), s(y,y')): one
+    :func:`_least` term per projection, indexed by the pairs' components."""
     _require_same_norm(a, b)
-    _, ea, eb = _common_numerators(a, b)
-    rows = []
-    for ra, na in zip(a.matrix, ea):
-        for rb, nb in zip(b.matrix, eb):
-            cells = [*zip(nb, rb)]
-            row = [x if u <= v else y for u, x in zip(na, ra) for v, y in cells]
-            rows.append(tuple(row))
-    return _built_qcat(a.tnorm, _pair_points(a, b), tuple(rows))
+    top, ea, eb = _common_numerators(a, b)
+    nb = len(b.points)
+    left = [i for i in range(len(a.points)) for _ in range(nb)]
+    right = [*range(nb)] * len(a.points)
+    terms = [(ea, a.matrix, left, left, top + 1), (eb, b.matrix, right, right, top + 1)]
+    return _least(a.tnorm, _pair_points(a, b), top, terms)
 
 
 def tensor(a: QCat, b: QCat) -> QCat:
@@ -395,23 +415,11 @@ def _require_same_norm(a: QCat, b: QCat):
 def hom_tensor(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     """Function space for the tensor: the initial lift of the evaluations
     at the points of A on the functors A -> B (as image tuples), so
-    d(f,g) = meet_x s(f x, g x), 1 when A is empty.  The meet is taken
-    on B's integer numerators, which order as B's entries do: the least
-    names the least entry, and d(f,g) is that entry's own Fraction, or
-    ONE when it is 1 (see :func:`_common_numerators`)."""
-    _require_same_norm(a, b)
-    tables, images = _functor_tables(a, b, max_maps)
-    top, e, s = b._encoded.d, b._encoded.numerators, b.matrix
-
-    def meet(f, g):
-        k, d = top, ONE
-        for x, y in zip(f, g):
-            if e[x][y] < k:
-                k, d = e[x][y], s[x][y]
-        return d
-
-    matrix = tuple(tuple(meet(f, g) for g in tables) for f in tables)
-    return _built_qcat(a.tnorm, tuple(images), matrix)
+    d(f,g) = meet_x s(f x, g x), 1 when A is empty: one term per pair
+    (x, x), always counted (see :func:`_function_space`)."""
+    return _function_space(
+        a, b, max_maps, lambda ea, top: [(x, x, top + 1) for x in range(len(ea))]
+    )
 
 
 @_kept_on_first
@@ -420,27 +428,14 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     functors A -> B, structure d(f,g) = meet over x,y of
     r(x,y) -> s(f x, g y) with -> the residual of the meet.  As
     u -> v is 1 for u <= v and v otherwise, d(f,g) is the least
-    s(f x, g y) over the pairs where r(x,y) is larger, and 1 if none.
-    r and s compare as integer numerators over one denominator, which
-    order as the entries do: the least names the least entry, and d(f,g)
-    is that entry's own Fraction, or ONE (see
-    :func:`_common_numerators`)."""
-    _require_same_norm(a, b)
-    tables, images = _functor_tables(a, b, max_maps)
-    top, ea, eb = _common_numerators(a, b)
-    pairs = [(i, j, r) for i, row in enumerate(ea) for j, r in enumerate(row) if r]
-    s = b.matrix
+    s(f x, g y) over the pairs where r(x,y) is larger, and 1 if none:
+    one term per pair (x, y) with bound r(x,y) > 0 (see
+    :func:`_function_space`); r(x,y) = 0 bounds nothing."""
 
-    def distance(f, g):
-        k, d = top, ONE
-        for i, j, r in pairs:
-            v = eb[f[i]][g[j]]
-            if v < r and v < k:
-                k, d = v, s[f[i]][g[j]]
-        return d
+    def pairs(ea, top):
+        return [(x, y, r) for x, row in enumerate(ea) for y, r in enumerate(row) if r]
 
-    matrix = tuple(tuple(distance(f, g) for g in tables) for f in tables)
-    return _built_qcat(a.tnorm, tuple(images), matrix)
+    return _function_space(a, b, max_maps, pairs)
 
 
 def initial_lift(
@@ -449,21 +444,25 @@ def initial_lift(
     sources: Sequence[tuple[Mapping, QCat]],
 ) -> QCat:
     """Initial structure on the carrier for maps f_i into (X_i, r_i):
-    d(x,y) = meet_i r_i(f_i x, f_i y).  A repeated carrier point, a map
-    that omits a carrier point or sends one outside its category is a
-    ValueError, raised before any meet is taken."""
+    d(x,y) = meet_i r_i(f_i x, f_i y), 1 without sources: one
+    :func:`_least` term per source, indexed by the images.  A repeated
+    carrier point, a map that is no Mapping, omits a carrier point or
+    sends one outside its category is a ValueError, raised in that order
+    before any meet is taken."""
     carrier = tuple(carrier)
     _require_distinct(carrier)
-    pulled = [(cod.matrix, _source_indices(f, cod, carrier)) for f, cod in sources]
-    n = len(carrier)
-    matrix = tuple(
-        tuple(
-            min((m[ix[i]][ix[j]] for m, ix in pulled), default=ONE)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return _built_qcat(t, carrier, matrix)
+    _require_mappings("source", [f for f, _ in sources])
+    pulled = [(cod, _source_indices(f, cod, carrier)) for f, cod in sources]
+    top, *nums = _common_numerators(*[cod for cod, _ in pulled])
+    terms = [(e, cod.matrix, ix, ix, top + 1) for e, (cod, ix) in zip(nums, pulled)]
+    return _least(t, carrier, top, terms)
+
+
+def _require_mappings(kind: str, maps: list) -> None:
+    """ValueError naming, by its place, the first map that is no Mapping."""
+    for i, f in enumerate(maps):
+        if not isinstance(f, Mapping):
+            raise ValueError(f"{kind} map {i} is a {type(f).__name__}, not a mapping")
 
 
 def _source_indices(f: Mapping, cod: QCat, carrier: tuple) -> list:
@@ -545,12 +544,13 @@ def final_lift(
     The least transitive structure above the pushed-forward values:
     seed with joins of r_i over preimage pairs (1 on the diagonal, 0
     elsewhere), then take the exact path closure of the seed.  A
-    repeated carrier point, a map that omits a point of its category or
-    sends one outside the carrier is a ValueError, raised before the
-    seed is built.
+    repeated carrier point, a map that is no Mapping, omits a point of
+    its category or sends one outside the carrier is a ValueError,
+    raised in that order before the seed is built.
     """
     carrier = tuple(carrier)
     _require_distinct(carrier)
+    _require_mappings("sink", [f for _, f in sinks])
     idx = {p: i for i, p in enumerate(carrier)}
     try:
         pushed = [(cat, [idx[f[p]] for p in cat.points]) for cat, f in sinks]

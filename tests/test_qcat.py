@@ -374,6 +374,47 @@ def test_constructions_match_pointwise_formulas(pair):
         assert rho.r(p, q) == (ONE if a.r(p, q) == ONE else 0)
 
 
+@st.composite
+def lift_sources(draw):
+    """A builtin norm, a carrier of 0-4 points and 0-3 sources: maps of
+    the carrier into 1-3 point categories, each over its own value pool,
+    so the sources meet only after an lcm rescale."""
+    t = BUILTIN_NORMS[draw(st.sampled_from(sorted(BUILTIN_NORMS)))]()
+    carrier = tuple(f"u{i}" for i in range(draw(st.integers(0, 4))))
+    sources = []
+    for k in range(draw(st.integers(0, 3))):
+        n, pool = draw(st.integers(1, 3)), draw(st.sampled_from(POOLS))
+        row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        cod = closed_category(t, f"s{k}.", draw(st.lists(row, min_size=n, max_size=n)))
+        images = [draw(st.sampled_from(cod.points)) for _ in carrier]
+        sources.append((dict(zip(carrier, images)), cod))
+    return t, carrier, sources
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_sources())
+def test_initial_lift_is_the_meet_of_the_sources(case):
+    """d(x,y) = min_i r_i(f_i x, f_i y), 1 without sources, and the
+    initial lift of categories is a category."""
+    t, carrier, sources = case
+    lifted = initial_lift(t, carrier, sources)
+    assert lifted.points == carrier
+    for x, y in itertools.product(carrier, repeat=2):
+        pulled = [cod.r(f[x], f[y]) for f, cod in sources]
+        assert lifted.r(x, y) == min(pulled, default=ONE)
+    assert validate_qcat(lifted).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(category_pairs())
+def test_product_is_the_initial_lift_of_the_projections(pair):
+    a, b = pair
+    prod = product(a, b)
+    first, second = ({p: p[k] for p in prod.points} for k in (0, 1))
+    lifted = initial_lift(a.tnorm, prod.points, [(first, a), (second, b)])
+    assert lifted.points == prod.points and lifted.matrix == prod.matrix
+
+
 EIGHTHS = [F(i, 8) for i in range(9)]
 
 
@@ -779,6 +820,22 @@ class TestCheckedEntries:
             (
                 lambda: initial_lift(LUK, ("u", "v"), [({"u": "a", "v": "q"}, chain3)]),
                 "'q' is not a point",
+            ),
+            (
+                lambda: final_lift(LUK, [(chain3, ["x", "y", "z"])], ("x", "y", "z")),
+                "sink map 0 is a list, not a mapping",
+            ),
+            (
+                lambda: initial_lift(
+                    LUK, ("u", "v"), [({"u": "a", "v": "b"}, chain3), (["a"], chain3)]
+                ),
+                "source map 1 is a list, not a mapping",
+            ),
+            (  # the map's type is checked before any map's points
+                lambda: initial_lift(
+                    LUK, ("u", "v"), [({"u": "a"}, chain3), ([("u", "a")], chain3)]
+                ),
+                "source map 1 is a list, not a mapping",
             ),
         ]
         for lift, message in cases:
