@@ -70,11 +70,7 @@ class SuitableSet:
             if stray != reads and getattr(self, stray) is not None:
                 raise self._stray(stray)
         if reads == "pairs":
-            object.__setattr__(
-                self,
-                "pairs",
-                frozenset((unit(a), unit(b)) for a, b in self.pairs),
-            )
+            object.__setattr__(self, "pairs", frozenset(map(_unit_pair, self.pairs)))
 
     def _stray(self, field: str) -> ValueError:
         # a field the variant does not read would still enter _lcm and
@@ -104,6 +100,14 @@ class SuitableSet:
         # check_suitable(self), which C and R require; kept out of the
         # fields like _lcm and _bounds
         return check_suitable(self)
+
+
+def _unit_pair(member) -> Pair:
+    """An explicit set's member as a pair of unit values; ValueError when
+    it is no pair (a tuple of two)."""
+    if not isinstance(member, tuple) or len(member) != 2:
+        raise ValueError(f"explicit set member {member!r} is not a pair")
+    return unit(member[0]), unit(member[1])
 
 
 def k_square(t: TNorm, k: IntervalSet) -> SuitableSet:

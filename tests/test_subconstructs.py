@@ -86,6 +86,16 @@ class TestMembership:
         assert contains(s, (0, 0))
         assert not contains(s, (0, 1))
 
+    @pytest.mark.parametrize(
+        "member, shown",
+        [((0,), "(0,)"), ((0, 1, 1), "(0, 1, 1)"), (1, "1"), ("01", "'01'")],
+    )
+    def test_explicit_refuses_a_member_that_is_no_pair(self, member, shown):
+        """One sentence naming the member, not an unpacking error."""
+        with pytest.raises(ValueError) as err:
+            explicit(LUK, [(0, 0), member])
+        assert str(err.value) == f"explicit set member {shown} is not a pair"
+
 
 # The band oracle below writes the norm and the band out itself: a norm
 # is a list of blocks (lo, hi, kind) on the /12 grid, and x & y is the
