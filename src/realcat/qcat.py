@@ -449,7 +449,7 @@ def initial_lift(
     carrier point, a map that is no Mapping, omits a carrier point or
     sends one outside its category is a ValueError, raised in that order
     before any meet is taken."""
-    carrier = tuple(carrier)
+    carrier, sources = tuple(carrier), list(sources)  # both are read twice
     _require_distinct(carrier)
     _require_mappings("source", [f for f, _ in sources])
     pulled = [(cod, _source_indices(f, cod, carrier)) for f, cod in sources]
@@ -548,7 +548,7 @@ def final_lift(
     its category or sends one outside the carrier is a ValueError,
     raised in that order before the seed is built.
     """
-    carrier = tuple(carrier)
+    carrier, sinks = tuple(carrier), list(sinks)  # both are read twice
     _require_distinct(carrier)
     _require_mappings("sink", [f for _, f in sinks])
     idx = {p: i for i, p in enumerate(carrier)}

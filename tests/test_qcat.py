@@ -587,6 +587,17 @@ class TestLifts:
         lifted = initial_lift(LUK, ("u", "v"), [])
         assert lifted.r("u", "v") == ONE
 
+    def test_lifts_take_their_maps_from_any_iterable(self, chain3):
+        """Each lift reads its maps twice (their types first), so a
+        generator must give the result a list gives."""
+        sources = [({"u": "a", "v": "b"}, chain3), ({"u": "b", "v": "c"}, chain3)]
+        lifted = initial_lift(LUK, ("u", "v"), iter(sources))
+        assert lifted == initial_lift(LUK, ("u", "v"), sources)
+        sinks = [(chain3, {"a": "x", "b": "y", "c": "z"})]
+        assert final_lift(LUK, iter(sinks), "xyz") == final_lift(LUK, sinks, "xyz")
+        with pytest.raises(ValueError, match="^sink map omits point 'c'$"):
+            final_lift(LUK, iter([(chain3, {"a": "x", "b": "y"})]), "xyz")
+
     def test_final_lift_pushes_forward(self, chain3):
         lifted = final_lift(
             LUK, [(chain3, {"a": "x", "b": "y", "c": "z"})], ("x", "y", "z")
