@@ -446,27 +446,26 @@ def initial_lift(
     """Initial structure on the carrier for maps f_i into (X_i, r_i):
     d(x,y) = meet_i r_i(f_i x, f_i y), 1 without sources: one
     :func:`_least` term per source, indexed by the images.  A repeated
-    carrier point, a map that is no Mapping, omits a carrier point or
-    sends one outside its category is a ValueError, raised in that order
-    before any meet is taken."""
-    carrier, sources = tuple(carrier), list(sources)  # both are read twice
+    carrier point, then, map by map, a map that is no Mapping, omits a
+    carrier point or sends one outside its category is a ValueError,
+    raised before any meet is taken."""
+    carrier = tuple(carrier)
     _require_distinct(carrier)
-    _require_mappings("source", [f for f, _ in sources])
-    pulled = [(cod, _source_indices(f, cod, carrier)) for f, cod in sources]
+    pulled = [
+        (cod, _source_indices(i, f, cod, carrier))
+        for i, (f, cod) in enumerate(sources)
+    ]
     top, *nums = _common_numerators(*[cod for cod, _ in pulled])
     terms = [(e, cod.matrix, ix, ix, top + 1) for e, (cod, ix) in zip(nums, pulled)]
     return _least(t, carrier, top, terms)
 
 
-def _require_mappings(kind: str, maps: list) -> None:
-    """ValueError naming, by its place, the first map that is no Mapping."""
-    for i, f in enumerate(maps):
-        if not isinstance(f, Mapping):
-            raise ValueError(f"{kind} map {i} is a {type(f).__name__}, not a mapping")
-
-
-def _source_indices(f: Mapping, cod: QCat, carrier: tuple) -> list:
-    """The index in cod of each carrier point's image under f."""
+def _source_indices(i: int, f: Mapping, cod: QCat, carrier: tuple) -> list:
+    """The index in cod of each carrier point's image under f, the map of
+    source i; ValueError when f is no Mapping, omits a carrier point or
+    (``QCat.index``) sends one outside cod."""
+    if not isinstance(f, Mapping):
+        raise ValueError(f"source map {i} is a {type(f).__name__}, not a mapping")
     for x in carrier:
         if x not in f:
             raise ValueError(f"source map omits point {x!r}")
@@ -544,19 +543,14 @@ def final_lift(
     The least transitive structure above the pushed-forward values:
     seed with joins of r_i over preimage pairs (1 on the diagonal, 0
     elsewhere), then take the exact path closure of the seed.  A
-    repeated carrier point, a map that is no Mapping, omits a point of
-    its category or sends one outside the carrier is a ValueError,
-    raised in that order before the seed is built.
+    repeated carrier point, then, map by map, a map that is no Mapping,
+    omits a point of its category or sends one outside the carrier is a
+    ValueError, raised before the seed is built.
     """
-    carrier, sinks = tuple(carrier), list(sinks)  # both are read twice
+    carrier = tuple(carrier)
     _require_distinct(carrier)
-    _require_mappings("sink", [f for _, f in sinks])
     idx = {p: i for i, p in enumerate(carrier)}
-    try:
-        pushed = [(cat, [idx[f[p]] for p in cat.points]) for cat, f in sinks]
-    except KeyError:
-        _require_sink_points(sinks, idx)
-        raise
+    pushed = [(cat, _sink_indices(i, cat, f, idx)) for i, (cat, f) in enumerate(sinks)]
     n = len(carrier)
     m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for cat, images in pushed:
@@ -571,17 +565,18 @@ def final_lift(
     return _built_qcat(t, carrier, dom.leave(closed))
 
 
-def _require_sink_points(sinks: Sequence, idx: dict) -> None:
-    """ValueError naming the first point, in order, that a sink map omits
-    or sends outside the carrier (idx)."""
-    for cat, f in sinks:
-        for p in cat.points:
-            if p not in f:
-                raise ValueError(f"sink map omits point {p!r}") from None
-            if f[p] not in idx:
-                raise ValueError(
-                    f"sink map sends {p!r} to {f[p]!r}, outside the carrier"
-                ) from None
+def _sink_indices(i: int, cat: QCat, f: Mapping, idx: dict) -> list:
+    """The index in the carrier (idx) of each of cat's points' image under
+    f, the map of sink i; ValueError when f is no Mapping, or naming the
+    first point, in order, that f omits or sends outside the carrier."""
+    if not isinstance(f, Mapping):
+        raise ValueError(f"sink map {i} is a {type(f).__name__}, not a mapping")
+    for p in cat.points:
+        if p not in f:
+            raise ValueError(f"sink map omits point {p!r}")
+        if f[p] not in idx:
+            raise ValueError(f"sink map sends {p!r} to {f[p]!r}, outside the carrier")
+    return [idx[f[p]] for p in cat.points]
 
 
 def tensor_transpose(a: QCat, b: QCat, c: QCat, f: QFunctor) -> QFunctor:

@@ -588,8 +588,8 @@ class TestLifts:
         assert lifted.r("u", "v") == ONE
 
     def test_lifts_take_their_maps_from_any_iterable(self, chain3):
-        """Each lift reads its maps twice (their types first), so a
-        generator must give the result a list gives."""
+        """A generator of maps gives the result a list gives, refusals
+        included."""
         sources = [({"u": "a", "v": "b"}, chain3), ({"u": "b", "v": "c"}, chain3)]
         lifted = initial_lift(LUK, ("u", "v"), iter(sources))
         assert lifted == initial_lift(LUK, ("u", "v"), sources)
@@ -842,11 +842,11 @@ class TestCheckedEntries:
                 ),
                 "source map 1 is a list, not a mapping",
             ),
-            (  # the map's type is checked before any map's points
+            (  # the maps are checked one at a time, in order
                 lambda: initial_lift(
                     LUK, ("u", "v"), [({"u": "a"}, chain3), ([("u", "a")], chain3)]
                 ),
-                "source map 1 is a list, not a mapping",
+                "source map omits point 'v'",
             ),
         ]
         for lift, message in cases:
