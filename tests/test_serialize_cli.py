@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1263,3 +1264,97 @@ def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, cause):
             argv = ["construct", "coreflect", str(path), str(other)]
         code, out, err = _run(argv)
         assert (code, out) == (2, "") and len(err.splitlines()) == 1
+
+
+_EDGE = {
+    "tnorm": "lukasiewicz",
+    "points": ["a", "b"],
+    "matrix": [["1/1", "1/2"], ["0/1", "1/1"]],
+}
+_NOT_A_CATEGORY = {**_EDGE, "matrix": [["1/2", "1/2"], ["0/1", "1/1"]]}
+
+
+def _lift_doc(family, drop=None, **fields):
+    """A lift spec with one entry, the edge a -> b on the carrier x, y
+    (a and b to x and y), with fields replacing the spec's or the
+    entry's ("category", "map") and the field drop taken out."""
+    table = {"a": "x", "b": "y"} if family == "sinks" else {"x": "a", "y": "b"}
+    entry = {"category": fields.pop("category", _EDGE), "map": fields.pop("map", table)}
+    spec = {"tnorm": "lukasiewicz", "carrier": ["x", "y"], family: [entry], **fields}
+    for obj in (spec, entry):
+        obj.pop(drop, None)
+    return spec
+
+
+def _lift_faults():
+    """(kind, spec, exit code, message) for each fault a lift spec can
+    have, one fault per spec, and a spec with both a map fault and a
+    category fault: the map fault is named, and exits 2."""
+    norms = "['godel', 'lukasiewicz', 'product', 'remark4']"
+    for kind, family, role, omits, outside, unhashable in (
+        (
+            "initial_lift",
+            "sources",
+            "source",
+            ({"x": "a"}, "source map omits point 'y'"),
+            ({"x": "a", "y": "w"}, "source map sends 'y' to 'w', outside its category"),
+            ({"x": "a", "y": ["b"]}, "source map sends 'y' to ['b'], outside its category"),
+        ),
+        (
+            "final_lift",
+            "sinks",
+            "sink",
+            ({"a": "x"}, "sink map omits point 'b'"),
+            ({"a": "x", "b": "w"}, "sink map sends 'b' to 'w', outside the carrier"),
+            ({"a": ["x"], "b": "y"}, "sink map sends 'a' to ['x'], outside the carrier"),
+        ),
+    ):
+        doc = partial(_lift_doc, family)
+        for name, spec, code, message in (
+            ("spec", ["x"], 2, "lift spec must be an object"),
+            ("no-tnorm", doc(drop="tnorm"), 2, "lift spec is missing field 'tnorm'"),
+            ("tnorm", doc(tnorm="luk"), 2, f"unknown t-norm name 'luk'; expected one of {norms}"),
+            ("no-family", doc(drop=family), 2, f"lift spec is missing field '{family}'"),
+            ("family", doc(**{family: ["x"]}), 2, f"lift {family} must be a list of objects"),
+            ("no-category", doc(drop="category"), 2, "lift spec is missing field 'category'"),
+            ("category", doc(category=3), 2, "category must be an object"),
+            ("no-map", doc(drop="map"), 2, "lift spec is missing field 'map'"),
+            ("no-carrier", doc(drop="carrier"), 2, "lift spec is missing field 'carrier'"),
+            ("carrier", doc(carrier="xy"), 2, "lift carrier must be a list"),
+            (
+                "unhashable-carrier",
+                doc(carrier=[["x"], "y"]),
+                2,
+                "lift carrier points must be labels: unhashable type: 'list'",
+            ),
+            ("repeated-carrier", doc(carrier=["x", "x"]), 2, "lift carrier repeats a point"),
+            ("map", doc(map=["x", "y"]), 2, f"{role} map must be an object"),
+            ("omitted-point", doc(map=omits[0]), 2, omits[1]),
+            ("outside", doc(map=outside[0]), 2, outside[1]),
+            ("unhashable-image", doc(map=unhashable[0]), 2, unhashable[1]),
+            (
+                "non-category",
+                doc(category=_NOT_A_CATEGORY),
+                5,
+                "not a category: r(a,a) = 1/2 != 1",
+            ),
+            (
+                "other-norm",
+                doc(tnorm="godel"),
+                5,
+                "the lift spec and one of its categories live over different t-norms",
+            ),
+            ("map-and-category", doc(category=_NOT_A_CATEGORY, map=omits[0]), 2, omits[1]),
+        ):
+            yield pytest.param(kind, spec, code, message, id=f"{kind}-{name}")
+
+
+@pytest.mark.parametrize("kind, spec, code, message", _lift_faults())
+def test_each_lift_spec_fault_has_its_exit_code_and_line(
+    tmp_path, kind, spec, code, message
+):
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(spec))
+    assert _run(["construct", kind, str(path)]) == (
+        code, "", f"error: {path}: {message}\n"
+    )

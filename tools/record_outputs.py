@@ -22,7 +22,8 @@ adjacent blocks sharing an endpoint).
   values mix thirds with quarters, and refused inputs; then
   ``initial_lift`` (:func:`lift_cases`) for 0-3 sources over the same
   values, drawn from a stream of its own so the cases before it keep
-  their draws.
+  their draws; then ``final_lift`` refusals (:func:`sink_fault_cases`),
+  one fault each, from a third stream.
 
 Each case is stored as a digest of its output, or of its error's type
 and text.
@@ -76,6 +77,7 @@ SEED = 20
 ROUNDS = 480
 FUNCTOR_ROUNDS = 240
 LIFT_ROUNDS = 160
+SINK_FAULT_ROUNDS = 80
 
 VALUES = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 5), F(1, 7), F(5, 12)]
 CHAINS = ((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
@@ -334,7 +336,7 @@ def functor_cases(seed: int = SEED) -> list:
         if g is not None:
             out.append((f"{tag} uncurry drawn", yoneda.uncurry, (a, c, b, g)))
         out += limit_cases(rng, t, tag, ends)
-    return out + functor_refused() + lift_cases(seed)
+    return out + functor_refused() + lift_cases(seed) + sink_fault_cases(seed)
 
 
 def lift_cases(seed: int = SEED) -> list:
@@ -367,6 +369,42 @@ def lift_cases(seed: int = SEED) -> list:
             carrier.append(carrier[0])
             tag += " repeated point"
         out.append((f"{tag} initial_lift", initial_lift, (t, carrier, sources)))
+    return out
+
+
+SINK_FAULTS = ("omitted point", "image outside", "no mapping", "repeated point")
+
+
+def sink_fault_cases(seed: int = SEED) -> list:
+    """final_lift on a carrier of 1-4 points for 1-3 sinks from 1-3 point
+    categories over thirds, quarters or both, with one fault each: a map
+    omits a point of its category, sends one outside the carrier or is
+    no mapping, or the carrier repeats a point."""
+    rng = random.Random(seed + 2)
+    out = []
+    for r in range(SINK_FAULT_ROUNDS):
+        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
+        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        carrier = [f"p{i}" for i in range(rng.randint(1, 4))]
+        sinks = []
+        for k in range(rng.randint(1, 3)):
+            pool = rng.choice([THIRDS, QUARTERS, MIXED]) + ends
+            cat = draw_cat(rng, t, rng.randint(1, 3), f"s{k}.", pool)
+            sinks.append((cat, {p: rng.choice(carrier) for p in cat.points}))
+        fault = rng.choice(SINK_FAULTS)
+        k = rng.randrange(len(sinks))
+        cat, f = sinks[k]
+        if fault == "omitted point":
+            del f[rng.choice(cat.points)]
+        elif fault == "image outside":
+            f[rng.choice(cat.points)] = "outside"
+        elif fault == "no mapping":
+            sinks[k] = (cat, rng.choice([list(f.items()), list(f.values()), None]))
+        else:
+            carrier.insert(rng.randint(0, len(carrier)), rng.choice(carrier))
+        tag = f"{r:03d} {name} n={len(carrier)} sinks={len(sinks)} {fault}"
+        out.append((f"{tag} final_lift", final_lift, (t, sinks, carrier)))
     return out
 
 
