@@ -35,7 +35,9 @@ cap 3, other domain errors 5; 4 is retired).  Every error is one line
 on stderr, and so is each case of a text report: a line break inside a
 label, a path or an argument is written as its escape (``\n``).
 Category, suitable-set and t-norm files hold JSON arrays where the
-format has them; a string or an object there is a parse error.
+format has them; a string or an object there is a parse error.  A file
+that does not decode, or a lift spec whose carrier or maps the lift
+refuses, exits 2 with the file's path in the line.
 """
 
 from __future__ import annotations
@@ -76,17 +78,25 @@ def _write(path: str, text: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _decoded(path: str, decode: Callable):
+    """decode applied to the JSON in path; a decode error names the file."""
+    obj = _load_json(path)
+    try:
+        return decode(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _tnorm(arg: str) -> TNorm:
     """Resolve ``--tnorm``: a builtin norm name, else a t-norm JSON file."""
     if arg in BUILTIN_NORMS:
         return ser.tnorm_from_obj(arg)
     try:
-        obj = _load_json(arg)
+        return _decoded(arg, ser.tnorm_from_obj)
     except ParseError as exc:
         raise ParseError(
             f"--tnorm takes one of {sorted(BUILTIN_NORMS)} or a t-norm file; {exc}"
         ) from exc
-    return ser.tnorm_from_obj(obj)
 
 
 def _emit(report: Report, fmt: str):
@@ -105,15 +115,6 @@ def _require_lift_categories(path: str, t: TNorm, cats) -> None:
                 f"{path}: the lift spec and one of its categories live over "
                 "different t-norms"
             )
-
-
-def _decoded(path: str, decode: Callable):
-    """decode applied to the JSON in path; a decode error names the file."""
-    obj = _load_json(path)
-    try:
-        return decode(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _category(path: str) -> qc.QCat:
@@ -145,16 +146,20 @@ def _hom_power(args) -> qc.QCat:
     return out
 
 
-def _initial_lift(args) -> qc.QCat:
-    t, carrier, sources = _decoded(args.inputs[0], ser.initial_lift_from_obj)
-    _require_lift_categories(args.inputs[0], t, [cat for _, cat in sources])
-    return qc.initial_lift(t, carrier, sources)
-
-
-def _final_lift(args) -> qc.QCat:
-    t, sinks, carrier = _decoded(args.inputs[0], ser.final_lift_from_obj)
-    _require_lift_categories(args.inputs[0], t, [cat for cat, _ in sinks])
-    return qc.final_lift(t, sinks, carrier)
+def _lift(family: str, args) -> qc.QCat:
+    """The lift of a spec's "sources" or "sinks": a carrier or map fault
+    (the lift's ValueError) exits 2 before a category fault exits 5."""
+    path = args.inputs[0]
+    t, carrier, pairs = _decoded(path, partial(ser.lift_from_obj, family=family))
+    try:
+        if family == "sinks":
+            out = qc.final_lift(t, pairs, carrier)
+        else:
+            out = qc.initial_lift(t, carrier, [(f, cat) for cat, f in pairs])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    _require_lift_categories(path, t, [cat for cat, _ in pairs])
+    return out
 
 
 # each construction: the number of input files it takes, and the function
@@ -166,8 +171,8 @@ CONSTRUCT_KINDS = {
     "hom_power": (2, _hom_power),
     "coreflect": (2, lambda args: sub.coreflect_c(*_suitable_and_category(args))),
     "reflect": (2, lambda args: sub.reflect_r(*_suitable_and_category(args))),
-    "initial_lift": (1, _initial_lift),
-    "final_lift": (1, _final_lift),
+    "initial_lift": (1, partial(_lift, "sources")),
+    "final_lift": (1, partial(_lift, "sinks")),
     "por_rho": (1, lambda args: sub.por_coreflection(*_categories(args))),
     "por_sigma": (1, lambda args: sub.por_reflection(*_categories(args))),
 }
@@ -226,7 +231,7 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     t = _tnorm(args.tnorm)
-    k = ser.intervalset_from_obj(_load_json(args.k))
+    k = _decoded(args.k, ser.intervalset_from_obj)
     sq = subquantale_check(t, k)
     if not sq.passed:
         raise ParseError(f"K is not a subquantale: {sq.message}")

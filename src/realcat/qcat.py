@@ -446,13 +446,13 @@ def initial_lift(
     """Initial structure on the carrier for maps f_i into (X_i, r_i):
     d(x,y) = meet_i r_i(f_i x, f_i y), 1 without sources: one
     :func:`_least` term per source, indexed by the images.  A repeated
-    carrier point, then, map by map, a map that is no Mapping, omits a
-    carrier point or sends one outside its category is a ValueError,
-    raised before any meet is taken."""
+    carrier point, then, map by map (:func:`_map_indices`), a map that
+    is no Mapping or the first carrier point it omits or sends outside
+    its category is a ValueError, raised before any meet is taken."""
     carrier = tuple(carrier)
     _require_distinct(carrier)
     pulled = [
-        (cod, _source_indices(i, f, cod, carrier))
+        (cod, _map_indices("source", i, f, carrier, cod._positions))
         for i, (f, cod) in enumerate(sources)
     ]
     top, *nums = _common_numerators(*[cod for cod, _ in pulled])
@@ -460,16 +460,29 @@ def initial_lift(
     return _least(t, carrier, top, terms)
 
 
-def _source_indices(i: int, f: Mapping, cod: QCat, carrier: tuple) -> list:
-    """The index in cod of each carrier point's image under f, the map of
-    source i; ValueError when f is no Mapping, omits a carrier point or
-    (``QCat.index``) sends one outside cod."""
+# what each lift calls an image outside its target
+_OUTSIDE = {
+    "source": "{y!r} is not a point",
+    "sink": "sink map sends {x!r} to {y!r}, outside the carrier",
+}
+
+
+def _map_indices(role: str, i: int, f: Mapping, dom: tuple, positions: dict) -> list:
+    """positions[f(x)] for each point x of dom, f being the map of the
+    i-th source or sink (role).  A ValueError when f is no Mapping, or
+    naming the first point, in dom's order, that f omits or sends to no
+    key of positions; an unhashable image is no key."""
     if not isinstance(f, Mapping):
-        raise ValueError(f"source map {i} is a {type(f).__name__}, not a mapping")
-    for x in carrier:
+        raise ValueError(f"{role} map {i} is a {type(f).__name__}, not a mapping")
+    out = []
+    for x in dom:
         if x not in f:
-            raise ValueError(f"source map omits point {x!r}")
-    return [cod.index(f[x]) for x in carrier]
+            raise ValueError(f"{role} map omits point {x!r}")
+        try:
+            out.append(positions[f[x]])
+        except (KeyError, TypeError):
+            raise ValueError(_OUTSIDE[role].format(x=x, y=f[x])) from None
+    return out
 
 
 def path_closure(dom, m: list[list]) -> None:
@@ -543,14 +556,18 @@ def final_lift(
     The least transitive structure above the pushed-forward values:
     seed with joins of r_i over preimage pairs (1 on the diagonal, 0
     elsewhere), then take the exact path closure of the seed.  A
-    repeated carrier point, then, map by map, a map that is no Mapping,
-    omits a point of its category or sends one outside the carrier is a
-    ValueError, raised before the seed is built.
+    repeated carrier point, then, map by map (:func:`_map_indices`), a
+    map that is no Mapping or the first point of its category it omits
+    or sends outside the carrier is a ValueError, raised before the seed
+    is built.
     """
     carrier = tuple(carrier)
     _require_distinct(carrier)
     idx = {p: i for i, p in enumerate(carrier)}
-    pushed = [(cat, _sink_indices(i, cat, f, idx)) for i, (cat, f) in enumerate(sinks)]
+    pushed = [
+        (cat, _map_indices("sink", i, f, cat.points, idx))
+        for i, (cat, f) in enumerate(sinks)
+    ]
     n = len(carrier)
     m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for cat, images in pushed:
@@ -563,20 +580,6 @@ def final_lift(
     closed = dom.enter(e)
     path_closure(dom, closed)
     return _built_qcat(t, carrier, dom.leave(closed))
-
-
-def _sink_indices(i: int, cat: QCat, f: Mapping, idx: dict) -> list:
-    """The index in the carrier (idx) of each of cat's points' image under
-    f, the map of sink i; ValueError when f is no Mapping, or naming the
-    first point, in order, that f omits or sends outside the carrier."""
-    if not isinstance(f, Mapping):
-        raise ValueError(f"sink map {i} is a {type(f).__name__}, not a mapping")
-    for p in cat.points:
-        if p not in f:
-            raise ValueError(f"sink map omits point {p!r}")
-        if f[p] not in idx:
-            raise ValueError(f"sink map sends {p!r} to {f[p]!r}, outside the carrier")
-    return [idx[f[p]] for p in cat.points]
 
 
 def tensor_transpose(a: QCat, b: QCat, c: QCat, f: QFunctor) -> QFunctor:

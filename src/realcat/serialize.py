@@ -1,6 +1,10 @@
 """JSON wire formats: t-norms, interval sets, categories, suitable sets,
 lift specs (read only) and CCC witnesses (written only).
 
+Readers check shapes and decode values.  A lift spec's points are left
+to the lift: ``qcat.initial_lift`` and ``final_lift`` refuse a repeated
+carrier point and a map that omits a point or sends one outside.
+
 Rationals are always serialized as "p/q" strings, never as decimals, so
 round-tripping is exact.  Tuple-shaped points (from products and hom
 objects) are flattened to parenthesized labels on output, and a
@@ -41,7 +45,9 @@ def point_labels(c: QCat) -> list[str]:
 
 def _require_arrays(*values):
     """A JSON array where the format has one (a string or an object would
-    iterate as characters or keys); readers call it last, after decoding."""
+    iterate as characters or keys).  Readers call it after decoding, but
+    ``tnorm_from_obj`` before it reads a block, as a block's field read
+    from a character is Python's own text."""
     for v in values:
         if not isinstance(v, list):
             raise TypeError(f"expected an array, got {type(v).__name__}")
@@ -79,16 +85,16 @@ def tnorm_from_obj(obj: Any) -> TNorm:
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise ParseError("t-norm must be a builtin name or {'blocks': [...]}")
     try:
-        blocks = tuple(
-            Block(
-                parse_rat(b["lo"]),
-                parse_rat(b["hi"]),
-                BlockKind(b["kind"]),
-            )
-            for b in obj["blocks"]
-        )
         _require_arrays(obj["blocks"])
-        return TNorm(blocks)
+        for b in obj["blocks"]:
+            if not isinstance(b, dict):
+                raise TypeError(f"expected an object, got {type(b).__name__}")
+        return TNorm(
+            tuple(
+                Block(parse_rat(b["lo"]), parse_rat(b["hi"]), BlockKind(b["kind"]))
+                for b in obj["blocks"]
+            )
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad block spec: {exc}") from exc
 
@@ -234,9 +240,13 @@ def kind_of(obj: Any) -> str | None:
     return None
 
 
-def _lift_spec(obj: Any, family: str):
-    """The t-norm, the carrier and the (category, map) entries under
-    ``family`` of a lift spec; the carrier is a list of distinct labels."""
+def lift_from_obj(obj: Any, family: str):
+    """Decode a lift spec {"tnorm", "carrier", family: [{"category",
+    "map"}]} into (t, carrier, [(category, map)]), for the "sources" of
+    qcat.initial_lift or the "sinks" of qcat.final_lift.  Only shapes
+    are read: the carrier is a list of labels and each map an object.
+    Which point a map omits or where it sends one, and whether the
+    carrier repeats a point, are the lift's own checks."""
     if not isinstance(obj, dict):
         raise ParseError("lift spec must be an object")
     try:
@@ -253,43 +263,14 @@ def _lift_spec(obj: Any, family: str):
     if not isinstance(carrier, list):
         raise ParseError("lift carrier must be a list")
     try:
-        distinct = len(set(carrier)) == len(carrier)
+        for p in carrier:
+            hash(p)
     except TypeError as exc:
         raise ParseError(f"lift carrier points must be labels: {exc}") from exc
-    if not distinct:
-        raise ParseError("lift carrier repeats a point")
+    for _, f in pairs:
+        if not isinstance(f, dict):
+            raise ParseError(f"{family[:-1]} map must be an object")
     return t, carrier, pairs
-
-
-def _check_map(what: str, f: Any, dom, cod, outside: str):
-    """f must be an object sending each point of dom into cod."""
-    if not isinstance(f, dict):
-        raise ParseError(f"{what} map must be an object")
-    for p in dom:
-        if p not in f:
-            raise ParseError(f"{what} map omits point {p!r}")
-        if f[p] not in cod:
-            raise ParseError(f"{what} map sends {p!r} to {f[p]!r}, outside {outside}")
-
-
-def initial_lift_from_obj(obj: Any):
-    """Decode {"tnorm", "carrier", "sources": [{"category", "map"}]}
-    into the arguments (t, carrier, sources) of qcat.initial_lift; each
-    map sends every carrier point into its category."""
-    t, carrier, pairs = _lift_spec(obj, "sources")
-    for cat, f in pairs:
-        _check_map("source", f, carrier, cat.points, "its category")
-    return t, carrier, [(f, cat) for cat, f in pairs]
-
-
-def final_lift_from_obj(obj: Any):
-    """Decode {"tnorm", "carrier", "sinks": [{"category", "map"}]} into
-    the arguments (t, sinks, carrier) of qcat.final_lift; each map sends
-    every point of its category into the carrier."""
-    t, carrier, sinks = _lift_spec(obj, "sinks")
-    for cat, f in sinks:
-        _check_map("sink", f, cat.points, carrier, "the carrier")
-    return t, sinks, carrier
 
 
 # ---------------------------------------------------------------------------

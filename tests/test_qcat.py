@@ -415,6 +415,67 @@ def test_product_is_the_initial_lift_of_the_projections(pair):
     assert lifted.points == prod.points and lifted.matrix == prod.matrix
 
 
+# images a map may have besides its target's points: other labels, and
+# unhashable values that JSON decodes to
+STRAY_IMAGES = st.one_of(
+    st.sampled_from(["w", "z", 0, 1.5, None, ("a",)]),
+    st.lists(st.sampled_from("ax"), max_size=1),
+    st.dictionaries(st.sampled_from("ax"), st.just("y"), max_size=1),
+)
+
+
+@st.composite
+def malformed_map(draw, dom, cod):
+    """A map of dom's points to cod's, often broken: no mapping at all,
+    or a mapping with points omitted, extra keys and images outside cod
+    or unhashable."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(
+            st.one_of(
+                st.lists(st.sampled_from(cod) if cod else STRAY_IMAGES, max_size=3),
+                st.text(max_size=2),
+                st.integers(),
+                st.none(),
+                st.frozensets(st.sampled_from(dom)) if dom else st.just(()),
+            )
+        )
+    images = st.sampled_from(cod) if cod else STRAY_IMAGES
+    if draw(st.booleans()):
+        images = st.one_of(images, STRAY_IMAGES)
+    f = {x: draw(images) for x in dom}
+    for x in draw(st.lists(st.sampled_from(dom), max_size=2)) if dom else ():
+        f.pop(x, None)
+    f.update(draw(st.dictionaries(st.sampled_from(["q", 7, None]), images, max_size=2)))
+    return f
+
+
+LIFT_TARGETS = [
+    QCat(LUK, (), ()),
+    QCat(LUK, ("a",), ((ONE,),)),
+    two_point(LUK, F(1, 2), 0, points=("a", "b")),
+    two_point(GOD, F(1, 4), F(3, 4), points=("a", "x")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_malformed_map_is_a_value_error_or_no_error(data):
+    """Both lifts, given maps of any shape on a carrier of labels, answer
+    or raise ValueError, never another error."""
+    carrier = data.draw(st.lists(st.sampled_from(["x", "y", "z", 1]), unique=True, max_size=3))
+    cats = data.draw(st.lists(st.sampled_from(LIFT_TARGETS), max_size=3))
+    sources = [(data.draw(malformed_map(carrier, c.points)), c) for c in cats]
+    sinks = [(c, data.draw(malformed_map(c.points, carrier))) for c in cats]
+    for lift in (
+        lambda: initial_lift(LUK, carrier, sources),
+        lambda: final_lift(LUK, sinks, carrier),
+    ):
+        try:
+            assert isinstance(lift(), QCat)
+        except ValueError:
+            pass
+
+
 EIGHTHS = [F(i, 8) for i in range(9)]
 
 
@@ -835,6 +896,20 @@ class TestCheckedEntries:
             (
                 lambda: final_lift(LUK, [(chain3, ["x", "y", "z"])], ("x", "y", "z")),
                 "sink map 0 is a list, not a mapping",
+            ),
+            (  # an unhashable image is no carrier point
+                lambda: final_lift(
+                    LUK, [(chain3, {"a": ["x"], "b": "y", "c": "y"})], ("x", "y")
+                ),
+                "sink map sends 'a' to ['x'], outside the carrier",
+            ),
+            (
+                lambda: initial_lift(LUK, ("u", "v"), [({"u": ["a"], "v": "b"}, chain3)]),
+                "['a'] is not a point",
+            ),
+            (  # each map is checked a point at a time, in order
+                lambda: initial_lift(LUK, ("u", "v"), [({"u": "q"}, chain3)]),
+                "'q' is not a point",
             ),
             (
                 lambda: initial_lift(

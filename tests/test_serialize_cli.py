@@ -79,6 +79,14 @@ class TestTNormFormat:
         with pytest.raises(ParseError):
             ser.tnorm_from_obj({"blocks": [{"lo": "0/1", "kind": "product"}]})
 
+    @pytest.mark.parametrize("block, cause", [("x", "str"), (["0/1", "1/1"], "list")])
+    def test_a_block_that_is_no_object_is_refused(self, block, cause):
+        """Read from a string, a block's field would be Python's own text,
+        which differs between versions."""
+        with pytest.raises(ParseError) as err:
+            ser.tnorm_from_obj({"blocks": [block]})
+        assert str(err.value) == f"bad block spec: expected an object, got {cause}"
+
     def test_overlapping_blocks_rejected(self):
         block = {"lo": "0/1", "hi": "1/2", "kind": "product"}
         with pytest.raises(ParseError):
@@ -868,6 +876,36 @@ class TestCLI:
             "criterion": True,
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "CAT", "--tnorm", "NORM"],
+            ["verify", "approx", "--tnorm", "NORM"],
+            ["witness", "--k", "K", "--tnorm", "NORM"],
+        ],
+        ids=["validate", "verify", "witness"],
+    )
+    def test_a_tnorm_file_that_fails_to_decode_is_named(self, workdir, argv):
+        norm = workdir["dir"] / "norm.json"
+        norm.write_text(json.dumps({"blocks": [{"lo": "0/1", "kind": "product"}]}))
+        files = {"NORM": str(norm), "CAT": workdir["good"], "K": workdir["k_l3"]}
+        hint = "--tnorm takes one of ['godel', 'lukasiewicz', 'product', 'remark4'] or a t-norm file"
+        assert _run([files.get(a, a) for a in argv]) == (
+            2, "", f"error: {hint}; {norm}: bad block spec: 'hi'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"components": "x"}, "interval set must be {'components': [...]}"),
+            ({"components": [3]}, "bad component 3"),
+        ],
+    )
+    def test_a_k_file_that_fails_to_decode_is_named(self, workdir, doc, message):
+        k = workdir["dir"] / "k.json"
+        k.write_text(json.dumps(doc))
+        assert _run(["witness", "--k", str(k)]) == (2, "", f"error: {k}: {message}\n")
+
     def test_witness_exact_when_the_grid_misses(self, workdir, capsys):
         """One product block [1/3, 17/50]: K = [1/3, 17/50] + {1} is not
         inside M, yet the k/16 grid of K holds only idempotents."""
@@ -1233,10 +1271,22 @@ _GODEL_IDENTITY = {
         ("category", {"tnorm": "godel", "points": ["a", "b"], "matrix": ["10", "01"]}, "str"),
         ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {}}}, "dict"),
         ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": ""}}, "str"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": "x"}}, "str"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {"lo": "0/1"}}}, "dict"),
         ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": ["00", "11"]}, "str"),
         ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": {"01": 1}}, "dict"),
     ],
-    ids=["points", "matrix", "rows", "blocks-object", "blocks-string", "pair", "pairs"],
+    ids=[
+        "points",
+        "matrix",
+        "rows",
+        "blocks-object",
+        "blocks-string",
+        "blocks-nonempty-string",
+        "blocks-nonempty-object",
+        "pair",
+        "pairs",
+    ],
 )
 def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, cause):
     """Each of these decoded once, as characters or keys; now validate
@@ -1297,8 +1347,8 @@ def _lift_faults():
             "sources",
             "source",
             ({"x": "a"}, "source map omits point 'y'"),
-            ({"x": "a", "y": "w"}, "source map sends 'y' to 'w', outside its category"),
-            ({"x": "a", "y": ["b"]}, "source map sends 'y' to ['b'], outside its category"),
+            ({"x": "a", "y": "w"}, "'w' is not a point"),
+            ({"x": "a", "y": ["b"]}, "['b'] is not a point"),
         ),
         (
             "final_lift",
@@ -1327,7 +1377,7 @@ def _lift_faults():
                 2,
                 "lift carrier points must be labels: unhashable type: 'list'",
             ),
-            ("repeated-carrier", doc(carrier=["x", "x"]), 2, "lift carrier repeats a point"),
+            ("repeated-carrier", doc(carrier=["x", "x"]), 2, "duplicate points"),
             ("map", doc(map=["x", "y"]), 2, f"{role} map must be an object"),
             ("omitted-point", doc(map=omits[0]), 2, omits[1]),
             ("outside", doc(map=outside[0]), 2, outside[1]),
