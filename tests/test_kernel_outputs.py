@@ -3,7 +3,7 @@
 ``kernel_outputs.json`` for validate_qcat, final_lift, reflect_r,
 coreflect_c and is_in_cat_s, and ``functor_outputs.json`` for the
 functor search, products, hom objects, curry, uncurry, the
-function-space limit and initial_lift."""
+function-space limit, initial_lift and final_lift's refusals."""
 
 import importlib.util
 import json
