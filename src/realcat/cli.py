@@ -34,8 +34,8 @@ validation, >= 2 operational errors (parse, usage or file errors 2, size
 cap 3, other domain errors 5; 4 is retired).  Every error is one line
 on stderr, and so is each case of a text report: a line break inside a
 label, a path or an argument is written as its escape (``\n``).
-Category, suitable-set and t-norm files hold JSON arrays where the
-format has them; a string or an object there is a parse error.  A file
+Every reader checks a field's JSON shape before it reads a value inside
+it, and names the field it finds missing or of the wrong shape.  A file
 that does not decode, or a lift spec whose carrier or maps the lift
 refuses, exits 2 with the file's path in the line.
 """

@@ -1,9 +1,14 @@
 """JSON wire formats: t-norms, interval sets, categories, suitable sets,
 lift specs (read only) and CCC witnesses (written only).
 
-Readers check shapes and decode values.  A lift spec's points are left
-to the lift: ``qcat.initial_lift`` and ``final_lift`` refuse a repeated
-carrier point and a map that omits a point or sends one outside.
+Every reader checks a field's JSON shape before it reads any value
+inside it: a missing field is "<what> is missing field '<key>'", and an
+array or object of the wrong shape "<what> must be a list" (or "an
+object", "a list of lists", "a list of objects").  Values are then
+decoded, and the library's own checks name what is wrong with them.  A
+lift spec's points are left to the lift: ``qcat.initial_lift`` and
+``final_lift`` refuse a repeated carrier point and a map that omits a
+point or sends one outside.
 
 Rationals are always serialized as "p/q" strings, never as decimals, so
 round-tripping is exact.  Tuple-shaped points (from products and hom
@@ -43,14 +48,28 @@ def point_labels(c: QCat) -> list[str]:
     return list(seen)
 
 
-def _require_arrays(*values):
-    """A JSON array where the format has one (a string or an object would
-    iterate as characters or keys).  Readers call it after decoding, but
-    ``tnorm_from_obj`` before it reads a block, as a block's field read
-    from a character is Python's own text."""
-    for v in values:
-        if not isinstance(v, list):
-            raise TypeError(f"expected an array, got {type(v).__name__}")
+_NOUNS = {list: ("a list", "lists"), dict: ("an object", "objects")}
+
+
+def _field(obj: dict, key: str, what: str) -> Any:
+    """obj[key] of the JSON object obj, or a ParseError naming the
+    missing field."""
+    if key not in obj:
+        raise ParseError(f"{what} is missing field {key!r}")
+    return obj[key]
+
+
+def _shaped(value: Any, what: str, shape: type, of: type | None = None) -> Any:
+    """value, when it is a JSON array (shape list) or object (shape
+    dict), and an array of that shape's items when of is given; else a
+    ParseError naming what.  Readers check a field so before reading any
+    value inside it."""
+    if not isinstance(value, shape) or (
+        of is not None and not all(isinstance(v, of) for v in value)
+    ):
+        noun = _NOUNS[shape][0] + (f" of {_NOUNS[of][1]}" if of else "")
+        raise ParseError(f"{what} must be {noun}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +101,21 @@ def tnorm_from_obj(obj: Any) -> TNorm:
                 f"expected one of {sorted(BUILTIN_NORMS)}"
             )
         return maker()
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict):
         raise ParseError("t-norm must be a builtin name or {'blocks': [...]}")
+    blocks = _shaped(_field(obj, "blocks", "t-norm"), "t-norm blocks", list, dict)
     try:
-        _require_arrays(obj["blocks"])
-        for b in obj["blocks"]:
-            if not isinstance(b, dict):
-                raise TypeError(f"expected an object, got {type(b).__name__}")
         return TNorm(
             tuple(
-                Block(parse_rat(b["lo"]), parse_rat(b["hi"]), BlockKind(b["kind"]))
-                for b in obj["blocks"]
+                Block(
+                    parse_rat(_field(b, "lo", "t-norm block")),
+                    parse_rat(_field(b, "hi", "t-norm block")),
+                    BlockKind(_field(b, "kind", "t-norm block")),
+                )
+                for b in blocks
             )
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad block spec: {exc}") from exc
 
 
@@ -114,19 +134,16 @@ def intervalset_to_obj(s: IntervalSet) -> Any:
 
 
 def intervalset_from_obj(obj: Any) -> IntervalSet:
-    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
-        raise ParseError("interval set must be {'components': [...]}")
+    obj = _shaped(obj, "interval set", dict)
     parts = []
-    for c in obj["components"]:
-        if not isinstance(c, dict):
-            raise ParseError(f"bad component {c!r}")
+    for c in _shaped(
+        _field(obj, "components", "interval set"), "interval set components", list, dict
+    ):
         if "at" in c:
             parts.append(parse_rat(c["at"]))
         else:
-            try:
-                parts.append((parse_rat(c["lo"]), parse_rat(c["hi"])))
-            except KeyError as exc:
-                raise ParseError(f"bad component {c!r}") from exc
+            lo = parse_rat(_field(c, "lo", "interval set component"))
+            parts.append((lo, parse_rat(_field(c, "hi", "interval set component"))))
     try:
         return IntervalSet.of(parts)
     except ValueError as exc:
@@ -146,26 +163,17 @@ def qcat_to_obj(c: QCat) -> Any:
 
 
 def qcat_from_obj(obj: Any) -> QCat:
-    if not isinstance(obj, dict):
-        raise ParseError("category must be an object")
+    obj = _shaped(obj, "category", dict)
+    t = tnorm_from_obj(_field(obj, "tnorm", "category"))
+    points = _shaped(_field(obj, "points", "category"), "category points", list)
+    matrix = _shaped(_field(obj, "matrix", "category"), "category matrix", list, list)
+    matrix = tuple(tuple(map(parse_rat, row)) for row in matrix)
     try:
-        t = tnorm_from_obj(obj["tnorm"])
-        points = tuple(obj["points"])
-        matrix = tuple(
-            tuple(parse_rat(v) for v in row) for row in obj["matrix"]
-        )
-        try:
-            c = QCat(t, points, matrix)
-        except TypeError as exc:
-            raise ParseError(f"category points must be labels: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        _require_arrays(obj["points"], obj["matrix"], *obj["matrix"])
-        return c
-    except KeyError as exc:
-        raise ParseError(f"category is missing field {exc}") from exc
+        return QCat(t, tuple(points), matrix)
     except TypeError as exc:
-        raise ParseError(f"category points and matrix must be lists: {exc}") from exc
+        raise ParseError(f"category points must be labels: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +198,9 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
     norm ``tnorm`` stands in for a missing field; a field naming another
     norm is a DomainError (a name and a block file of one norm are the
     same norm)."""
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ParseError("suitable set must carry a 'variant'")
+    obj = _shaped(obj, "suitable set", dict)
     try:
-        variant = SuitableVariant(obj["variant"])
+        variant = SuitableVariant(_field(obj, "variant", "suitable set"))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     if "tnorm" in obj:
@@ -206,18 +213,14 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
     elif tnorm is None:
         raise ParseError("suitable set needs a t-norm (field or context)")
     k = intervalset_from_obj(obj["k"]) if obj.get("k") is not None else None
+    pairs = None
+    if obj.get("pairs") is not None:
+        pairs = _shaped(obj["pairs"], "suitable pairs", list, list)
+        if any(len(p) != 2 for p in pairs):
+            raise ParseError("suitable pairs must each have two entries")
+        pairs = frozenset(tuple(map(parse_rat, p)) for p in pairs)
     try:
-        pairs = (
-            frozenset((parse_rat(a), parse_rat(b)) for a, b in obj["pairs"])
-            if obj.get("pairs") is not None
-            else None
-        )
-        s = SuitableSet(tnorm, variant, k=k, pairs=pairs)
-        if pairs is not None:
-            _require_arrays(obj["pairs"], *obj["pairs"])
-        return s
-    except TypeError as exc:
-        raise ParseError(f"suitable pairs must be a list of pairs: {exc}") from exc
+        return SuitableSet(tnorm, variant, k=k, pairs=pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -247,29 +250,21 @@ def lift_from_obj(obj: Any, family: str):
     are read: the carrier is a list of labels and each map an object.
     Which point a map omits or where it sends one, and whether the
     carrier repeats a point, are the lift's own checks."""
-    if not isinstance(obj, dict):
-        raise ParseError("lift spec must be an object")
-    try:
-        t = tnorm_from_obj(obj["tnorm"])
-        entries = obj[family]
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict) for e in entries
-        ):
-            raise ParseError(f"lift {family} must be a list of objects")
-        pairs = [(qcat_from_obj(e["category"]), e["map"]) for e in entries]
-        carrier = obj["carrier"]
-    except KeyError as exc:
-        raise ParseError(f"lift spec is missing field {exc}") from exc
-    if not isinstance(carrier, list):
-        raise ParseError("lift carrier must be a list")
+    obj = _shaped(obj, "lift spec", dict)
+    t = tnorm_from_obj(_field(obj, "tnorm", "lift spec"))
+    entries = _shaped(_field(obj, family, "lift spec"), f"lift {family}", list, dict)
+    pairs = [
+        (qcat_from_obj(_field(e, "category", "lift spec")), _field(e, "map", "lift spec"))
+        for e in entries
+    ]
+    carrier = _shaped(_field(obj, "carrier", "lift spec"), "lift carrier", list)
     try:
         for p in carrier:
             hash(p)
     except TypeError as exc:
         raise ParseError(f"lift carrier points must be labels: {exc}") from exc
     for _, f in pairs:
-        if not isinstance(f, dict):
-            raise ParseError(f"{family[:-1]} map must be an object")
+        _shaped(f, f"{family[:-1]} map", dict)
     return t, carrier, pairs
 
 

@@ -420,8 +420,7 @@ def sqrt_with(t: TNorm, x) -> Fraction:
 
 
 def _rational_sqrt(v: Fraction) -> Optional[Fraction]:
-    if v < 0:
-        return None
+    """The rational square root of v >= 0, or None when it is irrational."""
     pn = math.isqrt(v.numerator)
     pd = math.isqrt(v.denominator)
     if pn * pn == v.numerator and pd * pd == v.denominator:

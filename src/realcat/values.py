@@ -19,8 +19,15 @@ ONE = Fraction(1)
 
 def unit(value) -> Fraction:
     """Coerce to a Fraction and check it lies in [0, 1].  A Fraction
-    comes back as it is: it is immutable and already in lowest terms."""
-    v = value if isinstance(value, Fraction) else Fraction(value)
+    comes back as it is: it is immutable and already in lowest terms.
+    A float is refused: 0.1 is not 1/10 but the nearest binary
+    fraction, so values stay exact only when given exactly."""
+    if isinstance(value, Fraction):
+        v = value
+    elif isinstance(value, float):
+        raise ValueError(f"value {value!r} is a float, not an exact rational")
+    else:
+        v = Fraction(value)
     # the denominator is positive, so 0 <= v <= 1 compares integers
     if not 0 <= v.numerator <= v.denominator:
         raise ValueError(f"value {v} outside [0, 1]")

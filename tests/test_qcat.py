@@ -161,6 +161,24 @@ class TestFunctors:
         assert functor_violation(ident) is None
         assert QFunctor(chain3, chain3, ("b", "b", "c"))("a") == "b"
 
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            (lambda c: c.index("w"), "'w' is not a point"),
+            (lambda c: c.index(["a"]), "['a'] is not a point"),
+            (lambda c: c.r("a", "w"), "'w' is not a point"),
+            (lambda c: c.r(["a"], "b"), "['a'] is not a point"),
+            (lambda c: QFunctor(c, c, ("a", "b")), "mapping length does not match domain"),
+            (lambda c: QFunctor(c, c, ("a", ["b"], "c")), "image ['b'] not a codomain point"),
+        ],
+        ids=["index-missing", "index-unhashable", "r-missing", "r-unhashable",
+             "functor-short", "functor-unhashable"],
+    )
+    def test_a_lookup_names_what_is_no_point(self, chain3, lookup, message):
+        with pytest.raises(ValueError) as err:
+            lookup(chain3)
+        assert str(err.value) == message
+
     def test_functor_violation_is_the_first_pair_in_row_major_order(self):
         a = two_point(LUK, F(1, 2), F(1, 4))
         ident = QFunctor(a, a, a.points)
@@ -802,7 +820,7 @@ class TestBuiltOutputs:
 class TestCheckedEntries:
     """QCat checks outside entries in one pass; whatever is not a
     Fraction in [0, 1] takes values.unit's path, which coerces it or
-    raises as it always has."""
+    raises.  A float is refused, as it is no exact rational."""
 
     @pytest.mark.parametrize(
         "entry, value",
@@ -812,7 +830,6 @@ class TestCheckedEntries:
             (True, F(1)),
             ("1/2", F(1, 2)),
             (" 3/4 ", F(3, 4)),
-            (0.5, F(1, 2)),
         ],
     )
     def test_other_types_are_coerced_to_fractions(self, entry, value):
@@ -832,7 +849,9 @@ class TestCheckedEntries:
             (-1, "value -1 outside [0, 1]"),
             ("5/4", "value 5/4 outside [0, 1]"),
             ("-0.25", "value -1/4 outside [0, 1]"),
-            (1.5, "value 3/2 outside [0, 1]"),
+            (1.5, "value 1.5 is a float, not an exact rational"),
+            (0.5, "value 0.5 is a float, not an exact rational"),
+            (0.1, "value 0.1 is a float, not an exact rational"),
             ("x", "Invalid literal for Fraction: 'x'"),
         ],
     )

@@ -13,11 +13,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _pycon_blocks():
-    """Each fenced pycon block, with the number of README lines before it."""
+    """Each fenced pycon block, with the number of README lines before
+    it, named by its order so that an edit above it keeps its name."""
     text = README.read_text()
-    for m in re.finditer(r"^```pycon\n(.*?)^```", text, re.M | re.S):
+    matches = re.finditer(r"^```pycon\n(.*?)^```", text, re.M | re.S)
+    for n, m in enumerate(matches, 1):
         lineno = text.count("\n", 0, m.start(1))
-        yield pytest.param(lineno, m.group(1), id=f"line-{lineno}")
+        yield pytest.param(lineno, m.group(1), id=f"example-{n}")
 
 
 BLOCKS = list(_pycon_blocks())

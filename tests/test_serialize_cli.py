@@ -79,13 +79,13 @@ class TestTNormFormat:
         with pytest.raises(ParseError):
             ser.tnorm_from_obj({"blocks": [{"lo": "0/1", "kind": "product"}]})
 
-    @pytest.mark.parametrize("block, cause", [("x", "str"), (["0/1", "1/1"], "list")])
-    def test_a_block_that_is_no_object_is_refused(self, block, cause):
+    @pytest.mark.parametrize("block", ["x", ["0/1", "1/1"]], ids=["x-str", "block1-list"])
+    def test_a_block_that_is_no_object_is_refused(self, block):
         """Read from a string, a block's field would be Python's own text,
-        which differs between versions."""
+        which differs between versions, so the blocks are checked first."""
         with pytest.raises(ParseError) as err:
             ser.tnorm_from_obj({"blocks": [block]})
-        assert str(err.value) == f"bad block spec: expected an object, got {cause}"
+        assert str(err.value) == "t-norm blocks must be a list of objects"
 
     def test_overlapping_blocks_rejected(self):
         block = {"lo": "0/1", "hi": "1/2", "kind": "product"}
@@ -374,6 +374,29 @@ class TestCLI:
         )
         assert code == 3
 
+    def test_construct_hom_power(self, workdir, capsys):
+        """[A, A] for the Godel edge x -> y at 1/2: its functors are the
+        two constants and the identity, and [A, A](f, g) is the meet of
+        r(p, q) => r(f p, g q)."""
+        a = workdir["dir"] / "a.json"
+        a.write_text(ser.dumps(ser.qcat_to_obj(two_point(godel(), F(1, 2), 0, ("x", "y")))))
+        assert cli.main(["construct", "hom_power", str(a), str(a)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "tnorm": "godel",
+            "points": ["(x,x)", "(x,y)", "(y,y)"],
+            "matrix": [["1/1", "1/2", "1/2"], ["0/1", "1/1", "1/2"], ["0/1", "0/1", "1/1"]],
+        }
+
+    def test_construct_out_into_a_missing_directory_exits_two(self, workdir):
+        out = workdir["dir"] / "no" / "c.json"
+        code, stdout, err = _run(
+            ["construct", "product", workdir["good"], workdir["good"], "--out", str(out)]
+        )
+        assert (code, stdout) == (2, "") and err.startswith(f"error: {out}: ")
+        assert len(err.splitlines()) == 1 and not out.parent.exists()
+
     def test_construct_hom_power_refuses_a_non_category(self, workdir, capsys):
         """A and L from the (3/4, 3/4, 1/2) witness are categories, L
         being the final lift of A x B and A x C on the points of A x D,
@@ -599,7 +622,7 @@ class TestCLI:
             (
                 ["coreflect", "x", "good"],
                 {"tnorm": "lukasiewicz"},
-                "suitable set must carry a 'variant'",
+                "suitable set is missing field 'variant'",
             ),
             (
                 ["final_lift", "x"],
@@ -740,7 +763,7 @@ class TestCLI:
         out = json.loads(captured.out)
         assert out["summary"] == {"pass": 1, "fail": 1, "error": 0}
         assert out["cases"][1]["detail"] == (
-            "interval set invalid: bad component {'lo': '1/2'}"
+            "interval set invalid: interval set component is missing field 'hi'"
         )
         assert cli.main(["validate", workdir["good"], str(k)]) == 2
 
@@ -891,20 +914,8 @@ class TestCLI:
         files = {"NORM": str(norm), "CAT": workdir["good"], "K": workdir["k_l3"]}
         hint = "--tnorm takes one of ['godel', 'lukasiewicz', 'product', 'remark4'] or a t-norm file"
         assert _run([files.get(a, a) for a in argv]) == (
-            2, "", f"error: {hint}; {norm}: bad block spec: 'hi'\n"
+            2, "", f"error: {hint}; {norm}: t-norm block is missing field 'hi'\n"
         )
-
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ({"components": "x"}, "interval set must be {'components': [...]}"),
-            ({"components": [3]}, "bad component 3"),
-        ],
-    )
-    def test_a_k_file_that_fails_to_decode_is_named(self, workdir, doc, message):
-        k = workdir["dir"] / "k.json"
-        k.write_text(json.dumps(doc))
-        assert _run(["witness", "--k", str(k)]) == (2, "", f"error: {k}: {message}\n")
 
     def test_witness_exact_when_the_grid_misses(self, workdir, capsys):
         """One product block [1/3, 17/50]: K = [1/3, 17/50] + {1} is not
@@ -1264,17 +1275,17 @@ _GODEL_IDENTITY = {
 
 
 @pytest.mark.parametrize(
-    "kind, doc, cause",
+    "kind, doc, message",
     [
-        ("category", {"tnorm": "godel", "points": "ab", "matrix": ["10", "01"]}, "str"),
-        ("category", {"tnorm": "godel", "points": ["a"], "matrix": {"1": 0}}, "dict"),
-        ("category", {"tnorm": "godel", "points": ["a", "b"], "matrix": ["10", "01"]}, "str"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {}}}, "dict"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": ""}}, "str"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": "x"}}, "str"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {"lo": "0/1"}}}, "dict"),
-        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": ["00", "11"]}, "str"),
-        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": {"01": 1}}, "dict"),
+        ("category", {"tnorm": "godel", "points": "ab", "matrix": ["10", "01"]}, "category points must be a list"),
+        ("category", {"tnorm": "godel", "points": ["a"], "matrix": {"1": 0}}, "category matrix must be a list of lists"),
+        ("category", {"tnorm": "godel", "points": ["a", "b"], "matrix": ["10", "01"]}, "category matrix must be a list of lists"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {}}}, "t-norm blocks must be a list of objects"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": ""}}, "t-norm blocks must be a list of objects"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": "x"}}, "t-norm blocks must be a list of objects"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {"lo": "0/1"}}}, "t-norm blocks must be a list of objects"),
+        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": ["00", "11"]}, "suitable pairs must be a list of lists"),
+        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": {"01": 1}}, "suitable pairs must be a list of lists"),
     ],
     ids=[
         "points",
@@ -1288,15 +1299,9 @@ _GODEL_IDENTITY = {
         "pairs",
     ],
 )
-def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, cause):
+def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, message):
     """Each of these decoded once, as characters or keys; now validate
     records a failing case and construct exits 2."""
-    reader = {
-        "category": "category points and matrix must be lists",
-        "suitable set": "suitable pairs must be a list of pairs",
-    }[kind]
-    if isinstance(doc["tnorm"], dict):
-        reader = "bad block spec"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.json"
         path.write_text(json.dumps(doc))
@@ -1306,14 +1311,113 @@ def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, cause):
         assert (code, err) == (1, "")
         [case] = json.loads(out)["cases"]
         assert case["status"] == "fail"
-        assert case["detail"] == (
-            f"{kind} invalid: {reader}: expected an array, got {cause}"
-        )
+        assert case["detail"] == f"{kind} invalid: {message}"
         argv = ["construct", "por_rho", str(path)]
         if kind == "suitable set":
             argv = ["construct", "coreflect", str(path), str(other)]
-        code, out, err = _run(argv)
-        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        assert _run(argv) == (2, "", f"error: {path}: {message}\n")
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# each reader: the run that decodes a document with it (DOC its path,
+# CAT a Godel category's), the hint its error line puts before the path,
+# and the kind validate reads the document as when it holds that kind's
+# key (a t-norm, inside a category)
+_READER_RUNS = {
+    "t-norm": (
+        ["verify", "approx", "--tnorm", "DOC"],
+        f"--tnorm takes one of {NORM_NAMES} or a t-norm file; ",
+        "category",
+        "matrix",
+    ),
+    "interval-set": (["witness", "--k", "DOC"], "", "interval set", "components"),
+    "category": (["construct", "por_rho", "DOC"], "", "category", "matrix"),
+    "suitable-set": (
+        ["construct", "coreflect", "DOC", "CAT"], "", "suitable set", "variant"
+    ),
+}
+
+
+def _reader_faults():
+    """(reader, document, message) for each shape fault of the t-norm,
+    interval-set, category and suitable-set readers, one fault per
+    document, and for the two value faults those readers name
+    themselves.  The lift reader's are in _lift_faults()."""
+    block = {"lo": "0/1", "hi": "1/1", "kind": "product"}
+    explicit = {"variant": "explicit", "tnorm": "godel", "pairs": [["0/1", "0/1"]]}
+    rows = {
+        "t-norm": [
+            ("number", 3, "t-norm must be a builtin name or {'blocks': [...]}"),
+            ("list", ["godel"], "t-norm must be a builtin name or {'blocks': [...]}"),
+            ("no-blocks", {}, "t-norm is missing field 'blocks'"),
+            ("blocks", {"blocks": "x"}, "t-norm blocks must be a list of objects"),
+            ("block", {"blocks": [["0/1", "1/1"]]}, "t-norm blocks must be a list of objects"),
+            *(
+                (f"no-{key}", {"blocks": [_without(block, key)]},
+                 f"t-norm block is missing field '{key}'")
+                for key in block
+            ),
+        ],
+        "interval-set": [
+            ("number", 3, "interval set must be an object"),
+            ("no-components", {}, "interval set is missing field 'components'"),
+            ("components", {"components": "x"}, "interval set components must be a list of objects"),
+            ("component", {"components": [3]}, "interval set components must be a list of objects"),
+            ("no-lo", {"components": [{"hi": "1/2"}]}, "interval set component is missing field 'lo'"),
+            ("no-hi", {"components": [{"lo": "1/2"}]}, "interval set component is missing field 'hi'"),
+            ("empty", {"components": [{"lo": "3/4", "hi": "1/2"}]}, "interval [3/4, 1/2] is empty"),
+        ],
+        "category": [
+            ("list", [_GODEL_IDENTITY], "category must be an object"),
+            *(
+                (f"no-{key}", _without(_GODEL_IDENTITY, key),
+                 f"category is missing field '{key}'")
+                for key in _GODEL_IDENTITY
+            ),
+            ("points", {**_GODEL_IDENTITY, "points": "ab"}, "category points must be a list"),
+            ("matrix", {**_GODEL_IDENTITY, "matrix": "x"}, "category matrix must be a list of lists"),
+            ("row", {**_GODEL_IDENTITY, "matrix": [["1/1", "0/1"], "x"]}, "category matrix must be a list of lists"),
+            ("tnorm", {**_GODEL_IDENTITY, "tnorm": {"blocks": [3]}}, "t-norm blocks must be a list of objects"),
+        ],
+        "suitable-set": [
+            ("list", [explicit], "suitable set must be an object"),
+            ("no-variant", _without(explicit, "variant"), "suitable set is missing field 'variant'"),
+            ("pairs", {**explicit, "pairs": "x"}, "suitable pairs must be a list of lists"),
+            ("pair", {**explicit, "pairs": [["0/1", "0/1"], "x"]}, "suitable pairs must be a list of lists"),
+            ("short-pair", {**explicit, "pairs": [["0/1"]]}, "suitable pairs must each have two entries"),
+            ("long-pair", {**explicit, "pairs": [["0/1"] * 3]}, "suitable pairs must each have two entries"),
+            ("k", {"variant": "k_square", "tnorm": "godel", "k": ["0/1"]}, "interval set must be an object"),
+        ],
+    }
+    for reader, faults in rows.items():
+        for name, doc, message in faults:
+            yield pytest.param(reader, doc, message, id=f"{reader}-{name}")
+
+
+@pytest.mark.parametrize("reader, doc, message", _reader_faults())
+def test_each_reader_fault_has_its_line(
+    tmp_path, reader, doc, message
+):
+    """The run exits 2 with one line naming the file and the fault, and
+    validate, where it reads the document, records the same fault."""
+    argv, hint, kind, key = _READER_RUNS[reader]
+    paths = {"DOC": tmp_path / "doc.json", "CAT": tmp_path / "cat.json"}
+    paths["DOC"].write_text(json.dumps(doc))
+    paths["CAT"].write_text(json.dumps(_GODEL_IDENTITY))
+    assert _run([str(paths.get(a, a)) for a in argv]) == (
+        2, "", f"error: {hint}{paths['DOC']}: {message}\n"
+    )
+    if reader == "t-norm":
+        doc = {"tnorm": doc, "points": ["a"], "matrix": [["1/1"]]}
+    if isinstance(doc, dict) and key in doc:
+        paths["DOC"].write_text(json.dumps(doc))
+        code, out, err = _run(["validate", str(paths["DOC"]), "--tnorm", "godel"])
+        assert (code, err) == (1, "")
+        [case] = json.loads(out)["cases"]
+        assert (case["status"], case["detail"]) == ("fail", f"{kind} invalid: {message}")
 
 
 _EDGE = {
