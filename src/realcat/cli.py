@@ -51,9 +51,8 @@ from typing import Callable
 
 from . import qcat as qc
 from . import serialize as ser
-from . import subconstructs as sub
 from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded, one_line
-from .suites import SUITES, Report, WorkspaceConfig, run_suite
+from .serialize import Report
 from .tnorm import BUILTIN_NORMS, TNorm, subquantale_check
 from .values import SAMPLE_DENOMINATOR
 
@@ -64,10 +63,41 @@ EXIT_SIZE = 3
 EXIT_DOMAIN = 5
 EXIT_CODES = {ParseError: EXIT_PARSE, SizeLimitExceeded: EXIT_SIZE}  # else EXIT_DOMAIN
 
+# the names of realcat.suites.SUITES, so that building the parser does
+# not import the suites (a test keeps the two alike)
+SUITE_NAMES = (
+    "approx",
+    "ccc_equivalence",
+    "exponential_law",
+    "monoidal",
+    "power_existence",
+    "resd_prop",
+    "suitable",
+    "tnorm_laws",
+    "yoneda",
+)
+
+
+def _sub(name: str, *args):
+    """subconstructs.<name>(*args).  Only the commands and input files
+    that need the module import it."""
+    from . import subconstructs
+
+    return getattr(subconstructs, name)(*args)
+
+
+def _file_error(path: str, exc: OSError) -> ParseError:
+    """exc as one line that names path once: "D/c.json: No such file or
+    directory", not Python's "[Errno 2] ... 'D/c.json'"."""
+    return ParseError(f"{path}: {exc.strerror or exc}")
+
+
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
+    except OSError as exc:
+        raise _file_error(path, exc) from exc
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -75,7 +105,7 @@ def _write(path: str, text: str):
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise _file_error(path, exc) from exc
 
 
 def _decoded(path: str, decode: Callable):
@@ -132,7 +162,7 @@ def _categories(args) -> list[qc.QCat]:
 def _suitable_and_category(args):
     """C and R read suitable sets only: reject any other set."""
     path = args.inputs[0]
-    s = sub.require_suitable(_decoded(path, ser.suitable_from_obj), where=f"{path}: ")
+    s = _sub("require_suitable", _decoded(path, ser.suitable_from_obj), f"{path}: ")
     return s, _category(args.inputs[1])
 
 
@@ -169,12 +199,12 @@ CONSTRUCT_KINDS = {
     "tensor": (2, lambda args: qc.tensor(*_categories(args))),
     "hom_tensor": (2, lambda args: qc.hom_tensor(*_categories(args), args.max_maps)),
     "hom_power": (2, _hom_power),
-    "coreflect": (2, lambda args: sub.coreflect_c(*_suitable_and_category(args))),
-    "reflect": (2, lambda args: sub.reflect_r(*_suitable_and_category(args))),
+    "coreflect": (2, lambda args: _sub("coreflect_c", *_suitable_and_category(args))),
+    "reflect": (2, lambda args: _sub("reflect_r", *_suitable_and_category(args))),
     "initial_lift": (1, partial(_lift, "sources")),
     "final_lift": (1, partial(_lift, "sinks")),
-    "por_rho": (1, lambda args: sub.por_coreflection(*_categories(args))),
-    "por_sigma": (1, lambda args: sub.por_reflection(*_categories(args))),
+    "por_rho": (1, lambda args: _sub("por_coreflection", *_categories(args))),
+    "por_sigma": (1, lambda args: _sub("por_reflection", *_categories(args))),
 }
 
 
@@ -184,7 +214,10 @@ def cmd_validate(args) -> int:
     # each input kind: the decoder of its file and the check of its value
     checks = {
         "category": (ser.qcat_from_obj, qc.validate_qcat),
-        "suitable set": (partial(ser.suitable_from_obj, tnorm=t), sub.check_suitable),
+        "suitable set": (
+            partial(ser.suitable_from_obj, tnorm=t),
+            partial(_sub, "check_suitable"),
+        ),
         "interval set": (ser.intervalset_from_obj, partial(subquantale_check, t)),
     }
     for path in args.paths:
@@ -224,12 +257,16 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import WorkspaceConfig, run_suite
+
     report = run_suite(args.suite, WorkspaceConfig(tnorm=_tnorm(args.tnorm)))
     _emit(report, args.format)
     return EXIT_OK if report.passed else EXIT_WITNESS
 
 
 def cmd_witness(args) -> int:
+    from . import subconstructs as sub
+
     t = _tnorm(args.tnorm)
     k = _decoded(args.k, ser.intervalset_from_obj)
     sq = subquantale_check(t, k)
@@ -299,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = subparsers.add_parser("verify", help="run an invariant suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--tnorm", default="lukasiewicz", help=tnorm_help)
     p.set_defaults(func=cmd_verify)

@@ -1,5 +1,6 @@
 """JSON wire formats: t-norms, interval sets, categories, suitable sets,
-lift specs (read only) and CCC witnesses (written only).
+lift specs (read only), and CCC witnesses and check reports (written
+only).
 
 Every reader checks a field's JSON shape before it reads any value
 inside it: a missing field is "<what> is missing field '<key>'", and an
@@ -20,14 +21,18 @@ re-parse to equal values.
 from __future__ import annotations
 
 import json
-from typing import Any
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import TYPE_CHECKING, Any, Iterable
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, one_line
 from .intervals import IntervalSet
 from .qcat import QCat
-from .subconstructs import CCCWitness, SuitableSet, SuitableVariant
 from .tnorm import BUILTIN_NORMS, Block, BlockKind, TNorm
 from .values import format_rat, parse_rat
+
+if TYPE_CHECKING:  # for annotations; suitable_from_obj imports it when it runs
+    from .subconstructs import CCCWitness, SuitableSet
 
 
 def point_label(p) -> str:
@@ -72,6 +77,15 @@ def _shaped(value: Any, what: str, shape: type, of: type | None = None) -> Any:
     return value
 
 
+def _member(kind: type[Enum], value: Any, what: str) -> Any:
+    """The member of the enum kind whose value is value, or a ParseError
+    that names value and lists the valid values."""
+    values = sorted(member.value for member in kind)
+    if value not in values:
+        raise ParseError(f"unknown {what} {value!r}; expected one of {values}")
+    return kind(value)
+
+
 # ---------------------------------------------------------------------------
 # t-norms
 
@@ -110,7 +124,7 @@ def tnorm_from_obj(obj: Any) -> TNorm:
                 Block(
                     parse_rat(_field(b, "lo", "t-norm block")),
                     parse_rat(_field(b, "hi", "t-norm block")),
-                    BlockKind(_field(b, "kind", "t-norm block")),
+                    _member(BlockKind, _field(b, "kind", "t-norm block"), "t-norm block kind"),
                 )
                 for b in blocks
             )
@@ -198,11 +212,12 @@ def suitable_from_obj(obj: Any, tnorm: TNorm | None = None) -> SuitableSet:
     norm ``tnorm`` stands in for a missing field; a field naming another
     norm is a DomainError (a name and a block file of one norm are the
     same norm)."""
+    from .subconstructs import SuitableSet, SuitableVariant
+
     obj = _shaped(obj, "suitable set", dict)
-    try:
-        variant = SuitableVariant(_field(obj, "variant", "suitable set"))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    variant = _member(
+        SuitableVariant, _field(obj, "variant", "suitable set"), "suitable set variant"
+    )
     if "tnorm" in obj:
         own = tnorm_from_obj(obj["tnorm"])
         if tnorm is not None and own != tnorm:
@@ -286,6 +301,68 @@ def witness_to_obj(w: CCCWitness) -> Any:
             "D": qcat_to_obj(w.cat_d),
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# check reports
+
+
+@dataclass
+class Report:
+    """Machine-readable outcome of one suite run or one ``validate``
+    command: a case per check, written as JSON (``to_obj``) or one line
+    per case (``to_text``)."""
+
+    suite: str
+    cases: list = field(default_factory=list)
+
+    def record(self, name: str, passed: bool, detail: str = "", witness=None):
+        self.cases.append(
+            {
+                "name": name,
+                "status": "pass" if passed else "fail",
+                "detail": detail,
+                "witness": witness,
+            }
+        )
+
+    def check(self, name: str, failures: Iterable[str]):
+        """Record `name` as failing with the first message `failures`
+        yields (nothing after it is scanned), or as passing if none."""
+        first = next(iter(failures), None)
+        self.record(name, first is None, first or "")
+
+    def error(self, name: str, detail: str):
+        self.cases.append(
+            {"name": name, "status": "error", "detail": detail, "witness": None}
+        )
+
+    @property
+    def summary(self) -> dict:
+        counts = {"pass": 0, "fail": 0, "error": 0}
+        for c in self.cases:
+            counts[c["status"]] += 1
+        return counts
+
+    @property
+    def passed(self) -> bool:
+        s = self.summary
+        return s["fail"] == 0 and s["error"] == 0
+
+    def to_obj(self) -> dict:
+        return {"suite": self.suite, "cases": self.cases, "summary": self.summary}
+
+    def to_text(self) -> str:
+        lines = [f"suite {self.suite}"]
+        for c in self.cases:
+            mark = {"pass": "ok  ", "fail": "FAIL", "error": "ERR "}[c["status"]]
+            detail = f"  ({one_line(c['detail'])})" if c["detail"] else ""
+            lines.append(f"  [{mark}] {one_line(c['name'])}{detail}")
+        s = self.summary
+        lines.append(
+            f"  {s['pass']} passed, {s['fail']} failed, {s['error']} errored"
+        )
+        return "\n".join(lines) + "\n"
 
 
 def dumps(obj: Any) -> str:

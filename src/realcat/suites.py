@@ -14,11 +14,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import subconstructs as sub
 from . import yoneda
-from .errors import one_line
 from .intervals import IntervalSet
 from .qcat import (
     QCat,
@@ -31,6 +30,7 @@ from .qcat import (
     tensor_untranspose,
     validate_qcat,
 )
+from .serialize import Report
 from .subconstructs import CRISP
 from .tnorm import (
     BUILTIN_NORMS,
@@ -54,62 +54,6 @@ class WorkspaceConfig:
     """The t-norm that ``realcat verify`` hands a suite."""
 
     tnorm: TNorm = field(default_factory=lukasiewicz)
-
-
-@dataclass
-class Report:
-    """Machine-readable outcome of one suite run."""
-
-    suite: str
-    cases: list = field(default_factory=list)
-
-    def record(self, name: str, passed: bool, detail: str = "", witness=None):
-        self.cases.append(
-            {
-                "name": name,
-                "status": "pass" if passed else "fail",
-                "detail": detail,
-                "witness": witness,
-            }
-        )
-
-    def check(self, name: str, failures: Iterable[str]):
-        """Record `name` as failing with the first message `failures`
-        yields (nothing after it is scanned), or as passing if none."""
-        first = next(iter(failures), None)
-        self.record(name, first is None, first or "")
-
-    def error(self, name: str, detail: str):
-        self.cases.append(
-            {"name": name, "status": "error", "detail": detail, "witness": None}
-        )
-
-    @property
-    def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "error": 0}
-        for c in self.cases:
-            counts[c["status"]] += 1
-        return counts
-
-    @property
-    def passed(self) -> bool:
-        s = self.summary
-        return s["fail"] == 0 and s["error"] == 0
-
-    def to_obj(self) -> dict:
-        return {"suite": self.suite, "cases": self.cases, "summary": self.summary}
-
-    def to_text(self) -> str:
-        lines = [f"suite {self.suite}"]
-        for c in self.cases:
-            mark = {"pass": "ok  ", "fail": "FAIL", "error": "ERR "}[c["status"]]
-            detail = f"  ({one_line(c['detail'])})" if c["detail"] else ""
-            lines.append(f"  [{mark}] {one_line(c['name'])}{detail}")
-        s = self.summary
-        lines.append(
-            f"  {s['pass']} passed, {s['fail']} failed, {s['error']} errored"
-        )
-        return "\n".join(lines) + "\n"
 
 
 def _rand_unit(rng: random.Random, max_den: int) -> Fraction:

@@ -79,14 +79,6 @@ class TestTNormFormat:
         with pytest.raises(ParseError):
             ser.tnorm_from_obj({"blocks": [{"lo": "0/1", "kind": "product"}]})
 
-    @pytest.mark.parametrize("block", ["x", ["0/1", "1/1"]], ids=["x-str", "block1-list"])
-    def test_a_block_that_is_no_object_is_refused(self, block):
-        """Read from a string, a block's field would be Python's own text,
-        which differs between versions, so the blocks are checked first."""
-        with pytest.raises(ParseError) as err:
-            ser.tnorm_from_obj({"blocks": [block]})
-        assert str(err.value) == "t-norm blocks must be a list of objects"
-
     def test_overlapping_blocks_rejected(self):
         block = {"lo": "0/1", "hi": "1/2", "kind": "product"}
         with pytest.raises(ParseError):
@@ -303,7 +295,10 @@ class TestCLI:
         assert out["cases"][0]["status"] == "fail"
 
     def test_validate_missing_file_exits_two(self, workdir):
-        assert cli.main(["validate", str(workdir["dir"] / "nope.json")]) == 2
+        path = workdir["dir"] / "nope.json"
+        assert _run(["validate", str(path)]) == (
+            2, "", f"error: {path}: No such file or directory\n"
+        )
 
     def test_validate_intervalset_needs_tnorm(self, workdir):
         assert cli.main(["validate", workdir["k_l3"]]) == 2
@@ -394,8 +389,8 @@ class TestCLI:
         code, stdout, err = _run(
             ["construct", "product", workdir["good"], workdir["good"], "--out", str(out)]
         )
-        assert (code, stdout) == (2, "") and err.startswith(f"error: {out}: ")
-        assert len(err.splitlines()) == 1 and not out.parent.exists()
+        assert (code, stdout, err) == (2, "", f"error: {out}: No such file or directory\n")
+        assert not out.parent.exists()
 
     def test_construct_hom_power_refuses_a_non_category(self, workdir, capsys):
         """A and L from the (3/4, 3/4, 1/2) witness are categories, L
@@ -735,7 +730,8 @@ class TestCLI:
         out = json.loads(captured.out)
         assert out["summary"] == {"pass": 1, "fail": 1, "error": 0}
         assert out["cases"][1]["detail"] == (
-            "suitable set invalid: 'nope' is not a valid SuitableVariant"
+            "suitable set invalid: unknown suitable set variant 'nope'; "
+            "expected one of ['explicit', 'k_diagonal', 'k_square', 'sqrt_band']"
         )
 
     def test_validate_reports_a_stray_suitable_field_per_file(self, workdir, capsys):
@@ -1274,50 +1270,6 @@ _GODEL_IDENTITY = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind, doc, message",
-    [
-        ("category", {"tnorm": "godel", "points": "ab", "matrix": ["10", "01"]}, "category points must be a list"),
-        ("category", {"tnorm": "godel", "points": ["a"], "matrix": {"1": 0}}, "category matrix must be a list of lists"),
-        ("category", {"tnorm": "godel", "points": ["a", "b"], "matrix": ["10", "01"]}, "category matrix must be a list of lists"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {}}}, "t-norm blocks must be a list of objects"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": ""}}, "t-norm blocks must be a list of objects"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": "x"}}, "t-norm blocks must be a list of objects"),
-        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": {"lo": "0/1"}}}, "t-norm blocks must be a list of objects"),
-        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": ["00", "11"]}, "suitable pairs must be a list of lists"),
-        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": {"01": 1}}, "suitable pairs must be a list of lists"),
-    ],
-    ids=[
-        "points",
-        "matrix",
-        "rows",
-        "blocks-object",
-        "blocks-string",
-        "blocks-nonempty-string",
-        "blocks-nonempty-object",
-        "pair",
-        "pairs",
-    ],
-)
-def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, message):
-    """Each of these decoded once, as characters or keys; now validate
-    records a failing case and construct exits 2."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.json"
-        path.write_text(json.dumps(doc))
-        other = Path(tmp) / "cat.json"
-        other.write_text(json.dumps(_GODEL_IDENTITY))
-        code, out, err = _run(["validate", str(path)])
-        assert (code, err) == (1, "")
-        [case] = json.loads(out)["cases"]
-        assert case["status"] == "fail"
-        assert case["detail"] == f"{kind} invalid: {message}"
-        argv = ["construct", "por_rho", str(path)]
-        if kind == "suitable set":
-            argv = ["construct", "coreflect", str(path), str(other)]
-        assert _run(argv) == (2, "", f"error: {path}: {message}\n")
-
-
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -1354,11 +1306,20 @@ def _reader_faults():
             ("list", ["godel"], "t-norm must be a builtin name or {'blocks': [...]}"),
             ("no-blocks", {}, "t-norm is missing field 'blocks'"),
             ("blocks", {"blocks": "x"}, "t-norm blocks must be a list of objects"),
+            ("blocks-empty-string", {"blocks": ""}, "t-norm blocks must be a list of objects"),
+            ("blocks-empty-object", {"blocks": {}}, "t-norm blocks must be a list of objects"),
+            ("blocks-object", {"blocks": {"lo": "0/1"}}, "t-norm blocks must be a list of objects"),
             ("block", {"blocks": [["0/1", "1/1"]]}, "t-norm blocks must be a list of objects"),
+            ("block-string", {"blocks": ["x"]}, "t-norm blocks must be a list of objects"),
             *(
                 (f"no-{key}", {"blocks": [_without(block, key)]},
                  f"t-norm block is missing field '{key}'")
                 for key in block
+            ),
+            (
+                "kind",
+                {"blocks": [{**block, "kind": "min"}]},
+                "unknown t-norm block kind 'min'; expected one of ['lukasiewicz', 'product']",
             ),
         ],
         "interval-set": [
@@ -1379,13 +1340,19 @@ def _reader_faults():
             ),
             ("points", {**_GODEL_IDENTITY, "points": "ab"}, "category points must be a list"),
             ("matrix", {**_GODEL_IDENTITY, "matrix": "x"}, "category matrix must be a list of lists"),
+            ("matrix-object", {**_GODEL_IDENTITY, "matrix": {"1": 0}}, "category matrix must be a list of lists"),
             ("row", {**_GODEL_IDENTITY, "matrix": [["1/1", "0/1"], "x"]}, "category matrix must be a list of lists"),
             ("tnorm", {**_GODEL_IDENTITY, "tnorm": {"blocks": [3]}}, "t-norm blocks must be a list of objects"),
         ],
         "suitable-set": [
             ("list", [explicit], "suitable set must be an object"),
             ("no-variant", _without(explicit, "variant"), "suitable set is missing field 'variant'"),
+            ("variant", {**explicit, "variant": "nope"}, (
+                "unknown suitable set variant 'nope'; "
+                "expected one of ['explicit', 'k_diagonal', 'k_square', 'sqrt_band']"
+            )),
             ("pairs", {**explicit, "pairs": "x"}, "suitable pairs must be a list of lists"),
+            ("pairs-object", {**explicit, "pairs": {"01": 1}}, "suitable pairs must be a list of lists"),
             ("pair", {**explicit, "pairs": [["0/1", "0/1"], "x"]}, "suitable pairs must be a list of lists"),
             ("short-pair", {**explicit, "pairs": [["0/1"]]}, "suitable pairs must each have two entries"),
             ("long-pair", {**explicit, "pairs": [["0/1"] * 3]}, "suitable pairs must each have two entries"),
