@@ -53,37 +53,38 @@ EXPORTED = [
 HEAVY = ("realcat.subconstructs", "realcat.suites", "realcat.yoneda")
 
 SRC = Path(realcat.__file__).resolve().parent.parent
-# runs the CLI on argv, then writes the realcat modules it imported as
-# the last line on stderr
+# runs the CLI on argv (none: imports only the package), then writes
+# its exit code and the realcat modules loaded as the last line on stderr
 PROBE = """
 import json, sys
-from realcat import cli
-try:
-    cli.main(sys.argv[1:])
-except SystemExit:
-    pass
+import realcat
+code = None
+if sys.argv[1:]:
+    from realcat import cli
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "realcat")
-print(json.dumps(loaded), file=sys.stderr)
+print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
 
-def _loaded(code: str, *argv: str, cwd=None) -> set:
-    """The realcat modules a fresh interpreter holds after running code
-    with argv, which writes them as its last line on stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+def _fresh(*argv: str, cwd=None) -> tuple:
+    """(exit code, realcat modules loaded) of PROBE on argv in a fresh
+    interpreter."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, "-c", PROBE, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded)
 
 
 def test_import_realcat_loads_no_submodule():
-    code = (
-        "import json, sys, realcat; print(json.dumps("
-        "[m for m in sys.modules if m.startswith('realcat')]), file=sys.stderr)"
-    )
-    assert _loaded(code) == {"realcat"}
+    assert _fresh() == (None, {"realcat"})
 
 
 @pytest.mark.parametrize("name, module", EXPORTED, ids=[n for n, _ in EXPORTED])
@@ -130,7 +131,7 @@ def inputs(tmp_path_factory):
             "carrier": ["x", "y"],
             "sinks": [{"category": _LUK_EDGE, "map": {"a": "x", "b": "y"}}],
         },
-        "k.json": {"components": [{"at": "0/1"}, {"at": "3/4"}, {"at": "1/1"}]},
+        "k.json": {"components": [{"at": f"{i}/4"} for i in range(5)]},
     }
     for name, doc in docs.items():
         (d / name).write_text(json.dumps(doc))
@@ -138,26 +139,27 @@ def inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, code, absent",
     [
-        (["construct", "final_lift", "lift.json"], HEAVY),
-        (["construct", "hom_power", "cat.json", "cat.json"], HEAVY),
-        (["validate", "cat.json", "cat.json"], HEAVY),
-        (["--help"], ("realcat.suites",)),
-        (["witness", "--k", "k.json"], ("realcat.suites",)),
+        (["construct", "final_lift", "lift.json"], 0, HEAVY),
+        (["construct", "hom_power", "cat.json", "cat.json"], 0, HEAVY),
+        (["validate", "cat.json", "cat.json"], 0, HEAVY),
+        (["--help"], 0, ("realcat.suites",)),
+        (["witness", "--k", "k.json"], 1, ("realcat.suites",)),
     ],
     ids=["final_lift", "hom_power", "validate", "help", "witness"],
 )
-def test_a_command_imports_only_the_modules_it_runs(inputs, argv, absent):
-    loaded = _loaded(PROBE, *argv, cwd=inputs)
-    assert "realcat.cli" in loaded and not loaded & set(absent), loaded
+def test_a_command_imports_only_the_modules_it_runs(inputs, argv, code, absent):
+    ran, loaded = _fresh(*argv, cwd=inputs)
+    assert ran == code and "realcat.cli" in loaded and not loaded & set(absent), loaded
 
 
 def test_verify_and_a_suitable_set_load_what_they_need(inputs):
     """The lazy imports still run: verify loads the suites, and a
     suitable-set file the subconstructs."""
-    assert set(HEAVY) <= _loaded(PROBE, "verify", "approx", cwd=inputs)
+    code, loaded = _fresh("verify", "approx", cwd=inputs)
+    assert code == 0 and set(HEAVY) <= loaded
     s = inputs / "s.json"
     s.write_text(json.dumps({"variant": "sqrt_band", "tnorm": "godel"}))
-    loaded = _loaded(PROBE, "validate", str(s), cwd=inputs)
-    assert "realcat.subconstructs" in loaded and "realcat.suites" not in loaded
+    code, loaded = _fresh("validate", str(s), cwd=inputs)
+    assert code == 0 and "realcat.subconstructs" in loaded and "realcat.suites" not in loaded
