@@ -79,6 +79,14 @@ class TestTNormFormat:
         with pytest.raises(ParseError):
             ser.tnorm_from_obj({"blocks": [{"lo": "0/1", "kind": "product"}]})
 
+    @pytest.mark.parametrize("block", [["0/1", "1/1"]], ids=["block1-list"])
+    def test_a_block_that_is_no_object_is_refused(self, block):
+        """Read from a list, a block's field would be an index into it, so
+        the blocks are checked to be objects first."""
+        with pytest.raises(ParseError) as err:
+            ser.tnorm_from_obj({"blocks": [block]})
+        assert str(err.value) == "t-norm blocks must be a list of objects"
+
     def test_overlapping_blocks_rejected(self):
         block = {"lo": "0/1", "hi": "1/2", "kind": "product"}
         with pytest.raises(ParseError):
@@ -1268,6 +1276,36 @@ _GODEL_IDENTITY = {
     "points": ["a", "b"],
     "matrix": [["1/1", "0/1"], ["0/1", "1/1"]],
 }
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        ("category", {"tnorm": "godel", "points": "ab", "matrix": ["10", "01"]}, "category points must be a list"),
+        ("category", {"tnorm": "godel", "points": ["a", "b"], "matrix": ["10", "01"]}, "category matrix must be a list of lists"),
+        ("category", {**_GODEL_IDENTITY, "tnorm": {"blocks": "x"}}, "t-norm blocks must be a list of objects"),
+        ("suitable set", {"variant": "explicit", "tnorm": "godel", "pairs": ["00", "11"]}, "suitable pairs must be a list of lists"),
+    ],
+    ids=["points", "rows", "blocks-nonempty-string", "pair"],
+)
+def test_a_string_or_object_in_place_of_an_array_is_refused(kind, doc, message):
+    """Each of these decoded once, as characters or keys; now validate
+    records a failing case, and construct exits 2 both for a category
+    (por_rho) and for a suitable set (coreflect)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(doc))
+        other = Path(tmp) / "cat.json"
+        other.write_text(json.dumps(_GODEL_IDENTITY))
+        code, out, err = _run(["validate", str(path)])
+        assert (code, err) == (1, "")
+        [case] = json.loads(out)["cases"]
+        assert case["status"] == "fail"
+        assert case["detail"] == f"{kind} invalid: {message}"
+        argv = ["construct", "por_rho", str(path)]
+        if kind == "suitable set":
+            argv = ["construct", "coreflect", str(path), str(other)]
+        assert _run(argv) == (2, "", f"error: {path}: {message}\n")
 
 
 def _without(doc, key):
