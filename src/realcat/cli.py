@@ -38,6 +38,10 @@ Every reader checks a field's JSON shape before it reads a value inside
 it, and names the field it finds missing or of the wrong shape.  A file
 that does not decode, or a lift spec whose carrier or maps the lift
 refuses, exits 2 with the file's path in the line.
+
+The parser needs no kernel module: each command imports the modules it
+runs, so ``--help`` and a usage error load only this module and
+``realcat.errors``.
 """
 
 from __future__ import annotations
@@ -47,14 +51,16 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import qcat as qc
-from . import serialize as ser
-from .errors import DomainError, ParseError, RealcatError, SizeLimitExceeded, one_line
-from .serialize import Report
-from .tnorm import BUILTIN_NORMS, TNorm, subquantale_check
-from .values import SAMPLE_DENOMINATOR
+from .errors import (
+    DEFAULT_MAP_CAP, DomainError, ParseError, RealcatError, SizeLimitExceeded, one_line
+)
+
+if TYPE_CHECKING:
+    from .qcat import QCat
+    from .serialize import Report
+    from .tnorm import TNorm
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -76,6 +82,15 @@ SUITE_NAMES = (
     "tnorm_laws",
     "yoneda",
 )
+
+
+def _qc(name: str, *args):
+    """qcat.<name>(*args), for a table entry; like every kernel module,
+    qcat is imported by the command that runs, so the parser, --help and
+    a usage error load none of them."""
+    from . import qcat
+
+    return getattr(qcat, name)(*args)
 
 
 def _sub(name: str, *args):
@@ -119,6 +134,9 @@ def _decoded(path: str, decode: Callable):
 
 def _tnorm(arg: str) -> TNorm:
     """Resolve ``--tnorm``: a builtin norm name, else a t-norm JSON file."""
+    from . import serialize as ser
+    from .tnorm import BUILTIN_NORMS
+
     if arg in BUILTIN_NORMS:
         return ser.tnorm_from_obj(arg)
     try:
@@ -130,6 +148,8 @@ def _tnorm(arg: str) -> TNorm:
 
 
 def _emit(report: Report, fmt: str):
+    from . import serialize as ser
+
     if fmt == "text":
         sys.stdout.write(report.to_text())
     else:
@@ -138,6 +158,8 @@ def _emit(report: Report, fmt: str):
 
 def _require_lift_categories(path: str, t: TNorm, cats) -> None:
     """A lift spec's categories are categories over the spec's norm."""
+    from . import qcat as qc
+
     for cat in cats:
         qc.require_category(cat, where=f"{path}: ")
         if cat.tnorm != t:
@@ -147,12 +169,14 @@ def _require_lift_categories(path: str, t: TNorm, cats) -> None:
             )
 
 
-def _category(path: str) -> qc.QCat:
+def _category(path: str) -> QCat:
     """Constructions read categories only: reject any other matrix."""
+    from . import qcat as qc, serialize as ser
+
     return qc.require_category(_decoded(path, ser.qcat_from_obj), where=f"{path}: ")
 
 
-def _categories(args) -> list[qc.QCat]:
+def _categories(args) -> list[QCat]:
     cats = [_category(path) for path in args.inputs]
     if cats[0].tnorm != cats[-1].tnorm:
         raise DomainError("the two categories live over different t-norms")
@@ -161,14 +185,18 @@ def _categories(args) -> list[qc.QCat]:
 
 def _suitable_and_category(args):
     """C and R read suitable sets only: reject any other set."""
+    from . import serialize as ser
+
     path = args.inputs[0]
     s = _sub("require_suitable", _decoded(path, ser.suitable_from_obj), f"{path}: ")
     return s, _category(args.inputs[1])
 
 
-def _hom_power(args) -> qc.QCat:
+def _hom_power(args) -> QCat:
     """[A, B], refused when it is not a category; the check names the
     points by the labels its file shows."""
+    from . import qcat as qc, serialize as ser
+
     out = qc.hom_power(*_categories(args), args.max_maps)
     qc.require_category(
         out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
@@ -176,9 +204,11 @@ def _hom_power(args) -> qc.QCat:
     return out
 
 
-def _lift(family: str, args) -> qc.QCat:
+def _lift(family: str, args) -> QCat:
     """The lift of a spec's "sources" or "sinks": a carrier or map fault
     (the lift's ValueError) exits 2 before a category fault exits 5."""
+    from . import qcat as qc, serialize as ser
+
     path = args.inputs[0]
     t, carrier, pairs = _decoded(path, partial(ser.lift_from_obj, family=family))
     try:
@@ -195,9 +225,11 @@ def _lift(family: str, args) -> qc.QCat:
 # each construction: the number of input files it takes, and the function
 # that decodes and checks them (from the parsed arguments) and builds it
 CONSTRUCT_KINDS = {
-    "product": (2, lambda args: qc.product(*_categories(args))),
-    "tensor": (2, lambda args: qc.tensor(*_categories(args))),
-    "hom_tensor": (2, lambda args: qc.hom_tensor(*_categories(args), args.max_maps)),
+    "product": (2, lambda args: _qc("product", *_categories(args))),
+    "tensor": (2, lambda args: _qc("tensor", *_categories(args))),
+    "hom_tensor": (
+        2, lambda args: _qc("hom_tensor", *_categories(args), args.max_maps)
+    ),
     "hom_power": (2, _hom_power),
     "coreflect": (2, lambda args: _sub("coreflect_c", *_suitable_and_category(args))),
     "reflect": (2, lambda args: _sub("reflect_r", *_suitable_and_category(args))),
@@ -209,7 +241,10 @@ CONSTRUCT_KINDS = {
 
 
 def cmd_validate(args) -> int:
-    report = Report("validate")
+    from . import qcat as qc, serialize as ser
+    from .tnorm import subquantale_check
+
+    report = ser.Report("validate")
     t = _tnorm(args.tnorm) if args.tnorm else None
     # each input kind: the decoder of its file and the check of its value
     checks = {
@@ -243,6 +278,8 @@ def cmd_validate(args) -> int:
 
 def cmd_construct(args) -> int:
     kind = args.kind
+    from . import serialize as ser
+
     arity, build = CONSTRUCT_KINDS[kind]
     if len(args.inputs) != arity:
         raise ParseError(
@@ -265,7 +302,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    from . import subconstructs as sub
+    from . import serialize as ser, subconstructs as sub
+    from .tnorm import subquantale_check
+    from .values import SAMPLE_DENOMINATOR
 
     t = _tnorm(args.tnorm)
     k = _decoded(args.k, ser.intervalset_from_obj)
@@ -328,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-maps",
         type=_map_cap,
-        default=qc.DEFAULT_MAP_CAP,
+        default=DEFAULT_MAP_CAP,
         help="cap on |B|^|A|, the number of maps A -> B (not on the work "
         "of the functor search)",
     )

@@ -24,6 +24,10 @@ class ProductIrrational(RealcatError):
     product block)."""
 
 
+DEFAULT_MAP_CAP = 10**6
+"""The default cap on |B|^|A| for functor enumeration (``--max-maps``)."""
+
+
 class SizeLimitExceeded(RealcatError):
     """A functor enumeration would exceed the configured candidate cap:
     |B|^|A| maps A -> B against ``cap``.  The sizes that triggered it are

@@ -10,19 +10,20 @@ containment are all exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .values import ONE, ZERO, unit
+from .values import ONE, ZERO, Frozen, unit
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Frozen):
     """Normalized finite union of closed intervals [lo, hi] (lo == hi
     encodes an isolated point)."""
 
-    components: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("components",)
+
+    def __init__(self, components: tuple[tuple[Fraction, Fraction], ...]):
+        self.__dict__["components"] = components
 
     @staticmethod
     def of(parts: Iterable) -> "IntervalSet":

@@ -12,46 +12,42 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, wraps
 from itertools import chain
 from typing import Callable, Sequence
 
-from .errors import DomainError, SizeLimitExceeded
+from .errors import DEFAULT_MAP_CAP, DomainError, SizeLimitExceeded
 from .tnorm import (
     CheckResult, Encoded, GridDomain, TNorm, encode, encode_unit, kernel_domain
 )
-from .values import ONE, ZERO, unit
+from .values import ONE, ZERO, Frozen, unit
 
 Point = object  # str | tuple, hashable
 
-DEFAULT_MAP_CAP = 10**6
 
-
-@dataclass(frozen=True)
-class QCat:
+class QCat(Frozen):
     """Finite real-enriched category: points + structure matrix + norm."""
 
-    tnorm: TNorm
-    points: tuple
-    matrix: tuple[tuple[Fraction, ...], ...]
+    _fields = ("tnorm", "points", "matrix")
 
-    def __post_init__(self):
-        n = len(self.points)
-        _require_distinct(self.points)
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+    def __init__(
+        self, tnorm: TNorm, points: tuple, matrix: tuple[tuple[Fraction, ...], ...]
+    ):
+        n = len(points)
+        _require_distinct(points)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape does not match point list")
         # One pass reads, checks and encodes the entries when they are
         # Fractions in [0, 1], and keeps the encoding for the kernels;
         # anything else goes through unit, which coerces or raises.
-        matrix = tuple(map(tuple, self.matrix))
+        matrix = tuple(map(tuple, matrix))
         e = encode_unit(matrix)
         if e is None:
             matrix = tuple(tuple(unit(v) for v in row) for row in matrix)
         else:
             self.__dict__["_encoded"] = e
-        object.__setattr__(self, "matrix", matrix)
+        self.__dict__.update(tnorm=tnorm, points=points, matrix=matrix)
 
     @cached_property
     def _positions(self) -> dict:
@@ -71,7 +67,7 @@ class QCat:
         # The matrix with the lcm D of its denominators and its entries'
         # numerators over D, read once for every kernel call on this
         # category (see tnorm.kernel_domain); kept out of the fields like
-        # _positions.  __post_init__ keeps the one it checked Fraction
+        # _positions.  __init__ keeps the one it checked Fraction
         # entries with, so this runs only for coerced entries and for
         # what _built_qcat made.
         return encode(self.matrix)
@@ -106,7 +102,7 @@ def _require_distinct(points: tuple) -> None:
 
 def _built_qcat(t: TNorm, points: tuple, matrix: tuple) -> QCat:
     """A category the constructions below computed themselves, made
-    without ``QCat.__post_init__``'s checks.
+    without ``QCat.__init__``'s checks.
 
     Safe because nothing in it comes from outside unchecked: the points
     are a checked category's points, pairs or image tuples of them, or
@@ -175,25 +171,24 @@ def require_category(c: QCat, where: str = "") -> QCat:
     return c
 
 
-@dataclass(frozen=True)
-class QFunctor:
-    """A structure-preserving map between categories."""
+class QFunctor(Frozen):
+    """A structure-preserving map between categories; mapping holds the
+    image of dom.points[i] at position i."""
 
-    dom: QCat
-    cod: QCat
-    mapping: tuple  # image of dom.points[i] at position i
+    _fields = ("dom", "cod", "mapping")
 
-    def __post_init__(self):
-        if len(self.mapping) != len(self.dom.points):
+    def __init__(self, dom: QCat, cod: QCat, mapping: tuple):
+        if len(mapping) != len(dom.points):
             raise ValueError("mapping length does not match domain")
-        positions = self.cod._positions
-        for img in self.mapping:
+        positions = cod._positions
+        for img in mapping:
             try:
                 known = img in positions
             except TypeError:  # unhashable, so no point
                 known = False
             if not known:
                 raise ValueError(f"image {img!r} not a codomain point")
+        self.__dict__.update(dom=dom, cod=cod, mapping=mapping)
 
     def __call__(self, p):
         return self.mapping[self.dom.index(p)]
@@ -343,7 +338,7 @@ def enumerate_functors(
     the search does, so it refuses the same inputs as a full scan would.
 
     Each functor's image tuple is built from ``b.points`` one image per
-    domain point, so it passes ``QFunctor.__post_init__``'s checks by
+    domain point, so it passes ``QFunctor.__init__``'s checks by
     construction and is made without them, its fields written straight
     into its ``__dict__``; no index table is built."""
     labels, new, found = b.points, object.__new__, []

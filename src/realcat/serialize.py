@@ -21,7 +21,6 @@ re-parse to equal values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -29,7 +28,7 @@ from .errors import DomainError, ParseError, one_line
 from .intervals import IntervalSet
 from .qcat import QCat
 from .tnorm import BUILTIN_NORMS, Block, BlockKind, TNorm
-from .values import format_rat, parse_rat
+from .values import Record, format_rat, parse_rat
 
 if TYPE_CHECKING:  # for annotations; suitable_from_obj imports it when it runs
     from .subconstructs import CCCWitness, SuitableSet
@@ -307,14 +306,16 @@ def witness_to_obj(w: CCCWitness) -> Any:
 # check reports
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Machine-readable outcome of one suite run or one ``validate``
-    command: a case per check, written as JSON (``to_obj``) or one line
-    per case (``to_text``)."""
+    command: a case per check (a new list by default), written as JSON
+    (``to_obj``) or one line per case (``to_text``)."""
 
-    suite: str
-    cases: list = field(default_factory=list)
+    _fields = ("suite", "cases")
+
+    def __init__(self, suite: str, cases: list | None = None):
+        self.suite = suite
+        self.cases = [] if cases is None else cases
 
     def record(self, name: str, passed: bool, detail: str = "", witness=None):
         self.cases.append(

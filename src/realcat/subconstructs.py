@@ -12,7 +12,6 @@ construction for failures of the distributivity identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +30,7 @@ from .tnorm import (
     subquantale_check,
     tnorm_eval,
 )
-from .values import ONE, unit
+from .values import ONE, Frozen, format_rat, unit
 
 Pair = tuple[Fraction, Fraction]
 
@@ -46,8 +45,7 @@ class SuitableVariant(str, Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class SuitableSet:
+class SuitableSet(Frozen):
     """Symbolic description of a subset of [0,1]^2.
 
     A variant carries exactly the fields it reads: k for K_SQUARE and
@@ -55,29 +53,30 @@ class SuitableSet:
     fully determined by the t-norm.
     """
 
-    tnorm: TNorm
-    variant: SuitableVariant
-    k: Optional[IntervalSet] = None
-    pairs: Optional[frozenset] = None
+    _fields = ("tnorm", "variant", "k", "pairs")
 
-    def __post_init__(self):
-        reads = {"explicit": "pairs", "sqrt_band": None}.get(self.variant, "k")
-        if reads == "k" and self.k is None:
-            raise ValueError(f"{self.variant.value} needs a carrier set K")
-        if reads == "pairs" and self.pairs is None:
+    def __init__(
+        self,
+        tnorm: TNorm,
+        variant: SuitableVariant,
+        k: Optional[IntervalSet] = None,
+        pairs: Optional[frozenset] = None,
+    ):
+        reads = {"explicit": "pairs", "sqrt_band": None}.get(variant, "k")
+        if reads == "k" and k is None:
+            raise ValueError(f"{variant.value} needs a carrier set K")
+        if reads == "pairs" and pairs is None:
             raise ValueError("explicit variant needs a pair set")
-        for stray in ("k", "pairs"):
-            if stray != reads and getattr(self, stray) is not None:
-                raise self._stray(stray)
+        for stray, value in (("k", k), ("pairs", pairs)):
+            # a field the variant does not read would still enter _lcm and
+            # equality, and its file could not be told from one without it
+            if stray != reads and value is not None:
+                raise ValueError(
+                    f"the {variant.value} suitable set carries a stray {stray!r} field"
+                )
         if reads == "pairs":
-            object.__setattr__(self, "pairs", frozenset(map(_unit_pair, self.pairs)))
-
-    def _stray(self, field: str) -> ValueError:
-        # a field the variant does not read would still enter _lcm and
-        # equality, and its file could not be told from one without it
-        return ValueError(
-            f"the {self.variant.value} suitable set carries a stray {field!r} field"
-        )
+            pairs = frozenset(map(_unit_pair, pairs))
+        self.__dict__.update(tnorm=tnorm, variant=variant, k=k, pairs=pairs)
 
     @cached_property
     def _lcm(self) -> int:
@@ -106,8 +105,19 @@ def _unit_pair(member) -> Pair:
     """An explicit set's member as a pair of unit values; ValueError when
     it is no pair (a tuple of two)."""
     if not isinstance(member, tuple) or len(member) != 2:
-        raise ValueError(f"explicit set member {member!r} is not a pair")
+        raise ValueError(f"explicit set member {_shown(member)} is not a pair")
     return unit(member[0]), unit(member[1])
+
+
+def _shown(v) -> str:
+    """v as the library's texts write it: a Fraction as p/q, a tuple
+    entry by entry, anything else by its repr."""
+    if isinstance(v, Fraction):
+        return format_rat(v)
+    if isinstance(v, tuple):
+        inner = ", ".join(map(_shown, v))
+        return f"({inner},)" if len(v) == 1 else f"({inner})"
+    return repr(v)
 
 
 def k_square(t: TNorm, k: IntervalSet) -> SuitableSet:
@@ -480,22 +490,20 @@ def _require_grid_in(k: IntervalSet, grid: Sequence[Fraction]) -> None:
             raise ValueError(f"grid value {a} outside K")
 
 
-@dataclass(frozen=True)
-class CCCWitness:
+class CCCWitness(Frozen):
     """Finite witness that A x - fails to preserve a final sink.
 
     lhs is the product structure value (u & v) ^ r at the pair
-    ((0,x),(1,y)); rhs is the final-lift value there.  lhs != rhs."""
+    ((0,x),(1,y)); rhs is the final-lift value there.  lhs != rhs.
+    u, v, r, lhs and rhs are Fractions; cat_a to cat_d are QCats."""
 
-    u: Fraction
-    v: Fraction
-    r: Fraction
-    lhs: Fraction
-    rhs: Fraction
-    cat_a: QCat
-    cat_b: QCat
-    cat_c: QCat
-    cat_d: QCat
+    _fields = ("u", "v", "r", "lhs", "rhs", "cat_a", "cat_b", "cat_c", "cat_d")
+
+    def __init__(self, u, v, r, lhs, rhs, cat_a, cat_b, cat_c, cat_d):
+        self.__dict__.update(
+            u=u, v=v, r=r, lhs=lhs, rhs=rhs,
+            cat_a=cat_a, cat_b=cat_b, cat_c=cat_c, cat_d=cat_d,
+        )
 
 
 def ccc_witness(t: TNorm, u, v, r) -> CCCWitness:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -46,14 +45,17 @@ from .tnorm import (
     tnorm_residual,
 )
 from .tnorm import product as product_norm
-from .values import ONE, SAMPLE_DENOMINATOR, ZERO, format_rat
+from .values import ONE, SAMPLE_DENOMINATOR, ZERO, Record, format_rat
 
 
-@dataclass
-class WorkspaceConfig:
-    """The t-norm that ``realcat verify`` hands a suite."""
+class WorkspaceConfig(Record):
+    """The t-norm that ``realcat verify`` hands a suite (by default a
+    new lukasiewicz())."""
 
-    tnorm: TNorm = field(default_factory=lukasiewicz)
+    _fields = ("tnorm",)
+
+    def __init__(self, tnorm: TNorm | None = None):
+        self.tnorm = lukasiewicz() if tnorm is None else tnorm
 
 
 def _rand_unit(rng: random.Random, max_den: int) -> Fraction:

@@ -42,7 +42,6 @@ integers and rebuilds rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -50,7 +49,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, ProductIrrational
 from .intervals import IntervalSet
-from .values import ONE, ZERO, unit
+from .values import ONE, ZERO, Frozen, unit
 
 
 class BlockKind(str, Enum):
@@ -58,40 +57,39 @@ class BlockKind(str, Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """One Archimedean block [lo, hi] with a linear rescaling of the
     base norm.  lo < hi; interiors of distinct blocks never overlap."""
 
-    lo: Fraction
-    hi: Fraction
-    kind: BlockKind
+    _fields = ("lo", "hi", "kind")
 
-    def __post_init__(self):
-        unit(self.lo)
-        unit(self.hi)
-        if self.lo >= self.hi:
-            raise ValueError(f"block [{self.lo}, {self.hi}] must have lo < hi")
+    def __init__(self, lo: Fraction, hi: Fraction, kind: BlockKind):
+        unit(lo)
+        unit(hi)
+        if lo >= hi:
+            raise ValueError(f"block [{lo}, {hi}] must have lo < hi")
+        self.__dict__.update(lo=lo, hi=hi, kind=kind)
 
 
-@dataclass(frozen=True)
-class TNorm:
+class TNorm(Frozen):
     """Finite ordinal sum of Lukasiewicz and product blocks.
 
     An empty block list is the Godel norm (minimum).  The name is a
     label only: two norms with the same blocks are equal."""
 
-    blocks: tuple[Block, ...] = ()
-    name: Optional[str] = field(default=None, compare=False)
+    _fields = ("blocks", "name")
 
-    def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=lambda b: b.lo))
+    def __init__(self, blocks: tuple[Block, ...] = (), name: Optional[str] = None):
+        blocks = tuple(sorted(blocks, key=lambda b: b.lo))
         for prev, cur in zip(blocks, blocks[1:]):
             if cur.lo < prev.hi:
                 raise ValueError(
                     f"blocks [{prev.lo},{prev.hi}] and [{cur.lo},{cur.hi}] overlap"
                 )
-        object.__setattr__(self, "blocks", blocks)
+        self.__dict__.update(blocks=blocks, name=name)
+
+    def _key(self) -> tuple:
+        return (self.blocks,)  # the name is left out of equality and hash
 
     @cached_property
     def _and(self) -> Callable[[Fraction, Fraction], Fraction]:
@@ -447,13 +445,13 @@ def m_set(t: TNorm) -> IntervalSet:
     return t._m
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     """Outcome of a decidable verification; witness explains a failure."""
 
-    passed: bool
-    message: str = ""
-    witness: Optional[tuple] = None
+    _fields = ("passed", "message", "witness")
+
+    def __init__(self, passed: bool, message: str = "", witness: tuple | None = None):
+        self.__dict__.update(passed=passed, message=message, witness=witness)
 
     def __bool__(self):
         return self.passed

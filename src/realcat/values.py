@@ -3,8 +3,8 @@
 All structure values in this package are ``fractions.Fraction`` instances
 confined to [0, 1].  Fractions are already stored in lowest terms and
 compare exactly, so no wrapper class is needed; this module supplies
-validation, the "p/q" wire format, and the denominator of the sampling
-grid used by the brute-force oracles.
+validation, the "p/q" wire format, the denominator of the sampling grid
+used by the brute-force oracles, and the bases of the value classes.
 """
 
 from __future__ import annotations
@@ -61,3 +61,40 @@ def parse_rat(text: str) -> Fraction:
 def format_rat(v: Fraction) -> str:
     """Render as "p/q" (always with an explicit denominator)."""
     return f"{v.numerator}/{v.denominator}"
+
+
+class Record:
+    """Base of the package's value classes.  Equality (same class, equal
+    fields) and the repr read the fields that the class names, in
+    order, in ``_fields``; each class writes its own ``__init__``.  A
+    Record is mutable, so it has no hash."""
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return other is self or self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A Record whose fields its ``__init__`` writes once, into
+    ``__dict__``; it refuses every later assignment and hashes its
+    fields (``_key``)."""
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

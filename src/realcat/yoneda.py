@@ -13,12 +13,9 @@ limits (:func:`function_space_limit`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, NotForwardCauchy, NotMValued
-from .intervals import IntervalSet
 from .qcat import (
     QCat,
     QFunctor,
@@ -29,22 +26,20 @@ from .qcat import (
     require_category,
 )
 from .tnorm import CheckResult, TNorm, idempotent_set, m_set
-from .values import ONE
+from .values import ONE, Frozen
 
 
-@dataclass(frozen=True)
-class FCSequence:
+class FCSequence(Frozen):
     """Eventually cyclic point sequence: prefix then cycle forever, in
     an ambient that must be a category (a DomainError otherwise), as the
     proof behind :func:`yoneda_limits` needs transitivity."""
 
-    ambient: QCat
-    prefix: tuple
-    cycle: tuple
+    _fields = ("ambient", "prefix", "cycle")
 
-    def __post_init__(self):
-        _require_points(self.ambient, self.prefix, self.cycle)
-        require_category(self.ambient)
+    def __init__(self, ambient: QCat, prefix: tuple, cycle: tuple):
+        _require_points(ambient, prefix, cycle)
+        require_category(ambient)
+        self.__dict__.update(ambient=ambient, prefix=prefix, cycle=cycle)
 
 
 def _require_points(c: QCat, prefix: tuple, cycle: tuple):
@@ -88,21 +83,23 @@ def canonical_limit(s: FCSequence):
     return yoneda_limits(s)[0]
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(Frozen):
     """Outcome of the interpolation property of M: the idempotents way
     below 1 have supremum 1.
 
     case 1: some block reaches 1, so the top of M is isolated and
     compact; case 2: no block reaches 1 and idempotents accumulate at
-    the top.  idempotents_way_below is the closure of the set (in case
-    2 the top itself is excluded, flagged by includes_top)."""
+    the top.  idempotents_way_below is the closure of the set, an
+    IntervalSet (in case 2 the top itself is excluded, flagged by
+    includes_top); supremum is its Fraction supremum."""
 
-    case: int
-    idempotents_way_below: IntervalSet
-    includes_top: bool
-    supremum: Fraction
-    passed: bool
+    _fields = ("case", "idempotents_way_below", "includes_top", "supremum", "passed")
+
+    def __init__(self, case, idempotents_way_below, includes_top, supremum, passed):
+        self.__dict__.update(
+            case=case, idempotents_way_below=idempotents_way_below,
+            includes_top=includes_top, supremum=supremum, passed=passed,
+        )
 
 
 def approx_property(t: TNorm) -> ApproxReport:
@@ -121,6 +118,13 @@ def _require_m_valued(c: QCat):
         for v in row:
             if v not in m:
                 raise NotMValued(f"structure value {v} outside M")
+
+
+def _require_factors(where: str, a: QCat, c: QCat):
+    """A and C of curry and uncurry are categories: the transpose of a
+    functor A x C -> B is a functor C -> [A -> B] only then."""
+    require_category(a, f"{where}: A is ")
+    require_category(c, f"{where}: C is ")
 
 
 def _require_functor(f: QFunctor):
@@ -171,12 +175,14 @@ def check_ev(a: QCat, b: QCat) -> CheckResult:
 
 def curry(a: QCat, c: QCat, b: QCat, f: QFunctor) -> QFunctor:
     """Transpose f : A x C -> B to C -> [A -> B] with the power-object
-    structure: z |-> f(-, z).  A map f that is not a functor is a
-    DomainError naming its first violating pair.
+    structure: z |-> f(-, z).  An A or C that is not a category, and
+    then a map f that is not a functor, is a DomainError naming its
+    first violation.
 
     The transpose g is a functor exactly when f is: as u -> v is 1 for
     u <= v and v otherwise, d(g z, g w) >= r(z, w) says that for all
     x, y, s(f(x, z), f(y, w)) >= min(r(x, y), r(z, w))."""
+    _require_factors("curry", a, c)
     _require_functor(f)
     hom = hom_power(a, b)
     images = tuple(
@@ -188,8 +194,11 @@ def curry(a: QCat, c: QCat, b: QCat, f: QFunctor) -> QFunctor:
 def uncurry(a: QCat, c: QCat, b: QCat, g: QFunctor) -> QFunctor:
     """Inverse transposition of g : C -> [A -> B]: (x, z) |-> g(z)(x);
     a functor exactly when g is one (see :func:`curry`), which is
-    checked as there."""
+    checked as there; then g must run from C to [A -> B]."""
+    _require_factors("uncurry", a, c)
     _require_functor(g)
+    if g.dom != c or g.cod != hom_power(a, b):
+        raise DomainError("uncurry: g is no map C -> [A -> B]")
     dom = product(a, c)
     images = tuple(g(z)[a.index(x)] for (x, z) in dom.points)
     return QFunctor(dom, b, images)

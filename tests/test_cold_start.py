@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import realcat
-from realcat import cli, suites
+from realcat import cli, errors, qcat, suites
 
 # the package's exports, by the submodule that defines them; product_tnorm
 # is tnorm.product
@@ -51,10 +51,14 @@ EXPORTED = [
 ]
 # the modules no command but verify needs
 HEAVY = ("realcat.subconstructs", "realcat.suites", "realcat.yoneda")
+# standard library modules that no command loads: dataclasses imports
+# inspect, and nothing the CLI runs imports either
+UNUSED_STDLIB = ("dataclasses", "inspect")
 
 SRC = Path(realcat.__file__).resolve().parent.parent
 # runs the CLI on argv (none: imports only the package), then writes
-# its exit code and the realcat modules loaded as the last line on stderr
+# its exit code and the realcat and UNUSED_STDLIB modules loaded as the
+# last line on stderr
 PROBE = """
 import json, sys
 import realcat
@@ -65,14 +69,15 @@ if sys.argv[1:]:
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "realcat")
+watched = ("realcat", "dataclasses", "inspect")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in watched)
 print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
 
 def _fresh(*argv: str, cwd=None) -> tuple:
-    """(exit code, realcat modules loaded) of PROBE on argv in a fresh
-    interpreter."""
+    """(exit code, realcat and UNUSED_STDLIB modules loaded) of PROBE on
+    argv in a fresh interpreter."""
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
@@ -114,6 +119,14 @@ def test_the_parser_names_every_suite():
     assert list(cli.SUITE_NAMES) == sorted(suites.SUITES)
 
 
+def test_the_parser_caps_maps_at_the_kernels_default():
+    """--max-maps defaults to the kernel's cap, which errors defines for
+    the parser and qcat imports."""
+    args = cli.build_parser().parse_args(["construct", "product", "a", "b"])
+    assert args.max_maps == qcat.DEFAULT_MAP_CAP == 10**6
+    assert qcat.DEFAULT_MAP_CAP is errors.DEFAULT_MAP_CAP
+
+
 _LUK_EDGE = {
     "tnorm": "lukasiewicz",
     "points": ["a", "b"],
@@ -152,14 +165,35 @@ def inputs(tmp_path_factory):
 def test_a_command_imports_only_the_modules_it_runs(inputs, argv, code, absent):
     ran, loaded = _fresh(*argv, cwd=inputs)
     assert ran == code and "realcat.cli" in loaded and not loaded & set(absent), loaded
+    assert not loaded & set(UNUSED_STDLIB), loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["construct", "-h"], 0),
+        (["construct", "nope", "a.json"], 2),
+        (["verify"], 2),
+        (["--nope"], 2),
+    ],
+    ids=["help", "construct-help", "bad-choice", "missing-suite", "bad-option"],
+)
+def test_help_and_a_usage_error_load_no_kernel(argv, code):
+    """The parser needs no kernel module: --help, a command's help and a
+    usage error load the package, cli and errors only."""
+    ran, loaded = _fresh(*argv)
+    assert ran == code
+    assert loaded == {"realcat", "realcat.cli", "realcat.errors"}
 
 
 def test_verify_and_a_suitable_set_load_what_they_need(inputs):
     """The lazy imports still run: verify loads the suites, and a
     suitable-set file the subconstructs."""
     code, loaded = _fresh("verify", "approx", cwd=inputs)
-    assert code == 0 and set(HEAVY) <= loaded
+    assert code == 0 and set(HEAVY) <= loaded and not loaded & set(UNUSED_STDLIB)
     s = inputs / "s.json"
     s.write_text(json.dumps({"variant": "sqrt_band", "tnorm": "godel"}))
     code, loaded = _fresh("validate", str(s), cwd=inputs)
     assert code == 0 and "realcat.subconstructs" in loaded and "realcat.suites" not in loaded
+    assert not loaded & set(UNUSED_STDLIB)

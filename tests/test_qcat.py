@@ -48,6 +48,7 @@ from realcat.tnorm import (
     tnorm_eval,
 )
 from realcat.values import ONE, ZERO
+from realcat.yoneda import curry, uncurry
 
 LUK = lukasiewicz()
 GOD = godel()
@@ -491,6 +492,80 @@ def test_a_malformed_map_is_a_value_error_or_no_error(data):
         try:
             assert isinstance(lift(), QCat)
         except ValueError:
+            pass
+
+
+# carriers and structure values of any shape: repeated and unhashable
+# labels, no sequence at all, values outside [0, 1], floats and text
+MALFORMED_CARRIERS = st.one_of(
+    st.lists(st.one_of(st.sampled_from(["a", "b", "x", 1]), STRAY_IMAGES), max_size=3),
+    st.sampled_from([None, 3, "ab", {"a": 1}]),
+)
+MALFORMED_VALUES = st.one_of(
+    st.sampled_from(QUARTERS),
+    st.sampled_from([F(3, 2), -1, 2, 0.5, "1/2", "x", None, (), [ONE]]),
+)
+# categories, and a matrix with r(z,z) = 1/2 that is none
+CATEGORY_POOL = [*LIFT_TARGETS, QCat(LUK, ("z",), ((F(1, 2),),))]
+
+
+def malformed_matrix(n: int):
+    """An n x n matrix of any values, one of the wrong shape, or none."""
+    size = st.sampled_from([n, n, n + 1, max(n - 1, 0)])
+    row = size.flatmap(lambda k: st.lists(MALFORMED_VALUES, min_size=k, max_size=k))
+    rows = size.flatmap(lambda k: st.lists(row, min_size=k, max_size=k))
+    return st.one_of(rows, st.sampled_from([None, 5, "ab", [None], [5]]))
+
+
+def images(data, dom, cod):
+    """A mapping for QFunctor(dom, cod, ...): malformed_map's values when
+    it draws a dict, else what it drew."""
+    f = data.draw(malformed_map(dom.points, cod.points))
+    return tuple(f.values()) if isinstance(f, dict) else f
+
+
+def functor_or_none(data, dom, cod):
+    try:
+        return QFunctor(dom, cod, images(data, dom, cod))
+    except (ValueError, TypeError):
+        return None
+
+
+def built_or_drawn(data, build, *args):
+    """build(*args), or a category of the pool when the draw says so or
+    build refuses its arguments."""
+    try:
+        if data.draw(st.booleans()):
+            return build(*args)
+    except (ValueError, RealcatError):
+        pass
+    return data.draw(st.sampled_from(CATEGORY_POOL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_constructor_input_is_a_value_type_or_realcat_error(data):
+    """QCat, QFunctor, curry and uncurry, given carriers, values and maps
+    of any shape, answer or raise ValueError, TypeError or a RealcatError
+    that names the input: never a KeyError, IndexError or AttributeError
+    from inside."""
+    points = data.draw(MALFORMED_CARRIERS)
+    n = len(points) if isinstance(points, (list, str, dict)) else 0
+    a, c, b = (data.draw(st.sampled_from(CATEGORY_POOL)) for _ in range(3))
+    calls = [
+        lambda: QCat(LUK, points, data.draw(malformed_matrix(n))),
+        lambda: QFunctor(a, b, images(data, a, b)),
+    ]
+    dom = built_or_drawn(data, product, a, c)
+    if (f := functor_or_none(data, dom, b)) is not None:
+        calls.append(lambda: curry(a, c, b, f))
+    hom = built_or_drawn(data, hom_power, a, b)
+    if (g := functor_or_none(data, data.draw(st.sampled_from([c, a])), hom)) is not None:
+        calls.append(lambda: uncurry(a, c, b, g))
+    for call in calls:
+        try:
+            call()
+        except (ValueError, TypeError, RealcatError):
             pass
 
 

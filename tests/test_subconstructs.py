@@ -88,10 +88,19 @@ class TestMembership:
 
     @pytest.mark.parametrize(
         "member, shown",
-        [((0,), "(0,)"), ((0, 1, 1), "(0, 1, 1)"), (1, "1"), ("01", "'01'")],
+        [
+            ((0,), "(0,)"),
+            ((0, 1, 1), "(0, 1, 1)"),
+            (1, "1"),
+            ("01", "'01'"),
+            ((F(0), F(0), F(0)), "(0/1, 0/1, 0/1)"),
+            ((F(1, 2),), "(1/2,)"),
+            (F(1, 2), "1/2"),
+        ],
     )
     def test_explicit_refuses_a_member_that_is_no_pair(self, member, shown):
-        """One sentence naming the member, not an unpacking error."""
+        """One sentence naming the member, not an unpacking error; its
+        Fractions are written as p/q, like every other library text."""
         with pytest.raises(ValueError) as err:
             explicit(LUK, [(0, 0), member])
         assert str(err.value) == f"explicit set member {shown} is not a pair"

@@ -465,3 +465,32 @@ class TestEvaluationAndCurrying:
         with pytest.raises(DomainError) as err:
             uncurry(a, c, b, g)
         assert str(err.value) == "not a functor: fails at 0, 1"
+
+    def test_a_factor_that_is_no_category_is_refused_first(self):
+        """With r(z,z) = 1/2 the transpose of f : A x C -> B is no map
+        into [A -> B]: z |-> (p, q) breaks the indiscrete A.  Both
+        directions name the factor before any work, not a point deep
+        inside QFunctor."""
+        a = QCat(LUK, ("x", "y"), ((F(1), F(1)), (F(1), F(1))))
+        c = QCat(LUK, ("z",), ((F(1, 2),),))
+        b = QCat(LUK, ("p", "q"), ((F(1), F(1, 2)), (F(1, 2), F(1))))
+        f = QFunctor(product(a, c), b, ("p", "q"))
+        assert functor_violation(f) is None
+        refusal = "C is not a category: r(z,z) = 1/2 != 1"
+        g = QFunctor(c, hom_power(a, b), (("p", "p"),))
+        for name, call in (("curry", curry), ("uncurry", uncurry)):
+            with pytest.raises(DomainError) as err:
+                call(a, c, b, f if call is curry else g)
+            assert str(err.value) == f"{name}: {refusal}"
+        with pytest.raises(DomainError) as err:
+            curry(c, a, b, f)
+        assert str(err.value) == "curry: A is not a category: r(z,z) = 1/2 != 1"
+
+    def test_uncurry_refuses_a_map_with_other_ends(self):
+        """g must run C -> [A -> B]: a map into B itself would be read
+        as tuples."""
+        a = QCat(LUK, ("a",), ((F(1),),))
+        c = two_point(LUK, F(1, 2), 0)
+        g = QFunctor(c, a, ("a", "a"))
+        with pytest.raises(DomainError, match=r"^uncurry: g is no map C -> \[A -> B\]$"):
+            uncurry(a, c, a, g)

@@ -327,8 +327,11 @@ def functor_cases(seed: int = SEED) -> list:
             if f is not None:
                 out.append((f"{tag} curry {k}", yoneda.curry, (a, c, b, f)))
         for k, f in enumerate(picks):
+            # f's transpose z |-> f(-, z), built here because curry refuses
+            # an A or C that is no category, whose uncurry cases stay
+            images = tuple(tuple(f((x, z)) for x in a.points) for z in c.points)
             try:
-                g = yoneda.curry(a, c, b, f)
+                g = QFunctor(c, hom, images)
             except ValueError:  # a diagonal below 1: f(-, z) need be no functor
                 continue
             out.append((f"{tag} uncurry {k}", yoneda.uncurry, (a, c, b, g)))
