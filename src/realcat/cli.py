@@ -277,9 +277,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    kind = args.kind
     from . import serialize as ser
 
+    kind = args.kind
     arity, build = CONSTRUCT_KINDS[kind]
     if len(args.inputs) != arity:
         raise ParseError(
