@@ -4,6 +4,14 @@
 submodule is imported on its first use (PEP 562), so a command pays only
 for the modules it runs.  A resolved name is kept in this module's
 globals, where later reads find it without a call.
+
+The modules follow the paper's layers: ``qcat`` holds the categories,
+their validation and both lifts; ``functors`` the functor search,
+products, tensors and hom objects; ``subconstructs`` the suitable sets
+and Cat_S; ``ccc`` the cartesian-closedness criterion and its witness.
+So ``construct final_lift``, ``validate`` and ``construct reflect`` load
+neither ``functors`` nor ``ccc``, and ``witness`` loads ``ccc`` but
+neither ``functors`` nor ``subconstructs``.
 """
 
 import sys as _sys
@@ -21,27 +29,20 @@ _EXPORTS = {
         "SizeLimitExceeded",
     ),
     "intervals": ("IntervalSet",),
-    "qcat": (
-        "QCat",
+    "qcat": ("QCat", "final_lift", "initial_lift", "validate_qcat"),
+    "functors": (
         "QFunctor",
         "enumerate_functors",
-        "final_lift",
         "hom_power",
         "hom_tensor",
-        "initial_lift",
         "product",
         "tensor",
         "tensor_transpose",
         "tensor_untranspose",
-        "validate_qcat",
     ),
     "subconstructs": (
-        "CCCWitness",
         "SuitableSet",
         "SuitableVariant",
-        "ccc_criterion",
-        "ccc_identity_check",
-        "ccc_witness",
         "check_suitable",
         "coreflect_c",
         "explicit",
@@ -49,9 +50,15 @@ _EXPORTS = {
         "k_square",
         "por_coreflection",
         "por_reflection",
-        "power_existence_check",
         "reflect_r",
         "sqrt_band",
+    ),
+    "ccc": (
+        "CCCWitness",
+        "ccc_criterion",
+        "ccc_identity_check",
+        "ccc_witness",
+        "power_existence_check",
     ),
     "tnorm": (
         "Block",
@@ -85,11 +92,13 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-# exported under another name: tnorm.product, apart from qcat.product
+# exported under another name: tnorm.product, apart from functors.product
 _RENAMED = {"product_tnorm": "product"}
 _SUBMODULES = (
+    "ccc",
     "cli",
     "errors",
+    "functors",
     "intervals",
     "qcat",
     "serialize",

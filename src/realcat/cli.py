@@ -12,7 +12,8 @@ Four commands, each with only the flags it reads:
   is validated first; a matrix that is no category exits 5, and so does
   a suitable set of ``coreflect``/``reflect`` that fails S1-S3.  So does
   the result of ``hom_power``: [A, B] is a category when the values lie
-  in M, not for every A and B.  Tuple-shaped points are written as flat
+  in M, not for every A and B, so only a result of inputs with an entry
+  outside M is checked.  Tuple-shaped points are written as flat
   labels, and a result with two points written alike (``("a", "b,c")``
   and ``("a,b", "c")``, or ``"1"`` and ``1``) exits 5 and writes nothing.
 - ``verify SUITE [--format json|text] [--tnorm T]``: run a named
@@ -41,7 +42,11 @@ refuses, exits 2 with the file's path in the line.
 
 The parser needs no kernel module: each command imports the modules it
 runs, so ``--help`` and a usage error load only this module and
-``realcat.errors``.
+``realcat.errors``.  ``validate`` and the lifts load ``realcat.qcat``
+but not ``realcat.functors`` (the functor search and hom objects), which
+only ``product``, ``tensor`` and the hom objects load; ``coreflect`` and
+``reflect`` add ``realcat.subconstructs``; ``witness`` loads ``realcat.ccc``
+and neither ``realcat.functors`` nor ``realcat.subconstructs``.
 """
 
 from __future__ import annotations
@@ -84,13 +89,13 @@ SUITE_NAMES = (
 )
 
 
-def _qc(name: str, *args):
-    """qcat.<name>(*args), for a table entry; like every kernel module,
-    qcat is imported by the command that runs, so the parser, --help and
-    a usage error load none of them."""
-    from . import qcat
+def _fn(name: str, *args):
+    """functors.<name>(*args), for a table entry; like every kernel
+    module, functors is imported by the command that runs, so the parser,
+    --help and a usage error load none of them."""
+    from . import functors
 
-    return getattr(qcat, name)(*args)
+    return getattr(functors, name)(*args)
 
 
 def _sub(name: str, *args):
@@ -194,13 +199,16 @@ def _suitable_and_category(args):
 
 def _hom_power(args) -> QCat:
     """[A, B], refused when it is not a category; the check names the
-    points by the labels its file shows."""
-    from . import qcat as qc, serialize as ser
+    points by the labels its file shows.  Inputs with every entry in M
+    skip the check: [A, B] is a category then (``functors.hom_power``)."""
+    from . import functors as fn, qcat as qc, serialize as ser
 
-    out = qc.hom_power(*_categories(args), args.max_maps)
-    qc.require_category(
-        out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
-    )
+    a, b = _categories(args)
+    out = fn.hom_power(a, b, args.max_maps)
+    if not (fn.m_valued(a) and fn.m_valued(b)):
+        qc.require_category(
+            out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
+        )
     return out
 
 
@@ -225,10 +233,10 @@ def _lift(family: str, args) -> QCat:
 # each construction: the number of input files it takes, and the function
 # that decodes and checks them (from the parsed arguments) and builds it
 CONSTRUCT_KINDS = {
-    "product": (2, lambda args: _qc("product", *_categories(args))),
-    "tensor": (2, lambda args: _qc("tensor", *_categories(args))),
+    "product": (2, lambda args: _fn("product", *_categories(args))),
+    "tensor": (2, lambda args: _fn("tensor", *_categories(args))),
     "hom_tensor": (
-        2, lambda args: _qc("hom_tensor", *_categories(args), args.max_maps)
+        2, lambda args: _fn("hom_tensor", *_categories(args), args.max_maps)
     ),
     "hom_power": (2, _hom_power),
     "coreflect": (2, lambda args: _sub("coreflect_c", *_suitable_and_category(args))),
@@ -302,7 +310,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    from . import serialize as ser, subconstructs as sub
+    from . import ccc, serialize as ser
     from .tnorm import subquantale_check
     from .values import SAMPLE_DENOMINATOR
 
@@ -311,16 +319,16 @@ def cmd_witness(args) -> int:
     sq = subquantale_check(t, k)
     if not sq.passed:
         raise ParseError(f"K is not a subquantale: {sq.message}")
-    if sub.ccc_criterion(t, k):
+    if ccc.ccc_criterion(t, k):
         sys.stdout.write(ser.dumps({"cartesian_closed": True, "criterion": True}))
         return EXIT_OK
     # K is not inside M, so a failing triple exists.  The grid search
     # picks it when it can (its greatest failing triple is the textbook
     # instance); a grid that misses every failure falls back to the
     # exact (a, a, a & a).
-    res = sub.ccc_identity_check(t, k, k.sample(SAMPLE_DENOMINATOR))
-    triple = sub.ccc_failure_triple(t, k) if res.passed else res.witness
-    w = sub.ccc_witness(t, *triple)
+    res = ccc.ccc_identity_check(t, k, k.sample(SAMPLE_DENOMINATOR))
+    triple = ccc.ccc_failure_triple(t, k) if res.passed else res.witness
+    w = ccc.ccc_witness(t, *triple)
     text = ser.dumps(ser.witness_to_obj(w))
     if args.out:
         _write(args.out, text)

@@ -31,7 +31,8 @@ from .tnorm import BUILTIN_NORMS, Block, BlockKind, TNorm
 from .values import Record, format_rat, parse_rat
 
 if TYPE_CHECKING:  # for annotations; suitable_from_obj imports it when it runs
-    from .subconstructs import CCCWitness, SuitableSet
+    from .ccc import CCCWitness
+    from .subconstructs import SuitableSet
 
 
 def point_label(p) -> str:

@@ -15,11 +15,9 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import subconstructs as sub
+from . import ccc, subconstructs as sub
 from . import yoneda
-from .intervals import IntervalSet
-from .qcat import (
-    QCat,
+from .functors import (
     enumerate_functors,
     hom_power,
     hom_tensor,
@@ -27,8 +25,9 @@ from .qcat import (
     tensor,
     tensor_transpose,
     tensor_untranspose,
-    validate_qcat,
 )
+from .intervals import IntervalSet
+from .qcat import QCat, validate_qcat
 from .serialize import Report
 from .subconstructs import CRISP
 from .tnorm import (
@@ -278,8 +277,8 @@ def suite_ccc_equivalence(config: WorkspaceConfig) -> Report:
         if not sq.passed:
             rep.error(name, f"not a subquantale: {sq.message}")
             continue
-        criterion = sub.ccc_criterion(t, k)
-        identity = sub.ccc_identity_check(t, k, k.sample(8))
+        criterion = ccc.ccc_criterion(t, k)
+        identity = ccc.ccc_identity_check(t, k, k.sample(8))
         rep.record(
             f"{name}: identity check agrees with criterion "
             f"(criterion={criterion})",
@@ -296,7 +295,7 @@ def _power_failures(luk: TNorm, rng: random.Random):
     values = [ZERO, Fraction(1, 4), Fraction(1, 2), ONE]  # inside M, also the grid
     for i in range(10):
         c = random_category(rng, luk, values, rng.randint(2, 3))
-        res = sub.power_existence_check(c, m_set(luk), values)
+        res = ccc.power_existence_check(c, m_set(luk), values)
         if not res.passed:
             yield f"instance {i}: {res.message}"
 
@@ -315,7 +314,7 @@ def suite_power_existence(config: WorkspaceConfig) -> Report:
         ("0", "1"),
         ((ONE, Fraction(1, 2)), (Fraction(1, 2), ONE)),
     )
-    res = sub.power_existence_check(c, k5, list(k5.finite_members()))
+    res = ccc.power_existence_check(c, k5, list(k5.finite_members()))
     rep.record(
         "half/half two-point category fails over the 3/4 grid",
         not res.passed

@@ -88,6 +88,7 @@ class TNorm(Frozen):
                 )
         self.__dict__.update(blocks=blocks, name=name)
 
+    @property
     def _key(self) -> tuple:
         return (self.blocks,)  # the name is left out of equality and hash
 

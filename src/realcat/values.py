@@ -10,6 +10,7 @@ used by the brute-force oracles, and the bases of the value classes.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import ParseError
 
@@ -72,12 +73,19 @@ class Record:
     _fields: tuple = ()
     __hash__ = None
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        """``_key``, the tuple of the fields, read by one attrgetter per
+        class (which gives a bare value for one field); a class that
+        writes its own ``_key`` keeps it."""
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields and "_key" not in cls.__dict__:
+            get = attrgetter(*fields)
+            cls._key = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return other is self or self._key() == other._key()
+            return other is self or self._key == other._key
         return NotImplemented
 
     def __repr__(self):
@@ -91,7 +99,7 @@ class Frozen(Record):
     fields (``_key``)."""
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

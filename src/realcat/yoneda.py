@@ -7,7 +7,7 @@ cartesian closed) is mostly automatic.  Every finite category is Yoneda
 complete: the limits of a forward Cauchy sequence are the points
 isomorphic to a cycle point (:func:`yoneda_limits`).  Every functor is
 Yoneda continuous, as it keeps pairs at distance 1.  What is left is
-that pointwise limits in [A -> B] (:func:`realcat.qcat.hom_power`) are
+that pointwise limits in [A -> B] (:func:`realcat.functors.hom_power`) are
 limits (:func:`function_space_limit`).
 """
 
@@ -16,15 +16,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError, NotForwardCauchy, NotMValued
-from .qcat import (
-    QCat,
-    QFunctor,
-    _require_same_norm,
-    functor_violation,
-    hom_power,
-    product,
-    require_category,
+from .functors import (
+    QFunctor, _require_same_norm, functor_violation, hom_power, m_valued, product
 )
+from .qcat import QCat, require_category
 from .tnorm import CheckResult, TNorm, idempotent_set, m_set
 from .values import ONE, Frozen
 
@@ -113,11 +108,10 @@ def approx_property(t: TNorm) -> ApproxReport:
 
 
 def _require_m_valued(c: QCat):
-    m = m_set(c.tnorm)
-    for row in c.matrix:
-        for v in row:
-            if v not in m:
-                raise NotMValued(f"structure value {v} outside M")
+    if not m_valued(c):
+        m = m_set(c.tnorm)
+        v = next(v for row in c.matrix for v in row if v not in m)
+        raise NotMValued(f"structure value {v} outside M")
 
 
 def _require_factors(where: str, a: QCat, c: QCat):
@@ -150,8 +144,8 @@ def function_space_limit(
     every cycle functor f, as d reads only values s(f x, g y): the law
     d(L, g) = join_la meet_{la<=mu} d(f_mu, g) holds for every g.
 
-    [A -> B] is a category then (on M, u & v is min(u, v) or a Lukasiewicz
-    block's start), so no FCSequence re-checks it, at |[A -> B]|^3 cost."""
+    [A -> B] is a category then (see :func:`realcat.functors.hom_power`),
+    so no FCSequence re-checks it, at |[A -> B]|^3 cost."""
     for require in (_require_m_valued, require_category):
         for c in (a, b):
             require(c)
@@ -168,7 +162,7 @@ def check_ev(a: QCat, b: QCat) -> CheckResult:
 
     A x [A -> B] carries min(r(x, y), d(f, g)), and d(f, g) <=
     r(x, y) -> s(f x, g y), as d is the meet of those residuals of the
-    meet (:func:`realcat.qcat.hom_power`); min(u, u -> v) <= v."""
+    meet (:func:`realcat.functors.hom_power`); min(u, u -> v) <= v."""
     _require_same_norm(a, b)
     return CheckResult(True, "evaluation is a functor")
 

@@ -10,20 +10,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from realcat import cli
+from realcat import ccc, cli
 from realcat import serialize as ser
 from realcat import subconstructs as sub
 from realcat import yoneda
 from realcat.intervals import IntervalSet
-from realcat.qcat import (
-    QCat,
-    enumerate_functors,
-    final_lift,
-    hom_power,
-    hom_tensor,
-    product,
-    validate_qcat,
-)
+from realcat.functors import enumerate_functors, hom_power, hom_tensor, product
+from realcat.qcat import QCat, final_lift, validate_qcat
 from realcat.suites import (
     WorkspaceConfig,
     ccc_test_matrix,
@@ -76,8 +69,8 @@ def test_criterion_02_ccc_equivalence(announce):
     ok = len(matrix) >= 6
     outcomes = set()
     for name, t, k in matrix:
-        criterion = sub.ccc_criterion(t, k)
-        identity = sub.ccc_identity_check(t, k, k.sample(8))
+        criterion = ccc.ccc_criterion(t, k)
+        identity = ccc.ccc_identity_check(t, k, k.sample(8))
         ok = ok and (criterion == identity.passed)
         outcomes.add(criterion)
     ok = ok and outcomes == {True, False}  # both verdicts exercised
@@ -114,7 +107,7 @@ def test_criterion_03_witness_construction(announce, tmp_path, capfd):
     # independent re-derivation of both sides from the construction
     u = v = F(3, 4)
     r = F(1, 2)
-    w = sub.ccc_witness(LUK, u, v, r)
+    w = ccc.ccc_witness(LUK, u, v, r)
     ad = product(w.cat_a, w.cat_d)
     ab = product(w.cat_a, w.cat_b)
     ac = product(w.cat_a, w.cat_c)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import realcat
-from realcat import cli, errors, qcat, suites
+from realcat import cli, errors, functors, suites
 
 # the package's exports, by the submodule that defines them; product_tnorm
 # is tnorm.product
@@ -22,16 +22,18 @@ EXPORTS = {
         "ProductIrrational RealcatError SizeLimitExceeded"
     ),
     "intervals": "IntervalSet",
-    "qcat": (
-        "QCat QFunctor enumerate_functors final_lift hom_power hom_tensor "
-        "initial_lift product tensor tensor_transpose tensor_untranspose "
-        "validate_qcat"
+    "qcat": "QCat final_lift initial_lift validate_qcat",
+    "functors": (
+        "QFunctor enumerate_functors hom_power hom_tensor product tensor "
+        "tensor_transpose tensor_untranspose"
     ),
     "subconstructs": (
-        "CCCWitness SuitableSet SuitableVariant ccc_criterion "
-        "ccc_identity_check ccc_witness check_suitable coreflect_c explicit "
-        "k_diagonal k_square por_coreflection por_reflection "
-        "power_existence_check reflect_r sqrt_band"
+        "SuitableSet SuitableVariant check_suitable coreflect_c explicit "
+        "k_diagonal k_square por_coreflection por_reflection reflect_r sqrt_band"
+    ),
+    "ccc": (
+        "CCCWitness ccc_criterion ccc_identity_check ccc_witness "
+        "power_existence_check"
     ),
     "tnorm": (
         "Block BlockKind CheckResult TNorm godel idempotent_set lukasiewicz "
@@ -44,13 +46,16 @@ EXPORTS = {
     ),
 }
 SUBMODULES = (
-    "cli errors intervals qcat serialize subconstructs suites tnorm values yoneda"
+    "ccc cli errors functors intervals qcat serialize subconstructs suites tnorm "
+    "values yoneda"
 ).split()
 EXPORTED = [
     (name, module) for module, names in EXPORTS.items() for name in names.split()
 ]
 # the modules no command but verify needs
 HEAVY = ("realcat.subconstructs", "realcat.suites", "realcat.yoneda")
+# the functor search and hom objects, and the CCC criterion
+FUNCTORS, CCC = "realcat.functors", "realcat.ccc"
 # standard library modules that no command loads: dataclasses imports
 # inspect, and nothing the CLI runs imports either
 UNUSED_STDLIB = ("dataclasses", "inspect")
@@ -121,10 +126,10 @@ def test_the_parser_names_every_suite():
 
 def test_the_parser_caps_maps_at_the_kernels_default():
     """--max-maps defaults to the kernel's cap, which errors defines for
-    the parser and qcat imports."""
+    the parser and functors imports."""
     args = cli.build_parser().parse_args(["construct", "product", "a", "b"])
-    assert args.max_maps == qcat.DEFAULT_MAP_CAP == 10**6
-    assert qcat.DEFAULT_MAP_CAP is errors.DEFAULT_MAP_CAP
+    assert args.max_maps == functors.DEFAULT_MAP_CAP == 10**6
+    assert functors.DEFAULT_MAP_CAP is errors.DEFAULT_MAP_CAP
 
 
 _LUK_EDGE = {
@@ -145,6 +150,7 @@ def inputs(tmp_path_factory):
             "sinks": [{"category": _LUK_EDGE, "map": {"a": "x", "b": "y"}}],
         },
         "k.json": {"components": [{"at": f"{i}/4"} for i in range(5)]},
+        "band.json": {"variant": "sqrt_band", "tnorm": "lukasiewicz"},
     }
     for name, doc in docs.items():
         (d / name).write_text(json.dumps(doc))
@@ -152,19 +158,27 @@ def inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, code, absent",
+    "argv, code, absent, present",
     [
-        (["construct", "final_lift", "lift.json"], 0, HEAVY),
-        (["construct", "hom_power", "cat.json", "cat.json"], 0, HEAVY),
-        (["validate", "cat.json", "cat.json"], 0, HEAVY),
-        (["--help"], 0, ("realcat.suites",)),
-        (["witness", "--k", "k.json"], 1, ("realcat.suites",)),
+        (["construct", "final_lift", "lift.json"], 0, (*HEAVY, FUNCTORS, CCC), ()),
+        (
+            ["construct", "reflect", "band.json", "cat.json"], 0,
+            ("realcat.suites", "realcat.yoneda", FUNCTORS, CCC),
+            ("realcat.subconstructs",),
+        ),
+        (["construct", "hom_power", "cat.json", "cat.json"], 0, HEAVY, (FUNCTORS,)),
+        (["validate", "cat.json", "cat.json"], 0, (*HEAVY, FUNCTORS, CCC), ()),
+        (["--help"], 0, ("realcat.suites",), ()),
+        (["witness", "--k", "k.json"], 1, (*HEAVY, FUNCTORS), (CCC,)),
     ],
-    ids=["final_lift", "hom_power", "validate", "help", "witness"],
+    ids=["final_lift", "reflect", "hom_power", "validate", "help", "witness"],
 )
-def test_a_command_imports_only_the_modules_it_runs(inputs, argv, code, absent):
+def test_a_command_imports_only_the_modules_it_runs(
+    inputs, argv, code, absent, present
+):
     ran, loaded = _fresh(*argv, cwd=inputs)
     assert ran == code and "realcat.cli" in loaded and not loaded & set(absent), loaded
+    assert set(present) <= loaded, loaded
     assert not loaded & set(UNUSED_STDLIB), loaded
 
 

@@ -1,6 +1,7 @@
 """Tests for finite real-enriched categories and their constructions."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction as F
 
@@ -9,23 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcat.errors import RealcatError, SizeLimitExceeded
-from realcat.intervals import IntervalSet
-from realcat.qcat import (
-    QCat,
+from realcat.functors import (
     QFunctor,
     enumerate_functors,
-    final_lift,
     functor_violation,
     hom_power,
     hom_tensor,
-    initial_lift,
+    m_valued,
     product,
     tensor,
     tensor_transpose,
     tensor_untranspose,
-    two_point,
-    validate_qcat,
 )
+from realcat.intervals import IntervalSet
+from realcat.qcat import QCat, final_lift, initial_lift, two_point, validate_qcat
 from realcat.subconstructs import (
     coreflect_c,
     explicit,
@@ -45,6 +43,7 @@ from realcat.tnorm import (
     godel,
     lukasiewicz,
     m_set,
+    remark4,
     tnorm_eval,
 )
 from realcat.values import ONE, ZERO
@@ -597,6 +596,44 @@ def test_hom_power_of_m_valued_categories_is_a_category(pair):
     m = m_set(a.tnorm)
     assert all(v in m for c in pair for row in c.matrix for v in row)
     assert validate_qcat(hom_power(a, b)).passed
+
+
+# two Lukasiewicz blocks: M is [0, 1/4], [1/2, 3/4] and 1
+TWO_LUK = TNorm(
+    (
+        Block(ZERO, F(1, 2), BlockKind.LUKASIEWICZ),
+        Block(F(1, 2), ONE, BlockKind.LUKASIEWICZ),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [LUK, GOD, remark4(), TWO_LUK],
+    ids=["lukasiewicz", "godel", "remark4", "two_luk"],
+)
+def test_hom_power_of_m_valued_categories_is_a_category_exhaustively(t):
+    """The proof in hom_power's docstring, by which ``construct hom_power``
+    checks no result of M-valued inputs, checked on every pair of
+    2-point categories with values in M and the eighths, and on a seeded
+    sample of pairs with a 3-point category among them."""
+    values = [v for v in EIGHTHS if v in m_set(t)]
+    twos = [two_point(t, a, b) for a in values for b in values]
+    rng = random.Random(27)
+    threes = []
+    while len(threes) < 60:
+        m = [
+            [ONE if i == j else rng.choice(values) for j in range(3)] for i in range(3)
+        ]
+        c = QCat(t, ("x", "y", "z"), m)
+        if validate_qcat(c).passed:
+            threes.append(c)
+    pairs = [*itertools.product(twos, repeat=2)]
+    pairs += [(a, rng.choice(twos + threes)) for a in threes]
+    pairs += [(rng.choice(twos), b) for b in threes]
+    for a, b in pairs:
+        assert m_valued(a) and m_valued(b)
+        assert validate_qcat(hom_power(a, b)).passed, (a, b)
 
 
 @st.composite

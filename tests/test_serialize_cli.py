@@ -16,11 +16,12 @@ from realcat import cli
 from realcat import serialize as ser
 from realcat.errors import DomainError, ParseError, one_line
 from realcat.intervals import IntervalSet
-from realcat.qcat import final_lift, product, two_point
+from realcat.ccc import ccc_witness
+from realcat.functors import product
+from realcat.qcat import final_lift, two_point
 from realcat.subconstructs import (
     SuitableSet,
     SuitableVariant,
-    ccc_witness,
     check_suitable,
     explicit,
     k_diagonal,
@@ -152,7 +153,7 @@ class TestOtherFormats:
         assert again == c
 
     def test_tuple_points_flatten_to_labels(self):
-        from realcat.qcat import product
+        from realcat.functors import product
 
         p = product(two_point(LUK, 0, 0), two_point(LUK, 0, 0, ("a", "b")))
         obj = ser.qcat_to_obj(p)

@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 
 from realcat.errors import DomainError, InvalidWitness, ProductIrrational, RealcatError
 from realcat.intervals import IntervalSet
-from realcat.qcat import QCat, final_lift, product as qproduct, two_point, validate_qcat
-from realcat.subconstructs import (
+from realcat.ccc import (
     ccc_criterion,
     ccc_failure_triple,
     ccc_identity_check,
     ccc_witness,
+    power_existence_check,
+)
+from realcat.functors import product as qproduct
+from realcat.qcat import QCat, final_lift, two_point, validate_qcat
+from realcat.subconstructs import (
     check_suitable,
     contains,
     coreflect_c,
@@ -27,7 +31,6 @@ from realcat.subconstructs import (
     k_square,
     por_coreflection,
     por_reflection,
-    power_existence_check,
     reflect_r,
     sqrt_band,
 )

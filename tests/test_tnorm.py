@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from realcat.errors import DomainError, ProductIrrational
 from realcat.intervals import IntervalSet
-from realcat.subconstructs import ccc_criterion
+from realcat.ccc import ccc_criterion
 from realcat.tnorm import (
     Block,
     BlockKind,

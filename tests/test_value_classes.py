@@ -9,10 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from realcat.ccc import CCCWitness, ccc_witness
+from realcat.functors import QFunctor, enumerate_functors
 from realcat.intervals import IntervalSet
-from realcat.qcat import QCat, QFunctor, _built_qcat, enumerate_functors, two_point
+from realcat.qcat import QCat, _built_qcat, two_point
 from realcat.serialize import Report
-from realcat.subconstructs import CCCWitness, SuitableSet, SuitableVariant, ccc_witness
+from realcat.subconstructs import SuitableSet, SuitableVariant
 from realcat.suites import WorkspaceConfig
 from realcat.tnorm import Block, BlockKind, CheckResult, TNorm, godel, lukasiewicz
 from realcat.yoneda import ApproxReport, FCSequence, approx_property

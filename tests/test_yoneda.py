@@ -9,17 +9,14 @@ import pytest
 
 from realcat.errors import DomainError, NotForwardCauchy, NotMValued, SizeLimitExceeded
 from realcat import qcat
-from realcat.qcat import (
-    QCat,
+from realcat.functors import (
     QFunctor,
     enumerate_functors,
     functor_violation,
     hom_power,
     product,
-    require_category,
-    two_point,
-    validate_qcat,
 )
+from realcat.qcat import QCat, require_category, two_point, validate_qcat
 from realcat.tnorm import CheckResult, godel, lukasiewicz, remark4, tnorm_eval
 from realcat.tnorm import product as product_norm
 from realcat.yoneda import (

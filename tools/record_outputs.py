@@ -45,13 +45,13 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
-from realcat import qcat as qc  # noqa: E402
+from realcat import functors as fs  # noqa: E402
 from realcat import subconstructs as sc  # noqa: E402
 from realcat import yoneda  # noqa: E402
 from realcat.intervals import IntervalSet  # noqa: E402
+from realcat.functors import QFunctor  # noqa: E402
 from realcat.qcat import (  # noqa: E402
     QCat,
-    QFunctor,
     final_lift,
     initial_lift,
     two_point,
@@ -306,22 +306,22 @@ def functor_cases(seed: int = SEED) -> list:
         a, b = draw_cat(rng, t, na, "a", pa), draw_cat(rng, t, nb, "b", pb)
         c = draw_cat(rng, t, nc, "c", MIXED + ends)
         tag = f"{r:03d} {name} {na}->{nb} c={nc}"
-        out.append((f"{tag} enumerate_functors", qc.enumerate_functors, (a, b)))
-        for build in (qc.product, qc.tensor, qc.hom_power, qc.hom_tensor):
+        out.append((f"{tag} enumerate_functors", fs.enumerate_functors, (a, b)))
+        for build in (fs.product, fs.tensor, fs.hom_power, fs.hom_tensor):
             out.append((f"{tag} {build.__name__}", build, (a, b)))
         if r % 3 == 0:  # the map cap at |B|^|A| and just below it
             cap = nb**na
             for label, fn, at in (
-                ("enumerate", qc.enumerate_functors, cap),
-                ("enumerate", qc.enumerate_functors, cap - 1),
-                ("hom_power", qc.hom_power, cap - 1),
-                ("hom_tensor", qc.hom_tensor, cap - 1),
+                ("enumerate", fs.enumerate_functors, cap),
+                ("enumerate", fs.enumerate_functors, cap - 1),
+                ("hom_power", fs.hom_power, cap - 1),
+                ("hom_tensor", fs.hom_tensor, cap - 1),
             ):
                 out.append((f"{tag} {label} cap={at}", fn, (a, b, at)))
-        hom = qc.hom_power(a, b)
-        out.append((f"{tag} enumerate C -> [A, B]", qc.enumerate_functors, (c, hom)))
-        ac = qc.product(a, c)
-        direct = qc.enumerate_functors(ac, b)
+        hom = fs.hom_power(a, b)
+        out.append((f"{tag} enumerate C -> [A, B]", fs.enumerate_functors, (c, hom)))
+        ac = fs.product(a, c)
+        direct = fs.enumerate_functors(ac, b)
         picks = [direct[0], direct[-1], rng.choice(direct)] if direct else []
         for k, f in enumerate([*picks, draw_map(rng, ac, b)]):
             if f is not None:
@@ -419,7 +419,7 @@ def limit_cases(rng, t, tag, ends) -> list:
     pool = [v for v in MIXED + ends if v in m]
     a = draw_cat(rng, t, rng.randint(1, 3), "a", pool)
     b = draw_cat(rng, t, rng.randint(1, 3), "b", pool)
-    hom, limit = qc.hom_power(a, b), yoneda.function_space_limit
+    hom, limit = fs.hom_power(a, b), yoneda.function_space_limit
     if not hom.points:  # a random B may admit no functor
         return [(f"{tag} limit no functor", limit, (a, b, (), ("?",)))]
     f = rng.choice(hom.points)
@@ -446,24 +446,24 @@ def functor_refused() -> list:
     a = two_point(luk, half, F(1, 3))
     b = two_point(luk, F(3, 4), F(1, 4))
     chain = QCat(luk, ("x", "y", "z"), ((1, half, 0), (0, 1, half), (0, 0, 1)))
-    ab = qc.product(a, b)
+    ab = fs.product(a, b)
     bad = QFunctor(ab, b, tuple("0" if p == ("1", "1") else "1" for p in ab.points))
     low = two_point(luk, F(1, 4), 0)  # M-valued, as a is
     out = [
-        ("|A| = 0 enumerate", qc.enumerate_functors, (empty, a)),
-        ("|A| = |B| = 0 enumerate", qc.enumerate_functors, (empty, empty)),
-        ("|B| = 0 enumerate", qc.enumerate_functors, (a, empty)),
-        ("|B| = 1 enumerate", qc.enumerate_functors, (chain, one)),
-        ("|A| = 0 hom_power", qc.hom_power, (empty, a)),
-        ("|A| = 0 hom_tensor", qc.hom_tensor, (empty, empty)),
-        ("|B| = 0 hom_power", qc.hom_power, (a, empty)),
-        ("|B| = 0 hom_tensor", qc.hom_tensor, (a, empty)),
-        ("|A| = 0 product", qc.product, (empty, a)),
-        ("|B| = 0 tensor", qc.tensor, (a, empty)),
-        ("cap at 27", qc.enumerate_functors, (chain, chain, 27)),
-        ("refused cap 26", qc.enumerate_functors, (chain, chain, 26)),
-        ("refused hom_power cap 26", qc.hom_power, (chain, chain, 26)),
-        ("refused hom_tensor cap 0", qc.hom_tensor, (a, b, 0)),
+        ("|A| = 0 enumerate", fs.enumerate_functors, (empty, a)),
+        ("|A| = |B| = 0 enumerate", fs.enumerate_functors, (empty, empty)),
+        ("|B| = 0 enumerate", fs.enumerate_functors, (a, empty)),
+        ("|B| = 1 enumerate", fs.enumerate_functors, (chain, one)),
+        ("|A| = 0 hom_power", fs.hom_power, (empty, a)),
+        ("|A| = 0 hom_tensor", fs.hom_tensor, (empty, empty)),
+        ("|B| = 0 hom_power", fs.hom_power, (a, empty)),
+        ("|B| = 0 hom_tensor", fs.hom_tensor, (a, empty)),
+        ("|A| = 0 product", fs.product, (empty, a)),
+        ("|B| = 0 tensor", fs.tensor, (a, empty)),
+        ("cap at 27", fs.enumerate_functors, (chain, chain, 27)),
+        ("refused cap 26", fs.enumerate_functors, (chain, chain, 26)),
+        ("refused hom_power cap 26", fs.hom_power, (chain, chain, 26)),
+        ("refused hom_tensor cap 0", fs.hom_tensor, (a, b, 0)),
         ("refused curry of a non-functor", yoneda.curry, (a, b, b, bad)),
         ("refused uncurry of a non-functor", yoneda.uncurry, (a, b, b, bad)),
         ("refused limit empty cycle", yoneda.function_space_limit, (a, low, (), ())),
@@ -480,11 +480,11 @@ def functor_refused() -> list:
         (
             "limit into a chain",
             yoneda.function_space_limit,
-            (a, chain, (), qc.hom_power(a, chain).points[-1:]),
+            (a, chain, (), fs.hom_power(a, chain).points[-1:]),
         ),
     ]
     other = two_point(god, half, 0)
-    for build in (qc.product, qc.tensor, qc.hom_power, qc.hom_tensor):
+    for build in (fs.product, fs.tensor, fs.hom_power, fs.hom_tensor):
         out.append((f"refused {build.__name__} over two norms", build, (a, other)))
     return out
 
