@@ -3,7 +3,8 @@
 K-Cat is cartesian closed iff K lies inside M (:func:`ccc_criterion`).
 When it does not, :func:`ccc_witness` builds the finite categories at
 which A x - fails to preserve a final sink, from a triple (u, v, r) at
-which the distributivity identity fails.
+which the distributivity identity fails.  The identity and the
+power-object inequality are also checked on grids.
 """
 
 from __future__ import annotations

@@ -244,7 +244,8 @@ def hom_power(a: QCat, b: QCat, max_maps: int = DEFAULT_MAP_CAP) -> QCat:
     [A, B] is a category when A and B are M-valued (:func:`m_valued`)
     categories, and need not be otherwise.  d(f,f) = 1 as f is a
     functor.  For transitivity take u = d(f,g), v = d(g,h) and a pair
-    (x, y) with r = r(x,y) > w = s(f x, h y), and show u & v <= w.
+    (x, y) with r = r(x,y) > w = s(f x, h y) (the other pairs bound
+    nothing), and show u & v <= w.
     As r(x,x) = 1, u <= a = s(f x, g x), and likewise v <= b =
     s(g y, h y); by B's composition law s(g x, h y) & a <= w and
     b & s(f x, g y) <= w.  If s(g x, h y) < r, then v <= s(g x, h y)

@@ -58,7 +58,7 @@ class QCat(Frozen):
     @cached_property
     def _built(self) -> dict:
         # product, hom_power and hom_tensor with this category as first
-        # argument (see _kept_on_first); kept out of the fields like
+        # argument (see functors._kept_on_first); kept out of the fields like
         # _positions, so equality and hashing do not change.
         return {}
 

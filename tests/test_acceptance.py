@@ -14,8 +14,8 @@ from realcat import ccc, cli
 from realcat import serialize as ser
 from realcat import subconstructs as sub
 from realcat import yoneda
-from realcat.intervals import IntervalSet
 from realcat.functors import enumerate_functors, hom_power, hom_tensor, product
+from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, final_lift, validate_qcat
 from realcat.suites import (
     WorkspaceConfig,

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from realcat import cli
 from realcat import serialize as ser
-from realcat.errors import DomainError, ParseError, one_line
-from realcat.intervals import IntervalSet
 from realcat.ccc import ccc_witness
+from realcat.errors import DomainError, ParseError, one_line
 from realcat.functors import product
+from realcat.intervals import IntervalSet
 from realcat.qcat import final_lift, two_point
 from realcat.subconstructs import (
     SuitableSet,

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcat.errors import DomainError, InvalidWitness, ProductIrrational, RealcatError
-from realcat.intervals import IntervalSet
 from realcat.ccc import (
     ccc_criterion,
     ccc_failure_triple,
@@ -19,7 +17,9 @@ from realcat.ccc import (
     ccc_witness,
     power_existence_check,
 )
+from realcat.errors import DomainError, InvalidWitness, ProductIrrational, RealcatError
 from realcat.functors import product as qproduct
+from realcat.intervals import IntervalSet
 from realcat.qcat import QCat, final_lift, two_point, validate_qcat
 from realcat.subconstructs import (
     check_suitable,

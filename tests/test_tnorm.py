@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from realcat.ccc import ccc_criterion
 from realcat.errors import DomainError, ProductIrrational
 from realcat.intervals import IntervalSet
-from realcat.ccc import ccc_criterion
 from realcat.tnorm import (
     Block,
     BlockKind,
