@@ -12,8 +12,7 @@ Four commands, each with only the flags it reads:
   is validated first; a matrix that is no category exits 5, and so does
   a suitable set of ``coreflect``/``reflect`` that fails S1-S3.  So does
   the result of ``hom_power``: [A, B] is a category when the values lie
-  in M, not for every A and B, so only a result of inputs with an entry
-  outside M is checked.  Tuple-shaped points are written as flat
+  in M, not for every A and B.  Tuple-shaped points are written as flat
   labels, and a result with two points written alike (``("a", "b,c")``
   and ``("a,b", "c")``, or ``"1"`` and ``1``) exits 5 and writes nothing.
 - ``verify SUITE [--format json|text] [--tnorm T]``: run a named
@@ -199,16 +198,13 @@ def _suitable_and_category(args):
 
 def _hom_power(args) -> QCat:
     """[A, B], refused when it is not a category; the check names the
-    points by the labels its file shows.  Inputs with every entry in M
-    skip the check: [A, B] is a category then (``functors.hom_power``)."""
+    points by the labels its file shows."""
     from . import functors as fn, qcat as qc, serialize as ser
 
-    a, b = _categories(args)
-    out = fn.hom_power(a, b, args.max_maps)
-    if not (fn.m_valued(a) and fn.m_valued(b)):
-        qc.require_category(
-            out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
-        )
+    out = fn.hom_power(*_categories(args), args.max_maps)
+    qc.require_category(
+        out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
+    )
     return out
 
 

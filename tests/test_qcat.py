@@ -1,7 +1,6 @@
 """Tests for finite real-enriched categories and their constructions."""
 
 import itertools
-import random
 import sys
 from fractions import Fraction as F
 
@@ -43,7 +42,6 @@ from realcat.tnorm import (
     godel,
     lukasiewicz,
     m_set,
-    remark4,
     tnorm_eval,
 )
 from realcat.values import ONE, ZERO
@@ -569,14 +567,21 @@ def test_malformed_constructor_input_is_a_value_type_or_realcat_error(data):
 
 
 EIGHTHS = [F(i, 8) for i in range(9)]
+# two Lukasiewicz blocks: M is [0, 1/4], [1/2, 3/4] and 1
+TWO_LUK = TNorm(
+    (
+        Block(ZERO, F(1, 2), BlockKind.LUKASIEWICZ),
+        Block(F(1, 2), ONE, BlockKind.LUKASIEWICZ),
+    )
+)
 
 
 @st.composite
 def m_valued_pairs(draw):
-    """Two categories over one builtin norm with every value in its
-    quantale M: closures of rows drawn from the eighths inside M, which
-    M keeps, as it is closed under & and joins."""
-    t = BUILTIN_NORMS[draw(st.sampled_from(sorted(BUILTIN_NORMS)))]()
+    """Two categories over one builtin norm or TWO_LUK with every value
+    in its quantale M: closures of rows drawn from the eighths inside M,
+    which M keeps, as it is closed under & and joins."""
+    t = draw(st.sampled_from([*(BUILTIN_NORMS[n]() for n in sorted(BUILTIN_NORMS)), TWO_LUK]))
     values = [v for v in EIGHTHS if v in m_set(t)]
     cats = []
     for prefix in ("a", "b"):
@@ -588,52 +593,40 @@ def m_valued_pairs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(m_valued_pairs())
+# values in the lower half of TWO_LUK's upper block, where & gives the
+# block's start (3/4 & 3/4 = 1/2): the last case of hom_power's proof
+@example([
+    two_point(TWO_LUK, F(3, 4), F(1, 2)),
+    closed_category(
+        TWO_LUK,
+        "b",
+        [[ONE, F(3, 4), F(1, 2)], [F(3, 4), ONE, F(3, 4)], [F(1, 2), F(3, 4), ONE]],
+    ),
+])
 def test_hom_power_of_m_valued_categories_is_a_category(pair):
     """The paper's first theorem at finite scale: with values in M the
-    power object exists, so [A, B] is a category.  Outside M it need
-    not be (see the CLI test on the (3/4, 3/4, 1/2) witness)."""
+    power object exists, so [A, B] is a category (the proof is in
+    hom_power's docstring).  Outside M it need not be (the next test)."""
     a, b = pair
-    m = m_set(a.tnorm)
-    assert all(v in m for c in pair for row in c.matrix for v in row)
+    assert m_valued(a) and m_valued(b)
     assert validate_qcat(hom_power(a, b)).passed
 
 
-# two Lukasiewicz blocks: M is [0, 1/4], [1/2, 3/4] and 1
-TWO_LUK = TNorm(
-    (
-        Block(ZERO, F(1, 2), BlockKind.LUKASIEWICZ),
-        Block(F(1, 2), ONE, BlockKind.LUKASIEWICZ),
-    )
-)
-
-
-@pytest.mark.parametrize(
-    "t",
-    [LUK, GOD, remark4(), TWO_LUK],
-    ids=["lukasiewicz", "godel", "remark4", "two_luk"],
-)
-def test_hom_power_of_m_valued_categories_is_a_category_exhaustively(t):
-    """The proof in hom_power's docstring, by which ``construct hom_power``
-    checks no result of M-valued inputs, checked on every pair of
-    2-point categories with values in M and the eighths, and on a seeded
-    sample of pairs with a 3-point category among them."""
-    values = [v for v in EIGHTHS if v in m_set(t)]
-    twos = [two_point(t, a, b) for a in values for b in values]
-    rng = random.Random(27)
-    threes = []
-    while len(threes) < 60:
-        m = [
-            [ONE if i == j else rng.choice(values) for j in range(3)] for i in range(3)
-        ]
-        c = QCat(t, ("x", "y", "z"), m)
-        if validate_qcat(c).passed:
-            threes.append(c)
-    pairs = [*itertools.product(twos, repeat=2)]
-    pairs += [(a, rng.choice(twos + threes)) for a in threes]
-    pairs += [(rng.choice(twos), b) for b in threes]
-    for a, b in pairs:
-        assert m_valued(a) and m_valued(b)
-        assert validate_qcat(hom_power(a, b)).passed, (a, b)
+def test_hom_power_outside_m_need_not_be_a_category():
+    """The control of the test above: a 4-point full subcategory of the
+    final lift L of the (3/4, 3/4, 1/2) witness (see the CLI test on its
+    [A, L]) has 3/4, outside Lukasiewicz's M, and [A, B] is no category."""
+    a = two_point(LUK, F(1, 2), F(1, 2))
+    q = [F(i, 4) for i in range(5)]
+    b = QCat(LUK, ("w", "x", "y", "z"), [
+        [q[4], q[3], q[2], q[1]],
+        [q[3], q[4], q[2], q[2]],
+        [q[2], q[2], q[4], q[3]],
+        [q[1], q[2], q[3], q[4]],
+    ])
+    assert validate_qcat(b).passed
+    assert m_valued(a) and not m_valued(b)
+    assert not validate_qcat(hom_power(a, b)).passed
 
 
 @st.composite
