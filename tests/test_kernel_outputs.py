@@ -1,12 +1,12 @@
 """The library's outputs on the committed corpora (written by
 ``tools/record_outputs.py``) replay unchanged, errors included:
 ``kernel_outputs.json`` for validate_qcat, final_lift, reflect_r,
-coreflect_c and is_in_cat_s, and ``functor_outputs.json`` for the
+coreflect_c and is_in_cat_s, ``functor_outputs.json`` for the
 functor search, products, hom objects, curry, uncurry, the
-function-space limit, initial_lift and final_lift's refusals."""
+function-space limit, initial_lift and final_lift's refusals, and
+``cli_outputs.json`` for every command of the CLI, refusals included."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,21 +17,31 @@ record_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_outputs)
 
 
-def first_difference_on_replay(path, build):
-    saved = json.loads(path.read_text())
-    replayed = record_outputs.record(saved["seed"], build)
-    assert len(saved["cases"]) > 3000
-    return record_outputs.first_difference(saved["cases"], replayed)
+def first_difference_on_replay(path, build, least):
+    recorded, replayed = record_outputs.replay(path, build)
+    assert len(recorded) > least
+    return record_outputs.first_difference(recorded, replayed)
 
 
 def test_the_kernel_output_corpus_replays_unchanged():
-    differs = first_difference_on_replay(record_outputs.OUTPUTS, record_outputs.cases)
+    differs = first_difference_on_replay(
+        record_outputs.OUTPUTS, record_outputs.cases, 3000
+    )
     assert differs is None, f"first case that differs: {differs}"
 
 
 def test_the_functor_output_corpus_replays_unchanged():
     differs = first_difference_on_replay(
-        record_outputs.FUNCTOR_OUTPUTS, record_outputs.functor_cases
+        record_outputs.FUNCTOR_OUTPUTS, record_outputs.functor_cases, 3000
+    )
+    assert differs is None, f"first case that differs: {differs}"
+
+
+def test_the_cli_output_corpus_replays_unchanged():
+    """Every command and construct kind, valid and refused, run
+    in-process: exit code, stdout, stderr and written files."""
+    differs = first_difference_on_replay(
+        record_outputs.CLI_OUTPUTS, record_outputs.cli_cases, 350
     )
     assert differs is None, f"first case that differs: {differs}"
 

@@ -1,6 +1,6 @@
-"""Record the library's outputs on two seeded corpora, or replay them.
+"""Record the library's outputs on three seeded corpora, or replay them.
 
-    python3 tools/record_outputs.py          # write both corpus files
+    python3 tools/record_outputs.py          # write the corpus files
     python3 tools/record_outputs.py --check  # replay; name the first case that differs
 
 Each corpus is drawn with ``random.Random`` from a fixed seed, with the
@@ -24,9 +24,21 @@ adjacent blocks sharing an endpoint).
   values, drawn from a stream of its own so the cases before it keep
   their draws; then ``final_lift`` refusals (:func:`sink_fault_cases`),
   one fault each, from a third stream.
+- ``tests/cli_outputs.json`` (:func:`cli_cases`): ``cli.main`` runs,
+  in-process, of every command and every ``construct`` kind on fixed
+  files (valid and refused: help and usage errors, wrong arity, missing
+  and undecodable files, non-categories, mixed norms, a set failing
+  S1-S3, the map cap, labels and paths holding a line break), then on
+  files drawn per round from a fourth stream.  Each run reads its files
+  by relative name from a fresh temporary directory, with ``COLUMNS``
+  fixed, so no temporary path and no terminal width reaches an output.
 
 Each case is stored as a digest of its output, or of its error's type
-and text.
+and text; a CLI case, of its exit code, stdout, stderr and the files it
+wrote.  Help and usage-error texts are argparse's, whose wording and
+wrapping differ between Python versions: a corpus names the Python that
+recorded it, and on another one its cases whose ids start with
+``argparse`` are left out of the replay.
 
 Re-record only at a commit whose outputs are known to be right, and
 name in CHANGES.md every case whose digest changes.
@@ -34,10 +46,14 @@ name in CHANGES.md every case whose digest changes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -45,6 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
+from realcat import cli  # noqa: E402
 from realcat import functors as fs  # noqa: E402
 from realcat import subconstructs as sc  # noqa: E402
 from realcat import yoneda  # noqa: E402
@@ -73,11 +90,15 @@ from realcat.tnorm import (  # noqa: E402
 
 OUTPUTS = ROOT / "tests" / "kernel_outputs.json"
 FUNCTOR_OUTPUTS = ROOT / "tests" / "functor_outputs.json"
+CLI_OUTPUTS = ROOT / "tests" / "cli_outputs.json"
+PYTHON = "%d.%d" % sys.version_info[:2]
+ARGPARSE = "argparse "
 SEED = 20
 ROUNDS = 480
 FUNCTOR_ROUNDS = 240
 LIFT_ROUNDS = 160
 SINK_FAULT_ROUNDS = 80
+CLI_ROUNDS = 20
 
 VALUES = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 5), F(1, 7), F(5, 12)]
 CHAINS = ((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
@@ -489,6 +510,347 @@ def functor_refused() -> list:
     return out
 
 
+def run_cli(argv: tuple, files: dict) -> tuple:
+    """``cli.main(argv)`` in a fresh temporary directory holding files
+    (name -> text), with ``COLUMNS`` at 80: its exit code, stdout and
+    stderr, and the files it wrote there (name -> text)."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        os.chdir(tmp)
+        os.environ["COLUMNS"] = "80"
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            written = {
+                name: Path(name).read_text()
+                for name in sorted(os.listdir()) if name not in files
+            }
+        finally:
+            os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def rat(v) -> str:
+    """v in the "p/q" wire format, written here and not by serialize."""
+    v = F(v)
+    return f"{v.numerator}/{v.denominator}"
+
+
+def wire_norm(t, name):
+    if name in BUILTIN_NORMS:
+        return name
+    return {
+        "blocks": [
+            {"lo": rat(b.lo), "hi": rat(b.hi), "kind": b.kind.value} for b in t.blocks
+        ]
+    }
+
+
+def wire_cat(norm, c) -> dict:
+    return {
+        "tnorm": norm,
+        "points": list(c.points),
+        "matrix": [[rat(v) for v in row] for row in c.matrix],
+    }
+
+
+def wire_k(k) -> dict:
+    return {
+        "components": [
+            {"at": rat(lo)} if lo == hi else {"lo": rat(lo), "hi": rat(hi)}
+            for lo, hi in k.components
+        ]
+    }
+
+
+def wire_set(rng, t, norm, variant) -> dict:
+    """A suitable-set file of the variant, its K or pairs drawn as for
+    the kernel corpus; S1-S3 need not hold."""
+    doc = {"variant": variant, "tnorm": norm}
+    if variant == "explicit":
+        doc["pairs"] = [[rat(a), rat(b)] for a, b in draw_pairs(rng, t)]
+    elif variant != "sqrt_band":
+        doc["k"] = wire_k(draw_k(rng, t))
+    return doc
+
+
+def wire_lift(rng, t, norm, family, pool) -> dict:
+    """A lift spec of 0-2 entries on a carrier of 1-3 points, each a map
+    between the carrier and a 1-2 point category over pool; one time in
+    six a map omits a point."""
+    carrier = [f"x{i}" for i in range(rng.randint(1, 3))]
+    entries = []
+    for k in range(rng.randint(0, 2)):
+        cat = draw_cat(rng, t, rng.randint(1, 2), f"s{k}.", pool)
+        if family == "sinks":
+            table = {p: rng.choice(carrier) for p in cat.points}
+        else:
+            table = {x: rng.choice(cat.points) for x in carrier}
+        if rng.random() < 1 / 6:
+            del table[rng.choice(list(table))]
+        entries.append({"category": wire_cat(norm, cat), "map": table})
+    return {"tnorm": norm, "carrier": carrier, family: entries}
+
+
+_EDGE = {
+    "tnorm": "lukasiewicz",
+    "points": ["a", "b"],
+    "matrix": [["1/1", "1/2"], ["0/1", "1/1"]],
+}
+# each fixed file, by name
+CLI_FILES = {
+    "edge.json": _EDGE,
+    "godel_edge.json": {**_EDGE, "tnorm": "godel"},
+    "no_category.json": {**_EDGE, "matrix": [["1/2", "1/2"], ["0/1", "1/1"]]},
+    "broken\nlabel.json": {**_EDGE, "points": ["a\nb", "c"]},
+    "broken_no_category.json": {
+        **_EDGE, "points": ["a\nb", "c"], "matrix": [["1/2", "0/1"], ["0/1", "1/1"]]
+    },
+    "alike_a.json": {**_EDGE, "points": ["a", "a,b"]},
+    "alike_b.json": {**_EDGE, "points": ["b,c", "c"]},
+    # a 2-point category in M and a 4-point one with 3/4, whose [A, B]
+    # is no category (tests/test_qcat.py's control)
+    "m_half.json": {**_EDGE, "matrix": [["1/1", "1/2"], ["1/2", "1/1"]]},
+    "quarters.json": {"tnorm": "lukasiewicz", "points": list("wxyz"), "matrix": [
+        ["1/1", "3/4", "1/2", "1/4"],
+        ["3/4", "1/1", "1/2", "1/2"],
+        ["1/2", "1/2", "1/1", "3/4"],
+        ["1/4", "1/2", "3/4", "1/1"],
+    ]},
+    "band.json": {"variant": "sqrt_band", "tnorm": "lukasiewicz"},
+    "godel_band.json": {"variant": "sqrt_band", "tnorm": "godel"},
+    "no_norm_band.json": {"variant": "sqrt_band"},
+    "unsuitable.json": {
+        "variant": "explicit",
+        "tnorm": "lukasiewicz",
+        "pairs": [["0/1", "0/1"], ["1/1", "1/1"], ["1/2", "1/1"]],
+    },
+    "quarter_k.json": {"components": [{"at": f"{i}/4"} for i in range(5)]},
+    "crisp_k.json": {"components": [{"at": "0/1"}, {"at": "1/1"}]},
+    "no_subquantale.json": {"components": [{"at": "1/2"}, {"at": "1/1"}]},
+    "blocks.json": {"blocks": [{"lo": "0/1", "hi": "1/2", "kind": "lukasiewicz"}]},
+    "unknown.json": {"neither": "kind"},
+    "sinks.json": {
+        "tnorm": "lukasiewicz",
+        "carrier": ["x", "y"],
+        "sinks": [{"category": _EDGE, "map": {"a": "x", "b": "y"}}],
+    },
+    "sources.json": {
+        "tnorm": "lukasiewicz",
+        "carrier": ["x", "y"],
+        "sources": [{"category": _EDGE, "map": {"x": "a", "y": "b"}}],
+    },
+}
+# the lift specs again, over another norm than their category's, and
+# with a category that is none
+for _family in ("sinks", "sources"):
+    _spec = CLI_FILES[f"{_family}.json"]
+    CLI_FILES[f"godel_{_family}.json"] = {**_spec, "tnorm": "godel"}
+    CLI_FILES[f"bad_{_family}.json"] = {
+        **_spec,
+        _family: [{**_spec[_family][0], "category": CLI_FILES["no_category.json"]}],
+    }
+CLI_TEXTS = {name: json.dumps(doc) for name, doc in CLI_FILES.items()}
+CLI_TEXTS["not_json.json"] = "not json"
+
+CONSTRUCT_INPUTS = {
+    "product": ("edge.json", "edge.json"),
+    "tensor": ("edge.json", "m_half.json"),
+    "hom_tensor": ("edge.json", "edge.json"),
+    "hom_power": ("edge.json", "edge.json"),
+    "coreflect": ("band.json", "edge.json"),
+    "reflect": ("band.json", "edge.json"),
+    "initial_lift": ("sources.json",),
+    "final_lift": ("sinks.json",),
+    "por_rho": ("edge.json",),
+    "por_sigma": ("edge.json",),
+}
+
+
+def fixed_cli_argvs() -> list:
+    """(id, argv) of the fixed CLI cases."""
+    out = [
+        ("argparse help", ["--help"]),
+        ("argparse no command", []),
+        ("argparse unknown command", ["nope"]),
+        ("argparse unknown option", ["--nope"]),
+        ("argparse unknown kind", ["construct", "nope", "edge.json"]),
+        ("argparse kind with a line break", ["construct", "no\npe", "edge.json"]),
+        ("argparse no inputs", ["construct", "product"]),
+        ("argparse no suite", ["verify"]),
+        ("argparse unknown suite", ["verify", "nope"]),
+        ("argparse no paths", ["validate"]),
+        ("argparse unknown format", ["validate", "edge.json", "--format", "xml"]),
+        ("argparse undeclared flag", ["validate", "edge.json", "--out", "x.json"]),
+        ("argparse witness without k", ["witness"]),
+        ("argparse max-maps 0", ["construct", "hom_power", "edge.json", "edge.json",
+                                 "--max-maps", "0"]),
+        ("argparse max-maps text", ["construct", "hom_tensor", "edge.json", "edge.json",
+                                    "--max-maps", "x"]),
+    ]
+    out += [
+        (f"argparse {cmd} help", [cmd, "-h"])
+        for cmd in ("validate", "construct", "verify", "witness")
+    ]
+    for kind, inputs in CONSTRUCT_INPUTS.items():
+        out.append((f"construct {kind}", ["construct", kind, *inputs]))
+        arity = 3 - len(inputs)  # one file too many or too few
+        out.append((f"construct {kind} arity {arity}",
+                    ["construct", kind, *(["edge.json"] * arity)]))
+        out.append((f"construct {kind} missing file",
+                    ["construct", kind, "missing.json", *inputs[1:]]))
+        out.append((f"construct {kind} undecodable file",
+                    ["construct", kind, "not_json.json", *inputs[1:]]))
+    for kind in ("product", "tensor", "hom_tensor", "hom_power"):
+        out += [
+            (f"construct {kind} of a non-category",
+             ["construct", kind, "edge.json", "no_category.json"]),
+            (f"construct {kind} mixed norms",
+             ["construct", kind, "edge.json", "godel_edge.json"]),
+            (f"construct {kind} with a broken label",
+             ["construct", kind, "broken\nlabel.json", "edge.json"]),
+        ]
+    for kind in ("coreflect", "reflect"):
+        out += [
+            (f"construct {kind} of a non-category",
+             ["construct", kind, "band.json", "no_category.json"]),
+            (f"construct {kind} mixed norms",
+             ["construct", kind, "godel_band.json", "edge.json"]),
+            (f"construct {kind} unsuitable set",
+             ["construct", kind, "unsuitable.json", "edge.json"]),
+            (f"construct {kind} set without norm",
+             ["construct", kind, "no_norm_band.json", "edge.json"]),
+            (f"construct {kind} set is a category",
+             ["construct", kind, "edge.json", "edge.json"]),
+        ]
+    for kind in ("por_rho", "por_sigma"):
+        out.append((f"construct {kind} of a non-category",
+                    ["construct", kind, "broken_no_category.json"]))
+    for kind, family in (("final_lift", "sinks"), ("initial_lift", "sources")):
+        out += [
+            (f"construct {kind} of a non-category", ["construct", kind, f"bad_{family}.json"]),
+            (f"construct {kind} mixed norms", ["construct", kind, f"godel_{family}.json"]),
+            (f"construct {kind} of the other family",
+             ["construct", kind, "sinks.json" if family == "sources" else "sources.json"]),
+        ]
+    out += [
+        ("construct hom_power over max-maps",
+         ["construct", "hom_power", "edge.json", "edge.json", "--max-maps", "3"]),
+        ("construct hom_tensor over max-maps",
+         ["construct", "hom_tensor", "edge.json", "edge.json", "--max-maps", "3"]),
+        ("construct hom_power at max-maps",
+         ["construct", "hom_power", "edge.json", "edge.json", "--max-maps", "4"]),
+        ("construct hom_power result no category",
+         ["construct", "hom_power", "m_half.json", "quarters.json"]),
+        ("construct product points written alike",
+         ["construct", "product", "alike_a.json", "alike_b.json"]),
+        ("construct product of broken labels",
+         ["construct", "product", "broken\nlabel.json", "broken\nlabel.json"]),
+        ("construct missing file with a line break",
+         ["construct", "product", "miss\ning.json", "edge.json"]),
+        ("construct out", ["construct", "product", "edge.json", "edge.json",
+                           "--out", "out.json"]),
+        ("construct out into a missing directory",
+         ["construct", "tensor", "edge.json", "edge.json", "--out", "no/out.json"]),
+        ("validate categories", ["validate", "edge.json", "quarters.json", "m_half.json"]),
+        ("validate failing", ["validate", "edge.json", "no_category.json"]),
+        ("validate failing text",
+         ["validate", "broken_no_category.json", "edge.json", "--format", "text"]),
+        ("validate suitable sets",
+         ["validate", "band.json", "unsuitable.json", "--format", "text"]),
+        ("validate set without norm", ["validate", "no_norm_band.json"]),
+        ("validate set without norm given one",
+         ["validate", "no_norm_band.json", "--tnorm", "godel"]),
+        ("validate set over another norm",
+         ["validate", "godel_band.json", "--tnorm", "lukasiewicz"]),
+        ("validate interval set", ["validate", "quarter_k.json", "--tnorm", "lukasiewicz"]),
+        ("validate interval sets under a blocks norm",
+         ["validate", "no_subquantale.json", "crisp_k.json", "--tnorm", "blocks.json"]),
+        ("validate interval set without norm", ["validate", "quarter_k.json"]),
+        ("validate unknown kind", ["validate", "unknown.json"]),
+        ("validate lift spec", ["validate", "sinks.json"]),
+        ("validate missing file", ["validate", "edge.json", "missing.json"]),
+        ("validate undecodable file", ["validate", "not_json.json"]),
+        ("validate missing tnorm file", ["validate", "band.json", "--tnorm", "luk"]),
+        ("witness", ["witness", "--k", "quarter_k.json"]),
+        ("witness out", ["witness", "--k", "quarter_k.json", "--out", "w.json"]),
+        ("witness crisp", ["witness", "--k", "crisp_k.json"]),
+        ("witness godel", ["witness", "--k", "quarter_k.json", "--tnorm", "godel"]),
+        ("witness blocks", ["witness", "--k", "quarter_k.json", "--tnorm", "blocks.json"]),
+        ("witness no subquantale", ["witness", "--k", "no_subquantale.json"]),
+        ("witness missing file", ["witness", "--k", "missing.json"]),
+        ("witness undecodable file", ["witness", "--k", "not_json.json"]),
+        ("witness of a category", ["witness", "--k", "edge.json"]),
+        ("witness undecodable tnorm", ["witness", "--k", "crisp_k.json",
+                                       "--tnorm", "not_json.json"]),
+        ("verify approx text", ["verify", "approx", "--format", "text"]),
+        ("verify monoidal blocks", ["verify", "monoidal", "--tnorm", "blocks.json"]),
+        ("verify resd_prop godel", ["verify", "resd_prop", "--tnorm", "godel"]),
+        ("verify mistyped tnorm", ["verify", "approx", "--tnorm", "luk"]),
+    ]
+    out += [(f"verify {suite}", ["verify", suite]) for suite in cli.SUITE_NAMES]
+    return out
+
+
+def cli_cases(seed: int = SEED) -> list:
+    """(id, run_cli, (argv, files)) per case of the CLI corpus: the
+    fixed cases, then per round a norm (a builtin, or a /12 grid sum
+    written as a blocks file), A (1-3 points) and B (0-3 points) over
+    thirds, quarters or both, a suitable set of a drawn variant, a K and
+    two lift specs, run through every construct kind, validate and
+    witness, drawn from a stream of their own."""
+    out = [(cid, run_cli, (tuple(argv), CLI_TEXTS)) for cid, argv in fixed_cli_argvs()]
+    rng = random.Random(seed + 3)
+    for r in range(CLI_ROUNDS):
+        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
+        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+        norm = wire_norm(t, name)
+        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        pa, pb = (rng.choice([THIRDS, QUARTERS, MIXED]) + ends for _ in "ab")
+        a = draw_cat(rng, t, rng.randint(1, 3), "a", pa)
+        b = draw_cat(rng, t, rng.randint(0, 3), "b", pb)
+        variant = VARIANTS[r % len(VARIANTS)]
+        docs = {
+            "T.json": norm,
+            "A.json": wire_cat(norm, a),
+            "B.json": wire_cat(norm, b),
+            "S.json": wire_set(rng, t, norm, variant),
+            "K.json": wire_k(draw_k(rng, t)),
+            "up.json": wire_lift(rng, t, norm, "sources", pa),
+            "down.json": wire_lift(rng, t, norm, "sinks", pb),
+        }
+        files = {file: json.dumps(doc) for file, doc in docs.items()}
+        tnorm = name if name in BUILTIN_NORMS else "T.json"
+        fmt = ("json", "text")[r % 2]
+        argvs = [
+            *(("construct", kind, "A.json", "B.json")
+              for kind in ("product", "tensor", "hom_tensor", "hom_power")),
+            ("construct", "hom_power", "B.json", "A.json"),
+            ("construct", "coreflect", "S.json", "A.json"),
+            ("construct", "reflect", "S.json", "B.json"),
+            ("construct", "initial_lift", "up.json"),
+            ("construct", "final_lift", "down.json"),
+            ("construct", "por_rho", "A.json"),
+            ("construct", "por_sigma", "B.json"),
+            ("validate", "A.json", "B.json", "S.json", "--format", fmt),
+            ("validate", "K.json", "--tnorm", tnorm, "--format", fmt),
+            ("witness", "--k", "K.json", "--tnorm", tnorm),
+        ]
+        for argv in argvs:
+            out.append((f"{r:03d} {name} {' '.join(argv)}", run_cli, (argv, files)))
+    return out
+
+
 def outcome(fn, args) -> str:
     """fn(*args) as text: a category's points and entries, a check's
     verdict, message and witness, a functor's domain and codomain points
@@ -512,7 +874,9 @@ def outcome(fn, args) -> str:
     return repr(value)
 
 
-CORPORA = ((OUTPUTS, cases), (FUNCTOR_OUTPUTS, functor_cases))
+CORPORA = (
+    (OUTPUTS, cases), (FUNCTOR_OUTPUTS, functor_cases), (CLI_OUTPUTS, cli_cases)
+)
 
 
 def record(seed: int = SEED, build=cases) -> dict:
@@ -532,24 +896,41 @@ def first_difference(recorded: dict, replayed: dict):
     return None
 
 
+def replay(path: Path, build) -> tuple[dict, dict]:
+    """(recorded, replayed) digests of the corpus in path, without the
+    argparse cases when this Python is not the one that recorded it."""
+    saved = json.loads(path.read_text())
+    recorded, replayed = saved["cases"], record(saved["seed"], build)
+    if saved.get("python", PYTHON) != PYTHON:
+        recorded, replayed = (
+            {cid: d for cid, d in digests.items() if not cid.startswith(ARGPARSE)}
+            for digests in (recorded, replayed)
+        )
+    return recorded, replayed
+
+
 def main(args: list) -> int:
     if args == ["--check"]:
         status = 0
         for path, build in CORPORA:
-            saved = json.loads(path.read_text())
-            cid = first_difference(saved["cases"], record(saved["seed"], build))
+            recorded, replayed = replay(path, build)
+            cid = first_difference(recorded, replayed)
             if cid is not None:
                 print(f"{path.name} differs: {cid}")
                 status = 1
             else:
-                print(f"{path.name}: {len(saved['cases'])} cases replay unchanged")
+                print(f"{path.name}: {len(recorded)} cases replay unchanged")
         return status
     if args:
         print("usage: record_outputs.py [--check]", file=sys.stderr)
         return 2
     for path, build in CORPORA:
         digests = record(SEED, build)
-        path.write_text(json.dumps({"seed": SEED, "cases": digests}, indent=0) + "\n")
+        doc = {"seed": SEED}
+        if any(cid.startswith(ARGPARSE) for cid in digests):
+            doc["python"] = PYTHON
+        doc["cases"] = digests
+        path.write_text(json.dumps(doc, indent=0) + "\n")
         print(f"{len(digests)} cases written to {path.relative_to(ROOT)}")
     return 0
 
