@@ -149,6 +149,11 @@ def inputs(tmp_path_factory):
             "carrier": ["x", "y"],
             "sinks": [{"category": _LUK_EDGE, "map": {"a": "x", "b": "y"}}],
         },
+        "up.json": {
+            "tnorm": "lukasiewicz",
+            "carrier": ["x", "y"],
+            "sources": [{"category": _LUK_EDGE, "map": {"x": "a", "y": "b"}}],
+        },
         "k.json": {"components": [{"at": f"{i}/4"} for i in range(5)]},
         "band.json": {"variant": "sqrt_band", "tnorm": "lukasiewicz"},
     }
@@ -157,21 +162,40 @@ def inputs(tmp_path_factory):
     return d
 
 
+# the modules of Cat_S alone: neither the suites nor the functor search
+CAT_S_ONLY = (
+    ("realcat.suites", "realcat.yoneda", FUNCTORS, CCC), ("realcat.subconstructs",)
+)
+# the functor search, and none of Cat_S
+FUNCTORS_ONLY = ((*HEAVY, CCC), (FUNCTORS,))
+
+
 @pytest.mark.parametrize(
     "argv, code, absent, present",
     [
         (["construct", "final_lift", "lift.json"], 0, (*HEAVY, FUNCTORS, CCC), ()),
-        (
-            ["construct", "reflect", "band.json", "cat.json"], 0,
-            ("realcat.suites", "realcat.yoneda", FUNCTORS, CCC),
-            ("realcat.subconstructs",),
-        ),
+        (["construct", "initial_lift", "up.json"], 0, (*HEAVY, FUNCTORS, CCC), ()),
+        (["construct", "reflect", "band.json", "cat.json"], 0, *CAT_S_ONLY),
+        (["construct", "coreflect", "band.json", "cat.json"], 0, *CAT_S_ONLY),
+        (["construct", "por_rho", "cat.json"], 0, *CAT_S_ONLY),
+        (["construct", "por_sigma", "cat.json"], 0, *CAT_S_ONLY),
         (["construct", "hom_power", "cat.json", "cat.json"], 0, HEAVY, (FUNCTORS,)),
+        (["construct", "hom_tensor", "cat.json", "cat.json"], 0, *FUNCTORS_ONLY),
+        (["construct", "product", "cat.json", "cat.json"], 0, *FUNCTORS_ONLY),
+        (["construct", "tensor", "cat.json", "cat.json"], 0, *FUNCTORS_ONLY),
         (["validate", "cat.json", "cat.json"], 0, (*HEAVY, FUNCTORS, CCC), ()),
+        (
+            ["validate", "k.json", "--tnorm", "lukasiewicz"], 0,
+            (*HEAVY, FUNCTORS, CCC), ("realcat.intervals", "realcat.tnorm"),
+        ),
         (["--help"], 0, ("realcat.suites",), ()),
         (["witness", "--k", "k.json"], 1, (*HEAVY, FUNCTORS), (CCC,)),
     ],
-    ids=["final_lift", "reflect", "hom_power", "validate", "help", "witness"],
+    ids=[
+        "final_lift", "initial_lift", "reflect", "coreflect", "por_rho", "por_sigma",
+        "hom_power", "hom_tensor", "product", "tensor", "validate", "validate-k",
+        "help", "witness",
+    ],
 )
 def test_a_command_imports_only_the_modules_it_runs(
     inputs, argv, code, absent, present
