@@ -39,13 +39,16 @@ it, and names the field it finds missing or of the wrong shape.  A file
 that does not decode, or a lift spec whose carrier or maps the lift
 refuses, exits 2 with the file's path in the line.
 
-The parser needs no kernel module: each command imports the modules it
-runs, so ``--help`` and a usage error load only this module and
-``realcat.errors``.  ``validate`` and the lifts load ``realcat.qcat``
-but not ``realcat.functors`` (the functor search and hom objects), which
-only ``product``, ``tensor`` and the hom objects load; ``coreflect`` and
-``reflect`` add ``realcat.subconstructs``; ``witness`` loads ``realcat.ccc``
-and neither ``realcat.functors`` nor ``realcat.subconstructs``.
+The parser needs no kernel module: each command reaches its modules
+through ``rc.<name>``, the package's own lazy loader, which imports a
+submodule or an exported name on first use.  So ``--help`` and a usage
+error load only this module and ``realcat.errors``.  ``validate`` and
+the lifts load ``realcat.qcat`` but not ``realcat.functors`` (the
+functor search and hom objects), which only ``product``, ``tensor`` and
+the hom objects load; ``coreflect``, ``reflect``, the ``por``
+constructions and a suitable-set file add ``realcat.subconstructs``;
+``witness`` loads ``realcat.ccc`` and neither ``realcat.functors`` nor
+``realcat.subconstructs``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ if TYPE_CHECKING:
     from .qcat import QCat
     from .serialize import Report
     from .tnorm import TNorm
+
+# the package: realcat.<name> imports its module on first use
+rc = sys.modules[__package__]
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -86,23 +92,6 @@ SUITE_NAMES = (
     "tnorm_laws",
     "yoneda",
 )
-
-
-def _fn(name: str, *args):
-    """functors.<name>(*args), for a table entry; like every kernel
-    module, functors is imported by the command that runs, so the parser,
-    --help and a usage error load none of them."""
-    from . import functors
-
-    return getattr(functors, name)(*args)
-
-
-def _sub(name: str, *args):
-    """subconstructs.<name>(*args).  Only the commands and input files
-    that need the module import it."""
-    from . import subconstructs
-
-    return getattr(subconstructs, name)(*args)
 
 
 def _file_error(path: str, exc: OSError) -> ParseError:
@@ -138,34 +127,28 @@ def _decoded(path: str, decode: Callable):
 
 def _tnorm(arg: str) -> TNorm:
     """Resolve ``--tnorm``: a builtin norm name, else a t-norm JSON file."""
-    from . import serialize as ser
-    from .tnorm import BUILTIN_NORMS
-
-    if arg in BUILTIN_NORMS:
-        return ser.tnorm_from_obj(arg)
+    decode, names = rc.serialize.tnorm_from_obj, rc.tnorm.BUILTIN_NORMS
+    if arg in names:
+        return decode(arg)
     try:
-        return _decoded(arg, ser.tnorm_from_obj)
+        return _decoded(arg, decode)
     except ParseError as exc:
         raise ParseError(
-            f"--tnorm takes one of {sorted(BUILTIN_NORMS)} or a t-norm file; {exc}"
+            f"--tnorm takes one of {sorted(names)} or a t-norm file; {exc}"
         ) from exc
 
 
 def _emit(report: Report, fmt: str):
-    from . import serialize as ser
-
     if fmt == "text":
         sys.stdout.write(report.to_text())
     else:
-        sys.stdout.write(ser.dumps(report.to_obj()))
+        sys.stdout.write(rc.serialize.dumps(report.to_obj()))
 
 
 def _require_lift_categories(path: str, t: TNorm, cats) -> None:
     """A lift spec's categories are categories over the spec's norm."""
-    from . import qcat as qc
-
     for cat in cats:
-        qc.require_category(cat, where=f"{path}: ")
+        rc.qcat.require_category(cat, where=f"{path}: ")
         if cat.tnorm != t:
             raise DomainError(
                 f"{path}: the lift spec and one of its categories live over "
@@ -175,9 +158,8 @@ def _require_lift_categories(path: str, t: TNorm, cats) -> None:
 
 def _category(path: str) -> QCat:
     """Constructions read categories only: reject any other matrix."""
-    from . import qcat as qc, serialize as ser
-
-    return qc.require_category(_decoded(path, ser.qcat_from_obj), where=f"{path}: ")
+    cat = _decoded(path, rc.serialize.qcat_from_obj)
+    return rc.qcat.require_category(cat, where=f"{path}: ")
 
 
 def _categories(args) -> list[QCat]:
@@ -189,37 +171,31 @@ def _categories(args) -> list[QCat]:
 
 def _suitable_and_category(args):
     """C and R read suitable sets only: reject any other set."""
-    from . import serialize as ser
-
     path = args.inputs[0]
-    s = _sub("require_suitable", _decoded(path, ser.suitable_from_obj), f"{path}: ")
-    return s, _category(args.inputs[1])
+    s = _decoded(path, rc.serialize.suitable_from_obj)
+    return rc.subconstructs.require_suitable(s, f"{path}: "), _category(args.inputs[1])
 
 
 def _hom_power(args) -> QCat:
     """[A, B], refused when it is not a category; the check names the
     points by the labels its file shows."""
-    from . import functors as fn, qcat as qc, serialize as ser
-
-    out = fn.hom_power(*_categories(args), args.max_maps)
-    qc.require_category(
-        out.relabel(ser.point_labels(out)), where=f"{args.kind}: the result is "
-    )
+    out = rc.hom_power(*_categories(args), args.max_maps)
+    labelled = out.relabel(rc.serialize.point_labels(out))
+    rc.qcat.require_category(labelled, where=f"{args.kind}: the result is ")
     return out
 
 
 def _lift(family: str, args) -> QCat:
     """The lift of a spec's "sources" or "sinks": a carrier or map fault
     (the lift's ValueError) exits 2 before a category fault exits 5."""
-    from . import qcat as qc, serialize as ser
-
     path = args.inputs[0]
-    t, carrier, pairs = _decoded(path, partial(ser.lift_from_obj, family=family))
+    decode = partial(rc.serialize.lift_from_obj, family=family)
+    t, carrier, pairs = _decoded(path, decode)
     try:
         if family == "sinks":
-            out = qc.final_lift(t, pairs, carrier)
+            out = rc.final_lift(t, pairs, carrier)
         else:
-            out = qc.initial_lift(t, carrier, [(f, cat) for cat, f in pairs])
+            out = rc.initial_lift(t, carrier, [(f, cat) for cat, f in pairs])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     _require_lift_categories(path, t, [cat for cat, _ in pairs])
@@ -229,35 +205,31 @@ def _lift(family: str, args) -> QCat:
 # each construction: the number of input files it takes, and the function
 # that decodes and checks them (from the parsed arguments) and builds it
 CONSTRUCT_KINDS = {
-    "product": (2, lambda args: _fn("product", *_categories(args))),
-    "tensor": (2, lambda args: _fn("tensor", *_categories(args))),
-    "hom_tensor": (
-        2, lambda args: _fn("hom_tensor", *_categories(args), args.max_maps)
-    ),
+    "product": (2, lambda args: rc.product(*_categories(args))),
+    "tensor": (2, lambda args: rc.tensor(*_categories(args))),
+    "hom_tensor": (2, lambda args: rc.hom_tensor(*_categories(args), args.max_maps)),
     "hom_power": (2, _hom_power),
-    "coreflect": (2, lambda args: _sub("coreflect_c", *_suitable_and_category(args))),
-    "reflect": (2, lambda args: _sub("reflect_r", *_suitable_and_category(args))),
+    "coreflect": (2, lambda args: rc.coreflect_c(*_suitable_and_category(args))),
+    "reflect": (2, lambda args: rc.reflect_r(*_suitable_and_category(args))),
     "initial_lift": (1, partial(_lift, "sources")),
     "final_lift": (1, partial(_lift, "sinks")),
-    "por_rho": (1, lambda args: _sub("por_coreflection", *_categories(args))),
-    "por_sigma": (1, lambda args: _sub("por_reflection", *_categories(args))),
+    "por_rho": (1, lambda args: rc.por_coreflection(*_categories(args))),
+    "por_sigma": (1, lambda args: rc.por_reflection(*_categories(args))),
 }
 
 
 def cmd_validate(args) -> int:
-    from . import qcat as qc, serialize as ser
-    from .tnorm import subquantale_check
-
+    ser = rc.serialize
     report = ser.Report("validate")
     t = _tnorm(args.tnorm) if args.tnorm else None
-    # each input kind: the decoder of its file and the check of its value
+    # each input kind: the decoder of its file and the check of its value;
+    # subconstructs loads only when a suitable set is checked
     checks = {
-        "category": (ser.qcat_from_obj, qc.validate_qcat),
+        "category": (ser.qcat_from_obj, rc.validate_qcat),
         "suitable set": (
-            partial(ser.suitable_from_obj, tnorm=t),
-            partial(_sub, "check_suitable"),
+            partial(ser.suitable_from_obj, tnorm=t), lambda s: rc.check_suitable(s)
         ),
-        "interval set": (ser.intervalset_from_obj, partial(subquantale_check, t)),
+        "interval set": (ser.intervalset_from_obj, partial(rc.subquantale_check, t)),
     }
     for path in args.paths:
         obj = _load_json(path)
@@ -281,15 +253,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from . import serialize as ser
-
     kind = args.kind
     arity, build = CONSTRUCT_KINDS[kind]
     if len(args.inputs) != arity:
         raise ParseError(
             f"construct {kind} takes {arity} input file(s), got {len(args.inputs)}"
         )
-    text = ser.dumps(ser.qcat_to_obj(build(args)))
+    text = rc.serialize.dumps(rc.serialize.qcat_to_obj(build(args)))
     if args.out:
         _write(args.out, text)
     else:
@@ -298,33 +268,29 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .suites import WorkspaceConfig, run_suite
-
-    report = run_suite(args.suite, WorkspaceConfig(tnorm=_tnorm(args.tnorm)))
+    config = rc.suites.WorkspaceConfig(tnorm=_tnorm(args.tnorm))
+    report = rc.suites.run_suite(args.suite, config)
     _emit(report, args.format)
     return EXIT_OK if report.passed else EXIT_WITNESS
 
 
 def cmd_witness(args) -> int:
-    from . import ccc, serialize as ser
-    from .tnorm import subquantale_check
-    from .values import SAMPLE_DENOMINATOR
-
+    ser = rc.serialize
     t = _tnorm(args.tnorm)
     k = _decoded(args.k, ser.intervalset_from_obj)
-    sq = subquantale_check(t, k)
+    sq = rc.subquantale_check(t, k)
     if not sq.passed:
         raise ParseError(f"K is not a subquantale: {sq.message}")
-    if ccc.ccc_criterion(t, k):
+    if rc.ccc_criterion(t, k):
         sys.stdout.write(ser.dumps({"cartesian_closed": True, "criterion": True}))
         return EXIT_OK
     # K is not inside M, so a failing triple exists.  The grid search
     # picks it when it can (its greatest failing triple is the textbook
     # instance); a grid that misses every failure falls back to the
     # exact (a, a, a & a).
-    res = ccc.ccc_identity_check(t, k, k.sample(SAMPLE_DENOMINATOR))
-    triple = ccc.ccc_failure_triple(t, k) if res.passed else res.witness
-    w = ccc.ccc_witness(t, *triple)
+    res = rc.ccc_identity_check(t, k, k.sample(rc.values.SAMPLE_DENOMINATOR))
+    triple = rc.ccc.ccc_failure_triple(t, k) if res.passed else res.witness
+    w = rc.ccc_witness(t, *triple)
     text = ser.dumps(ser.witness_to_obj(w))
     if args.out:
         _write(args.out, text)
