@@ -172,14 +172,18 @@ def _kept_on_first(build: Callable) -> Callable:
     """Memoize build(a, b, ...) on a, keyed by the identity of b and the
     remaining arguments, so a hit is O(1) and hashes no matrix.  The
     entry holds b, which keeps b's identity from passing to another
-    category while the entry lives."""
+    category while the entry lives.  The memo sits in a's ``__dict__``,
+    out of the fields; setdefault would build a dict on every hit."""
 
     @wraps(build)
     def kept(a: QCat, b: QCat, *args, **kwargs) -> QCat:
         key = (build, id(b), args, tuple(kwargs.items()))
-        hit = a._built.get(key)
+        memo = a.__dict__.get("_built")
+        if memo is None:
+            memo = a.__dict__["_built"] = {}
+        hit = memo.get(key)
         if hit is None or hit[0] is not b:
-            hit = a._built[key] = (b, build(a, b, *args, **kwargs))
+            hit = memo[key] = (b, build(a, b, *args, **kwargs))
         return hit[1]
 
     return kept

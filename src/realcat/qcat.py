@@ -56,13 +56,6 @@ class QCat(Frozen):
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def _built(self) -> dict:
-        # product, hom_power and hom_tensor with this category as first
-        # argument (see functors._kept_on_first); kept out of the fields like
-        # _positions, so equality and hashing do not change.
-        return {}
-
-    @cached_property
     def _encoded(self) -> Encoded:
         # The matrix with the lcm D of its denominators and its entries'
         # numerators over D, read once for every kernel call on this
@@ -121,7 +114,6 @@ def _built_qcat(t: TNorm, points: tuple, matrix: tuple) -> QCat:
 def two_point(t: TNorm, a, b, points=("0", "1")) -> QCat:
     """The two-point category with r(0,1) = a and r(1,0) = b.  Every
     pair (a, b) is valid: a & b <= 1 always."""
-    a, b = unit(a), unit(b)
     return QCat(t, tuple(points), ((ONE, a), (b, ONE)))
 
 
