@@ -607,11 +607,21 @@ _EDGE = {
     "points": ["a", "b"],
     "matrix": [["1/1", "1/2"], ["0/1", "1/1"]],
 }
+_NO_CATEGORY = {**_EDGE, "matrix": [["1/2", "1/2"], ["0/1", "1/1"]]}
+
+
+def edge_lift(family, tnorm="lukasiewicz", category=_EDGE) -> dict:
+    """A lift spec of one entry, category on the carrier x, y by a, b."""
+    table = {"a": "x", "b": "y"} if family == "sinks" else {"x": "a", "y": "b"}
+    entry = {"category": category, "map": table}
+    return {"tnorm": tnorm, "carrier": ["x", "y"], family: [entry]}
+
+
 # each fixed file, by name
 CLI_FILES = {
     "edge.json": _EDGE,
     "godel_edge.json": {**_EDGE, "tnorm": "godel"},
-    "no_category.json": {**_EDGE, "matrix": [["1/2", "1/2"], ["0/1", "1/1"]]},
+    "no_category.json": _NO_CATEGORY,
     "broken\nlabel.json": {**_EDGE, "points": ["a\nb", "c"]},
     "broken_no_category.json": {
         **_EDGE, "points": ["a\nb", "c"], "matrix": [["1/2", "0/1"], ["0/1", "1/1"]]
@@ -640,26 +650,13 @@ CLI_FILES = {
     "no_subquantale.json": {"components": [{"at": "1/2"}, {"at": "1/1"}]},
     "blocks.json": {"blocks": [{"lo": "0/1", "hi": "1/2", "kind": "lukasiewicz"}]},
     "unknown.json": {"neither": "kind"},
-    "sinks.json": {
-        "tnorm": "lukasiewicz",
-        "carrier": ["x", "y"],
-        "sinks": [{"category": _EDGE, "map": {"a": "x", "b": "y"}}],
-    },
-    "sources.json": {
-        "tnorm": "lukasiewicz",
-        "carrier": ["x", "y"],
-        "sources": [{"category": _EDGE, "map": {"x": "a", "y": "b"}}],
-    },
+    "sinks.json": edge_lift("sinks"),
+    "sources.json": edge_lift("sources"),
+    "godel_sinks.json": edge_lift("sinks", tnorm="godel"),
+    "godel_sources.json": edge_lift("sources", tnorm="godel"),
+    "bad_sinks.json": edge_lift("sinks", category=_NO_CATEGORY),
+    "bad_sources.json": edge_lift("sources", category=_NO_CATEGORY),
 }
-# the lift specs again, over another norm than their category's, and
-# with a category that is none
-for _family in ("sinks", "sources"):
-    _spec = CLI_FILES[f"{_family}.json"]
-    CLI_FILES[f"godel_{_family}.json"] = {**_spec, "tnorm": "godel"}
-    CLI_FILES[f"bad_{_family}.json"] = {
-        **_spec,
-        _family: [{**_spec[_family][0], "category": CLI_FILES["no_category.json"]}],
-    }
 CLI_TEXTS = {name: json.dumps(doc) for name, doc in CLI_FILES.items()}
 CLI_TEXTS["not_json.json"] = "not json"
 
@@ -678,128 +675,129 @@ CONSTRUCT_INPUTS = {
 
 
 def fixed_cli_argvs() -> list:
-    """(id, argv) of the fixed CLI cases."""
+    """(id, argv) of the fixed CLI cases; an argv is written as one
+    string split at its spaces (a file name may hold a line break)."""
     out = [
-        ("argparse help", ["--help"]),
-        ("argparse no command", []),
-        ("argparse unknown command", ["nope"]),
-        ("argparse unknown option", ["--nope"]),
-        ("argparse unknown kind", ["construct", "nope", "edge.json"]),
-        ("argparse kind with a line break", ["construct", "no\npe", "edge.json"]),
-        ("argparse no inputs", ["construct", "product"]),
-        ("argparse no suite", ["verify"]),
-        ("argparse unknown suite", ["verify", "nope"]),
-        ("argparse no paths", ["validate"]),
-        ("argparse unknown format", ["validate", "edge.json", "--format", "xml"]),
-        ("argparse undeclared flag", ["validate", "edge.json", "--out", "x.json"]),
-        ("argparse witness without k", ["witness"]),
-        ("argparse max-maps 0", ["construct", "hom_power", "edge.json", "edge.json",
-                                 "--max-maps", "0"]),
-        ("argparse max-maps text", ["construct", "hom_tensor", "edge.json", "edge.json",
-                                    "--max-maps", "x"]),
+        ("argparse help", "--help"),
+        ("argparse no command", ""),
+        ("argparse unknown command", "nope"),
+        ("argparse unknown option", "--nope"),
+        ("argparse unknown kind", "construct nope edge.json"),
+        ("argparse kind with a line break", "construct no\npe edge.json"),
+        ("argparse no inputs", "construct product"),
+        ("argparse no suite", "verify"),
+        ("argparse unknown suite", "verify nope"),
+        ("argparse no paths", "validate"),
+        ("argparse unknown format", "validate edge.json --format xml"),
+        ("argparse undeclared flag", "validate edge.json --out x.json"),
+        ("argparse witness without k", "witness"),
+        ("argparse max-maps 0", "construct hom_power edge.json edge.json --max-maps 0"),
+        ("argparse max-maps text",
+         "construct hom_tensor edge.json edge.json --max-maps x"),
     ]
     out += [
-        (f"argparse {cmd} help", [cmd, "-h"])
+        (f"argparse {cmd} help", f"{cmd} -h")
         for cmd in ("validate", "construct", "verify", "witness")
     ]
     for kind, inputs in CONSTRUCT_INPUTS.items():
-        out.append((f"construct {kind}", ["construct", kind, *inputs]))
-        arity = 3 - len(inputs)  # one file too many or too few
-        out.append((f"construct {kind} arity {arity}",
-                    ["construct", kind, *(["edge.json"] * arity)]))
-        out.append((f"construct {kind} missing file",
-                    ["construct", kind, "missing.json", *inputs[1:]]))
-        out.append((f"construct {kind} undecodable file",
-                    ["construct", kind, "not_json.json", *inputs[1:]]))
+        rest = " ".join(inputs[1:])
+        out += [
+            (f"construct {kind}", f"construct {kind} {' '.join(inputs)}"),
+            # one file too many or too few
+            (f"construct {kind} arity {3 - len(inputs)}",
+             f"construct {kind}" + " edge.json" * (3 - len(inputs))),
+            (f"construct {kind} missing file", f"construct {kind} missing.json {rest}"),
+            (f"construct {kind} undecodable file",
+             f"construct {kind} not_json.json {rest}"),
+        ]
     for kind in ("product", "tensor", "hom_tensor", "hom_power"):
         out += [
             (f"construct {kind} of a non-category",
-             ["construct", kind, "edge.json", "no_category.json"]),
+             f"construct {kind} edge.json no_category.json"),
             (f"construct {kind} mixed norms",
-             ["construct", kind, "edge.json", "godel_edge.json"]),
+             f"construct {kind} edge.json godel_edge.json"),
             (f"construct {kind} with a broken label",
-             ["construct", kind, "broken\nlabel.json", "edge.json"]),
+             f"construct {kind} broken\nlabel.json edge.json"),
         ]
     for kind in ("coreflect", "reflect"):
         out += [
             (f"construct {kind} of a non-category",
-             ["construct", kind, "band.json", "no_category.json"]),
+             f"construct {kind} band.json no_category.json"),
             (f"construct {kind} mixed norms",
-             ["construct", kind, "godel_band.json", "edge.json"]),
+             f"construct {kind} godel_band.json edge.json"),
             (f"construct {kind} unsuitable set",
-             ["construct", kind, "unsuitable.json", "edge.json"]),
+             f"construct {kind} unsuitable.json edge.json"),
             (f"construct {kind} set without norm",
-             ["construct", kind, "no_norm_band.json", "edge.json"]),
+             f"construct {kind} no_norm_band.json edge.json"),
             (f"construct {kind} set is a category",
-             ["construct", kind, "edge.json", "edge.json"]),
+             f"construct {kind} edge.json edge.json"),
         ]
     for kind in ("por_rho", "por_sigma"):
         out.append((f"construct {kind} of a non-category",
-                    ["construct", kind, "broken_no_category.json"]))
-    for kind, family in (("final_lift", "sinks"), ("initial_lift", "sources")):
+                    f"construct {kind} broken_no_category.json"))
+    for kind, family, other in (
+        ("final_lift", "sinks", "sources"), ("initial_lift", "sources", "sinks")
+    ):
         out += [
-            (f"construct {kind} of a non-category", ["construct", kind, f"bad_{family}.json"]),
-            (f"construct {kind} mixed norms", ["construct", kind, f"godel_{family}.json"]),
-            (f"construct {kind} of the other family",
-             ["construct", kind, "sinks.json" if family == "sources" else "sources.json"]),
+            (f"construct {kind} of a non-category",
+             f"construct {kind} bad_{family}.json"),
+            (f"construct {kind} mixed norms", f"construct {kind} godel_{family}.json"),
+            (f"construct {kind} of the other family", f"construct {kind} {other}.json"),
         ]
     out += [
         ("construct hom_power over max-maps",
-         ["construct", "hom_power", "edge.json", "edge.json", "--max-maps", "3"]),
+         "construct hom_power edge.json edge.json --max-maps 3"),
         ("construct hom_tensor over max-maps",
-         ["construct", "hom_tensor", "edge.json", "edge.json", "--max-maps", "3"]),
+         "construct hom_tensor edge.json edge.json --max-maps 3"),
         ("construct hom_power at max-maps",
-         ["construct", "hom_power", "edge.json", "edge.json", "--max-maps", "4"]),
+         "construct hom_power edge.json edge.json --max-maps 4"),
         ("construct hom_power result no category",
-         ["construct", "hom_power", "m_half.json", "quarters.json"]),
+         "construct hom_power m_half.json quarters.json"),
         ("construct product points written alike",
-         ["construct", "product", "alike_a.json", "alike_b.json"]),
+         "construct product alike_a.json alike_b.json"),
         ("construct product of broken labels",
-         ["construct", "product", "broken\nlabel.json", "broken\nlabel.json"]),
+         "construct product broken\nlabel.json broken\nlabel.json"),
         ("construct missing file with a line break",
-         ["construct", "product", "miss\ning.json", "edge.json"]),
-        ("construct out", ["construct", "product", "edge.json", "edge.json",
-                           "--out", "out.json"]),
+         "construct product miss\ning.json edge.json"),
+        ("construct out", "construct product edge.json edge.json --out out.json"),
         ("construct out into a missing directory",
-         ["construct", "tensor", "edge.json", "edge.json", "--out", "no/out.json"]),
-        ("validate categories", ["validate", "edge.json", "quarters.json", "m_half.json"]),
-        ("validate failing", ["validate", "edge.json", "no_category.json"]),
+         "construct tensor edge.json edge.json --out no/out.json"),
+        ("validate categories", "validate edge.json quarters.json m_half.json"),
+        ("validate failing", "validate edge.json no_category.json"),
         ("validate failing text",
-         ["validate", "broken_no_category.json", "edge.json", "--format", "text"]),
-        ("validate suitable sets",
-         ["validate", "band.json", "unsuitable.json", "--format", "text"]),
-        ("validate set without norm", ["validate", "no_norm_band.json"]),
+         "validate broken_no_category.json edge.json --format text"),
+        ("validate suitable sets", "validate band.json unsuitable.json --format text"),
+        ("validate set without norm", "validate no_norm_band.json"),
         ("validate set without norm given one",
-         ["validate", "no_norm_band.json", "--tnorm", "godel"]),
+         "validate no_norm_band.json --tnorm godel"),
         ("validate set over another norm",
-         ["validate", "godel_band.json", "--tnorm", "lukasiewicz"]),
-        ("validate interval set", ["validate", "quarter_k.json", "--tnorm", "lukasiewicz"]),
+         "validate godel_band.json --tnorm lukasiewicz"),
+        ("validate interval set", "validate quarter_k.json --tnorm lukasiewicz"),
         ("validate interval sets under a blocks norm",
-         ["validate", "no_subquantale.json", "crisp_k.json", "--tnorm", "blocks.json"]),
-        ("validate interval set without norm", ["validate", "quarter_k.json"]),
-        ("validate unknown kind", ["validate", "unknown.json"]),
-        ("validate lift spec", ["validate", "sinks.json"]),
-        ("validate missing file", ["validate", "edge.json", "missing.json"]),
-        ("validate undecodable file", ["validate", "not_json.json"]),
-        ("validate missing tnorm file", ["validate", "band.json", "--tnorm", "luk"]),
-        ("witness", ["witness", "--k", "quarter_k.json"]),
-        ("witness out", ["witness", "--k", "quarter_k.json", "--out", "w.json"]),
-        ("witness crisp", ["witness", "--k", "crisp_k.json"]),
-        ("witness godel", ["witness", "--k", "quarter_k.json", "--tnorm", "godel"]),
-        ("witness blocks", ["witness", "--k", "quarter_k.json", "--tnorm", "blocks.json"]),
-        ("witness no subquantale", ["witness", "--k", "no_subquantale.json"]),
-        ("witness missing file", ["witness", "--k", "missing.json"]),
-        ("witness undecodable file", ["witness", "--k", "not_json.json"]),
-        ("witness of a category", ["witness", "--k", "edge.json"]),
-        ("witness undecodable tnorm", ["witness", "--k", "crisp_k.json",
-                                       "--tnorm", "not_json.json"]),
-        ("verify approx text", ["verify", "approx", "--format", "text"]),
-        ("verify monoidal blocks", ["verify", "monoidal", "--tnorm", "blocks.json"]),
-        ("verify resd_prop godel", ["verify", "resd_prop", "--tnorm", "godel"]),
-        ("verify mistyped tnorm", ["verify", "approx", "--tnorm", "luk"]),
+         "validate no_subquantale.json crisp_k.json --tnorm blocks.json"),
+        ("validate interval set without norm", "validate quarter_k.json"),
+        ("validate unknown kind", "validate unknown.json"),
+        ("validate lift spec", "validate sinks.json"),
+        ("validate missing file", "validate edge.json missing.json"),
+        ("validate undecodable file", "validate not_json.json"),
+        ("validate missing tnorm file", "validate band.json --tnorm luk"),
+        ("witness", "witness --k quarter_k.json"),
+        ("witness out", "witness --k quarter_k.json --out w.json"),
+        ("witness crisp", "witness --k crisp_k.json"),
+        ("witness godel", "witness --k quarter_k.json --tnorm godel"),
+        ("witness blocks", "witness --k quarter_k.json --tnorm blocks.json"),
+        ("witness no subquantale", "witness --k no_subquantale.json"),
+        ("witness missing file", "witness --k missing.json"),
+        ("witness undecodable file", "witness --k not_json.json"),
+        ("witness of a category", "witness --k edge.json"),
+        ("witness undecodable tnorm", "witness --k crisp_k.json --tnorm not_json.json"),
+        ("verify approx text", "verify approx --format text"),
+        ("verify monoidal blocks", "verify monoidal --tnorm blocks.json"),
+        ("verify resd_prop godel", "verify resd_prop --tnorm godel"),
+        ("verify mistyped tnorm", "verify approx --tnorm luk"),
     ]
-    out += [(f"verify {suite}", ["verify", suite]) for suite in cli.SUITE_NAMES]
-    return out
+    out += [(f"verify {suite}", f"verify {suite}") for suite in cli.SUITE_NAMES]
+    return [(cid, [arg for arg in argv.split(" ") if arg]) for cid, argv in out]
 
 
 def cli_cases(seed: int = SEED) -> list:
