@@ -3,8 +3,10 @@
 ``kernel_outputs.json`` for validate_qcat, final_lift, reflect_r,
 coreflect_c and is_in_cat_s, ``functor_outputs.json`` for the
 functor search, products, hom objects, curry, uncurry, the
-function-space limit, initial_lift and final_lift's refusals, and
-``cli_outputs.json`` for every command of the CLI, refusals included."""
+function-space limit, initial_lift and final_lift's refusals,
+``cli_outputs.json`` for every command of the CLI, refusals included,
+and ``grid_outputs.json`` for the Cat_S kernels on values off the
+block endpoints' grid."""
 
 import importlib.util
 from pathlib import Path
@@ -42,6 +44,16 @@ def test_the_cli_output_corpus_replays_unchanged():
     in-process: exit code, stdout, stderr and written files."""
     differs = first_difference_on_replay(
         record_outputs.CLI_OUTPUTS, record_outputs.cli_cases, 350
+    )
+    assert differs is None, f"first case that differs: {differs}"
+
+
+def test_the_grid_kernel_corpus_replays_unchanged():
+    """validate_qcat and the three Cat_S kernels over /12 grid sums, on
+    thirds, quarters or {0, 1}: the kernel's grid folds in the block
+    endpoints, and doubles for the band's roots only after them."""
+    differs = first_difference_on_replay(
+        record_outputs.GRID_OUTPUTS, record_outputs.grid_cases, 2000
     )
     assert differs is None, f"first case that differs: {differs}"
 

@@ -1,12 +1,12 @@
-"""Record the library's outputs on three seeded corpora, or replay them.
+"""Record the library's outputs on four seeded corpora, or replay them.
 
     python3 tools/record_outputs.py          # write the corpus files
     python3 tools/record_outputs.py --check  # replay; name the first case that differs
 
 Each corpus is drawn with ``random.Random`` from a fixed seed, with the
 standard library only, so it replays on every supported Python without
-the test extras.  Both use the Godel, Lukasiewicz, product and remark4
-norms and ordinal sums of Lukasiewicz blocks on a /12 grid (some with
+the test extras.  The first three use the Godel, Lukasiewicz, product
+and remark4 norms and ordinal sums of Lukasiewicz blocks on a /12 grid (some with
 adjacent blocks sharing an endpoint).
 
 - ``tests/kernel_outputs.json`` (:func:`cases`): ``validate_qcat``
@@ -32,6 +32,11 @@ adjacent blocks sharing an endpoint).
   files drawn per round from a fourth stream.  Each run reads its files
   by relative name from a fresh temporary directory, with ``COLUMNS``
   fixed, so no temporary path and no terminal width reaches an output.
+- ``tests/grid_outputs.json`` (:func:`grid_cases`): ``validate_qcat``,
+  ``is_in_cat_s``, ``coreflect_c`` and ``reflect_r`` for all four
+  variants over /12 grid sums, on matrices whose entries are thirds,
+  quarters or {0, 1} only, off the block endpoints' grid; from a
+  fifth stream.
 
 Each case is stored as a digest of its output, or of its error's type
 and text; a CLI case, of its exit code, stdout, stderr and the files it
@@ -91,6 +96,7 @@ from realcat.tnorm import (  # noqa: E402
 OUTPUTS = ROOT / "tests" / "kernel_outputs.json"
 FUNCTOR_OUTPUTS = ROOT / "tests" / "functor_outputs.json"
 CLI_OUTPUTS = ROOT / "tests" / "cli_outputs.json"
+GRID_OUTPUTS = ROOT / "tests" / "grid_outputs.json"
 PYTHON = "%d.%d" % sys.version_info[:2]
 ARGPARSE = "argparse "
 SEED = 20
@@ -99,6 +105,7 @@ FUNCTOR_ROUNDS = 240
 LIFT_ROUNDS = 160
 SINK_FAULT_ROUNDS = 80
 CLI_ROUNDS = 20
+GRID_ROUNDS = 80
 
 VALUES = [F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3), F(1, 5), F(1, 7), F(5, 12)]
 CHAINS = ((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
@@ -180,9 +187,10 @@ def draw_k(rng, t):
     return IntervalSet.of(and_closed(t, points) if kind == 3 else sorted(points))
 
 
-def draw_pairs(rng, t):
-    """Pairs over a chain, closed under S1-S3 more often than not."""
-    chain = rng.choice(CHAINS)
+def draw_pairs(rng, t, chain=None):
+    """Pairs over a chain (one of CHAINS unless given), closed under
+    S1-S3 more often than not."""
+    chain = chain or rng.choice(CHAINS)
     pairs = {(rng.choice(chain), rng.choice(chain)) for _ in range(rng.randint(1, 5))}
     if rng.random() < 0.7:
         pairs = {(a, b) for a, b in pairs if off_product(t, [a, b]) == [a, b]}
@@ -285,6 +293,50 @@ def refused() -> list:
 THIRDS = [F(k, 3) for k in range(4)]
 QUARTERS = [F(k, 4) for k in range(5)]
 MIXED = sorted({*THIRDS, *QUARTERS})
+GRID_POOLS = {"thirds": THIRDS, "quarters": QUARTERS, "crisp": [F(0), F(1)]}
+
+
+def grid_cases(seed: int = SEED) -> list:
+    """validate_qcat, then is_in_cat_s, coreflect_c and reflect_r for
+    every variant, over a /12 grid sum (:func:`grid_sum`) on 1-5 points
+    whose entries are thirds, quarters or {0, 1} only: off the block
+    endpoints' grid, so a kernel's grid must fold the endpoints in
+    before it doubles for the band's square root.  The sets' K and pairs
+    come from the same values, closed under & or not; one time in ten
+    a set lives over another norm.  Drawn from a stream of its own."""
+    rng = random.Random(seed + 4)
+    out = []
+    for r in range(GRID_ROUNDS):
+        t = grid_sum(rng)
+        label = rng.choice(sorted(GRID_POOLS))
+        pool = GRID_POOLS[label]
+        n = 1 + r % 5
+        tag = f"{r:03d} sum {label} n={n}"
+        cat = draw_cat(rng, t, n, "p", pool)
+        unit_diagonal = rng.random() < 0.8
+        drawn = QCat(t, cat.points, [
+            [F(1) if i == j and unit_diagonal else rng.choice(pool) for j in range(n)]
+            for i in range(n)
+        ])
+        out.append((f"{tag} validate category", validated, (t, cat.points, cat.matrix)))
+        out.append((f"{tag} validate drawn", validated, (t, drawn.points, drawn.matrix)))
+        for variant in VARIANTS:
+            if variant == "explicit":
+                s = sc.explicit(t, draw_pairs(rng, t, pool))
+            elif variant == "sqrt_band":
+                s = sc.sqrt_band(t)
+            else:
+                k = {rng.choice(pool) for _ in range(rng.randint(1, 3))}
+                closed = rng.random() < 0.7
+                k = IntervalSet.of(and_closed(t, k) if closed else sorted(k))
+                s = getattr(sc, variant)(t, k)
+            if rng.random() < 0.1:
+                s = sc.sqrt_band(godel() if t.blocks else lukasiewicz())
+            for target, which in ((cat, "category"), (drawn, "drawn")):
+                for op in ("is_in_cat_s", "coreflect_c", "reflect_r"):
+                    call = getattr(sc, op)
+                    out.append((f"{tag} {op} {variant} {which}", call, (s, target)))
+    return out
 FUNCTOR_NORMS = ("godel", "lukasiewicz", "product", "remark4", "sum")
 
 
@@ -873,7 +925,10 @@ def outcome(fn, args) -> str:
 
 
 CORPORA = (
-    (OUTPUTS, cases), (FUNCTOR_OUTPUTS, functor_cases), (CLI_OUTPUTS, cli_cases)
+    (OUTPUTS, cases),
+    (FUNCTOR_OUTPUTS, functor_cases),
+    (CLI_OUTPUTS, cli_cases),
+    (GRID_OUTPUTS, grid_cases),
 )
 
 
