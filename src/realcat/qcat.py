@@ -132,7 +132,7 @@ def validate_qcat(c: QCat) -> CheckResult:
 
 def _category_check(c: QCat) -> CheckResult:
     """``validate_qcat``'s scan: the diagonal, then :func:`_relax` in
-    row-major order, stopping at the first entry it would raise."""
+    row-major order on a read-only ``view``, up to the first raise."""
     e, p = c._encoded, c.points
     for i in range(len(p)):
         if e.numerators[i][i] != e.d:  # r(x,x) = d/d = 1
@@ -142,7 +142,7 @@ def _category_check(c: QCat) -> CheckResult:
                 witness=(p[i],),
             )
     dom = kernel_domain(c.tnorm, e.d)
-    hit = _relax(dom, dom.enter(e), check=True)
+    hit = _relax(dom, dom.view(e), check=True)
     if hit is None:
         return CheckResult(True, "valid")
     i, k, j, lhs = hit

@@ -151,10 +151,11 @@ def contains(s: SuitableSet, pair: Pair) -> bool:
 def _rows_fixed(rule: Callable, rows, cols) -> bool:
     """Whether rule, a row rule toward "above", leaves each row as it is
     against its column, stopping at the first row it moves: then each
-    pair the rows and columns meet is in S.  A DomainError means a pair
-    has no S-pair above it, so it is not in S."""
+    pair the rows and columns meet is in S.  A row may be a tuple (a
+    ``view``), so it is compared with the rule's list entry by entry.
+    A DomainError means a pair has no S-pair above it, so it is not in S."""
     try:
-        return all(rule(row, col) == row for row, col in zip(rows, cols))
+        return all(rule(row, col) == [*row] for row, col in zip(rows, cols))
     except DomainError:
         return False
 
@@ -222,7 +223,7 @@ def require_suitable(s: SuitableSet, where: str = "") -> SuitableSet:
 def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
     """Whether every pair (r(x,y), r(y,x)) of c, the diagonal included,
     lies in S, for any S, decided as in :func:`contains`, the row rule
-    running on the kernel domain row by row and stopping at the first
+    running on a read-only ``view`` row by row, stopping at the first
     row it moves.  DomainError when S and c live over different norms."""
     _require_same_norm(s, c)
     if s.variant is SuitableVariant.EXPLICIT:
@@ -230,7 +231,8 @@ def is_in_cat_s(s: SuitableSet, c: QCat) -> bool:
         return all(
             pair in s.pairs for row, col in zip(m, zip(*m)) for pair in zip(row, col)
         )
-    (above, _), m, _ = _on_domain(s, c, "above")
+    (above, _), e, dom = _on_domain(s, c, "above")
+    m = dom.view(e)
     return _rows_fixed(above, m, zip(*m))
 
 
@@ -242,12 +244,14 @@ def _require_same_norm(s: SuitableSet, c: QCat) -> None:
 
 
 def _on_domain(s: SuitableSet, c: QCat, side: str) -> tuple:
-    """S's (rule, pin) toward side (``_kernel_on``), c's matrix and the
-    kernel domain of both, which share a norm.  The matrix comes from
-    c's encoding (``QCat._encoded``), so it is converted once."""
+    """S's (rule, pin) toward side (``_kernel_on``), c's encoding
+    (``QCat._encoded``, converted once) and the kernel domain of both,
+    which share a norm.  The domain takes roots only for the band
+    toward "below", the one rule that calls ``dom.sqrt``."""
     e = c._encoded
-    dom = kernel_domain(c.tnorm, math.lcm(e.d, s._lcm))
-    return _kernel_on(s, dom, side), dom.enter(e), dom
+    roots = side == "below" and s.variant is SuitableVariant.SQRT_BAND
+    dom = kernel_domain(c.tnorm, math.lcm(e.d, s._lcm), roots)
+    return _kernel_on(s, dom, side), e, dom
 
 
 def _kernel_on(s: SuitableSet, dom, side: str) -> tuple:
@@ -362,7 +366,8 @@ def _moved(s: SuitableSet, c: QCat, side: str) -> tuple:
     t-norms, else when S is not suitable (``require_suitable``)."""
     _require_same_norm(s, c)
     require_suitable(s)
-    (rule, pin), m, dom = _on_domain(s, c, side)
+    (rule, pin), e, dom = _on_domain(s, c, side)
+    m = dom.enter(e)
     _move(rule, pin, m)
     return m, dom
 

@@ -35,8 +35,8 @@ bound on each grid domain and side.  For every variant that bound is a
 row rule reading a value map that computes each value once and holds
 at most d + 1 of them ((d + 1)^2 pairs for an explicit set), like a
 grid domain's own memo; the Fraction domain's values are unbounded, so
-there the rule is built per call.  A kernel call then only scales
-integers and rebuilds rows.
+there the rule is built per call.  Read-only scans read the encoding
+in place; only the kernels that write scale integers and rebuild rows.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def _numerator(v: Fraction, d: int) -> int:
 class Encoded(NamedTuple):
     """A matrix of Fractions with d, the lcm of its entries'
     denominators, and each entry's numerator over d: what a domain
-    enters (see ``QCat._encoded``)."""
+    enters or views (see ``QCat._encoded``)."""
 
     fractions: tuple
     d: int
@@ -222,43 +222,43 @@ class Encoded(NamedTuple):
 
 
 def encode(matrix) -> Encoded:
-    """The :class:`Encoded` form of a matrix of Fractions, read off each
-    entry's ``as_integer_ratio()``."""
-    return _encode(matrix, [[v.as_integer_ratio() for v in row] for row in matrix])
+    """The :class:`Encoded` form of a square matrix of Fractions, read
+    off each entry's ``as_integer_ratio()``."""
+    return _encode(matrix, [v.as_integer_ratio() for row in matrix for v in row])
 
 
 def encode_unit(matrix) -> Optional[Encoded]:
-    """The :class:`Encoded` form of a tuple of tuples whose entries are
-    all Fractions in [0, 1], checked in the pass that encodes it; None
-    when an entry is not, so the caller can take ``values.unit``'s path
-    for the coercion or the error.  Each entry's ``as_integer_ratio()``
-    is read once, and the range is tested on integers: d // q > 0, so
-    p/q lies in [0, 1] exactly when its numerator p * (d // q) over d
-    lies in [0, d]."""
+    """The :class:`Encoded` form of a square tuple of tuples whose
+    entries are all Fractions in [0, 1], checked in the pass that
+    encodes it; None when an entry is not, so the caller can take
+    ``values.unit``'s path for the coercion or the error.  All n^2
+    entries are read in one flat pass, each ``as_integer_ratio()`` once,
+    and the range is tested on the flat numerators: d // q > 0, so p/q
+    lies in [0, 1] exactly when its numerator p * (d // q) over d lies
+    in [0, d]."""
     # an entry of another type reads as False, which fails to unpack
     ratios = [
-        [v.__class__ is Fraction and v.as_integer_ratio() for v in row]
-        for row in matrix
+        v.__class__ is Fraction and v.as_integer_ratio() for row in matrix for v in row
     ]
     try:
-        e = _encode(matrix, ratios)
+        return _encode(matrix, ratios, in_unit=True)
     except TypeError:
         return None
-    rows = e.numerators
-    if min(map(min, rows), default=0) < 0 or max(map(max, rows), default=0) > e.d:
+
+
+def _encode(matrix, ratios: list, in_unit: bool = False) -> Optional[Encoded]:
+    # one lcm, one flat list of numerators over it, rows sliced from it;
+    # None when in_unit and a numerator lies outside [0, d]
+    d = math.lcm(*{q for _, q in ratios})
+    flat = [p * (d // q) for p, q in ratios]
+    if in_unit and flat and (min(flat) < 0 or max(flat) > d):
         return None
-    return e
-
-
-def _encode(matrix, ratios) -> Encoded:
-    d = math.lcm(*{q for row in ratios for _, q in row})
-    numerators = tuple([tuple([p * (d // q) for p, q in row]) for row in ratios])
-    return Encoded(matrix, d, numerators)
+    return Encoded(matrix, d, tuple(zip(*[iter(flat)] * len(matrix))))
 
 
 class FractionDomain:
     """The kernels' values as they are: Fractions, with & as
-    ``TNorm._and``.  Entering and leaving copy the matrix."""
+    ``TNorm._and``.  Entering and leaving copy the matrix; ``view`` does not."""
 
     def __init__(self, t: TNorm):
         self.t = t
@@ -272,6 +272,9 @@ class FractionDomain:
 
     def sqrt(self, x: Fraction) -> Fraction:
         return sqrt_with(self.t, x)
+
+    def view(self, e: Encoded) -> tuple:
+        return e.fractions
 
     def enter(self, e: Encoded) -> list[list[Fraction]]:
         return [list(row) for row in e.fractions]
@@ -329,8 +332,14 @@ class GridDomain:
     def sqrt(self, x: int) -> int:
         """``sqrt_with`` on the grid: (x+hi)/2 for (lo, hi) = ``piece(x)``,
         which reads the upper block at a shared endpoint, and x in no
-        block.  Exact as ``kernel_domain`` always doubles d: x, hi even."""
+        block.  Exact on a grid that ``kernel_domain`` doubled for roots,
+        after the endpoints: x and hi are even."""
         return (x + self.piece(x)[1]) // 2
+
+    def view(self, e: Encoded):
+        """e's rows on this grid for a scan that only reads them: the
+        encoding's own numerators when d is e.d, else ``enter``'s."""
+        return e.numerators if self.d == e.d else self.enter(e)
 
     def enter(self, e: Encoded) -> list[list[int]]:
         """Fresh lists, since the kernels write into their matrix."""
@@ -344,20 +353,21 @@ class GridDomain:
         return tuple([tuple(map(values.__getitem__, row)) for row in m])
 
 
-def kernel_domain(t: TNorm, d: int) -> FractionDomain | GridDomain:
+def kernel_domain(t: TNorm, d: int, roots=False) -> FractionDomain | GridDomain:
     """The exact domain a kernel runs in over t, for values whose
     denominators all divide d: the lcm of a matrix's ``Encoded.d`` and
     the denominators of the constants it compares against (K endpoints,
     explicit coordinates).  The norm's Fraction domain when t has a product
-    block, whose & leaves every grid; else the grid whose d is twice the
-    lcm of d and the block endpoints' denominators, so that the band's
-    square root (x+hi)/2 stays on it.  Both are kept on the norm, so a
-    domain is built and compiled once and a call only looks it up.  No
-    size threshold: integers stay exact at any size."""
+    block, whose & leaves every grid; else the grid of the lcm of d and
+    the block endpoints' denominators, doubled for roots, after the
+    endpoints, so that a kernel taking the band's square root (x+hi)/2
+    stays on it.  Both are kept on the norm, so a domain is built and
+    compiled once and a call only looks it up.  No size threshold:
+    integers stay exact at any size."""
     base = t._grid_lcm
     if base is None:
         return t._fractions
-    d = 2 * math.lcm(base, d)
+    d = math.lcm(base, d) * (2 if roots else 1)
     dom = t._domains.get(d)
     if dom is None:
         dom = t._domains[d] = GridDomain(t, d)

@@ -97,6 +97,18 @@ def fine_values(t):
     return st.sampled_from(FINE_VALUES + extra)
 
 
+def odd_values(t):
+    """Thirds, 0 and 1: off the grid of every block endpoint whose
+    denominator is even, so the band's roots are on no grid that
+    doubles the matrix's d before the endpoints are folded in."""
+    return st.sampled_from([F(k, 3) for k in range(4)])
+
+
+# one Lukasiewicz block [0, 1/12]: the largest band pair below (1, 0)
+# is (sqrt 0, 0) = (1/24, 0), on the grid 2 * lcm(12, 1) = 24
+LOW_BLOCK = TNorm((Block(F(0), F(1, 12), BlockKind.LUKASIEWICZ),))
+
+
 def naive_closure(t, m):
     """Raise m(i,j) to m(k,j) & m(i,k) for i != j until nothing moves."""
     m = [list(row) for row in m]
@@ -336,6 +348,19 @@ def largest_below(candidates, a, b):
 # the root read in the block above the shared endpoint 1/2
 @example((STEPS, [[1, 1], [F(1, 2), 1]]), 3, K_FINITE, False)
 def test_coreflect_c_matches_largest_pair_below(case, which, k, closed):
+    check_coreflect_c(case, which, k, closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(ordinal_sums(False), odd_values, sizes=(2, 5)))
+@example((LOW_BLOCK, [[1, 1], [0, 1]]))
+def test_coreflect_c_over_the_band_takes_roots_off_the_matrix_grid(case):
+    """C over the band on entries off the block endpoints' grid: its
+    roots (x + hi)/2 lie on no grid of the entries alone."""
+    check_coreflect_c(case, 3, K_FINITE, False)
+
+
+def check_coreflect_c(case, which, k, closed):
     t, rows = case
     s, candidates = lowerers(t, k, closed)[which]
     n = len(rows)
@@ -378,11 +403,21 @@ def first_violation(t, points, m):
 # order; a scan with the middle point outer would first meet
 # r(p0,p2) & r(p1,p0) = 1/2 > r(p1,p2) = 0
 PINNED_ORDER = [[1, 0, F(1, 2)], [F(1, 2), 1, 0], [0, F(1, 2), 1]]
+Q1, Q3, T1, T2 = F(1, 4), F(3, 4), F(1, 3), F(2, 3)
+REMARK4 = BUILTIN_NORMS["remark4"]()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(matrices(), matrices(sums, fine_values)), st.booleans(), st.booleans())
 @example((godel(), PINNED_ORDER), False, False)
+# The scan reads the encoding in place (Lukasiewicz on quarters, whose
+# grid is the matrix's own), scaled (STEPS, base 4, on thirds: the
+# grid is 12) and as Fractions (remark4).  3/4 & 3/4 = 1/2 > 1/4, and
+# 2/3 & 2/3 = 1/2 > 0 under STEPS; the last STEPS matrix is a category.
+@example((lukasiewicz(), [[1, Q3, Q1], [0, 1, Q3], [0, 0, 1]]), False, False)
+@example((STEPS, [[1, T2, 0], [0, 1, T2], [0, 0, 1]]), False, False)
+@example((REMARK4, [[1, Q3, Q1], [0, 1, Q3], [0, 0, 1]]), False, False)
+@example((STEPS, [[1, T2, T2], [T1, 1, T2], [T1, T1, 1]]), False, False)
 def test_validate_qcat_reports_the_first_violation(case, unit_diagonal, closed):
     t, rows = case
     n = len(rows)

@@ -1,6 +1,7 @@
 """Tests for finite real-enriched categories and their constructions."""
 
 import itertools
+import math
 import sys
 from fractions import Fraction as F
 
@@ -39,6 +40,7 @@ from realcat.tnorm import (
     BlockKind,
     TNorm,
     encode,
+    encode_unit,
     godel,
     lukasiewicz,
     m_set,
@@ -973,6 +975,37 @@ class TestCheckedEntries:
         )
         with pytest.raises(ValueError, match=r"^value 5/4 outside \[0, 1\]$"):
             QCat(LUK, ("a", "b", "c"), matrix)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            ((F(1, 2),),),
+            ((ONE, F(1, 3)), (F(1, 4), ONE)),
+            ((ONE, ZERO, F(5, 6)), (F(1, 2), ONE, F(2, 9)), (ZERO, F(7, 8), ONE)),
+        ],
+        ids=["empty", "one point", "thirds and quarters", "three points"],
+    )
+    def test_the_encoding_is_each_row_over_the_lcm(self, rows):
+        """Both encoders give, row by row, each entry's numerator over
+        the lcm of all denominators (1 for no entry)."""
+        d = math.lcm(*(v.denominator for row in rows for v in row))
+        numerators = tuple(
+            tuple(v.numerator * (d // v.denominator) for v in row) for row in rows
+        )
+        assert encode(rows) == encode_unit(rows) == (rows, d, numerators)
+
+    @pytest.mark.parametrize(
+        "entry", [F(5, 4), F(-1, 3), 1, "1/2", 0.5], ids=repr
+    )
+    def test_encode_unit_declines_what_is_no_fraction_in_the_unit_interval(
+        self, entry
+    ):
+        """None, wherever the entry sits, so QCat takes unit's path."""
+        for i, j in itertools.product(range(2), repeat=2):
+            rows = [[ONE, F(1, 2)], [F(1, 3), ONE]]
+            rows[i][j] = entry
+            assert encode_unit(tuple(map(tuple, rows))) is None
 
     def test_lists_become_tuples(self):
         c = QCat(LUK, ("a", "b"), [[ONE, F(1, 2)], [F(0), ONE]])

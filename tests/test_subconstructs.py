@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from operator import ge, le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcat.ccc import (
@@ -621,9 +621,44 @@ def answer(call, *args):
     return out.matrix if isinstance(out, QCat) else out
 
 
+def pinned_scan(shape, name, parts, s, rows):
+    """A ``pair_scan_cases`` draw written out: S over the norm of
+    ``BUILTIN_BLOCKS`` or STEPS, and a category on rows."""
+    blocks = STEPS_BLOCKS if name == "steps" else BUILTIN_BLOCKS[name]
+    c = QCat(s.tnorm, tuple(f"p{i}" for i in range(len(rows))), rows)
+    return (shape, s.tnorm, blocks, parts), s, c, (ONE, ONE)
+
+
+# Lukasiewicz blocks on [1/4, 1/2] and [1/2, 1], sharing an endpoint
+STEPS_BLOCKS = [(F(1, 4), F(1, 2), "lukasiewicz"), (F(1, 2), F(1), "lukasiewicz")]
+STEPS = TNorm(tuple(Block(lo, hi, BlockKind(kind)) for lo, hi, kind in STEPS_BLOCKS))
+Q1, Q2, Q3, T1, T2 = F(1, 4), F(1, 2), F(3, 4), F(1, 3), F(2, 3)
+HALVES = [(0, 0), (Q2, Q2), (ONE, ONE)]
+
+
 class TestRowRulesAgainstPairScan:
     @settings(max_examples=250, deadline=None)
     @given(pair_scan_cases())
+    # Cat_S membership scans the encoding in place where the grid is the
+    # matrix's own (Lukasiewicz and Godel on quarters), scaled where it
+    # is not (STEPS, base 4, on thirds: the grid is 12, and 24 for C's
+    # roots), and as Fractions under remark4.
+    @example(pinned_scan(
+        "sqrt_band", "lukasiewicz", [], sqrt_band(LUK),
+        ((1, Q3, Q2), (Q2, 1, Q1), (Q1, Q2, 1)),
+    ))
+    @example(pinned_scan(
+        "k_square", "godel", HALVES, k_square(GOD, IntervalSet.of(HALVES)),
+        ((1, Q2, 0), (Q2, 1, Q1), (0, Q2, 1)),
+    ))
+    @example(pinned_scan(
+        "sqrt_band", "steps", [], sqrt_band(STEPS),
+        ((1, T2, T1), (T2, 1, 0), (T1, T1, 1)),
+    ))
+    @example(pinned_scan(
+        "sqrt_band", "remark4", [], sqrt_band(RM4),
+        ((1, Q3, Q2), (Q3, 1, Q2), (Q2, Q2, 1)),
+    ))
     def test_kernels_match_the_pair_scan(self, drawn):
         """C, R, Cat_S membership and contains against the pair scan
         written out above, errors included: when several pairs lack a

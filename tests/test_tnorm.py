@@ -179,19 +179,24 @@ class TestTrustedKernel:
 
     @settings(max_examples=300)
     @given(_norm_and_pair())
+    # the root of 0 in the block [0, 1/12] is 1/24: the grid doubles
+    # 12 = lcm(12, 1), not lcm(12, 2 * 1), which holds no 1/24
+    @example((TNorm((Block(F(0), F(1, 12), BlockKind.LUKASIEWICZ),)), F(0), F(0)))
     def test_grid_kernel_matches_the_formulas(self, case):
         """Without a product block the kernels may run on numerators
-        over d; there & and the square root are the formulas scaled by
-        d.  A product block keeps the Fraction domain."""
+        over d; there & is the formula scaled by d, and the square root
+        is, on the grid doubled for roots.  A product block keeps the
+        Fraction domain."""
         t, x, y = case
-        dom = kernel_domain(t, math.lcm(x.denominator, y.denominator))
+        d = math.lcm(x.denominator, y.denominator)
+        dom, rooted = kernel_domain(t, d), kernel_domain(t, d, roots=True)
         if any(b.kind is BlockKind.PRODUCT for b in t.blocks):
-            assert isinstance(dom, FractionDomain)
+            assert isinstance(dom, FractionDomain) and rooted is dom
             return
-        assert isinstance(dom, GridDomain)
+        assert isinstance(dom, GridDomain) and rooted.d == 2 * dom.d
         assert all(dom.value(dom.of(v)) == v for v in (x, y))
         assert dom.value(dom.op(dom.of(x), dom.of(y))) == _written_out(t, x, y)
-        assert dom.value(dom.sqrt(dom.of(x))) == sqrt_with(t, x)
+        assert rooted.value(rooted.sqrt(rooted.of(x))) == sqrt_with(t, x)
 
     def test_ordinal_sum_checks_the_block_square(self):
         # (1/4, 3/4) straddles the remark4 split: the min, not 2xy = 3/8

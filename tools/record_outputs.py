@@ -313,13 +313,13 @@ def grid_cases(seed: int = SEED) -> list:
         n = 1 + r % 5
         tag = f"{r:03d} sum {label} n={n}"
         cat = draw_cat(rng, t, n, "p", pool)
-        unit_diagonal = rng.random() < 0.8
-        drawn = QCat(t, cat.points, [
+        points, unit_diagonal = cat.points, rng.random() < 0.8
+        drawn = QCat(t, points, [
             [F(1) if i == j and unit_diagonal else rng.choice(pool) for j in range(n)]
             for i in range(n)
         ])
-        out.append((f"{tag} validate category", validated, (t, cat.points, cat.matrix)))
-        out.append((f"{tag} validate drawn", validated, (t, drawn.points, drawn.matrix)))
+        out.append((f"{tag} validate category", validated, (t, points, cat.matrix)))
+        out.append((f"{tag} validate drawn", validated, (t, points, drawn.matrix)))
         for variant in VARIANTS:
             if variant == "explicit":
                 s = sc.explicit(t, draw_pairs(rng, t, pool))
