@@ -18,9 +18,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import DomainError
-from .tnorm import (
-    CheckResult, Encoded, GridDomain, TNorm, encode, encode_unit, kernel_domain
-)
+from .tnorm import CheckResult, Encoded, GridDomain, TNorm, encode, kernel_domain
 from .values import ONE, ZERO, Frozen, unit
 
 Point = object  # str | tuple, hashable
@@ -40,11 +38,12 @@ class QCat(Frozen):
             raise ValueError("matrix shape does not match point list")
         # One pass reads, checks and encodes the entries when they are
         # Fractions in [0, 1], and keeps the encoding for the kernels;
-        # anything else goes through unit, which coerces or raises.
+        # anything else goes through unit, which coerces or raises, and
+        # then Fraction, which makes a subclass one that encode reads.
         matrix = tuple(map(tuple, matrix))
-        e = encode_unit(matrix)
+        e = encode(matrix)
         if e is None:
-            matrix = tuple(tuple(unit(v) for v in row) for row in matrix)
+            matrix = tuple(tuple(Fraction(unit(v)) for v in row) for row in matrix)
         else:
             self.__dict__["_encoded"] = e
         self.__dict__.update(tnorm=tnorm, points=points, matrix=matrix)
@@ -62,7 +61,7 @@ class QCat(Frozen):
         # category (see tnorm.kernel_domain); kept out of the fields like
         # _positions.  __init__ keeps the one it checked Fraction
         # entries with, so this runs only for coerced entries and for
-        # what _built_qcat made.
+        # what _built_qcat made: Fractions in [0, 1], so never None.
         return encode(self.matrix)
 
     def index(self, p) -> int:
@@ -164,16 +163,11 @@ def require_category(c: QCat, where: str = "") -> QCat:
 
 
 def _common_numerators(*cats: QCat) -> tuple:
-    """The lcm d of the categories' denominators (1 for none) and the
-    kept numerators (``QCat._encoded``) of each matrix over d, so entries
-    of different categories compare as ints."""
-    d, out = 1, []
-    for c in cats:
-        d = math.lcm(d, c._encoded.d)
-    for c in cats:
-        ks, m = c._encoded.numerators, d // c._encoded.d
-        out.append(ks if m == 1 else [[k * m for k in r] for r in ks])
-    return d, *out
+    """The lcm d of the categories' denominators (1 for none) and each
+    one's kept numerators (``QCat._encoded``) over d, read-only
+    (``Encoded.over``), so entries of different categories compare as ints."""
+    d = math.lcm(*[c._encoded.d for c in cats])
+    return d, *[c._encoded.over(d) for c in cats]
 
 
 def _least(t: TNorm, points: tuple, top: int, terms: list) -> QCat:
@@ -313,11 +307,12 @@ def final_lift(
 
     The least transitive structure above the pushed-forward values:
     seed with joins of r_i over preimage pairs (1 on the diagonal, 0
-    elsewhere), then take the exact path closure of the seed.  A
-    repeated carrier point, then, map by map (:func:`_map_indices`), a
-    map that is no Mapping or the first point of its category it omits
-    or sends outside the carrier is a ValueError, raised before the seed
-    is built.
+    elsewhere), then take the exact path closure of the seed, both on
+    the kernel domain of the sinks' denominators, whose ``view`` of each
+    sink is joined in.  A repeated carrier point, then, map by map
+    (:func:`_map_indices`), a map that is no Mapping or the first point
+    of its category it omits or sends outside the carrier is a
+    ValueError, raised before the seed is built.
     """
     carrier = tuple(carrier)
     _require_distinct(carrier)
@@ -326,15 +321,13 @@ def final_lift(
         (cat, _map_indices("sink", i, f, cat.points, idx))
         for i, (cat, f) in enumerate(sinks)
     ]
-    n = len(carrier)
-    m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    dom = kernel_domain(t, math.lcm(*[cat._encoded.d for cat, _ in pushed]))
+    one, zero, n = dom.of(ONE), dom.of(ZERO), len(carrier)
+    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for cat, images in pushed:
-        for i, row in zip(images, cat.matrix):
+        for i, row in zip(images, dom.view(cat._encoded)):
             for j, v in zip(images, row):
                 if v > m[i][j]:
                     m[i][j] = v
-    e = encode(m)
-    dom = kernel_domain(t, e.d)
-    closed = dom.enter(e)
-    path_closure(dom, closed)
-    return _built_qcat(t, carrier, dom.leave(closed))
+    path_closure(dom, m)
+    return _built_qcat(t, carrier, dom.leave(m))

@@ -363,11 +363,12 @@ def coreflect_c(s: SuitableSet, c: QCat) -> QCat:
 def _moved(s: SuitableSet, c: QCat, side: str) -> tuple:
     """c's matrix, its off-diagonal pairs moved toward side, and its
     kernel domain.  DomainError when S and c live over different
-    t-norms, else when S is not suitable (``require_suitable``)."""
+    t-norms, else when S is not suitable (``require_suitable``).  The
+    matrix is the ``view`` copied into lists, as the kernels write."""
     _require_same_norm(s, c)
     require_suitable(s)
     (rule, pin), e, dom = _on_domain(s, c, side)
-    m = dom.enter(e)
+    m = [list(row) for row in dom.view(e)]
     _move(rule, pin, m)
     return m, dom
 

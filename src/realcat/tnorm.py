@@ -35,8 +35,9 @@ bound on each grid domain and side.  For every variant that bound is a
 row rule reading a value map that computes each value once and holds
 at most d + 1 of them ((d + 1)^2 pairs for an explicit set), like a
 grid domain's own memo; the Fraction domain's values are unbounded, so
-there the rule is built per call.  Read-only scans read the encoding
-in place; only the kernels that write scale integers and rebuild rows.
+there the rule is built per call.  Every kernel reads a matrix through
+its domain's ``view`` (``Encoded.over``); only ``subconstructs._moved``,
+whose kernels write, copies the rows.
 """
 
 from __future__ import annotations
@@ -214,20 +215,22 @@ def _numerator(v: Fraction, d: int) -> int:
 class Encoded(NamedTuple):
     """A matrix of Fractions with d, the lcm of its entries'
     denominators, and each entry's numerator over d: what a domain
-    enters or views (see ``QCat._encoded``)."""
+    views (see ``QCat._encoded``)."""
 
     fractions: tuple
     d: int
     numerators: tuple
 
+    def over(self, d: int):
+        """The numerators over d, a multiple of self.d, to be read only:
+        the own rows when d is self.d, else rows scaled by d // self.d."""
+        if d == self.d:
+            return self.numerators
+        s = d // self.d
+        return [[x * s for x in row] for row in self.numerators]
 
-def encode(matrix) -> Encoded:
-    """The :class:`Encoded` form of a square matrix of Fractions, read
-    off each entry's ``as_integer_ratio()``."""
-    return _encode(matrix, [v.as_integer_ratio() for row in matrix for v in row])
 
-
-def encode_unit(matrix) -> Optional[Encoded]:
+def encode(matrix) -> Optional[Encoded]:
     """The :class:`Encoded` form of a square tuple of tuples whose
     entries are all Fractions in [0, 1], checked in the pass that
     encodes it; None when an entry is not, so the caller can take
@@ -241,24 +244,18 @@ def encode_unit(matrix) -> Optional[Encoded]:
         v.__class__ is Fraction and v.as_integer_ratio() for row in matrix for v in row
     ]
     try:
-        return _encode(matrix, ratios, in_unit=True)
+        d = math.lcm(*{q for _, q in ratios})
     except TypeError:
         return None
-
-
-def _encode(matrix, ratios: list, in_unit: bool = False) -> Optional[Encoded]:
-    # one lcm, one flat list of numerators over it, rows sliced from it;
-    # None when in_unit and a numerator lies outside [0, d]
-    d = math.lcm(*{q for _, q in ratios})
     flat = [p * (d // q) for p, q in ratios]
-    if in_unit and flat and (min(flat) < 0 or max(flat) > d):
+    if flat and (min(flat) < 0 or max(flat) > d):
         return None
     return Encoded(matrix, d, tuple(zip(*[iter(flat)] * len(matrix))))
 
 
 class FractionDomain:
     """The kernels' values as they are: Fractions, with & as
-    ``TNorm._and``.  Entering and leaving copy the matrix; ``view`` does not."""
+    ``TNorm._and``.  ``view`` reads the matrix as it is."""
 
     def __init__(self, t: TNorm):
         self.t = t
@@ -276,9 +273,6 @@ class FractionDomain:
     def view(self, e: Encoded) -> tuple:
         return e.fractions
 
-    def enter(self, e: Encoded) -> list[list[Fraction]]:
-        return [list(row) for row in e.fractions]
-
     def leave(self, m) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(row) for row in m)
 
@@ -291,9 +285,9 @@ class GridDomain:
     {k/d}: the grid is then closed under &, the meet and the join.
 
     A domain is built once per norm and d (``kernel_domain`` keeps it on
-    the norm).  A matrix enters by scaling the numerators its
-    :class:`Encoded` form already holds, and leaves through a memo from
-    k to k/d that the domain keeps, so no Fraction is built twice."""
+    the norm).  A matrix is viewed through ``Encoded.over``, and leaves
+    through a memo from k to k/d that the domain keeps, so no Fraction
+    is built twice."""
 
     def __init__(self, t: TNorm, d: int):
         self.d = d
@@ -337,14 +331,8 @@ class GridDomain:
         return (x + self.piece(x)[1]) // 2
 
     def view(self, e: Encoded):
-        """e's rows on this grid for a scan that only reads them: the
-        encoding's own numerators when d is e.d, else ``enter``'s."""
-        return e.numerators if self.d == e.d else self.enter(e)
-
-    def enter(self, e: Encoded) -> list[list[int]]:
-        """Fresh lists, since the kernels write into their matrix."""
-        s = self.d // e.d
-        return [[x * s for x in row] for row in e.numerators]
+        """e's rows on this grid, to be read only (``Encoded.over``)."""
+        return e.over(self.d)
 
     def leave(self, m) -> tuple[tuple[Fraction, ...], ...]:
         values, d = self._values, self.d
@@ -355,15 +343,15 @@ class GridDomain:
 
 def kernel_domain(t: TNorm, d: int, roots=False) -> FractionDomain | GridDomain:
     """The exact domain a kernel runs in over t, for values whose
-    denominators all divide d: the lcm of a matrix's ``Encoded.d`` and
-    the denominators of the constants it compares against (K endpoints,
-    explicit coordinates).  The norm's Fraction domain when t has a product
-    block, whose & leaves every grid; else the grid of the lcm of d and
-    the block endpoints' denominators, doubled for roots, after the
-    endpoints, so that a kernel taking the band's square root (x+hi)/2
-    stays on it.  Both are kept on the norm, so a domain is built and
-    compiled once and a call only looks it up.  No size threshold:
-    integers stay exact at any size."""
+    denominators all divide d: the lcm of each viewed matrix's
+    ``Encoded.d`` and the denominators of the constants it compares
+    against (K endpoints, explicit coordinates).  The norm's Fraction
+    domain when t has a product block, whose & leaves every grid; else
+    the grid of the lcm of d and the block endpoints' denominators,
+    doubled for roots, after the endpoints, so that a kernel taking the
+    band's square root (x+hi)/2 stays on it.  Both are kept on the norm,
+    so a domain is built and compiled once and a call only looks it up.
+    No size threshold: integers stay exact at any size."""
     base = t._grid_lcm
     if base is None:
         return t._fractions

@@ -223,8 +223,15 @@ def matrices(draw, norms=norms, values_of=lambda t: values, sizes=(1, 5)):
     return t, rows
 
 
+# two sinks on one pair: their lcm, 8, is not the seed's, 2, as the join
+# keeps 1/2 and drops 1/8; and no sink at all, whose lcm is 1
+ONE_PAIR_TWICE = [(F(1, 8), 0, "p0", "p1"), (F(1, 2), 0, "p0", "p1")]
+
+
 @settings(max_examples=150, deadline=None)
 @given(sink_families())
+@example((lukasiewicz(), ("p0", "p1"), ONE_PAIR_TWICE))
+@example((lukasiewicz(), ("p0", "p1"), []))
 def test_final_lift_matches_naive_closure(family):
     check_final_lift(family)
 

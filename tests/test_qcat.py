@@ -23,7 +23,14 @@ from realcat.functors import (
     tensor_untranspose,
 )
 from realcat.intervals import IntervalSet
-from realcat.qcat import QCat, final_lift, initial_lift, two_point, validate_qcat
+from realcat.qcat import (
+    QCat,
+    _common_numerators,
+    final_lift,
+    initial_lift,
+    two_point,
+    validate_qcat,
+)
 from realcat.subconstructs import (
     coreflect_c,
     explicit,
@@ -40,7 +47,6 @@ from realcat.tnorm import (
     BlockKind,
     TNorm,
     encode,
-    encode_unit,
     godel,
     lukasiewicz,
     m_set,
@@ -924,6 +930,10 @@ class TestBuiltOutputs:
             assert rebuilt._encoded == encode(out.matrix) == out._encoded
 
 
+class FractionSubclass(F):
+    """Passes values.unit as it is; QCat keeps a plain Fraction for it."""
+
+
 class TestCheckedEntries:
     """QCat checks outside entries in one pass; whatever is not a
     Fraction in [0, 1] takes values.unit's path, which coerces it or
@@ -937,6 +947,7 @@ class TestCheckedEntries:
             (True, F(1)),
             ("1/2", F(1, 2)),
             (" 3/4 ", F(3, 4)),
+            (FractionSubclass(1, 2), F(1, 2)),
         ],
     )
     def test_other_types_are_coerced_to_fractions(self, entry, value):
@@ -987,25 +998,37 @@ class TestCheckedEntries:
         ids=["empty", "one point", "thirds and quarters", "three points"],
     )
     def test_the_encoding_is_each_row_over_the_lcm(self, rows):
-        """Both encoders give, row by row, each entry's numerator over
-        the lcm of all denominators (1 for no entry)."""
+        """encode gives, row by row, each entry's numerator over the lcm
+        of all denominators (1 for no entry)."""
         d = math.lcm(*(v.denominator for row in rows for v in row))
         numerators = tuple(
             tuple(v.numerator * (d // v.denominator) for v in row) for row in rows
         )
-        assert encode(rows) == encode_unit(rows) == (rows, d, numerators)
+        assert encode(rows) == (rows, d, numerators)
 
     @pytest.mark.parametrize(
         "entry", [F(5, 4), F(-1, 3), 1, "1/2", 0.5], ids=repr
     )
-    def test_encode_unit_declines_what_is_no_fraction_in_the_unit_interval(
-        self, entry
-    ):
+    def test_encode_declines_what_is_no_fraction_in_the_unit_interval(self, entry):
         """None, wherever the entry sits, so QCat takes unit's path."""
         for i, j in itertools.product(range(2), repeat=2):
             rows = [[ONE, F(1, 2)], [F(1, 3), ONE]]
             rows[i][j] = entry
-            assert encode_unit(tuple(map(tuple, rows))) is None
+            assert encode(tuple(map(tuple, rows))) is None
+
+    def test_over_is_the_own_rows_at_d_and_scaled_rows_on_a_multiple(self):
+        """``Encoded.over`` at e.d is e.numerators itself, not a copy; on
+        2 e.d and 3 e.d each numerator is scaled.  Two categories, one on
+        thirds and one on quarters, meet over 12 (``_common_numerators``)."""
+        thirds = QCat(LUK, ("a", "b"), ((ONE, F(1, 3)), (F(2, 3), ONE)))
+        quarters = QCat(LUK, ("a", "b"), ((ONE, F(1, 4)), (ZERO, ONE)))
+        e = thirds._encoded
+        assert e.d == 3 and e.over(3) is e.numerators == ((3, 1), (2, 3))
+        assert e.over(6) == [[6, 2], [4, 6]]
+        assert e.over(9) == [[9, 3], [6, 9]]
+        d, a, b = _common_numerators(thirds, quarters)
+        assert (d, a, b) == (12, [[12, 4], [8, 12]], [[12, 3], [0, 12]])
+        assert _common_numerators() == (1,)
 
     def test_lists_become_tuples(self):
         c = QCat(LUK, ("a", "b"), [[ONE, F(1, 2)], [F(0), ONE]])
