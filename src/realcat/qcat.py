@@ -119,19 +119,29 @@ def two_point(t: TNorm, a, b, points=("0", "1")) -> QCat:
 def validate_qcat(c: QCat) -> CheckResult:
     """Check reflexivity and the composition inequality exactly.  A
     failure reports the first violating triple in row-major order and
-    both sides.  The scan is :func:`_relax`'s, once per category: c
-    keeps the result in its ``__dict__``, out of the fields like
-    ``_encoded`` (a cached_property's first read takes a lock on
-    Python 3.11)."""
+    both sides.  The scan is :func:`_relax`'s, at most once per
+    category: c keeps its verdict in its ``__dict__``, out of the fields
+    like ``_encoded`` (a cached_property's first read takes a lock on
+    Python 3.11).  Two verdicts are kept there: the one this function's
+    first call on c computes, and the one :func:`final_lift` records on
+    its result, a category by construction, which is never scanned."""
     res = c.__dict__.get("_validated")
     if res is None:
         res = c.__dict__["_validated"] = _category_check(c)
     return res
 
 
+# the verdict on every valid category: the one _category_check returns
+# and the one final_lift records
+_VALID = CheckResult(True, "valid")
+
+
 def _category_check(c: QCat) -> CheckResult:
     """``validate_qcat``'s scan: the diagonal, then :func:`_relax` in
-    row-major order on a read-only ``view``, up to the first raise."""
+    row-major order on a read-only ``view``, up to the first raise.  A
+    category gets the shared ``_VALID``, the verdict that
+    :func:`final_lift` records on its result without a scan; either is
+    kept on c by ``validate_qcat``."""
     e, p = c._encoded, c.points
     for i in range(len(p)):
         if e.numerators[i][i] != e.d:  # r(x,x) = d/d = 1
@@ -143,7 +153,7 @@ def _category_check(c: QCat) -> CheckResult:
     dom = kernel_domain(c.tnorm, e.d)
     hit = _relax(dom, dom.view(e), check=True)
     if hit is None:
-        return CheckResult(True, "valid")
+        return _VALID
     i, k, j, lhs = hit
     return CheckResult(
         False,
@@ -313,6 +323,22 @@ def final_lift(
     (:func:`_map_indices`), a map that is no Mapping or the first point
     of its category it omits or sends outside the carrier is a
     ValueError, raised before the seed is built.
+
+    The result is a category for any sinks, categories or not, and
+    carries that verdict: its ``__dict__`` holds ``_VALID`` as
+    ``validate_qcat``'s kept result, so no check scans it.  Proof, on
+    either domain (a grid holding every entry and block endpoint, or
+    the norm's Fractions when it has a product block), where & is
+    exact and ``leave`` maps each value to its Fraction, preserving
+    order.  Every entry a sink's view offers lies in [0, 1], so the
+    joins never lower an entry of the seed and never raise one above
+    1: the diagonal stays 1.  ``path_closure`` never writes the
+    diagonal, and after its one pass m(i,j) >= m(k,j) & m(i,k) holds
+    for all distinct i, j and k (the pass is the exact closure, see
+    :func:`_relax`).  A triple with k = i or k = j holds as 1 & v = v,
+    and one with i = j as no entry lies above m(i,i) = 1.  An empty
+    carrier gives the empty category, valid as there is nothing to
+    check.
     """
     carrier = tuple(carrier)
     _require_distinct(carrier)
@@ -330,4 +356,6 @@ def final_lift(
                 if v > m[i][j]:
                     m[i][j] = v
     path_closure(dom, m)
-    return _built_qcat(t, carrier, dom.leave(m))
+    lifted = _built_qcat(t, carrier, dom.leave(m))
+    lifted.__dict__["_validated"] = _VALID
+    return lifted

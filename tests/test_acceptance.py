@@ -238,7 +238,10 @@ def _as_row(c, base, slots):
 
 
 def _universal_ok(targets, lowers, uppers, cs, chunk=128):
-    """No Cat_S structure below r escapes C(r), none above escapes R(r)."""
+    """C(r) <= r <= R(r), no Cat_S structure below r escapes C(r), and
+    none above escapes R(r)."""
+    if not ((lowers <= targets).all() and (targets <= uppers).all()):
+        return False
     for start in range(0, len(targets), chunk):
         t = targets[start : start + chunk]
         lo = lowers[start : start + chunk]

@@ -242,12 +242,15 @@ def test_final_lift_matches_naive_closure_on_ordinal_sums(family):
     check_final_lift(family)
 
 
+def two_point_sinks(t, edges):
+    return [
+        (two_point(t, a, b, ("s", "t")), {"s": x, "t": y}) for a, b, x, y in edges
+    ]
+
+
 def check_final_lift(family):
     t, carrier, edges = family
-    sinks = [
-        (two_point(t, a, b, ("s", "t")), {"s": x, "t": y})
-        for a, b, x, y in edges
-    ]
+    sinks = two_point_sinks(t, edges)
     n = len(carrier)
     seed = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
     for a, b, x, y in edges:
@@ -255,7 +258,60 @@ def check_final_lift(family):
         seed[i][j], seed[j][i] = max(seed[i][j], a), max(seed[j][i], b)
     lifted = final_lift(t, sinks, carrier)
     assert [list(row) for row in lifted.matrix] == naive_closure(t, seed)
-    assert validate_qcat(lifted).passed
+    # the lift records its verdict; a fresh category on its matrix is scanned
+    assert validate_qcat(QCat(t, carrier, lifted.matrix)).passed
+
+
+@st.composite
+def raw_sink_families(draw, norms=norms, values_of=lambda t: values):
+    """Carriers of 0-5 points with 0-3 sinks of 1-4 points each, whose
+    matrices are drawn entry by entry: mostly no categories (a diagonal
+    entry below 1, a broken triangle), mapped anywhere in the carrier."""
+    t = draw(norms)
+    values = values_of(t)
+    carrier = tuple(f"p{i}" for i in range(draw(st.integers(0, 5))))
+    sinks = []
+    for _ in range(draw(st.integers(0, 3) if carrier else st.just(0))):
+        k = draw(st.integers(1, 4))
+        points = tuple(f"s{i}" for i in range(k))
+        row = st.lists(values, min_size=k, max_size=k)
+        matrix = draw(st.lists(row, min_size=k, max_size=k))
+        f = {x: draw(st.sampled_from(carrier)) for x in points}
+        sinks.append((QCat(t, points, matrix), f))
+    return t, carrier, sinks
+
+
+PRODUCT = BUILTIN_NORMS["product"]()
+EMPTY = QCat(lukasiewicz(), (), ())
+
+
+def with_two_point_sinks(families):
+    return families.map(lambda f: (f[0], f[1], two_point_sinks(f[0], f[2])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        with_two_point_sinks(sink_families()),
+        with_two_point_sinks(sink_families(sums, fine_values)),
+        raw_sink_families(),
+        raw_sink_families(ordinal_sums(True), fine_values),
+    )
+)
+# a product block (the Fraction domain), and an empty carrier without
+# sinks and with an empty sink
+@example((PRODUCT, ("p", "q"), two_point_sinks(PRODUCT, [(F(1, 2), 0, "p", "q")])))
+@example((lukasiewicz(), (), []))
+@example((lukasiewicz(), (), [(EMPTY, {})]))
+def test_final_lift_records_the_verdict_of_a_fresh_scan(family):
+    """final_lift's recorded verdict is the one object a scan of a fresh
+    category on its matrix returns: the closure's proof, under test on
+    sinks that are categories or not, on both domains."""
+    t, carrier, sinks = family
+    lifted = final_lift(t, sinks, carrier)
+    recorded = lifted.__dict__["_validated"]
+    assert recorded is validate_qcat(QCat(t, carrier, lifted.matrix))
+    assert validate_qcat(lifted) is recorded
 
 
 @settings(max_examples=150, deadline=None)
