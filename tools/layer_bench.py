@@ -14,7 +14,10 @@ times, one call at a time:
   on a fresh ``QCat`` with the same matrix (``validate_qcat_fresh``),
   built untimed, so neither can answer from an earlier call's memo;
 - ``reflect_r`` and ``coreflect_c`` over the square-root band, on the
-  fresh category.
+  fresh category;
+- an empty region (``clock_floor``), timed where the lift's result is,
+  so a call of a microsecond or less can be read against the timer's
+  own cost.
 
 Each round runs every size in a fresh child process per tree, with the
 child importing realcat from that tree's ``src/``; with ``--parent`` the
@@ -49,17 +52,17 @@ OPS = (
     "validate_qcat_fresh",
     "reflect_r_band",
     "coreflect_c_band",
+    "clock_floor",
 )
 
 
-def load_realcat(src: Path):
+def load_realcat(src: Path) -> None:
     """Import realcat from src, never from elsewhere."""
     sys.path.insert(0, str(src))
     import realcat
 
     if Path(realcat.__file__).resolve().parent != (src / "realcat").resolve():
         sys.exit(f"error: imported realcat from {realcat.__file__}, not {src}")
-    return realcat
 
 
 def sink_matrix(rng: random.Random, n: int) -> tuple:
@@ -91,6 +94,8 @@ def measure(src: Path, sizes, repeats: int, seed: int) -> dict:
             lifted = final_lift(t, sinks, carrier)
             runs["final_lift"].append(clock() - start)
             fresh = QCat(t, carrier, lifted.matrix)
+            start = clock()
+            runs["clock_floor"].append(clock() - start)
             for op, fn, call_args in (
                 ("validate_qcat_lift", validate_qcat, (lifted,)),
                 ("validate_qcat_fresh", validate_qcat, (fresh,)),
@@ -120,7 +125,7 @@ def child(src: Path, args) -> dict:
         "--seed",
         str(args.seed),
     ]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out)
 
 
@@ -137,7 +142,7 @@ def summary(by_op: dict) -> dict:
 
 def sizes_arg(text: str) -> list:
     sizes = [int(x) for x in text.split(",")]
-    if not sizes or min(sizes) < 1:
+    if min(sizes) < 1:
         raise argparse.ArgumentTypeError("sizes are positive integers, comma separated")
     return sizes
 
