@@ -258,8 +258,10 @@ def check_final_lift(family):
         seed[i][j], seed[j][i] = max(seed[i][j], a), max(seed[j][i], b)
     lifted = final_lift(t, sinks, carrier)
     assert [list(row) for row in lifted.matrix] == naive_closure(t, seed)
-    # the lift records its verdict; a fresh category on its matrix is scanned
-    assert validate_qcat(QCat(t, carrier, lifted.matrix)).passed
+    # the lift records its verdict: the very one a scan of a fresh
+    # category on its matrix returns
+    recorded = lifted.__dict__["_validated"]
+    assert recorded is validate_qcat(QCat(t, carrier, lifted.matrix))
 
 
 @st.composite
@@ -285,15 +287,9 @@ PRODUCT = BUILTIN_NORMS["product"]()
 EMPTY = QCat(lukasiewicz(), (), ())
 
 
-def with_two_point_sinks(families):
-    return families.map(lambda f: (f[0], f[1], two_point_sinks(f[0], f[2])))
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(
-        with_two_point_sinks(sink_families()),
-        with_two_point_sinks(sink_families(sums, fine_values)),
         raw_sink_families(),
         raw_sink_families(ordinal_sums(True), fine_values),
     )
@@ -305,8 +301,9 @@ def with_two_point_sinks(families):
 @example((lukasiewicz(), (), [(EMPTY, {})]))
 def test_final_lift_records_the_verdict_of_a_fresh_scan(family):
     """final_lift's recorded verdict is the one object a scan of a fresh
-    category on its matrix returns: the closure's proof, under test on
-    sinks that are categories or not, on both domains."""
+    category on its matrix returns, on sinks drawn entry by entry (mostly
+    no categories) and on both domains; check_final_lift asserts the same
+    on the two-point families."""
     t, carrier, sinks = family
     lifted = final_lift(t, sinks, carrier)
     recorded = lifted.__dict__["_validated"]

@@ -806,7 +806,8 @@ class TestLifts:
             ("a", "b", "c"),
         )
         assert lifted.r("a", "c") == F(1, 2)
-        assert validate_qcat(lifted).passed
+        # the lift records its verdict; a fresh category on its matrix is scanned
+        assert validate_qcat(QCat(LUK, lifted.points, lifted.matrix)).passed
 
     def test_final_lift_is_least_above_the_sinks(self):
         """Brute-force check of the universal property on one instance."""

@@ -14,15 +14,12 @@ times, one call at a time:
   on a fresh ``QCat`` with the same matrix (``validate_qcat_fresh``),
   built untimed, so neither can answer from an earlier call's memo;
 - ``reflect_r`` and ``coreflect_c`` over the square-root band, on the
-  fresh category;
-- an empty region (``clock_floor``), timed where the lift's result is,
-  so a call of a microsecond or less can be read against the timer's
-  own cost.
+  fresh category.
 
 Each round runs every size in a fresh child process per tree, with the
 child importing realcat from that tree's ``src/``; with ``--parent`` the
 two trees alternate which goes first from round to round.  The inputs
-are drawn with ``random.Random(seed)`` and the standard library only, so
+are drawn with ``random.Random(SEED)`` and the standard library only, so
 any tree that has these five functions can be timed.  The output is one
 JSON block: per tree, operation and size, the quartiles [q1, median, q3]
 in microseconds over all rounds and repeats (``statistics.quantiles``,
@@ -46,13 +43,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (8, 16, 32, 64)
+SEED = 1
 OPS = (
     "final_lift",
     "validate_qcat_lift",
     "validate_qcat_fresh",
     "reflect_r_band",
     "coreflect_c_band",
-    "clock_floor",
 )
 
 
@@ -72,7 +69,7 @@ def sink_matrix(rng: random.Random, n: int) -> tuple:
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
-def measure(src: Path, sizes, repeats: int, seed: int) -> dict:
+def measure(src: Path, sizes, repeats: int) -> dict:
     """Per operation and size, the microseconds of each timed call."""
     load_realcat(src)
     from realcat.qcat import QCat, final_lift, validate_qcat
@@ -81,7 +78,7 @@ def measure(src: Path, sizes, repeats: int, seed: int) -> dict:
 
     t = lukasiewicz()
     band = sqrt_band(t)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     clock = time.perf_counter_ns
     samples = {op: {} for op in OPS}
     for n in sizes:
@@ -94,8 +91,6 @@ def measure(src: Path, sizes, repeats: int, seed: int) -> dict:
             lifted = final_lift(t, sinks, carrier)
             runs["final_lift"].append(clock() - start)
             fresh = QCat(t, carrier, lifted.matrix)
-            start = clock()
-            runs["clock_floor"].append(clock() - start)
             for op, fn, call_args in (
                 ("validate_qcat_lift", validate_qcat, (lifted,)),
                 ("validate_qcat_fresh", validate_qcat, (fresh,)),
@@ -122,8 +117,6 @@ def child(src: Path, args) -> dict:
         ",".join(map(str, args.sizes)),
         "--repeats",
         str(args.repeats),
-        "--seed",
-        str(args.seed),
     ]
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out)
@@ -152,14 +145,13 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=sizes_arg, default=list(SIZES))
     parser.add_argument("--repeats", type=int, default=5, help="timed calls per round")
     parser.add_argument("--rounds", type=int, default=3, help="processes per tree")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--parent", type=Path, help="a second checkout to interleave")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.rounds < 1:
         parser.error("--repeats and --rounds must be at least 1")
     if args.child:
-        json.dump(measure(args.child, args.sizes, args.repeats, args.seed), sys.stdout)
+        json.dump(measure(args.child, args.sizes, args.repeats), sys.stdout)
         return 0
 
     trees = {"tree": ROOT}
@@ -185,7 +177,7 @@ def main(argv=None) -> int:
         "inputs": "one sink per size: a random n-point matrix of twelfths with "
         "1 on the diagonal, identity map, Lukasiewicz; R and C over the "
         "square-root band, on a fresh QCat with the lift's matrix",
-        "seed": args.seed,
+        "seed": SEED,
         "sizes": args.sizes,
         "repeats": args.repeats,
         "rounds": args.rounds,
