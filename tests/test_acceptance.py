@@ -6,8 +6,8 @@ code they check."""
 import itertools
 import random
 from fractions import Fraction as F
+from operator import le
 
-import numpy as np
 import pytest
 
 from realcat import ccc, cli
@@ -179,120 +179,165 @@ def test_criterion_05_exponential_law(announce):
 
 
 # --- criterion 6: brute-force reflector/coreflector universal properties
+# A category on n points is written as its row: the off-diagonal entries
+# in SLOTS[n] order, the value k/base as the int k.
 
 
-SLOTS3 = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-SLOTS2 = [(0, 1), (1, 0)]
+SLOTS = {n: [(i, j) for i in range(n) for j in range(n) if i != j] for n in (2, 3)}
+K5 = IntervalSet.of([0, F(1, 4), F(1, 2), F(3, 4), 1])
+L3 = IntervalSet.of([0, F(1, 2), 1])
+# (label, S, base of the candidates' grid, S's pairs (r(i, j), r(j, i))
+# written out); the band holds (a, b) when a & a <= b and b & b <= a.
+# sqrt values of quarters are eighths and the band's closure is the
+# eighth grid, so its candidates range over denominator 8
+VARIANTS = [
+    ("K^2", sub.k_square(LUK, K5), 4, {(a, b) for a in range(5) for b in range(5)}),
+    ("K_diag", sub.k_diagonal(LUK, K5), 4, {(a, a) for a in range(5)}),
+    (
+        "sqrt band",
+        sub.sqrt_band(LUK),
+        8,
+        {
+            (a, b)
+            for a in range(9)
+            for b in range(9)
+            if max(2 * a - 8, 0) <= b and max(2 * b - 8, 0) <= a
+        },
+    ),
+    ("L3^2", sub.k_square(LUK, L3), 4, {(a, b) for a in (0, 2, 4) for b in (0, 2, 4)}),
+    ("L3_diag", sub.k_diagonal(LUK, L3), 4, {(a, a) for a in (0, 2, 4)}),
+]
 
 
-def _enum_valid(num_values, base, slots, size):
-    """Integer matrices (value k/base as k) of all valid categories."""
-    grids = np.meshgrid(
-        *([np.arange(num_values, dtype=np.int16)] * len(slots)),
-        indexing="ij",
-    )
-    e = np.stack([g.ravel() for g in grids], axis=1)
-    col = {s: c for c, s in enumerate(slots)}
-
-    def entry(i, j):
-        if i == j:
-            return np.full(len(e), base, dtype=np.int16)
-        return e[:, col[(i, j)]]
-
-    ok = np.ones(len(e), dtype=bool)
-    for i, j, k in itertools.product(range(size), repeat=3):
-        ok &= (entry(j, k) + entry(i, j) - base) <= entry(i, k)
-    return e[ok]
-
-
-def _in_s_mask(e, s, base, slots):
-    """Rows whose symmetric value pairs all lie in the suitable set."""
-    col = {sl: c for c, sl in enumerate(slots)}
-    ok = np.ones(len(e), dtype=bool)
-    seen = set()
-    for (i, j) in slots:
-        if (j, i) in seen:
-            continue
-        seen.add((i, j))
-        a, b = e[:, col[(i, j)]], e[:, col[(j, i)]]
-        if s.variant is sub.SuitableVariant.K_SQUARE:
-            members = np.array(
-                [F(v, base) in s.k for v in range(base + 1)]
-            )
-            ok &= members[a] & members[b]
-        elif s.variant is sub.SuitableVariant.K_DIAGONAL:
-            members = np.array(
-                [F(v, base) in s.k for v in range(base + 1)]
-            )
-            ok &= (a == b) & members[a]
-        else:  # sqrt band, Galois form
-            ok &= np.maximum(2 * a - base, 0) <= b
-            ok &= np.maximum(2 * b - base, 0) <= a
-    return ok
+def _valid_rows(size, base):
+    """Rows of all valid categories on the /base grid, grown slot by slot;
+    a partial row is dropped at its first broken triple
+    r(j, k) & r(i, j) <= r(i, k), under Lukasiewicz a + b - base <= c."""
+    at = {s: p for p, s in enumerate(SLOTS[size])}
+    checks = [[] for _ in at]
+    for i, j, k in itertools.permutations(range(size), 3):
+        triple = (at[j, k], at[i, j], at[i, k])
+        checks[max(triple)].append(triple)
+    rows = [()]
+    for triples in checks:
+        rows = [
+            row
+            for prefix in rows
+            for row in (prefix + (v,) for v in range(base + 1))
+            if all(row[a] + row[b] - base <= row[c] for a, b, c in triples)
+        ]
+    return rows
 
 
-def _as_row(c, base, slots):
-    return np.array(
-        [int(c.matrix[i][j] * base) for (i, j) in slots], dtype=np.int16
-    )
+def _cat_s_rows(size, base, pairs):
+    """The valid rows whose pairs (r(i, j), r(j, i)) all lie in pairs."""
+    at = {s: p for p, s in enumerate(SLOTS[size])}
+    sym = [(at[i, j], at[j, i]) for i, j in SLOTS[size] if i < j]
+    return [
+        row
+        for row in _valid_rows(size, base)
+        if all((row[p], row[q]) in pairs for p, q in sym)
+    ]
 
 
-def _universal_ok(targets, lowers, uppers, cs, chunk=128):
-    """C(r) <= r <= R(r), no Cat_S structure below r escapes C(r), and
-    none above escapes R(r)."""
-    if not ((lowers <= targets).all() and (targets <= uppers).all()):
+def _as_row(c, base):
+    """c's row on the /base grid; an entry off the grid stays a Fraction."""
+    scaled = [c.matrix[i][j] * base for i, j in SLOTS[len(c.points)]]
+    return tuple(int(x) if x.denominator == 1 else x for x in scaled)
+
+
+def _at_least(rows, base):
+    """ge[p][v]: the bitset of the row indices k with rows[k][p] >= v."""
+    ge = [[0] * (base + 1) for _ in rows[0]]
+    for k, row in enumerate(rows):
+        for p, x in enumerate(row):
+            ge[p][x] |= 1 << k
+    for col in ge:
+        for v in range(base - 1, -1, -1):
+            col[v] |= col[v + 1]
+    return ge
+
+
+def _escapes(targets, results, candidates, base):
+    """Whether some candidate lies below a target r but not below the
+    result of r: the AND over a candidate's slots of the bitsets above
+    it, once over the targets and once over the results."""
+    ge_t, ge_res = _at_least(targets, base), _at_least(results, base)
+    for c in candidates:
+        under_t = under_res = -1
+        for p, v in enumerate(c):
+            under_t &= ge_t[p][v]
+            under_res &= ge_res[p][v]
+        if under_t & ~under_res:
+            return True
+    return False
+
+
+def _universal_ok(targets, lowers, uppers, candidates, base):
+    """C(r) <= r <= R(r) with both among the candidates (the valid Cat_S
+    rows), no candidate below r escapes C(r), and none above r escapes
+    R(r); the R side is the C side on the order-dual rows base - v."""
+    members = set(candidates)
+    if not all(
+        {lo, up} <= members and all(map(le, lo, r)) and all(map(le, r, up))
+        for r, lo, up in zip(targets, lowers, uppers)
+    ):
         return False
-    for start in range(0, len(targets), chunk):
-        t = targets[start : start + chunk]
-        lo = lowers[start : start + chunk]
-        up = uppers[start : start + chunk]
-        below = (cs[None, :, :] <= t[:, None, :]).all(-1)
-        bounded = (cs[None, :, :] <= lo[:, None, :]).all(-1)
-        if (below & ~bounded).any():
-            return False
-        above = (cs[None, :, :] >= t[:, None, :]).all(-1)
-        bounded = (cs[None, :, :] >= up[:, None, :]).all(-1)
-        if (above & ~bounded).any():
-            return False
-    return True
+
+    def dual(rows):
+        return [tuple(base - v for v in row) for row in rows]
+
+    return not _escapes(targets, lowers, candidates, base) and not _escapes(
+        dual(targets), dual(uppers), dual(candidates), base
+    )
+
+
+def _quarter_cats(size):
+    """(row, category) for every valid quarter-valued category on size
+    points: the targets."""
+    points = tuple(f"p{i}" for i in range(size))
+    cats = []
+    for row in _valid_rows(size, 4):
+        matrix = [[ONE] * size for _ in range(size)]
+        for (i, j), v in zip(SLOTS[size], row):
+            matrix[i][j] = F(v, 4)
+        cats.append((row, QCat(LUK, points, tuple(map(tuple, matrix)))))
+    return cats
+
+
+def _reflected(cats, s, base):
+    """(targets, C results, R results) as rows on the /base grid."""
+    return (
+        [tuple(v * base // 4 for v in row) for row, _ in cats],
+        [_as_row(sub.coreflect_c(s, c), base) for _, c in cats],
+        [_as_row(sub.reflect_r(s, c), base) for _, c in cats],
+    )
+
+
+def test_universal_property_oracle_rejects_wrong_reflectors():
+    """Criterion 6's oracle on the 25 two-point quarter targets: the
+    library's C and R pass, and a C that returns the top or the discrete
+    category, or an R that returns C's result or the top, fails.  K^2
+    over K5 holds every target, where C = R is right, so it is left out."""
+    cats = _quarter_cats(2)
+    assert len(cats) == 25
+    for _, s, base, pairs in VARIANTS[1:]:
+        targets, lowers, uppers = _reflected(cats, s, base)
+        candidates = _cat_s_rows(2, base, pairs)
+        top, discrete = [(base, base)] * 25, [(0, 0)] * 25
+        assert _universal_ok(targets, lowers, uppers, candidates, base)
+        wrong = [(top, uppers), (discrete, uppers), (lowers, lowers), (lowers, top)]
+        for bad_lowers, bad_uppers in wrong:
+            assert not _universal_ok(targets, bad_lowers, bad_uppers, candidates, base)
 
 
 def test_criterion_06_reflector_universal_properties(announce):
-    k5 = IntervalSet.of([0, F(1, 4), F(1, 2), F(3, 4), 1])
-    variants = [
-        ("K^2", sub.k_square(LUK, k5), 4),
-        ("K_diag", sub.k_diagonal(LUK, k5), 4),
-        # sqrt values of quarters are eighths; the closure is the
-        # eighth grid, so candidates range over denominator 8
-        ("sqrt band", sub.sqrt_band(LUK), 8),
-    ]
     ok = True
-    for size, slots in ((2, SLOTS2), (3, SLOTS3)):
-        quarters = _enum_valid(5, 4, slots, size)
-        points = tuple(f"p{i}" for i in range(size))
-        cats = []
-        for row in quarters:
-            matrix = [[ONE] * size for _ in range(size)]
-            for (i, j), v in zip(slots, row.tolist()):
-                matrix[i][j] = F(v, 4)
-            cats.append(QCat(LUK, points, tuple(tuple(r) for r in matrix)))
-        for label, s, base in variants:
-            candidates = _enum_valid(base + 1, base, slots, size)
-            cs = candidates[_in_s_mask(candidates, s, base, slots)]
-            targets, lowers, uppers = [], [], []
-            for c in cats:
-                lower = sub.coreflect_c(s, c)
-                upper = sub.reflect_r(s, c)
-                ok = ok and validate_qcat(lower).passed
-                ok = ok and validate_qcat(upper).passed
-                ok = ok and sub.is_in_cat_s(s, lower)
-                ok = ok and sub.is_in_cat_s(s, upper)
-                targets.append(_as_row(c, base, slots))
-                lowers.append(_as_row(lower, base, slots))
-                uppers.append(_as_row(upper, base, slots))
-            ok = ok and _universal_ok(
-                np.array(targets), np.array(lowers), np.array(uppers), cs
-            )
+    for size in (2, 3):
+        cats = _quarter_cats(size)
+        for label, s, base, pairs in VARIANTS:
+            candidates = _cat_s_rows(size, base, pairs)
+            ok = ok and _universal_ok(*_reflected(cats, s, base), candidates, base)
             assert ok, f"universal property broke for {label} at size {size}"
     announce(
         6,

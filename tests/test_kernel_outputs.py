@@ -3,10 +3,10 @@
 ``kernel_outputs.json`` for validate_qcat, final_lift, reflect_r,
 coreflect_c and is_in_cat_s, ``functor_outputs.json`` for the
 functor search, products, hom objects, curry, uncurry, the
-function-space limit, initial_lift and final_lift's refusals,
-``cli_outputs.json`` for every command of the CLI, refusals included,
-and ``grid_outputs.json`` for the Cat_S kernels on values off the
-block endpoints' grid."""
+function-space limit, initial_lift, yoneda_limits and final_lift's
+refusals, ``cli_outputs.json`` for every command of the CLI, refusals
+included, and ``grid_outputs.json`` for the Cat_S kernels on values off
+the block endpoints' grid."""
 
 import importlib.util
 from pathlib import Path

@@ -6,24 +6,29 @@ from pathlib import Path
 
 import realcat
 
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted(Path(realcat.__file__).parent.glob("*.py"))
+# the package itself and what the `test` extra of pyproject.toml lists;
+# written out, as tomllib needs Python 3.11 and CI runs 3.10 too
+TEST_EXTRA = {"realcat", "pytest", "hypothesis"}
+
 
 def test_no_assert_statement_in_the_package():
     """``python -O`` strips ``assert``; the package states its checks as
     raises and its facts as proofs, so it behaves the same under -O."""
-    modules = sorted(Path(realcat.__file__).parent.glob("*.py"))
     found = [
         f"{path.name}:{node.lineno}"
-        for path in modules
+        for path in PACKAGE
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
-    assert len(modules) > 5 and found == []
+    assert len(PACKAGE) > 5 and found == []
 
 
-def _absolute_imports():
+def _absolute_imports(paths=PACKAGE):
     """(file name, line, top-level module) of each absolute import in the
-    package's source."""
-    for path in sorted(Path(realcat.__file__).parent.glob("*.py")):
+    files, by default the package's source."""
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -46,6 +51,20 @@ def test_the_package_imports_only_itself_and_the_standard_library():
         if name not in sys.stdlib_module_names
     ]
     assert len(found) > 5 and outside == []
+
+
+def test_tests_and_tools_import_only_the_test_extra_and_the_standard_library():
+    """A test or a tool imports the standard library, realcat, pytest or
+    hypothesis, so a package that the `test` extra does not list cannot
+    come in unnoticed."""
+    paths = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
+    found = list(_absolute_imports(paths))
+    outside = [
+        f"{f}:{line} {name}"
+        for f, line, name in found
+        if name not in sys.stdlib_module_names and name not in TEST_EXTRA
+    ]
+    assert len(paths) > 10 and outside == []
 
 
 def test_no_module_of_the_package_imports_dataclasses():

@@ -315,59 +315,7 @@ class TestCatSMembership:
         )
 
 
-def brute_force_cat_s_matrices(s, values, size):
-    """All valid Cat_S structures on `size` points over the value list."""
-    points = tuple(f"p{i}" for i in range(size))
-    slots = [(i, j) for i in range(size) for j in range(size) if i != j]
-    for combo in itertools.product(values, repeat=len(slots)):
-        matrix = [[ONE] * size for _ in range(size)]
-        for (i, j), v in zip(slots, combo):
-            matrix[i][j] = v
-        c = QCat(s.tnorm, points, tuple(tuple(r) for r in matrix))
-        if validate_qcat(c) and is_in_cat_s(s, c):
-            yield c
-
-
 class TestCoreflectorReflector:
-    QUARTERS = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
-
-    @pytest.mark.parametrize(
-        "s",
-        [k_square(LUK, L3), k_diagonal(LUK, L3), sqrt_band(LUK)],
-        ids=["ksq", "kdiag", "band"],
-    )
-    def test_universal_properties_two_points(self, s):
-        for a in self.QUARTERS:
-            for b in self.QUARTERS:
-                c = two_point(LUK, a, b)
-                lower = coreflect_c(s, c)
-                upper = reflect_r(s, c)
-                assert validate_qcat(lower).passed and is_in_cat_s(s, lower)
-                assert validate_qcat(upper).passed and is_in_cat_s(s, upper)
-                for cand in brute_force_cat_s_matrices(s, self.QUARTERS, 2):
-                    below = all(
-                        cand.matrix[i][j] <= c.matrix[i][j]
-                        for i in range(2)
-                        for j in range(2)
-                    )
-                    if below:
-                        assert all(
-                            cand.matrix[i][j] <= lower.matrix[i][j]
-                            for i in range(2)
-                            for j in range(2)
-                        )
-                    above = all(
-                        cand.matrix[i][j] >= c.matrix[i][j]
-                        for i in range(2)
-                        for j in range(2)
-                    )
-                    if above:
-                        assert all(
-                            cand.matrix[i][j] >= upper.matrix[i][j]
-                            for i in range(2)
-                            for j in range(2)
-                        )
-
     def test_idempotence_on_cat_s_members(self):
         s = sqrt_band(LUK)
         c = two_point(LUK, F(1, 2), F(5, 8))

@@ -22,8 +22,10 @@ adjacent blocks sharing an endpoint).
   values mix thirds with quarters, and refused inputs; then
   ``initial_lift`` (:func:`lift_cases`) for 0-3 sources over the same
   values, drawn from a stream of its own so the cases before it keep
-  their draws; then ``final_lift`` refusals (:func:`sink_fault_cases`),
-  one fault each, from a third stream.
+  their draws; then ``yoneda_limits`` (:func:`yoneda_cases`) over
+  sequences that are built inside the recorded call, errors included,
+  from a stream of their own (seed + 3); then ``final_lift`` refusals
+  (:func:`sink_fault_cases`), one fault each, from a third stream.
 - ``tests/cli_outputs.json`` (:func:`cli_cases`): ``cli.main`` runs,
   in-process, of every command and every ``construct`` kind on fixed
   files (valid and refused: help and usage errors, wrong arity, missing
@@ -104,6 +106,7 @@ ROUNDS = 480
 FUNCTOR_ROUNDS = 240
 LIFT_ROUNDS = 160
 SINK_FAULT_ROUNDS = 80
+YONEDA_ROUNDS = 120
 CLI_ROUNDS = 20
 GRID_ROUNDS = 80
 
@@ -412,7 +415,15 @@ def functor_cases(seed: int = SEED) -> list:
         if g is not None:
             out.append((f"{tag} uncurry drawn", yoneda.uncurry, (a, c, b, g)))
         out += limit_cases(rng, t, tag, ends)
-    return out + functor_refused() + lift_cases(seed) + sink_fault_cases(seed)
+    # the Yoneda limits go before the last stream, so that adding them
+    # only adds lines to the corpus file
+    return (
+        out
+        + functor_refused()
+        + lift_cases(seed)
+        + yoneda_cases(seed)
+        + sink_fault_cases(seed)
+    )
 
 
 def lift_cases(seed: int = SEED) -> list:
@@ -445,6 +456,41 @@ def lift_cases(seed: int = SEED) -> list:
             carrier.append(carrier[0])
             tag += " repeated point"
         out.append((f"{tag} initial_lift", initial_lift, (t, carrier, sources)))
+    return out
+
+
+def limits(ambient, prefix, cycle) -> tuple:
+    """yoneda_limits of the sequence built here, so that the errors of
+    FCSequence are outputs too."""
+    return yoneda.yoneda_limits(yoneda.FCSequence(ambient, prefix, cycle))
+
+
+def yoneda_cases(seed: int = SEED) -> list:
+    """yoneda_limits in an ambient of 0-4 points over thirds, quarters or
+    both, one time in four a matrix that need be no category: an empty
+    cycle, a point outside the ambient, a drawn prefix and cycle (most
+    often not forward Cauchy), and the same prefix before a cycle of
+    points isomorphic to a drawn one."""
+    rng = random.Random(seed + 3)
+    out = []
+    for r in range(YONEDA_ROUNDS):
+        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
+        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        pool = rng.choice([THIRDS, QUARTERS, MIXED]) + ends
+        c = draw_cat(rng, t, rng.randint(0, 4), "p", pool)
+        tag = f"{r:03d} {name} n={len(c.points)}"
+        out.append((f"{tag} limits empty cycle", limits, (c, (), ())))
+        out.append((f"{tag} limits outside", limits, (c, (), ("outside",))))
+        if not c.points:
+            continue
+        prefix = tuple(rng.choice(c.points) for _ in range(rng.randint(0, 2)))
+        cycle = tuple(rng.choice(c.points) for _ in range(rng.randint(1, 3)))
+        out.append((f"{tag} limits drawn", limits, (c, prefix, cycle)))
+        p = rng.choice(c.points)
+        iso = [q for q in c.points if c.r(p, q) == c.r(q, p) == 1] or [p]
+        cycle = tuple(rng.choice(iso) for _ in range(rng.randint(1, 3)))
+        out.append((f"{tag} limits isomorphic cycle", limits, (c, prefix, cycle)))
     return out
 
 
