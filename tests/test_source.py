@@ -74,3 +74,36 @@ def test_no_module_of_the_package_imports_dataclasses():
     found = list(_absolute_imports())
     named = [f"{f}:{line}" for f, line, name in found if name == "dataclasses"]
     assert len(found) > 5 and named == []
+
+
+# what the kernels compute a norm with: an oracle that called one of
+# them would check a kernel against itself
+KERNEL_NAMES = {
+    "tnorm_eval",
+    "tnorm_residual",
+    "sqrt_with",
+    "kernel_domain",
+    "GridDomain",
+}
+
+
+def test_the_oracles_compute_no_norm_with_the_library():
+    """tests/test_closure.py checks the kernels against oracles that
+    read a norm only as its block list: it imports none of realcat's
+    t-norm kernels and reads no ``._and``, the Fraction domain's &."""
+    path = ROOT / "tests" / "test_closure.py"
+    text = path.read_text()
+    tree = ast.parse(text, str(path))
+    found = [
+        f"{path.name}:{alias.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("realcat")
+        for alias in node.names
+        if alias.name in KERNEL_NAMES
+    ]
+    found += [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_NAMES | {"_and"}
+    ]
+    assert found == [] and "def oracle_and" in text

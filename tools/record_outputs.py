@@ -150,16 +150,20 @@ def draw_matrix(rng, t, n, unit_diagonal=True):
     ]
 
 
+def two_point_sinks(rng, t, points, pool):
+    """0 to 2n two-point categories over pool pushed into the n points."""
+    sinks = []
+    for _ in range(rng.randint(0, 2 * len(points))):
+        a, b = rng.choice(pool), rng.choice(pool)
+        x, y = rng.choice(points), rng.choice(points)
+        sinks.append((two_point(t, a, b, ("s", "t")), {"s": x, "t": y}))
+    return sinks
+
+
 def draw_sinks(rng, t, n):
     """A carrier of n points and two-point categories pushed into it."""
-    pool = value_pool(t)
     carrier = tuple(f"p{i}" for i in range(n))
-    sinks = []
-    for _ in range(rng.randint(0, 2 * n)):
-        a, b = rng.choice(pool), rng.choice(pool)
-        x, y = rng.choice(carrier), rng.choice(carrier)
-        sinks.append((two_point(t, a, b, ("s", "t")), {"s": x, "t": y}))
-    return sinks, carrier
+    return two_point_sinks(rng, t, carrier, value_pool(t)), carrier
 
 
 def off_product(t, values):
@@ -169,12 +173,26 @@ def off_product(t, values):
     return [v for v in values if not any(b.lo < v < b.hi for b in inside)]
 
 
+def closed_under(ops, seeds) -> list:
+    """The seeds closed under ops, commutative maps of two members, in
+    sorted order: a worklist meets each new member with every member
+    once.  A closure is unique, so the order of the work changes no
+    result."""
+    closed, todo = set(seeds), list(seeds)
+    while todo:
+        x = todo.pop()
+        for y in list(closed):
+            for z in (op(x, y) for op in ops):
+                if z not in closed:
+                    closed.add(z)
+                    todo.append(z)
+    return sorted(closed)
+
+
 def and_closed(t, values):
     """values off product blocks, with 1, closed under &."""
-    out = {F(1), *off_product(t, values)}
-    while new := {tnorm_eval(t, a, b) for a in out for b in out} - out:
-        out |= new
-    return sorted(out)
+    seeds = {F(1), *off_product(t, values)}
+    return closed_under([lambda a, b: tnorm_eval(t, a, b)], seeds)
 
 
 def draw_k(rng, t):
@@ -196,17 +214,13 @@ def draw_pairs(rng, t, chain=None):
     chain = chain or rng.choice(CHAINS)
     pairs = {(rng.choice(chain), rng.choice(chain)) for _ in range(rng.randint(1, 5))}
     if rng.random() < 0.7:
-        pairs = {(a, b) for a, b in pairs if off_product(t, [a, b]) == [a, b]}
-        while True:
-            new = {(b, a) for a, b in pairs}
-            for p in pairs:
-                for q in pairs:
-                    new.add((max(p[0], q[0]), max(p[1], q[1])))
-                    new.add((min(p[0], q[0]), min(p[1], q[1])))
-                    new.add((tnorm_eval(t, p[0], q[0]), tnorm_eval(t, p[1], q[1])))
-            if new <= pairs:
-                break
-            pairs |= new
+        ops = [
+            lambda p, q: (p[1], p[0]),
+            lambda p, q: (max(p[0], q[0]), max(p[1], q[1])),
+            lambda p, q: (min(p[0], q[0]), min(p[1], q[1])),
+            lambda p, q: (tnorm_eval(t, p[0], q[0]), tnorm_eval(t, p[1], q[1])),
+        ]
+        return closed_under(ops, [p for p in pairs if off_product(t, p) == list(p)])
     return sorted(pairs)
 
 
@@ -349,12 +363,16 @@ def draw_cat(rng, t, n, prefix, pool):
     points = tuple(f"{prefix}{i}" for i in range(n))
     if rng.random() < 0.25:
         return QCat(t, points, [[rng.choice(pool) for _ in points] for _ in points])
-    sinks = []
-    for _ in range(rng.randint(0, 2 * n)):
-        a, b = rng.choice(pool), rng.choice(pool)
-        x, y = rng.choice(points), rng.choice(points)
-        sinks.append((two_point(t, a, b, ("s", "t")), {"s": x, "t": y}))
+    sinks = two_point_sinks(rng, t, points, pool)
     return QCat(t, points, final_lift(t, sinks, points).matrix)
+
+
+def round_norm(rng, r) -> tuple:
+    """Round r's norm name, in turn from FUNCTOR_NORMS, the norm (a /12
+    grid sum drawn from rng for "sum") and its block endpoints."""
+    name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
+    t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+    return name, t, [v for blk in t.blocks for v in (blk.lo, blk.hi)]
 
 
 def draw_map(rng, dom, cod):
@@ -374,9 +392,7 @@ def functor_cases(seed: int = SEED) -> list:
     rng = random.Random(seed)
     out = []
     for r in range(FUNCTOR_ROUNDS):
-        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
-        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
-        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        name, t, ends = round_norm(rng, r)
         pa, pb = (rng.choice([THIRDS, QUARTERS, MIXED]) + ends for _ in "ab")
         na, nb, nc = rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 2)
         a, b = draw_cat(rng, t, na, "a", pa), draw_cat(rng, t, nb, "b", pb)
@@ -434,9 +450,7 @@ def lift_cases(seed: int = SEED) -> list:
     rng = random.Random(seed + 1)
     out = []
     for r in range(LIFT_ROUNDS):
-        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
-        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
-        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        name, t, ends = round_norm(rng, r)
         carrier = [f"u{i}" for i in range(rng.randint(0, 4))]
         sources = []
         for k in range(rng.randint(0, 3)):
@@ -474,9 +488,7 @@ def yoneda_cases(seed: int = SEED) -> list:
     rng = random.Random(seed + 3)
     out = []
     for r in range(YONEDA_ROUNDS):
-        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
-        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
-        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        name, t, ends = round_norm(rng, r)
         pool = rng.choice([THIRDS, QUARTERS, MIXED]) + ends
         c = draw_cat(rng, t, rng.randint(0, 4), "p", pool)
         tag = f"{r:03d} {name} n={len(c.points)}"
@@ -505,9 +517,7 @@ def sink_fault_cases(seed: int = SEED) -> list:
     rng = random.Random(seed + 2)
     out = []
     for r in range(SINK_FAULT_ROUNDS):
-        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
-        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
-        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
+        name, t, ends = round_norm(rng, r)
         carrier = [f"p{i}" for i in range(rng.randint(1, 4))]
         sinks = []
         for k in range(rng.randint(1, 3)):
@@ -908,10 +918,8 @@ def cli_cases(seed: int = SEED) -> list:
     out = [(cid, run_cli, (tuple(argv), CLI_TEXTS)) for cid, argv in fixed_cli_argvs()]
     rng = random.Random(seed + 3)
     for r in range(CLI_ROUNDS):
-        name = FUNCTOR_NORMS[r % len(FUNCTOR_NORMS)]
-        t = grid_sum(rng) if name == "sum" else BUILTIN_NORMS[name]()
+        name, t, ends = round_norm(rng, r)
         norm = wire_norm(t, name)
-        ends = [v for blk in t.blocks for v in (blk.lo, blk.hi)]
         pa, pb = (rng.choice([THIRDS, QUARTERS, MIXED]) + ends for _ in "ab")
         a = draw_cat(rng, t, rng.randint(1, 3), "a", pa)
         b = draw_cat(rng, t, rng.randint(0, 3), "b", pb)
